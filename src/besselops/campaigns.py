@@ -10,6 +10,9 @@ count).  Inequalities whose right-hand side carries no exponential rate
 (the integrated difference bound, the transform size/smoothness bounds,
 and the operator spot checks) ignore the c grid.
 
+Each inequality id is declared once, as an entry of ``SPECS``; its default
+config is the bundled ``configs/<id>.json``.
+
 Reports are canonical JSON: identical (config, seed) pairs produce byte
 identical files.  Wall-clock runtime is therefore excluded from the
 report; the CLI writes it to a sidecar instead.
@@ -21,11 +24,12 @@ import dataclasses
 import json
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .grids import (
     GridFunction,
     T_GRID_DEFAULT,
@@ -46,13 +50,23 @@ from .heat import (
 from .riesz import (
     CzSamplePlan,
     SubordinationPlan,
+    _drift,
+    _level_maxima,
     cz_bound_check,
     riesz_apply,
     riesz_difference_matrix,
 )
 from .sampling import loguniform, make_rng, sample_kernel_points
-from .spaces import AtomCandidate, Ball, BallSampler, bmo_norm, multi_indices
-from .special import gamma
+from .spaces import (
+    AtomCandidate,
+    Ball,
+    BallSampler,
+    _node_stack,
+    _scaled_basis,
+    _weighted_gram,
+    bmo_norm,
+    multi_indices,
+)
 
 __all__ = [
     "INEQUALITY_IDS",
@@ -64,25 +78,6 @@ __all__ = [
     "default_config",
     "bundled_config_path",
 ]
-
-INEQUALITY_IDS = (
-    "thm2_1",
-    "thm2_4",
-    "thm2_5",
-    "cor2_6a",
-    "cor2_6b",
-    "prop2_7",
-    "prop2_8",
-    "prop2_9",
-    "prop2_10",
-    "cor2_11",
-    "thm1_5_size",
-    "thm1_5_smooth",
-    "thm1_6i",
-    "thm1_6ii",
-    "thm4_1",
-)
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -190,20 +185,6 @@ class BoundReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _drift(values) -> float:
-    worst = 0.0
-    for a, b in zip(values, values[1:]):
-        if math.isfinite(a) and a > 0:
-            worst = max(worst, abs(b - a) / a)
-        elif not math.isfinite(a) or not math.isfinite(b):
-            worst = math.inf
-    return worst
-
-
-def _level_maxima(ratios: np.ndarray, base: int, levels: int) -> list[float]:
-    return [float(np.max(ratios[: base * 2**lev])) for lev in range(levels)]
-
-
 def _selection_levels(ratios: np.ndarray, config) -> list[float]:
     """Finer internal refinement ladder used only to pick c.
 
@@ -280,87 +261,29 @@ def _params_dict(config: CampaignConfig, **extra) -> dict:
 # Pointwise kernel-estimate campaigns
 
 
-def _lhs_pointwise(config: CampaignConfig, t, x, y):
-    """|lhs| arrays for the pointwise inequality families."""
-    ineq = config.inequality
-    nu = config.nu_vector
-    if ineq == "thm2_1":
-        return np.abs(eval_delta_heat_1d(nu.nu[0], 0, t, x[0], y[0]))
-    if ineq == "thm2_4":
-        return np.abs(eval_delta_heat_1d(nu.nu[0], config.ell[0], t, x[0], y[0]))
-    if ineq == "thm2_5":
-        return np.abs(
-            mixed_partial_delta(nu.nu[0], config.k[0], config.ell[0], t, x[0], y[0])
-        )
-    if ineq == "cor2_6a":
-        return np.abs(delta_dt_heat_1d(nu.nu[0], config.k[0], config.big_m, t, x[0], y[0]))
-    if ineq == "cor2_6b":
-        return np.abs(
-            adjoint_power_heat_1d(nu.nu[0], config.k[0], config.big_m, t, x[0], y[0])
-        )
-    if ineq == "prop2_7":
-        a = eval_delta_heat_1d(nu.nu[0], config.ell[0], t, x[0], y[0])
-        b = eval_delta_heat_1d(nu.nu[0] + 1.0, config.ell[0], t, x[0], y[0])
-        return np.abs(a - b)
-    if ineq == "prop2_9":
-        out = 1.0
-        for j in range(nu.n):
-            out = out * eval_delta_heat_1d(nu.nu[j], config.ell[j], t, x[j], y[j])
-        return np.abs(out)
-    if ineq == "prop2_10":
-        out = 1.0
-        for j in range(nu.n):
-            out = out * mixed_partial_delta(
-                nu.nu[j], config.k[j], config.ell[j], t, x[j], y[j]
-            )
-        return np.abs(out)
-    if ineq == "cor2_11":
-        return np.abs(delta_dt_heat_nd_arrays(nu, config.k, config.big_m, t, x, y))
-    raise ConfigError(f"not a pointwise inequality: {ineq}")
-
-
-def _rhs_kind(config: CampaignConfig):
-    """(bound kind, k-slot, ell-slot) for the shared rhs evaluator."""
-    ineq = config.inequality
-    if ineq == "thm2_1":
-        return "thm21", 0, 0
-    if ineq == "thm2_4":
-        return "thm24", 0, config.ell[0]
-    if ineq == "thm2_5":
-        return "thm25", config.k[0], config.ell[0]
-    if ineq in ("cor2_6a", "cor2_6b"):
-        return "cor26", config.k[0], config.big_m
-    if ineq == "prop2_7":
-        return "prop27", 0, config.ell[0]
-    if ineq == "prop2_9":
-        return "prop29", 0, config.ell
-    if ineq == "prop2_10":
-        return "prop210", config.k, config.ell
-    if ineq == "cor2_11":
-        return "cor211", config.k, config.big_m
-    raise ConfigError(f"not a pointwise inequality: {ineq}")
-
-
-def _sample_pointwise(config: CampaignConfig, count: int):
-    nu = config.nu_vector
+def _sample_box(config: CampaignConfig, count: int):
     rng = make_rng(config.seed)
-    if config.inequality == "prop2_7":
-        # region: y/2 < x < 2y and x >= sqrt(t)
-        x0 = loguniform(rng, config.box[0], config.box[1], count)
-        y0 = x0 * 2.0 ** rng.uniform(-1.0, 1.0, count)
-        t = (x0 * loguniform(rng, 1e-3, 1.0, count)) ** 2
-        return t, x0[None, :], y0[None, :]
-    return sample_kernel_points(rng, count, nu.n, config.t_range, config.box)
+    return sample_kernel_points(rng, count, len(config.nu), config.t_range, config.box)
+
+
+def _sample_prop2_7(config: CampaignConfig, count: int):
+    """The region y/2 < x < 2y with x >= sqrt(t)."""
+    rng = make_rng(config.seed)
+    x0 = loguniform(rng, config.box[0], config.box[1], count)
+    y0 = x0 * 2.0 ** rng.uniform(-1.0, 1.0, count)
+    t = (x0 * loguniform(rng, 1e-3, 1.0, count)) ** 2
+    return t, x0[None, :], y0[None, :]
 
 
 def _pointwise_campaign(config: CampaignConfig, collect: bool):
+    spec = SPECS[config.inequality]
     nu = config.nu_vector
     count = config.samples * 2 ** (config.refine_levels - 1)
-    t, x, y = _sample_pointwise(config, count)
-    lhs = _lhs_pointwise(config, t, x, y)
-    kind, k_slot, ell_slot = _rhs_kind(config)
+    t, x, y = spec.sampler(config, count)
+    lhs = np.abs(spec.lhs(config, t, x, y))
+    k_slot, ell_slot = spec.rhs(config)
     rhs_by_c = {
-        c: _bound_rhs_arrays(kind, nu, k_slot, ell_slot, t, x, y, c)
+        c: _bound_rhs_arrays(config.inequality, nu, k_slot, ell_slot, t, x, y, c)
         for c in config.c_grid
     }
     c_hat, levels, drift, ratios = _fit_c(lhs, rhs_by_c, config)
@@ -388,6 +311,12 @@ def _pointwise_campaign(config: CampaignConfig, collect: bool):
     return report, samples
 
 
+def _prop2_9_campaign(config: CampaignConfig, collect: bool):
+    if len(config.ell) != config.nu_vector.n:
+        raise ConfigError("ell multi-index must match dimension")
+    return _pointwise_campaign(config, collect)
+
+
 def _sample_rows(t, x, y, lhs, rhs, ratios):
     header = (
         ["t"]
@@ -411,7 +340,7 @@ def _sample_rows(t, x, y, lhs, rhs, ratios):
 
 
 def _prop2_8_campaign(config: CampaignConfig, collect: bool):
-    nu0 = config.nu[0]
+    nu0 = config.nu_vector.nu[0]
     k = config.k[0]
     eps = config.epsilon
     count = config.samples * 2 ** (config.refine_levels - 1)
@@ -516,13 +445,11 @@ def _thm1_5_campaign(config: CampaignConfig, collect: bool):
 
 def _project_moments(values, grid, mask, omega, center, radius):
     """Remove monomial moments up to omega on the support, keeping support."""
-    from .spaces import _scaled_basis, _node_stack
-
     indices = multi_indices(grid.ndim, omega)
     pts = _node_stack(grid)[:, mask]
     w = grid.weight_array[mask]
     cols = _scaled_basis(pts, center, radius, indices)
-    gram = np.array([[float(np.sum(w * ca * cb)) for cb in cols] for ca in cols])
+    gram = _weighted_gram(cols, w)
     rhs = np.array([float(np.sum(w * ca * values[mask])) for ca in cols])
     coef = np.linalg.solve(gram, rhs)
     out = values.copy()
@@ -606,7 +533,7 @@ def hardy_spot_check(
         if worst_atom is None or val >= max(norms):
             worst_atom = atom
     norms_arr = np.asarray(norms)
-    level_max = [float(np.max(norms_arr[: atom_count * 2**lev])) for lev in range(levels)]
+    level_max = _level_maxima(norms_arr, atom_count, levels)
     level_ratio = [
         float(
             np.max(norms_arr[: atom_count * 2**lev])
@@ -781,10 +708,7 @@ def _thm4_1_campaign(config: CampaignConfig, collect: bool):
         denom = lp_norm(f, 2.0)
         ratios.append(lp_norm(df, 2.0) / denom if denom > 0 else 0.0)
     ratios_arr = np.asarray(ratios)
-    levels = [
-        float(np.max(ratios_arr[: config.corpus_size * 2**lev]))
-        for lev in range(config.refine_levels)
-    ]
+    levels = _level_maxima(ratios_arr, config.corpus_size, config.refine_levels)
     drift = _drift(levels)
     worst = int(np.argmax(ratios_arr))
     report = BoundReport(
@@ -801,17 +725,85 @@ def _thm4_1_campaign(config: CampaignConfig, collect: bool):
     return report, None
 
 
-_POINTWISE = {
-    "thm2_1",
-    "thm2_4",
-    "thm2_5",
-    "cor2_6a",
-    "cor2_6b",
-    "prop2_7",
-    "prop2_9",
-    "prop2_10",
-    "cor2_11",
+# ---------------------------------------------------------------------------
+# The registry: one entry per inequality id
+
+
+@dataclass(frozen=True)
+class Spec:
+    """How the campaign of one inequality id runs.
+
+    ``runner(config, collect)`` returns (BoundReport, sample rows or None).
+    The pointwise kernel estimates share ``_pointwise_campaign``: it draws
+    points with ``sampler(config, count)``, takes the signed left-hand side
+    from ``lhs(config, t, x, y)`` and the (k, ell) arguments of
+    ``heat._bound_rhs_arrays`` from ``rhs(config)``.
+    """
+
+    lhs: Callable | None = None
+    rhs: Callable | None = None
+    sampler: Callable = _sample_box
+    runner: Callable = _pointwise_campaign
+
+
+# The lambdas look up heat functions by module-global name at call time, so
+# a rebinding of those names (as call tracing does) reaches every campaign.
+SPECS: dict[str, Spec] = {
+    "thm2_1": Spec(
+        lhs=lambda c, t, x, y: eval_delta_heat_1d(c.nu[0], 0, t, x[0], y[0]),
+        rhs=lambda c: (0, 0),
+    ),
+    "thm2_4": Spec(
+        lhs=lambda c, t, x, y: eval_delta_heat_1d(c.nu[0], c.ell[0], t, x[0], y[0]),
+        rhs=lambda c: (0, c.ell[0]),
+    ),
+    "thm2_5": Spec(
+        lhs=lambda c, t, x, y: mixed_partial_delta(c.nu[0], c.k[0], c.ell[0], t, x[0], y[0]),
+        rhs=lambda c: (c.k[0], c.ell[0]),
+    ),
+    "cor2_6a": Spec(
+        lhs=lambda c, t, x, y: delta_dt_heat_1d(c.nu[0], c.k[0], c.big_m, t, x[0], y[0]),
+        rhs=lambda c: (c.k[0], c.big_m),
+    ),
+    "cor2_6b": Spec(
+        lhs=lambda c, t, x, y: adjoint_power_heat_1d(c.nu[0], c.k[0], c.big_m, t, x[0], y[0]),
+        rhs=lambda c: (c.k[0], c.big_m),
+    ),
+    "prop2_7": Spec(
+        lhs=lambda c, t, x, y: (
+            eval_delta_heat_1d(c.nu[0], c.ell[0], t, x[0], y[0])
+            - eval_delta_heat_1d(c.nu[0] + 1.0, c.ell[0], t, x[0], y[0])
+        ),
+        rhs=lambda c: (0, c.ell[0]),
+        sampler=_sample_prop2_7,
+    ),
+    "prop2_8": Spec(runner=_prop2_8_campaign),
+    "prop2_9": Spec(
+        lhs=lambda c, t, x, y: math.prod(
+            eval_delta_heat_1d(c.nu[j], c.ell[j], t, x[j], y[j]) for j in range(len(c.nu))
+        ),
+        rhs=lambda c: (0, c.ell),
+        runner=_prop2_9_campaign,
+    ),
+    "prop2_10": Spec(
+        lhs=lambda c, t, x, y: math.prod(
+            mixed_partial_delta(c.nu[j], c.k[j], c.ell[j], t, x[j], y[j])
+            for j in range(len(c.nu))
+        ),
+        rhs=lambda c: (c.k, c.ell),
+    ),
+    "cor2_11": Spec(
+        lhs=lambda c, t, x, y: delta_dt_heat_nd_arrays(c.nu_vector, c.k, c.big_m, t, x, y),
+        rhs=lambda c: (c.k, c.big_m),
+    ),
+    "thm1_5_size": Spec(runner=_thm1_5_campaign),
+    "thm1_5_smooth": Spec(runner=_thm1_5_campaign),
+    "thm1_6i": Spec(runner=_thm1_6i_campaign),
+    "thm1_6ii": Spec(runner=_thm1_6ii_campaign),
+    "thm4_1": Spec(runner=_thm4_1_campaign),
 }
+
+INEQUALITY_IDS = tuple(SPECS)
 
 
 def run_campaign(config: CampaignConfig, collect_samples: bool = False):
@@ -820,93 +812,12 @@ def run_campaign(config: CampaignConfig, collect_samples: bool = False):
     Deterministic for fixed (config, seed): identical inputs produce byte
     identical canonical reports.
     """
-    nu = config.nu_vector
-    if config.inequality in _POINTWISE:
-        if config.inequality in ("prop2_9", "prop2_10", "cor2_11"):
-            if len(config.ell) != nu.n and config.inequality == "prop2_9":
-                raise ConfigError("ell multi-index must match dimension")
-        return _pointwise_campaign(config, collect_samples)
-    if config.inequality == "prop2_8":
-        return _prop2_8_campaign(config, collect_samples)
-    if config.inequality in ("thm1_5_size", "thm1_5_smooth"):
-        return _thm1_5_campaign(config, collect_samples)
-    if config.inequality == "thm1_6i":
-        return _thm1_6i_campaign(config, collect_samples)
-    if config.inequality == "thm1_6ii":
-        return _thm1_6ii_campaign(config, collect_samples)
-    if config.inequality == "thm4_1":
-        return _thm4_1_campaign(config, collect_samples)
-    raise ConfigError(f"unknown inequality id {config.inequality!r}")
-
-
-# ---------------------------------------------------------------------------
-# Bundled default configs
+    return SPECS[config.inequality].runner(config, collect_samples)
 
 
 def default_config(inequality: str) -> CampaignConfig:
     """The bundled default campaign for one inequality id."""
-    base = {
-        "thm2_1": dict(nu=(0.3,), samples=10000),
-        "thm2_4": dict(nu=(0.6,), ell=(2,), samples=10000),
-        "thm2_5": dict(nu=(0.6,), k=(1,), ell=(1,), samples=10000),
-        "cor2_6a": dict(nu=(0.8,), k=(1,), big_m=1, samples=10000),
-        "cor2_6b": dict(nu=(0.8,), k=(1,), big_m=1, samples=10000),
-        "prop2_7": dict(nu=(0.6,), ell=(1,), samples=10000),
-        "prop2_8": dict(
-            nu=(0.6,),
-            k=(1,),
-            epsilon=0.5,
-            samples=2000,
-            plan_t_min=1e-8,
-            plan_t_max=1e6,
-            plan_nodes_per_decade=16,
-        ),
-        "prop2_9": dict(nu=(0.5, 1.5), k=(0, 0), ell=(1, 1), samples=10000),
-        "prop2_10": dict(nu=(0.5, 1.5), k=(1, 0), ell=(0, 1), samples=20000),
-        "cor2_11": dict(nu=(0.5, 1.5), k=(1, 1), big_m=1, samples=20000),
-        "thm1_5_size": dict(
-            nu=(0.7,),
-            k=(2,),
-            samples=2500,
-            box=(0.1, 10.0),
-            plan_t_min=1e-8,
-            plan_t_max=1e8,
-            plan_nodes_per_decade=24,
-        ),
-        "thm1_5_smooth": dict(
-            nu=(0.7,),
-            k=(2,),
-            samples=2500,
-            box=(0.1, 10.0),
-            plan_t_min=1e-8,
-            plan_t_max=1e8,
-            plan_nodes_per_decade=24,
-        ),
-        "thm1_6i": dict(
-            nu=(1.0,),
-            k=(1,),
-            p=1.0,
-            atom_count=50,
-            grid_nodes=512,
-            refine_levels=2,
-            plan_nodes_per_decade=12,
-        ),
-        "thm1_6ii": dict(
-            nu=(1.0,),
-            k=(1,),
-            s=0.0,
-            corpus_size=10,
-            grid_nodes=384,
-            refine_levels=2,
-            plan_nodes_per_decade=12,
-        ),
-        "thm4_1": dict(
-            nu=(0.6,), k=(1,), corpus_size=16, grid_nodes=384, refine_levels=3
-        ),
-    }
-    if inequality not in base:
-        raise ConfigError(f"unknown inequality id {inequality!r}")
-    return CampaignConfig(inequality=inequality, **base[inequality])
+    return CampaignConfig.from_json(str(bundled_config_path(inequality)))
 
 
 def bundled_config_path(inequality: str):

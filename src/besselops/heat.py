@@ -57,11 +57,9 @@ __all__ = [
     "delta_dt_heat_nd",
     "delta_dt_heat_nd_arrays",
     "adjoint_power_heat_1d",
-    "adjoint_power_heat_nd",
     "mixed_partial_delta",
     "partial_delta_coefficients",
     "bound_rhs",
-    "BOUND_KINDS",
 ]
 
 
@@ -501,60 +499,30 @@ def delta_dt_heat_nd(nu, k, big_m: int, q: KernelPoint) -> float:
     return float(delta_dt_heat_nd_arrays(nu, k, big_m, np.asarray([q.t]), x, y)[0])
 
 
-def adjoint_power_heat_nd(nu, k, big_m: int, q: KernelPoint) -> float:
-    """(Delta_nu)^M (delta_nu^*)^k p_t^{nu+k+2M vec}(x, y) in n dimensions."""
-    nu = as_nu_vector(nu)
-    k = tuple(int(v) for v in np.atleast_1d(k))
-    total = 0.0
-    for comp in _compositions(int(big_m), nu.n):
-        weight = math.factorial(big_m)
-        for mj in comp:
-            weight //= math.factorial(mj)
-        prod = float(weight)
-        for j in range(nu.n):
-            shift = Fraction(k[j] + 2 * int(big_m))
-            poly = dict(
-                _adjoint_power_poly(Fraction(float(nu.nu[j])), k[j], comp[j], shift)
-            )
-            prod *= float(
-                _op_evaluate(poly, nu.nu[j] + float(shift), q.t, q.x[j], q.y[j])
-            )
-        total += prod
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Right-hand sides of the Gaussian-type bounds (explicit constant 1; the
 # multiplicative constant is estimated by the harness, never baked in).
-
-BOUND_KINDS = (
-    "thm21",
-    "thm24",
-    "thm25",
-    "cor26",
-    "prop27",
-    "prop29",
-    "prop210",
-    "cor211",
-)
-
 
 def _weight_1d(nu: float, t, x):
     return (1.0 + np.sqrt(t) / x) ** (-(nu + 0.5))
 
 
 def _bound_rhs_arrays(kind: str, nu: NuVector, k, ell, t, x, y, c: float):
-    """Vectorized bound right-hand sides; x, y stacked on the first axis."""
+    """Vectorized bound right-hand sides; x, y stacked on the first axis.
+
+    ``kind`` is the id of a pointwise kernel estimate: thm2_1, thm2_4,
+    thm2_5, cor2_6a, cor2_6b, prop2_7, prop2_9, prop2_10 or cor2_11.
+    """
     t = np.asarray(t, dtype=float)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     d2 = np.sum((x - y) ** 2, axis=0)
     gauss = np.exp(-d2 / (c * t))
-    if kind == "thm21":
+    if kind == "thm2_1":
         return (
             t**-0.5 * gauss * _weight_1d(nu.nu[0], t, x[0]) * _weight_1d(nu.nu[0], t, y[0])
         )
-    if kind == "thm24":
+    if kind == "thm2_4":
         ell = int(ell)
         return (
             t ** (-(ell + 1) / 2.0)
@@ -562,7 +530,7 @@ def _bound_rhs_arrays(kind: str, nu: NuVector, k, ell, t, x, y, c: float):
             * _weight_1d(nu.nu[0], t, x[0])
             * _weight_1d(nu.nu[0], t, y[0])
         )
-    if kind == "thm25":
+    if kind == "thm2_5":
         k = int(k)
         ell = int(ell)
         return (
@@ -572,22 +540,22 @@ def _bound_rhs_arrays(kind: str, nu: NuVector, k, ell, t, x, y, c: float):
             * _weight_1d(nu.nu[0], t, x[0])
             * _weight_1d(nu.nu[0], t, y[0])
         )
-    if kind == "cor26":
+    if kind in ("cor2_6a", "cor2_6b"):
         # Shared by both displayed estimates; ell carries the power M.
         k = int(k)
         big_m = int(ell)
         return t ** (-(k + 2 * big_m + 1) / 2.0) * gauss
-    if kind == "prop27":
+    if kind == "prop2_7":
         ell = int(ell)
         return t ** (-ell / 2.0) / x[0] * gauss
-    if kind == "prop29":
+    if kind == "prop2_9":
         ll = np.atleast_1d(ell).astype(int)
         n = nu.n
         w = (1.0 + np.sqrt(t) / _rho_arr(x) + np.sqrt(t) / _rho_arr(y)) ** (
             -nu.gamma_nu
         )
         return t ** (-(n + int(np.sum(ll))) / 2.0) * gauss * w
-    if kind == "prop210":
+    if kind == "prop2_10":
         kk = np.atleast_1d(k).astype(int)
         ll = np.atleast_1d(ell).astype(int)
         n = nu.n
@@ -596,19 +564,20 @@ def _bound_rhs_arrays(kind: str, nu: NuVector, k, ell, t, x, y, c: float):
         )
         lead = t ** (-float(np.sum(kk)) / 2.0) + _rho_arr(x) ** (-float(np.sum(kk)))
         return lead * t ** (-(n + int(np.sum(ll))) / 2.0) * gauss * w
-    if kind == "cor211":
+    if kind == "cor2_11":
         kk = np.atleast_1d(k).astype(int)
         big_m = int(ell)
         n = nu.n
         return t ** (-(int(np.sum(kk)) + 2 * big_m + n) / 2.0) * gauss
-    raise DomainError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
+    raise DomainError(f"unknown bound kind {kind!r}; expected a pointwise inequality id")
 
 
 def bound_rhs(kind: str, nu, k, ell, q: KernelPoint, c: float) -> float:
     """Right-hand side of the selected kernel estimate, with constant 1.
 
-    ``c`` is the candidate exponential rate.  For the ``cor26``/``cor211``
-    kinds the ``ell`` slot carries the operator power M.
+    ``kind`` is a pointwise inequality id (see ``_bound_rhs_arrays``) and
+    ``c`` the candidate exponential rate.  For the cor2_6a, cor2_6b and
+    cor2_11 kinds the ``ell`` slot carries the operator power M.
     """
     nu = as_nu_vector(nu)
     if not (c > 0.0):

@@ -21,6 +21,7 @@ factorizes into per-axis kernel contractions.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -375,12 +376,21 @@ class CzSamplePlan:
             raise DomainError("need at least 2 refinement levels")
 
 
-def _drift(values: list[float]) -> float:
+def _drift(values) -> float:
+    """Largest relative step between consecutive refinement levels; inf
+    once a level is not finite."""
     worst = 0.0
     for a, b in zip(values, values[1:]):
-        if a > 0:
+        if math.isfinite(a) and a > 0:
             worst = max(worst, abs(b - a) / a)
+        elif not math.isfinite(a) or not math.isfinite(b):
+            worst = math.inf
     return worst
+
+
+def _level_maxima(values, base: int, levels: int) -> list[float]:
+    """Maxima over the nested prefixes of base * 2**lev entries."""
+    return [float(np.max(values[: base * 2**lev])) for lev in range(levels)]
 
 
 _CZ_SWEEP_CACHE: dict = {}
@@ -399,7 +409,8 @@ def cz_bound_check(
     (|y-y'|/|x-y|)^gamma / |x-y|^n with gamma = min(1, nu_min + 1/2); the
     unclipped exponent nu_min + 1/2 is fitted alongside for comparison.
     Refinement doubles the (nested) sample count; the verdict applies the
-    < 5% drift rule to both primary constants.
+    < 5% drift rule to both primary constants.  Sweeps are cached per
+    argument set; every call returns its own copy of the result.
     """
     nu = as_nu_vector(nu)
     n = nu.n
@@ -407,7 +418,7 @@ def cz_bound_check(
     cache_key = (nu.nu, k, sample_plan, plan)
     hit = _CZ_SWEEP_CACHE.get(cache_key)
     if hit is not None:
-        return hit
+        return copy.deepcopy(hit)
     gam = min(1.0, nu.gamma_nu)
     gam_raw = nu.gamma_nu
 
@@ -432,16 +443,11 @@ def cz_bound_check(
         smooth_ratio = np.where(dp > 0, smooth_num / holder_rhs, 0.0)
         smooth_ratio_raw = np.where(dp > 0, smooth_num / holder_rhs_raw, 0.0)
 
-    def levels_of(arr):
-        out = []
-        for lev in range(sample_plan.levels):
-            cnt = sample_plan.count * 2**lev
-            out.append(float(np.max(arr[:cnt])))
-        return out
-
-    size_levels = levels_of(size_ratio)
-    smooth_levels = levels_of(smooth_ratio)
-    smooth_raw_levels = levels_of(smooth_ratio_raw)
+    size_levels = _level_maxima(size_ratio, sample_plan.count, sample_plan.levels)
+    smooth_levels = _level_maxima(smooth_ratio, sample_plan.count, sample_plan.levels)
+    smooth_raw_levels = _level_maxima(
+        smooth_ratio_raw, sample_plan.count, sample_plan.levels
+    )
     size_drift = _drift(size_levels)
     smooth_drift = _drift(smooth_levels)
     worst_size = int(np.argmax(size_ratio))
@@ -481,4 +487,4 @@ def cz_bound_check(
         },
         "verdict": "stable" if (stable and finite) else ("violated" if not finite else "unstable"),
     }
-    return result
+    return copy.deepcopy(result)

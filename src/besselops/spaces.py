@@ -284,6 +284,15 @@ def _scaled_basis(points, center, radius, indices):
     return cols
 
 
+def _weighted_gram(cols, w) -> np.ndarray:
+    """Gram matrix of the columns under the weights, entry by entry.
+
+    Each entry is its own ``sum(w * a * b)``; a matrix-product form would
+    round differently and move reported constants in the last digits.
+    """
+    return np.array([[float(np.sum(w * ca * cb)) for cb in cols] for ca in cols])
+
+
 def _expand_scaled_coeffs(coeffs, center, radius, indices, n):
     """Convert coefficients in ((x-c)/r)^beta to raw monomial coefficients."""
     from itertools import product
@@ -335,7 +344,7 @@ def minimizing_polynomial(
     pts = _node_stack(grid)[:, mask]
     w = grid.weight_array[mask]
     cols = _scaled_basis(pts, ball.center, ball.radius, indices)
-    gram = np.array([[float(np.sum(w * ca * cb)) for cb in cols] for ca in cols])
+    gram = _weighted_gram(cols, w)
     rhs = np.array([float(np.sum(w * ca * g.values[mask])) for ca in cols])
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > cond_limit:
@@ -610,7 +619,7 @@ def atom_dual_decompose(a: AtomCandidate, cond_limit: float = 1e10) -> Decomposi
         radius_j = 2**j * ball.radius
         cols = _scaled_basis(pts[:, mask], ball.center, radius_j, indices)
         ww = w[mask] / measure  # normalized average inner product
-        gram = np.array([[float(np.sum(ww * ca * cb)) for cb in cols] for ca in cols])
+        gram = _weighted_gram(cols, ww)
         cond = float(np.linalg.cond(gram))
         conds.append(cond)
         if not np.isfinite(cond) or cond > cond_limit:

@@ -8,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+from besselops import cli
 from besselops.campaigns import (
     INEQUALITY_IDS,
+    SPECS,
     BoundReport,
     CampaignConfig,
     bundled_config_path,
@@ -55,6 +57,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CampaignConfig.from_json("/nonexistent/config.json")
 
+    def test_registry_bundled_json_and_cli_ids_agree(self, monkeypatch, tmp_path):
+        config_dir = bundled_config_path("thm2_1").parent
+        stems = {p.name[: -len(".json")] for p in config_dir.iterdir() if p.name.endswith(".json")}
+        assert set(SPECS) == stems == set(INEQUALITY_IDS)
+        resolved = []
+
+        def fake_run(config, collect_samples=False):
+            resolved.append(config.inequality)
+            report = BoundReport(config.inequality, {}, 0.0, 0.0, {}, [0.0, 0.0], 0.0, "stable")
+            return report, None
+
+        monkeypatch.setattr(cli, "run_campaign", fake_run)
+        for ineq in sorted(stems):
+            assert cli.main(["--out", str(tmp_path), "campaign", "run", "--config", ineq]) == 0
+        assert resolved == sorted(stems)
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self):
@@ -90,6 +108,10 @@ class TestPointwiseCampaigns:
         assert rep.c_hat in (2.0, 4.0, 8.0, 16.0, 32.0)
         assert len(rep.per_refinement_C) == 2
         assert {"t", "x", "y", "lhs", "rhs", "ratio"} <= set(rep.worst_sample)
+
+    def test_prop2_9_ell_must_match_dimension(self):
+        with pytest.raises(ConfigError):
+            run_campaign(small(default_config("prop2_9"), ell=(1,)))
 
     def test_report_schema(self):
         rep, _ = run_campaign(small(default_config("thm2_1")))

@@ -324,14 +324,14 @@ class TestBoundRhs:
     def test_thm21_direct_substitution(self):
         nu, x = 0.8, 1.7
         q = KernelPoint(x * x, (x,), (x,))
-        val = bound_rhs("thm21", nu, 0, 0, q, 8.0)
+        val = bound_rhs("thm2_1", nu, 0, 0, q, 8.0)
         expected = (1.0 / x) * 2.0 ** (-2.0 * (nu + 0.5))
         assert val == pytest.approx(expected, rel=1e-12)
 
     def test_prop29_reduces_to_weighted_thm24_shape(self):
         nu = NuVector((0.8,))
         q = KernelPoint(0.5, (1.2,), (0.9,))
-        v = bound_rhs("prop29", nu, 0, (1,), q, 8.0)
+        v = bound_rhs("prop2_9", nu, 0, (1,), q, 8.0)
         rho_x = critical_function(q.x)
         rho_y = critical_function(q.y)
         manual = (
@@ -350,7 +350,7 @@ class TestBoundRhs:
             y = 10.0 ** rng.uniform(-1.5, 1.0)
             q = KernelPoint(t, (x,), (y,))
             lhs = heat_kernel_1d(0.6, t, x, y)
-            rhs = bound_rhs("thm21", nu, 0, 0, q, 16.0)
+            rhs = bound_rhs("thm2_1", nu, 0, 0, q, 16.0)
             # When the Gaussian envelope underflows, the kernel must too.
             r = 0.0 if lhs == 0.0 == rhs else lhs / rhs
             assert math.isfinite(r)

@@ -25,6 +25,7 @@ from besselops.heat import NuVector
 from besselops.riesz import (
     CzSamplePlan,
     SubordinationPlan,
+    _drift,
     cz_bound_check,
     fractional_inverse_apply,
     riesz_apply,
@@ -278,6 +279,21 @@ class TestCzBoundCheck:
         assert report["size"]["C_hat"] > 0.0
         assert report["smooth"]["exponent"] == 1.0
         assert report["smooth_raw_exponent"]["exponent"] == pytest.approx(1.2)
+
+    def test_returns_a_fresh_copy(self):
+        args = (
+            NuVector((0.7,)),
+            (2,),
+            CzSamplePlan(count=100, seed=5, levels=2, min_separation=5e-2),
+            SubordinationPlan(t_min=1e-6, t_max=1e8, nodes_per_decade=4),
+        )
+        first = cz_bound_check(*args)
+        expected = list(first["size"]["per_refinement_C"])
+        first["size"]["per_refinement_C"][0] = -1.0
+        assert cz_bound_check(*args)["size"]["per_refinement_C"] == expected
+
+    def test_drift_of_non_finite_levels_is_inf(self):
+        assert _drift([math.inf, math.inf]) == math.inf
 
     def test_rejects_tiny_plans(self):
         with pytest.raises(DomainError):
