@@ -13,26 +13,29 @@ assembled from the exponentially scaled Bessel form so the exponentials
 combine into exp(-(x-y)^2/(4t)); the raw product in the display above
 overflows for xy >> t and is never formed.
 
-First-order derivative structure.  With delta_nu = d/dx - (nu+1/2)/x one has
-the exact recursion
+Operator words.  Every word in d/dx, delta_w = d/dx - (w+1/2)/x, its adjoint
+delta_w^* = -d/dx - (w+1/2)/x and L, applied to p_t^beta, compiles to one
+normal form with exact rational (Fraction) coefficients:
 
-    delta_nu p_t^nu = -(x/2t) p_t^nu + (y/2t) p_t^{nu+1},
+    sum_i  c_i x^{a_i} y^{b_i} t^{-d_i} p_t^{beta+m_i}.
 
-and iterating it (together with delta_nu^k[x f] = k delta^{k-1} f + x delta^k f
-and delta_nu = delta_{nu+1} + 1/x) closes over finite sums
+Each operator in x is one letter (s, e) = s*(delta_beta + e/x):
 
-    delta_nu^l p_t^nu = sum_i  c_i x^{a_i} y^{b_i} t^{-d_i} p_t^{nu+m_i}
+    delta_w: (+1, beta - w)    d/dx: (+1, beta + 1/2)    delta_w^*: (-1, w + beta + 1)
 
-with rational c_i independent of nu.  ``delta_expansion`` builds that sum
-symbolically (exact Fraction arithmetic); nested finite differences are used
-only as test oracles.  Time derivatives and operator words in delta/delta^*
-extend the same algebra and power the bound evaluators at the bottom of the
-module.
+and moves through a term by the exact recursion
+
+    delta_beta p_t^{beta+m} = (m/x - x/2t) p_t^{beta+m} + (y/2t) p_t^{beta+m+1}.
+
+The letter L = -d/dt commutes with the x letters and, by the heat equation,
+is L_beta on p_t^beta itself.  A compiled word is evaluated with one Bessel
+ladder call over its distinct shifts m; finite differences are test oracles.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .special import besseli_scaled, gamma
+from .special import besseli_scaled
 
 __all__ = [
     "NuVector",
@@ -58,7 +61,6 @@ __all__ = [
     "delta_dt_heat_nd_arrays",
     "adjoint_power_heat_1d",
     "mixed_partial_delta",
-    "partial_delta_coefficients",
     "bound_rhs",
 ]
 
@@ -220,10 +222,6 @@ class HeatKernelExpansion:
 
     terms: tuple[ExpansionTerm, ...]
 
-    @property
-    def max_shift(self) -> int:
-        return max((t.shift for t in self.terms), default=0)
-
     def evaluate(self, nu: float, t, x, y):
         """Numeric value at (t, x, y); arguments broadcastable arrays."""
         t = np.asarray(t, dtype=float)
@@ -239,55 +237,61 @@ class HeatKernelExpansion:
 
 
 def _merge(raw: dict[tuple[int, int, int, int], Fraction]) -> tuple[ExpansionTerm, ...]:
-    terms = [
-        ExpansionTerm(c, a, b, d, m)
-        for (a, b, d, m), c in sorted(raw.items())
-        if c != 0
-    ]
-    return tuple(terms)
+    return tuple(ExpansionTerm(c, *key) for key, c in sorted(raw.items()) if c != 0)
 
 
-def _apply_delta_terms(raw):
-    """One application of delta_nu to a term dict (nu-independent)."""
-    out: dict[tuple[int, int, int, int], Fraction] = {}
-
-    def add(key, val):
-        out[key] = out.get(key, Fraction(0)) + val
-
+def _apply_x_terms(raw, e, s: int):
+    """One application of the x letter s*(delta_beta + e/x) to a term dict."""
+    out: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
     for (a, b, d, m), c in raw.items():
-        # d/dx of the monomial plus the m/x order-mismatch correction.
-        if a + m != 0:
-            add((a - 1, b, d, m), c * (a + m))
-        # -(x/2t) p^{nu+m}
-        add((a + 1, b, d + 1, m), -c / 2)
-        # +(y/2t) p^{nu+m+1}
-        add((a, b + 1, d + 1, m + 1), c / 2)
+        # d/dx of the monomial, the m/x order mismatch and the letter's e/x.
+        if a + m + e != 0:
+            out[a - 1, b, d, m] += s * c * (a + m + e)
+        # -(x/2t) p^{beta+m}
+        out[a + 1, b, d + 1, m] += -s * c / 2
+        # +(y/2t) p^{beta+m+1}
+        out[a, b + 1, d + 1, m + 1] += s * c / 2
     return out
 
 
 def _apply_dt_terms(raw, nu: Fraction):
     """One application of d/dt; coefficients pick up the base order."""
-    out: dict[tuple[int, int, int, int], Fraction] = {}
-
-    def add(key, val):
-        out[key] = out.get(key, Fraction(0)) + val
-
+    out: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
     for (a, b, d, m), c in raw.items():
         if d != 0:
-            add((a, b, d + 1, m), -c * d)
-        add((a, b, d + 1, m), -c * (1 + nu + m))
-        add((a + 2, b, d + 2, m), c / 4)
-        add((a, b + 2, d + 2, m), c / 4)
-        add((a + 1, b + 1, d + 2, m + 1), -c / 2)
+            out[a, b, d + 1, m] += -c * d
+        out[a, b, d + 1, m] += -c * (1 + nu + m)
+        out[a + 2, b, d + 2, m] += c / 4
+        out[a, b + 2, d + 2, m] += c / 4
+        out[a + 1, b + 1, d + 2, m + 1] += -c / 2
     return out
 
 
+# ---------------------------------------------------------------------------
+# Operator words (module docstring): tuples of letters in operator order, the
+# last letter acting first.  An x letter is (s, e); the time letter is
+# ("L", beta), with beta the base order that the d/dt rule needs.
+
+_DELTA = (1, 0)  # delta_beta, the x letter of the base order itself
+
+
 @lru_cache(maxsize=None)
-def _delta_terms_cached(ell: int) -> tuple[ExpansionTerm, ...]:
+def _compile(word: tuple) -> tuple[ExpansionTerm, ...]:
+    """Normal form of a word applied to p_t^beta, as merged terms."""
     raw = {(0, 0, 0, 0): Fraction(1)}
-    for _ in range(ell):
-        raw = _apply_delta_terms(raw)
+    for s, e in reversed(word):
+        if s == "L":
+            raw = {key: -c for key, c in _apply_dt_terms(raw, e).items()}
+        else:
+            raw = _apply_x_terms(raw, e, s)
     return _merge(raw)
+
+
+def _check_orders(nu: float, *orders: int) -> None:
+    if not nu > -1.0:
+        raise DomainError(f"base order must exceed -1, got {nu}")
+    if any(v < 0 for v in orders):
+        raise DomainError("derivative orders must be >= 0")
 
 
 def delta_expansion(nu: float, ell: int) -> HeatKernelExpansion:
@@ -297,39 +301,41 @@ def delta_expansion(nu: float, ell: int) -> HeatKernelExpansion:
     (the recursion needs nu > -1) and otherwise only fixes the base order at
     evaluation time.
     """
-    if not float(nu) > -1.0:
-        raise DomainError(f"base order must exceed -1, got {nu}")
-    if ell < 0:
-        raise DomainError("derivative order must be >= 0")
-    terms = _delta_terms_cached(int(ell))
-    assert len(terms) <= 2**ell * (ell + 1)
-    return HeatKernelExpansion(terms)
-
-
-@lru_cache(maxsize=None)
-def _delta_dt_terms_cached(nu_frac: Fraction, k: int, big_m: int):
-    raw = {(0, 0, 0, 0): Fraction(1)}
-    for _ in range(k):
-        raw = _apply_delta_terms(raw)
-    sign = Fraction(-1) ** big_m
-    for _ in range(big_m):
-        raw = _apply_dt_terms(raw, nu_frac)
-    raw = {key: sign * c for key, c in raw.items()}
-    return _merge(raw)
-
-
-def delta_dt_heat_1d(nu: float, k: int, big_m: int, t, x, y):
-    """delta_nu^k (L_nu)^M p_t^nu via the heat equation L p = -dp/dt."""
-    nu = float(nu)
-    if not nu > -1.0:
-        raise DomainError(f"base order must exceed -1, got {nu}")
-    terms = _delta_dt_terms_cached(Fraction(nu), int(k), int(big_m))
-    return HeatKernelExpansion(terms).evaluate(nu, t, x, y)
+    _check_orders(float(nu), ell)
+    return HeatKernelExpansion(_compile((_DELTA,) * int(ell)))
 
 
 def eval_delta_heat_1d(nu: float, ell: int, t, x, y):
     """Numeric delta_nu^ell p_t^nu(x, y); broadcastable arguments."""
     return delta_expansion(nu, ell).evaluate(float(nu), t, x, y)
+
+
+def delta_dt_heat_1d(nu: float, k: int, big_m: int, t, x, y):
+    """delta_nu^k (L_nu)^M p_t^nu via the heat equation L p = -dp/dt."""
+    nu = float(nu)
+    _check_orders(nu, k, big_m)
+    # -d/dt commutes with delta, so the time letters may stand on the left.
+    word = (("L", Fraction(nu)),) * int(big_m) + (_DELTA,) * int(k)
+    return HeatKernelExpansion(_compile(word)).evaluate(nu, t, x, y)
+
+
+def mixed_partial_delta(nu: float, k: int, ell: int, t, x, y):
+    """d^k/dx^k delta_nu^ell p_t^nu(x, y), evaluated exactly."""
+    nu = float(nu)
+    _check_orders(nu, k, ell)
+    word = ((1, Fraction(nu) + Fraction(1, 2)),) * int(k) + (_DELTA,) * int(ell)
+    return HeatKernelExpansion(_compile(word)).evaluate(nu, t, x, y)
+
+
+def adjoint_power_heat_1d(nu: float, k: int, big_m: int, t, x, y):
+    """(L_nu)^M (delta_nu^*)^k p_t^{nu+k+2M}(x, y), with L_nu = delta_nu^* delta_nu."""
+    nu = float(nu)
+    _check_orders(nu, k, big_m)
+    shift = int(k) + 2 * int(big_m)
+    # delta_nu and delta_nu^* relative to the base order beta = nu + shift.
+    delta, star = (1, shift), (-1, 2 * Fraction(nu) + shift + 1)
+    word = (star, delta) * int(big_m) + (star,) * int(k)
+    return HeatKernelExpansion(_compile(word)).evaluate(nu + shift, t, x, y)
 
 
 def delta_heat_kernel_nd(nu, k, q: KernelPoint) -> float:
@@ -342,122 +348,6 @@ def delta_heat_kernel_nd(nu, k, q: KernelPoint) -> float:
     for j in range(nu.n):
         out *= float(eval_delta_heat_1d(nu.nu[j], k[j], q.t, q.x[j], q.y[j]))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Operator words: sums  A x^{-j} delta_base^m  applied to p_t^{base}.
-#
-# Writing every first-order operator relative to a fixed base order turns
-# composition into bookkeeping on (j, m) pairs:
-#   d/dx        (a u) = [a' + ((base+1/2)/x) a] u + a delta_base u
-#   delta_w     (a u) = [a' + ((base-w)/x)  a] u + a delta_base u
-#   delta_w^*   (a u) = [-a' - ((w+base+1)/x) a] u - a delta_base u
-# with a(x) = A x^{-j}, a' = -j A x^{-j-1}.
-
-_OpPoly = dict[tuple[int, int], Fraction]
-
-
-def _op_identity() -> _OpPoly:
-    return {(0, 0): Fraction(1)}
-
-
-def _op_apply(poly: _OpPoly, shiftful: Fraction) -> _OpPoly:
-    """Apply [d/dx or delta_w] written as  a u -> [a' + (shiftful/x) a] u + a delta_base u."""
-    out: _OpPoly = {}
-
-    def add(key, val):
-        out[key] = out.get(key, Fraction(0)) + val
-
-    for (j, m), coef in poly.items():
-        a_term = coef * (Fraction(-j) + shiftful)
-        if a_term != 0:
-            add((j + 1, m), a_term)
-        add((j, m + 1), coef)
-    return out
-
-
-def _op_apply_partial(poly: _OpPoly, base: Fraction) -> _OpPoly:
-    return _op_apply(poly, base + Fraction(1, 2))
-
-
-def _op_apply_delta(poly: _OpPoly, base: Fraction, w: Fraction) -> _OpPoly:
-    return _op_apply(poly, base - w)
-
-
-def _op_apply_delta_star(poly: _OpPoly, base: Fraction, w: Fraction) -> _OpPoly:
-    # delta_w^*(a u) = [-a' - ((w+base+1)/x) a] u - a delta u
-    #               = -( [a' + ((w+base+1)/x) a] u + a delta u )
-    out: _OpPoly = {}
-
-    def add(key, val):
-        out[key] = out.get(key, Fraction(0)) + val
-
-    for (j, m), coef in poly.items():
-        a_term = coef * (Fraction(-j) + (w + base + 1))
-        if a_term != 0:
-            add((j + 1, m), -a_term)
-        add((j, m + 1), -coef)
-    return out
-
-
-def _op_evaluate(poly: _OpPoly, base: float, t, x, y):
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for (j, m), coef in sorted(poly.items()):
-        total = total + float(coef) * x ** (-j) * eval_delta_heat_1d(base, m, t, x, y)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _partial_delta_poly(nu_frac: Fraction, k: int, ell: int):
-    poly = _op_identity()
-    for _ in range(ell):
-        poly = _op_apply_delta(poly, nu_frac, nu_frac)
-    for _ in range(k):
-        poly = _op_apply_partial(poly, nu_frac)
-    return tuple(sorted(poly.items()))
-
-
-def partial_delta_coefficients(nu: float, k: int) -> dict[int, float]:
-    """Coefficients c_j with d^k/dx^k = sum_j c_j x^{-j} delta_nu^{k-j}.
-
-    Derived recursively from the product rule; validated against finite
-    differences in the tests rather than any printed table.
-    """
-    poly = dict(_partial_delta_poly(Fraction(float(nu)), int(k), 0))
-    return {j: float(c) for (j, m), c in sorted(poly.items())}
-
-
-def mixed_partial_delta(nu: float, k: int, ell: int, t, x, y):
-    """d^k/dx^k delta_nu^ell p_t^nu(x, y), evaluated exactly."""
-    nu = float(nu)
-    if not nu > -1.0:
-        raise DomainError(f"base order must exceed -1, got {nu}")
-    if k < 0 or ell < 0:
-        raise DomainError("derivative orders must be >= 0")
-    poly = dict(_partial_delta_poly(Fraction(nu), int(k), int(ell)))
-    return _op_evaluate(poly, nu, t, x, y)
-
-
-@lru_cache(maxsize=None)
-def _adjoint_power_poly(nu_frac: Fraction, k: int, big_m: int, shift: Fraction):
-    """Word (L_nu)^M (delta_nu^*)^k in powers of delta_{nu+shift}."""
-    base = nu_frac + shift
-    poly = _op_identity()
-    for _ in range(k):
-        poly = _op_apply_delta_star(poly, base, nu_frac)
-    for _ in range(big_m):
-        poly = _op_apply_delta(poly, base, nu_frac)
-        poly = _op_apply_delta_star(poly, base, nu_frac)
-    return tuple(sorted(poly.items()))
-
-
-def adjoint_power_heat_1d(nu: float, k: int, big_m: int, t, x, y):
-    """(L_nu)^M (delta_nu^*)^k p_t^{nu+k+2M}(x, y)."""
-    nu = float(nu)
-    shift = Fraction(int(k) + 2 * int(big_m))
-    poly = dict(_adjoint_power_poly(Fraction(nu), int(k), int(big_m), shift))
-    return _op_evaluate(poly, nu + float(shift), t, x, y)
 
 
 def _compositions(total: int, parts: int):

@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import DomainError, GridError
 from .grids import Grid, GridFunction, apply_semigroup
-from .heat import NuVector, as_nu_vector, eval_delta_heat_1d
-from .sampling import make_rng, sample_offdiag_pairs, sample_smooth_triples
-from .special import gamma
+from .heat import NuVector, as_nu_vector, delta_expansion, eval_delta_heat_1d
+from .sampling import make_rng, sample_smooth_triples
+from .special import besseli_scaled, gamma
 
 __all__ = [
     "SubordinationPlan",
@@ -190,9 +190,6 @@ def _axis_delta_matrix(nu_j: float, k_j: int, t: float, axis) -> np.ndarray:
     monomial coefficients of the derivative expansion break symmetry, so
     Bessel evaluations run on the upper triangle and are mirrored.
     """
-    from .heat import delta_expansion
-    from .special import besseli_scaled
-
     x = axis.nodes
     n = x.size
     iu, xy_u, d2_u, sq_u = _axis_precompute(axis)

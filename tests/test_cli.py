@@ -30,6 +30,18 @@ class TestExitCodes:
         rc = main(["campaign", "run", "--config", "thm9_9"])
         assert rc == 2
 
+    def test_non_finite_csv_is_2(self, tmp_path, capsys):
+        from besselops.grids import GridFunction, default_grid
+
+        g = default_grid(1, nodes_per_axis=16)
+        values = np.ones(16)
+        values[3] = np.nan
+        path = tmp_path / "f.csv"
+        gridfunction_to_csv(GridFunction(g, values), path)
+        rc = main(["bmo", "norm", "--input", str(path)])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_kernel_eval_ok(self, capsys):
         rc = main(["kernel", "eval", "--nu", "0.5", "--t", "1.0", "--x", "1.0", "--y", "2.0"])
         assert rc == 0

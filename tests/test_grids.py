@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
-from besselops.errors import DomainError, GridError
+from besselops.errors import DomainError, GridError, UnderResolvedError
 from besselops.grids import (
     EigenfunctionSpec,
     Grid,
@@ -215,6 +215,15 @@ class TestEigenfunctions:
             assert np.allclose(ours[~both_inf], ref[~both_inf], rtol=1e-7, atol=5e-9)
             assert np.array_equal(np.isinf(ours), np.isinf(ref))
 
+    def test_besselj_refuses_large_arguments(self):
+        # The series returned 7.1 for J_0(45) = 0.0903 before the guard.
+        with pytest.raises(UnderResolvedError):
+            besselj(0.0, 45.0)
+        with pytest.raises(UnderResolvedError):
+            besselj(1.0, np.array([1.0, 30.0]))
+        z = np.linspace(0.0, 21.0, 211)
+        assert np.allclose(besselj(0.0, z), sps.jv(0.0, z), rtol=1e-7, atol=5e-9)
+
     def test_vanishing_at_origin(self):
         nu = NuVector((0.7, 1.2))
         spec = EigenfunctionSpec((1.0, 1.0))
@@ -284,6 +293,14 @@ class TestSerialization:
         back = gridfunction_from_csv(text)
         assert np.array_equal(back.values, f.values)
         assert np.array_equal(back.grid.axes[0].nodes, g.axes[0].nodes)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_csv_rejects_non_finite(self, bad):
+        g = default_grid(1, nodes_per_axis=4)
+        lines = gridfunction_to_csv(GridFunction.from_callable(g, lambda x: x)).splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + bad
+        with pytest.raises(GridError):
+            gridfunction_from_csv("\n".join(lines) + "\n")
 
     def test_grid_json_roundtrip(self):
         g = default_grid(2, nodes_per_axis=9)

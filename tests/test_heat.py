@@ -4,15 +4,18 @@ Independent oracles:
 * at nu = 1/2 the kernel equals the Dirichlet image kernel
   (4 pi t)^{-1/2} (e^{-(x-y)^2/4t} - e^{-(x+y)^2/4t});
 * nested central finite differences of delta_nu = d/dx - (nu+1/2)/x;
-* finite differences in t for the time-derivative algebra.
+* finite differences in t for the time-derivative algebra;
+* mpmath Taylor expansions of an mpmath kernel for the operator words.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from besselops import heat
 from besselops.errors import DomainError
 from besselops.heat import (
     KernelPoint,
@@ -28,7 +31,6 @@ from besselops.heat import (
     heat_kernel_1d,
     heat_kernel_nd,
     mixed_partial_delta,
-    partial_delta_coefficients,
 )
 
 
@@ -255,13 +257,6 @@ class TestTimeDerivatives:
 
 
 class TestMixedPartials:
-    def test_partial_coefficient_table_small_orders(self):
-        # d/dx = delta + (nu+1/2)/x; d^2/dx^2 = delta^2 + (2nu+1)/x delta + c2/x^2.
-        nu = 0.8
-        c1 = partial_delta_coefficients(nu, 1)
-        assert c1[0] == pytest.approx(1.0)
-        assert c1[1] == pytest.approx(nu + 0.5)
-
     @pytest.mark.parametrize("k,ell", [(1, 0), (0, 2), (1, 1), (2, 1), (2, 0)])
     def test_against_finite_differences(self, k, ell):
         nu, t, y = 0.6, 0.9, 2.0
@@ -318,6 +313,68 @@ class TestAdjointPowers:
         oracle = dstar(delta(dstar(base)))(x)
         sym = float(adjoint_power_heat_1d(nu, 1, 1, t, x, y))
         assert sym == pytest.approx(oracle, rel=1e-4)
+
+
+def mp_word(word, beta, t, x, y, order=6):
+    """A word (operator order) in d/dx, delta_w, delta_w^* applied to the
+    mpmath kernel p_t^beta, from its Taylor series in x at the point."""
+    with mpmath.workdps(40):
+        t, x, y, beta = (mpmath.mpf(v) for v in (t, x, y, beta))
+        kernel = lambda u: (
+            mpmath.sqrt(u * y) / (2 * t)
+            * mpmath.exp(-(u * u + y * y) / (4 * t))
+            * mpmath.besseli(beta, u * y / (2 * t))
+        )
+        series = mpmath.taylor(kernel, x, order)
+        inv_x = [(-1) ** n / x ** (n + 1) for n in range(order + 1)]
+        for name, w in reversed(word):
+            deriv = [(n + 1) * series[n + 1] for n in range(len(series) - 1)]
+            if name == "dx":
+                series = deriv
+                continue
+            over_x = [sum(inv_x[i] * series[n - i] for i in range(n + 1)) for n in range(len(deriv))]
+            c = mpmath.mpf(w) + mpmath.mpf(1) / 2
+            sign = -1 if name == "star" else 1
+            series = [sign * d - c * o for d, o in zip(deriv, over_x)]
+        return float(series[0])
+
+
+ORACLE_POINTS = [(0.9, 1.6, 2.0), (0.35, 0.8, 1.3), (2.5, 3.1, 1.7)]
+
+
+class TestOperatorWordsMpmath:
+    @pytest.mark.parametrize("k,ell", [(2, 2), (3, 0)])
+    def test_mixed_partial_delta(self, k, ell):
+        nu = 0.6
+        for t, x, y in ORACLE_POINTS:
+            word = [("dx", None)] * k + [("delta", nu)] * ell
+            oracle = mp_word(word, nu, t, x, y)
+            assert float(mixed_partial_delta(nu, k, ell, t, x, y)) == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("k,big_m", [(2, 1), (0, 2)])
+    def test_adjoint_power(self, k, big_m):
+        nu = 0.6
+        for t, x, y in ORACLE_POINTS:
+            word = [("star", nu), ("delta", nu)] * big_m + [("star", nu)] * k
+            oracle = mp_word(word, nu + k + 2 * big_m, t, x, y)
+            got = float(adjoint_power_heat_1d(nu, k, big_m, t, x, y))
+            assert got == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "fn,args",
+        [(mixed_partial_delta, (0.6, 2, 2)), (adjoint_power_heat_1d, (0.6, 2, 1))],
+    )
+    def test_one_bessel_ladder_per_word(self, monkeypatch, fn, args):
+        calls = []
+        ladder = heat._p1d_shifts
+
+        def counted(*a, **kw):
+            calls.append(a)
+            return ladder(*a, **kw)
+
+        monkeypatch.setattr(heat, "_p1d_shifts", counted)
+        fn(*args, np.array([0.9, 0.4]), np.array([1.6, 0.8]), np.array([2.0, 1.3]))
+        assert len(calls) == 1
 
 
 class TestBoundRhs:
