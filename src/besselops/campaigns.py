@@ -44,6 +44,7 @@ from .heat import (
     adjoint_power_heat_1d,
     delta_dt_heat_1d,
     delta_dt_heat_nd_arrays,
+    delta_heat_difference_1d,
     eval_delta_heat_1d,
     mixed_partial_delta,
 )
@@ -52,7 +53,8 @@ from .riesz import (
     SubordinationPlan,
     _drift,
     _level_maxima,
-    cz_bound_check,
+    cz_size_sweep,
+    cz_smooth_sweep,
     riesz_apply,
     riesz_difference_matrix,
 )
@@ -352,20 +354,15 @@ def _prop2_8_campaign(config: CampaignConfig, collect: bool):
     half = k / 2.0
     lhs = np.zeros(count)
     for t, wi in zip(t_nodes, w):
-        diff = eval_delta_heat_1d(nu0, k, t, x, y) - eval_delta_heat_1d(
-            nu0 + 1.0, k, t, x, y
-        )
-        lhs += wi * t**half * np.abs(diff)
+        lhs += wi * t**half * np.abs(delta_heat_difference_1d(nu0, k, t, x, y))
 
     mid = (y / 2.0 < x) & (x < 2.0 * y)
     upper = x >= 2.0 * y
-    lower = y >= 2.0 * x
     rhs = np.where(
         mid,
         (1.0 + (x / np.abs(x - y)) ** eps) / x,
         np.where(upper, 1.0 / x, 1.0 / y),
     )
-    assert np.all(mid | upper | lower)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(rhs > 0, lhs / rhs, np.where(lhs > 0, np.inf, 0.0))
     levels = _level_maxima(ratios, config.samples, config.refine_levels)
@@ -400,9 +397,11 @@ def _prop2_8_campaign(config: CampaignConfig, collect: bool):
 
 
 def _thm1_5_campaign(config: CampaignConfig, collect: bool):
-    part = "size" if config.inequality == "thm1_5_size" else "smooth"
+    """Runs only the sweep that the id reports: R(x, y) for the size bound,
+    the two pair batches for the smoothness bound."""
+    size = config.inequality == "thm1_5_size"
     sweep_box = (max(config.box[0], 0.05), min(config.box[1], 10.0))
-    sweep = cz_bound_check(
+    sweep = (cz_size_sweep if size else cz_smooth_sweep)(
         config.nu_vector,
         config.k,
         CzSamplePlan(
@@ -414,11 +413,11 @@ def _thm1_5_campaign(config: CampaignConfig, collect: bool):
         ),
         config.plan,
     )
-    side = sweep[part]
+    side = sweep if size else sweep["smooth"]
     levels = side["per_refinement_C"]
     drift = side["drift"]
     notes = ["rhs carries no exponential rate; c grid unused"]
-    if part == "smooth":
+    if not size:
         notes.append(
             "holder exponent min(1, nu_min + 1/2) = "
             + repr(side["exponent"])
@@ -770,10 +769,7 @@ SPECS: dict[str, Spec] = {
         rhs=lambda c: (c.k[0], c.big_m),
     ),
     "prop2_7": Spec(
-        lhs=lambda c, t, x, y: (
-            eval_delta_heat_1d(c.nu[0], c.ell[0], t, x[0], y[0])
-            - eval_delta_heat_1d(c.nu[0] + 1.0, c.ell[0], t, x[0], y[0])
-        ),
+        lhs=lambda c, t, x, y: delta_heat_difference_1d(c.nu[0], c.ell[0], t, x[0], y[0]),
         rhs=lambda c: (0, c.ell[0]),
         sampler=_sample_prop2_7,
     ),

@@ -76,6 +76,13 @@ class Axis:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.nodes.ndim != 1 or self.nodes.size < 3:
             raise GridError("axis needs at least 3 nodes")
+        if not (
+            np.all(np.isfinite(self.nodes))
+            and np.all(np.isfinite(self.weights))
+            and math.isfinite(self.lo)
+            and math.isfinite(self.hi)
+        ):
+            raise GridError("axis nodes, weights and bounds must be finite")
         if np.any(self.nodes <= 0.0) or np.any(np.diff(self.nodes) <= 0.0):
             raise GridError("axis nodes must be positive and strictly increasing")
         if np.any(self.weights <= 0.0):

@@ -29,7 +29,9 @@ and moves through a term by the exact recursion
 
 The letter L = -d/dt commutes with the x letters and, by the heat equation,
 is L_beta on p_t^beta itself.  A compiled word is evaluated with one Bessel
-ladder call over its distinct shifts m; finite differences are test oracles.
+ladder call over its distinct shifts m; words that share a base order, and
+the two argument orders (x, y) and (y, x), can share one ladder
+(``HeatKernelExpansion.combine``).  Finite differences are test oracles.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
     "heat_kernel_nd",
     "delta_expansion",
     "eval_delta_heat_1d",
+    "delta_heat_difference_1d",
     "delta_heat_kernel_nd",
     "delta_dt_heat_1d",
     "delta_dt_heat_nd",
@@ -222,18 +225,29 @@ class HeatKernelExpansion:
 
     terms: tuple[ExpansionTerm, ...]
 
-    def evaluate(self, nu: float, t, x, y):
-        """Numeric value at (t, x, y); arguments broadcastable arrays."""
+    @property
+    def shifts(self) -> list[int]:
+        """The distinct shifts m of the terms, ascending."""
+        return sorted({term.shift for term in self.terms})
+
+    def combine(self, kernels: dict, t, x, y):
+        """Sum of the monomials over a ladder {m: p_t^{nu+m}} at (t, x, y).
+
+        The ladder is symmetric in (x, y), so one ladder serves both
+        argument orders: swapping x and y here swaps them in the result.
+        """
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        shifts = sorted({term.shift for term in self.terms})
-        kernels = _p1d_shifts(nu, shifts, t, x, y)
         total = 0.0
         for term in self.terms:
             mono = float(term.coeff) * x**term.xpow * y**term.ypow * t ** (-term.tneg)
             total = total + mono * kernels[term.shift]
         return total
+
+    def evaluate(self, nu: float, t, x, y):
+        """Numeric value at (t, x, y); arguments broadcastable arrays."""
+        return self.combine(_p1d_shifts(nu, self.shifts, t, x, y), t, x, y)
 
 
 def _merge(raw: dict[tuple[int, int, int, int], Fraction]) -> tuple[ExpansionTerm, ...]:
@@ -310,13 +324,33 @@ def eval_delta_heat_1d(nu: float, ell: int, t, x, y):
     return delta_expansion(nu, ell).evaluate(float(nu), t, x, y)
 
 
-def delta_dt_heat_1d(nu: float, k: int, big_m: int, t, x, y):
-    """delta_nu^k (L_nu)^M p_t^nu via the heat equation L p = -dp/dt."""
-    nu = float(nu)
+def delta_heat_difference_1d(nu: float, ell: int, t, x, y):
+    """delta_nu^ell p_t^nu - delta_{nu+1}^ell p_t^{nu+1} from one Bessel ladder.
+
+    The coefficients of delta_beta^ell p_t^beta do not depend on beta, and
+    p_t^{(nu+1)+m} = p_t^{nu+(m+1)}, so both terms combine one ladder over
+    the union of the shifts m and m + 1.
+    """
+    expansion = delta_expansion(nu, ell)
+    shifts = expansion.shifts
+    kernels = _p1d_shifts(float(nu), sorted({*shifts, *(m + 1 for m in shifts)}), t, x, y)
+    return expansion.combine(kernels, t, x, y) - expansion.combine(
+        {m: kernels[m + 1] for m in shifts}, t, x, y
+    )
+
+
+def _delta_dt_expansion(nu: float, k: int, big_m: int) -> HeatKernelExpansion:
+    """Expansion of delta_nu^k (L_nu)^M p_t^nu."""
     _check_orders(nu, k, big_m)
     # -d/dt commutes with delta, so the time letters may stand on the left.
     word = (("L", Fraction(nu)),) * int(big_m) + (_DELTA,) * int(k)
-    return HeatKernelExpansion(_compile(word)).evaluate(nu, t, x, y)
+    return HeatKernelExpansion(_compile(word))
+
+
+def delta_dt_heat_1d(nu: float, k: int, big_m: int, t, x, y):
+    """delta_nu^k (L_nu)^M p_t^nu via the heat equation L p = -dp/dt."""
+    nu = float(nu)
+    return _delta_dt_expansion(nu, k, big_m).evaluate(nu, t, x, y)
 
 
 def mixed_partial_delta(nu: float, k: int, ell: int, t, x, y):
@@ -370,14 +404,23 @@ def delta_dt_heat_nd_arrays(nu, k, big_m: int, t, x, y):
     k = tuple(int(v) for v in np.atleast_1d(k))
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
+    comps = list(_compositions(int(big_m), nu.n))
+    # factors[j][M_j] = delta^{k_j} L^{M_j} p^{nu_j} on axis j, every power
+    # combined from one ladder over the union of the words' shifts.
+    factors = []
+    for j in range(nu.n):
+        words = {c[j]: _delta_dt_expansion(nu.nu[j], k[j], c[j]) for c in comps}
+        shifts = sorted({m for e in words.values() for m in e.shifts})
+        ladder = _p1d_shifts(nu.nu[j], shifts, t, x[j], y[j])
+        factors.append({mj: e.combine(ladder, t, x[j], y[j]) for mj, e in words.items()})
     total = 0.0
-    for comp in _compositions(int(big_m), nu.n):
+    for comp in comps:
         weight = math.factorial(big_m)
         for mj in comp:
             weight //= math.factorial(mj)
         prod = float(weight)
         for j in range(nu.n):
-            prod = prod * delta_dt_heat_1d(nu.nu[j], k[j], comp[j], t, x[j], y[j])
+            prod = prod * factors[j][comp[j]]
         total = total + prod
     return total
 

@@ -21,7 +21,6 @@ factorizes into per-axis kernel contractions.
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -30,7 +29,14 @@ import numpy as np
 
 from .errors import DomainError, GridError
 from .grids import Grid, GridFunction, apply_semigroup
-from .heat import NuVector, as_nu_vector, delta_expansion, eval_delta_heat_1d
+from .heat import (
+    NuVector,
+    _p1d_shifts,
+    as_nu_vector,
+    delta_expansion,
+    delta_heat_difference_1d,
+    eval_delta_heat_1d,
+)
 from .sampling import make_rng, sample_smooth_triples
 from .special import besseli_scaled, gamma
 
@@ -46,6 +52,8 @@ __all__ = [
     "riesz_difference_batch",
     "riesz_difference_matrix",
     "CzSamplePlan",
+    "cz_size_sweep",
+    "cz_smooth_sweep",
     "cz_bound_check",
 ]
 
@@ -109,12 +117,15 @@ def _integrand_batch(nu: NuVector, k, t: float, x: np.ndarray, y: np.ndarray):
     return out
 
 
-def riesz_kernel_batch(nu, k, x, y, plan: SubordinationPlan = DEFAULT_PLAN):
-    """Riesz kernel over batches: x, y of shape (n, count).
+def _riesz_quadrature(nu, k, x, y, plan: SubordinationPlan, both: bool) -> np.ndarray:
+    """Rows R(x, y) and, if ``both``, R(y, x) over batches x, y of shape (n, count).
 
-    The tail indicator compares the boundary-node contributions to the
-    absolutely accumulated integral (the signed total may cancel to zero,
-    legitimately, e.g. the order-2 kernel on the x < y side in 1-D).
+    p_t^{nu+m} is symmetric in (x, y) bit for bit (x*y and (x-y)**2 are),
+    so each axis's ladder is evaluated once per time node and combined for
+    both argument orders.  The tail indicator compares the boundary-node
+    contributions to the absolutely accumulated integral (the signed total
+    may cancel to zero, legitimately, e.g. the order-2 kernel on the x < y
+    side in 1-D).
     """
     nu = as_nu_vector(nu)
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -125,13 +136,24 @@ def riesz_kernel_batch(nu, k, x, y, plan: SubordinationPlan = DEFAULT_PLAN):
         raise DomainError("Riesz kernels need |k| >= 1")
     if np.any(np.all(x == y, axis=0)):
         raise DomainError("diagonal evaluation x == y is not defined")
+    expansions = [delta_expansion(v, kj) for v, kj in zip(nu.nu, k)]
+    pairs = ((x, y), (y, x)) if both else ((x, y),)
     t_nodes, w = plan.nodes()
     half = order / 2.0
-    total = np.zeros(x.shape[1])
-    abs_total = np.zeros(x.shape[1])
+    total = np.zeros((len(pairs), x.shape[1]))
+    abs_total = np.zeros_like(total)
     first = last = None
     for i, (t, wi) in enumerate(zip(t_nodes, w)):
-        contrib = wi * t**half * _integrand_batch(nu, k, t, x, y)
+        ladders = [
+            _p1d_shifts(v, e.shifts, t, x[j], y[j])
+            for j, (v, e) in enumerate(zip(nu.nu, expansions))
+        ]
+        contrib = np.empty_like(total)
+        for row, (a, b) in enumerate(pairs):
+            integrand = 1.0
+            for j, e in enumerate(expansions):
+                integrand = integrand * e.combine(ladders[j], t, a[j], b[j])
+            contrib[row] = wi * t**half * integrand
         total += contrib
         abs_total += np.abs(contrib)
         if i == 0:
@@ -148,9 +170,15 @@ def riesz_kernel_batch(nu, k, x, y, plan: SubordinationPlan = DEFAULT_PLAN):
             f"subordination tail indicator {tail:.2e} above "
             f"{plan.tail_tolerance:.0e}; widen the plan",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return total / gamma(half)
+
+
+def riesz_kernel_batch(nu, k, x, y, plan: SubordinationPlan = DEFAULT_PLAN):
+    """Riesz kernel over batches: x, y of shape (n, count); warns when the
+    subordination tail indicator exceeds the plan's tolerance."""
+    return _riesz_quadrature(nu, k, x, y, plan, both=False)[0]
 
 
 def riesz_kernel(nu, k, x, y, plan: SubordinationPlan = DEFAULT_PLAN) -> float:
@@ -197,10 +225,9 @@ def _axis_delta_matrix(nu_j: float, k_j: int, t: float, axis) -> np.ndarray:
     live = common > 1e-280
     any_dead = not bool(np.all(live))
     expansion = delta_expansion(nu_j, k_j)
-    shifts = sorted({term.shift for term in expansion.terms})
     z_u = xy_u / (2.0 * t)
     kernels = {}
-    for m in shifts:
+    for m in expansion.shifts:
         if any_dead:
             vals = np.zeros_like(common)
             if np.any(live):
@@ -343,11 +370,8 @@ def riesz_difference_matrix(
     t_nodes, w = plan.nodes()
     half = sum(k) / 2.0
     acc = np.zeros((x.size, x.size))
-    nu0 = nu.nu[0]
     for t, wi in zip(t_nodes, w):
-        diff = eval_delta_heat_1d(nu0, k[0], t, x[:, None], x[None, :]) - eval_delta_heat_1d(
-            nu0 + 1.0, k[0], t, x[:, None], x[None, :]
-        )
+        diff = delta_heat_difference_1d(nu.nu[0], k[0], t, x[:, None], x[None, :])
         acc += wi * t**half * diff
     return acc * grid.axes[0].weights[None, :] / gamma(half)
 
@@ -390,7 +414,84 @@ def _level_maxima(values, base: int, levels: int) -> list[float]:
     return [float(np.max(values[: base * 2**lev])) for lev in range(levels)]
 
 
-_CZ_SWEEP_CACHE: dict = {}
+def _cz_triples(n: int, sample_plan: CzSamplePlan):
+    """The nested (x, y, y') samples shared by the size and smoothness sweeps."""
+    max_count = sample_plan.count * 2 ** (sample_plan.levels - 1)
+    rng = make_rng(sample_plan.seed)
+    x, y, yp, _ = sample_smooth_triples(
+        rng, max_count, n, sample_plan.box, sample_plan.min_separation
+    )
+    return x, y, yp
+
+
+def _size_side(n: int, x, y, r_xy, sample_plan: CzSamplePlan) -> dict:
+    d = np.sqrt(np.sum((x - y) ** 2, axis=0))
+    size_ratio = np.abs(r_xy) * d**n
+    levels = _level_maxima(size_ratio, sample_plan.count, sample_plan.levels)
+    worst = int(np.argmax(size_ratio))
+    return {
+        "C_hat": levels[-1],
+        "per_refinement_C": levels,
+        "drift": _drift(levels),
+        "worst_sample": {"x": x[:, worst].tolist(), "y": y[:, worst].tolist()},
+    }
+
+
+def cz_size_sweep(nu, k, sample_plan: CzSamplePlan, plan: SubordinationPlan) -> dict:
+    """The size side of ``cz_bound_check``: sup |R(x,y)| |x-y|^n, from
+    R(x, y) alone."""
+    nu = as_nu_vector(nu)
+    x, y, _ = _cz_triples(nu.n, sample_plan)
+    r_xy = _riesz_quadrature(nu, k, x, y, plan, both=False)[0]
+    return _size_side(nu.n, x, y, r_xy, sample_plan)
+
+
+def _smooth_sweep(nu: NuVector, k, sample_plan: CzSamplePlan, plan: SubordinationPlan):
+    """The smoothness sides, plus the samples and R(x, y) they computed."""
+    n = nu.n
+    gam = min(1.0, nu.gamma_nu)
+    gam_raw = nu.gamma_nu
+    x, y, yp = _cz_triples(n, sample_plan)
+    r_xy, r_yx = _riesz_quadrature(nu, k, x, y, plan, both=True)
+    r_xyp, r_ypx = _riesz_quadrature(nu, k, x, yp, plan, both=True)
+
+    d = np.sqrt(np.sum((x - y) ** 2, axis=0))
+    dp = np.sqrt(np.sum((y - yp) ** 2, axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        holder_rhs = (dp / d) ** gam / d**n
+        holder_rhs_raw = (dp / d) ** gam_raw / d**n
+        smooth_num = np.maximum(np.abs(r_xy - r_xyp), np.abs(r_yx - r_ypx))
+        smooth_ratio = np.where(dp > 0, smooth_num / holder_rhs, 0.0)
+        smooth_ratio_raw = np.where(dp > 0, smooth_num / holder_rhs_raw, 0.0)
+
+    levels = _level_maxima(smooth_ratio, sample_plan.count, sample_plan.levels)
+    raw_levels = _level_maxima(smooth_ratio_raw, sample_plan.count, sample_plan.levels)
+    worst = int(np.argmax(smooth_ratio))
+    sides = {
+        "smooth": {
+            "C_hat": levels[-1],
+            "per_refinement_C": levels,
+            "drift": _drift(levels),
+            "exponent": gam,
+            "worst_sample": {
+                "x": x[:, worst].tolist(),
+                "y": y[:, worst].tolist(),
+                "y_prime": yp[:, worst].tolist(),
+            },
+        },
+        "smooth_raw_exponent": {
+            "C_hat": raw_levels[-1],
+            "per_refinement_C": raw_levels,
+            "drift": _drift(raw_levels),
+            "exponent": gam_raw,
+        },
+    }
+    return sides, x, y, r_xy
+
+
+def cz_smooth_sweep(nu, k, sample_plan: CzSamplePlan, plan: SubordinationPlan) -> dict:
+    """The "smooth" and "smooth_raw_exponent" entries of ``cz_bound_check``."""
+    return _smooth_sweep(as_nu_vector(nu), k, sample_plan, plan)[0]
 
 
 def cz_bound_check(
@@ -406,82 +507,16 @@ def cz_bound_check(
     (|y-y'|/|x-y|)^gamma / |x-y|^n with gamma = min(1, nu_min + 1/2); the
     unclipped exponent nu_min + 1/2 is fitted alongside for comparison.
     Refinement doubles the (nested) sample count; the verdict applies the
-    < 5% drift rule to both primary constants.  Sweeps are cached per
-    argument set; every call returns its own copy of the result.
+    < 5% drift rule to both primary constants.  R(x, y), R(y, x), R(x, y')
+    and R(y', x) come from two ladder batches, one per sampled pair.
     """
     nu = as_nu_vector(nu)
-    n = nu.n
-    k = _multi(k, n)
-    cache_key = (nu.nu, k, sample_plan, plan)
-    hit = _CZ_SWEEP_CACHE.get(cache_key)
-    if hit is not None:
-        return copy.deepcopy(hit)
-    gam = min(1.0, nu.gamma_nu)
-    gam_raw = nu.gamma_nu
-
-    max_count = sample_plan.count * 2 ** (sample_plan.levels - 1)
-    rng = make_rng(sample_plan.seed)
-    x, y, yp, r = sample_smooth_triples(
-        rng, max_count, n, sample_plan.box, sample_plan.min_separation
-    )
-
-    r_xy = riesz_kernel_batch(nu, k, x, y, plan)
-    r_xyp = riesz_kernel_batch(nu, k, x, yp, plan)
-    r_yx = riesz_kernel_batch(nu, k, y, x, plan)
-    r_ypx = riesz_kernel_batch(nu, k, yp, x, plan)
-
-    d = np.sqrt(np.sum((x - y) ** 2, axis=0))
-    dp = np.sqrt(np.sum((y - yp) ** 2, axis=0))
-    size_ratio = np.abs(r_xy) * d**n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        holder_rhs = (dp / d) ** gam / d**n
-        holder_rhs_raw = (dp / d) ** gam_raw / d**n
-        smooth_num = np.maximum(np.abs(r_xy - r_xyp), np.abs(r_yx - r_ypx))
-        smooth_ratio = np.where(dp > 0, smooth_num / holder_rhs, 0.0)
-        smooth_ratio_raw = np.where(dp > 0, smooth_num / holder_rhs_raw, 0.0)
-
-    size_levels = _level_maxima(size_ratio, sample_plan.count, sample_plan.levels)
-    smooth_levels = _level_maxima(smooth_ratio, sample_plan.count, sample_plan.levels)
-    smooth_raw_levels = _level_maxima(
-        smooth_ratio_raw, sample_plan.count, sample_plan.levels
-    )
-    size_drift = _drift(size_levels)
-    smooth_drift = _drift(smooth_levels)
-    worst_size = int(np.argmax(size_ratio))
-    worst_smooth = int(np.argmax(smooth_ratio))
-    stable = size_drift < 0.05 and smooth_drift < 0.05
-    finite = bool(
-        np.all(np.isfinite(size_ratio)) and np.all(np.isfinite(smooth_ratio))
-    )
-    if len(_CZ_SWEEP_CACHE) > 32:
-        _CZ_SWEEP_CACHE.clear()
-    result = _CZ_SWEEP_CACHE[cache_key] = {
-        "size": {
-            "C_hat": size_levels[-1],
-            "per_refinement_C": size_levels,
-            "drift": size_drift,
-            "worst_sample": {
-                "x": x[:, worst_size].tolist(),
-                "y": y[:, worst_size].tolist(),
-            },
-        },
-        "smooth": {
-            "C_hat": smooth_levels[-1],
-            "per_refinement_C": smooth_levels,
-            "drift": smooth_drift,
-            "exponent": gam,
-            "worst_sample": {
-                "x": x[:, worst_smooth].tolist(),
-                "y": y[:, worst_smooth].tolist(),
-                "y_prime": yp[:, worst_smooth].tolist(),
-            },
-        },
-        "smooth_raw_exponent": {
-            "C_hat": smooth_raw_levels[-1],
-            "per_refinement_C": smooth_raw_levels,
-            "drift": _drift(smooth_raw_levels),
-            "exponent": gam_raw,
-        },
-        "verdict": "stable" if (stable and finite) else ("violated" if not finite else "unstable"),
-    }
-    return copy.deepcopy(result)
+    sides, x, y, r_xy = _smooth_sweep(nu, k, sample_plan, plan)
+    size = _size_side(nu.n, x, y, r_xy, sample_plan)
+    smooth = sides["smooth"]
+    stable = size["drift"] < 0.05 and smooth["drift"] < 0.05
+    # The last level's maximum runs over every sample, so it is finite
+    # exactly when every ratio is.
+    finite = math.isfinite(size["C_hat"]) and math.isfinite(smooth["C_hat"])
+    verdict = "stable" if (stable and finite) else ("violated" if not finite else "unstable")
+    return {"size": size, **sides, "verdict": verdict}

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from besselops import cli
+from besselops import cli, heat
 from besselops.campaigns import (
     INEQUALITY_IDS,
     SPECS,
@@ -154,6 +154,26 @@ class TestOperatorCampaigns:
         cfg2 = small(default_config("thm1_5_smooth"), samples=200, min_separation=5e-2)
         rep2, _ = run_campaign(cfg2)
         assert "exponent" in rep2.notes[1]
+
+    @pytest.mark.parametrize("ineq,batches", [("thm1_5_size", 1), ("thm1_5_smooth", 2)])
+    def test_thm1_5_bessel_work(self, monkeypatch, ineq, batches):
+        # Four independent quadratures of R(x,y), R(y,x), R(x,y'), R(y',x)
+        # would make 4 ladders per time node; the size sweep needs only
+        # R(x,y), and the smoothness sweep gets each reverse order from the
+        # ladder of its pair.
+        cfg = small(default_config(ineq), samples=100, plan_nodes_per_decade=4)
+        calls = []
+        besseli_scaled = heat.besseli_scaled
+
+        def counted(alpha, z):
+            calls.append(alpha)
+            return besseli_scaled(alpha, z)
+
+        monkeypatch.setattr(heat, "besseli_scaled", counted)
+        run_campaign(cfg)
+        shifts = len(heat.delta_expansion(cfg.nu[0], cfg.k[0]).shifts)
+        four_batches = 4 * cfg.plan.nodes()[0].size * shifts
+        assert len(calls) * 4 == four_batches * batches
 
     def test_hardy_spot_check_k0_reduces_to_maximal(self):
         with warnings.catch_warnings():

@@ -1,6 +1,7 @@
 """Grid calculus tests: quadrature semantics, semigroup action, maximal
 function, norms, eigenfunctions, finite-difference delta, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -309,6 +310,17 @@ class TestSerialization:
             assert np.array_equal(ax0.nodes, ax1.nodes)
             assert np.array_equal(ax0.weights, ax1.weights)
             assert ax0.scheme == ax1.scheme
+
+    @pytest.mark.parametrize("field,index", [("nodes", 1), ("weights", 2), ("hi", None)])
+    def test_grid_json_rejects_non_finite(self, field, index):
+        payload = json.loads(grid_to_json(default_grid(1, nodes_per_axis=9)))
+        axis = payload["axes"][0]
+        if index is None:
+            axis[field] = "nan"
+        else:
+            axis[field][index] = "nan"
+        with pytest.raises(GridError):
+            grid_from_json(json.dumps(payload))
 
     def test_csv_file_io(self, tmp_path):
         g = default_grid(1, nodes_per_axis=17)

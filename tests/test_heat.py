@@ -25,7 +25,9 @@ from besselops.heat import (
     critical_function,
     delta_dt_heat_1d,
     delta_dt_heat_nd,
+    delta_dt_heat_nd_arrays,
     delta_expansion,
+    delta_heat_difference_1d,
     delta_heat_kernel_nd,
     eval_delta_heat_1d,
     heat_kernel_1d,
@@ -339,6 +341,19 @@ def mp_word(word, beta, t, x, y, order=6):
         return float(series[0])
 
 
+def count_ladders(monkeypatch):
+    """Record the shifts of every ``heat._p1d_shifts`` call."""
+    calls = []
+    ladder = heat._p1d_shifts
+
+    def counted(nu, shifts, *a):
+        calls.append(list(shifts))
+        return ladder(nu, shifts, *a)
+
+    monkeypatch.setattr(heat, "_p1d_shifts", counted)
+    return calls
+
+
 ORACLE_POINTS = [(0.9, 1.6, 2.0), (0.35, 0.8, 1.3), (2.5, 3.1, 1.7)]
 
 
@@ -365,16 +380,40 @@ class TestOperatorWordsMpmath:
         [(mixed_partial_delta, (0.6, 2, 2)), (adjoint_power_heat_1d, (0.6, 2, 1))],
     )
     def test_one_bessel_ladder_per_word(self, monkeypatch, fn, args):
-        calls = []
-        ladder = heat._p1d_shifts
-
-        def counted(*a, **kw):
-            calls.append(a)
-            return ladder(*a, **kw)
-
-        monkeypatch.setattr(heat, "_p1d_shifts", counted)
+        calls = count_ladders(monkeypatch)
         fn(*args, np.array([0.9, 0.4]), np.array([1.6, 0.8]), np.array([2.0, 1.3]))
         assert len(calls) == 1
+
+
+class TestSharedLadders:
+    T = np.array([1e-3, 0.05, 0.7, 3.0, 40.0])
+    X = np.array([[0.3, 1.1, 2.0, 0.9, 4.0], [1.7, 0.2, 0.8, 2.5, 0.6]])
+    Y = np.array([[0.5, 0.9, 2.6, 3.1, 3.3], [1.2, 0.4, 1.9, 0.7, 0.65]])
+
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3])
+    def test_order_difference_is_bit_equal(self, monkeypatch, ell):
+        t, x, y = self.T, self.X[0], self.Y[0]
+        expected = eval_delta_heat_1d(0.6, ell, t, x, y) - eval_delta_heat_1d(1.6, ell, t, x, y)
+        calls = count_ladders(monkeypatch)
+        got = delta_heat_difference_1d(0.6, ell, t, x, y)
+        assert np.array_equal(got, expected)
+        # One ladder over the union of the shifts m and m + 1.
+        assert calls == [list(range(ell + 2))]
+
+    def test_nd_power_builds_one_ladder_per_axis(self, monkeypatch):
+        nu, k, big_m = (0.5, 1.5), (1, 1), 2
+        # The multinomial sum over the compositions of M in their summation
+        # order, one 1-D word per factor.
+        expected = 0.0
+        for weight, comp in ((1.0, (0, 2)), (2.0, (1, 1)), (1.0, (2, 0))):
+            prod = weight
+            for j in range(2):
+                prod = prod * delta_dt_heat_1d(nu[j], k[j], comp[j], self.T, self.X[j], self.Y[j])
+            expected = expected + prod
+        calls = count_ladders(monkeypatch)
+        got = delta_dt_heat_nd_arrays(nu, k, big_m, self.T, self.X, self.Y)
+        assert np.array_equal(got, expected)
+        assert calls == [[0, 1, 2, 3], [0, 1, 2, 3]]
 
 
 class TestBoundRhs:

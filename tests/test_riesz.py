@@ -26,7 +26,10 @@ from besselops.riesz import (
     CzSamplePlan,
     SubordinationPlan,
     _drift,
+    _riesz_quadrature,
     cz_bound_check,
+    cz_size_sweep,
+    cz_smooth_sweep,
     fractional_inverse_apply,
     riesz_apply,
     riesz_difference_batch,
@@ -291,6 +294,29 @@ class TestCzBoundCheck:
         expected = list(first["size"]["per_refinement_C"])
         first["size"]["per_refinement_C"][0] = -1.0
         assert cz_bound_check(*args)["size"]["per_refinement_C"] == expected
+
+    def test_split_sweeps_match_the_full_check(self):
+        args = (
+            NuVector((0.7,)),
+            (2,),
+            CzSamplePlan(count=100, seed=5, levels=2, min_separation=5e-2),
+            SubordinationPlan(t_min=1e-6, t_max=1e8, nodes_per_decade=4),
+        )
+        full = cz_bound_check(*args)
+        assert cz_size_sweep(*args) == full["size"]
+        smooth = cz_smooth_sweep(*args)
+        assert smooth == {key: full[key] for key in ("smooth", "smooth_raw_exponent")}
+
+    @pytest.mark.filterwarnings("ignore:subordination tail indicator")
+    @pytest.mark.parametrize("nu,k", [((0.7,), (2,)), ((0.5, 1.5), (1, 1))])
+    def test_pair_loop_reverse_order_is_bit_equal(self, nu, k):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.1, 6.0, (len(nu), 700))
+        y = rng.uniform(0.1, 6.0, (len(nu), 700))
+        plan = SubordinationPlan(t_min=1e-6, t_max=1e8, nodes_per_decade=6)
+        r_xy, r_yx = _riesz_quadrature(NuVector(nu), k, x, y, plan, both=True)
+        assert np.array_equal(r_xy, riesz_kernel_batch(nu, k, x, y, plan))
+        assert np.array_equal(r_yx, riesz_kernel_batch(nu, k, y, x, plan))
 
     def test_drift_of_non_finite_levels_is_inf(self):
         assert _drift([math.inf, math.inf]) == math.inf
