@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 for passing verdicts (stable/valid), 1 for failing ones
-(violated/invalid/unstable), 2 for configuration errors.  Campaign
+(violated/invalid/unstable), 2 for configuration errors and for inputs the
+library refuses, a Bessel value that overflows float64 included.  Campaign
 reports are canonical JSON (deterministic for fixed config and seed);
 wall-clock runtime goes to a sidecar meta file and stderr only.
 """
@@ -403,7 +404,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, GridError, UnderResolvedError, FileNotFoundError, ValueError) as exc:
+    except (
+        DomainError,
+        GridError,
+        UnderResolvedError,
+        OverflowError,
+        FileNotFoundError,
+        ValueError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

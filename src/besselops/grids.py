@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -204,22 +205,59 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 # Semigroup application and the maximal function
 
-_KERNEL_MATRIX_CACHE: dict = {}
+# Every cached dense operator matrix (the semigroup kernels here and the 1-D
+# Riesz matrices) shares one store; 128 MiB holds 64 matrices at n = 512,
+# about twice the working set of the thm1_6i campaign.
+MATRIX_CACHE_BYTES = 128 * 2**20
+
+
+class _MatrixCache:
+    """Least-recently-used store of read-only arrays, bounded in bytes.
+
+    A hit returns the stored array object itself.  An array larger than the
+    bound is returned but not kept.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._store: OrderedDict = OrderedDict()
+
+    def get(self, key, build) -> np.ndarray:
+        """The array stored under ``key``, or ``build()`` stored there."""
+        hit = self._store.get(key)
+        if hit is not None:
+            self._store.move_to_end(key)
+            return hit
+        arr = build()
+        arr.setflags(write=False)
+        self._store[key] = arr
+        self.nbytes += arr.nbytes
+        while self.nbytes > self.max_bytes:
+            self.nbytes -= self._store.popitem(last=False)[1].nbytes
+        return arr
+
+
+_MATRIX_CACHE = _MatrixCache(MATRIX_CACHE_BYTES)
 
 
 def _kernel_matrix(nu_j: float, t: float, axis: Axis) -> np.ndarray:
-    """K[i, i'] = p_t^{nu_j}(x_i, x_{i'}) * w_{i'}; cached per axis."""
-    key = (axis.cache_key(), float(nu_j), float(t))
-    hit = _KERNEL_MATRIX_CACHE.get(key)
-    if hit is not None:
-        return hit
-    x = axis.nodes
-    mat = _p1d(nu_j, t, x[:, None], x[None, :]) * axis.weights[None, :]
-    mat.setflags(write=False)
-    if len(_KERNEL_MATRIX_CACHE) > 4096:
-        _KERNEL_MATRIX_CACHE.clear()
-    _KERNEL_MATRIX_CACHE[key] = mat
-    return mat
+    """K[i, i'] = p_t^{nu_j}(x_i, x_{i'}) * w_{i'}; cached per axis.
+
+    p_t^{nu_j} is symmetric bit for bit (see ``heat._ladder``), so it is
+    evaluated on i <= i' and mirrored.
+    """
+
+    def build():
+        x = axis.nodes
+        iu = np.triu_indices(x.size)
+        mat = np.empty((x.size, x.size))
+        vals = _p1d(nu_j, t, x[iu[0]], x[iu[1]])
+        mat[iu] = vals
+        mat.T[iu] = vals
+        return mat * axis.weights[None, :]
+
+    return _MATRIX_CACHE.get(("semigroup", axis.cache_key(), float(nu_j), float(t)), build)
 
 
 def apply_semigroup(nu, t: float, f: GridFunction) -> GridFunction:

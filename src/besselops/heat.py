@@ -150,19 +150,18 @@ def _check_positive(name, v):
         raise DomainError(f"{name} must be strictly positive and finite")
 
 
-def _p1d_shifts(nu: float, shifts, t, x, y) -> dict:
-    """p_t^{nu+m} for each m in shifts, sharing the exponential prefactor.
+def _ladder(nu: float, shifts, t, xy, d2) -> dict:
+    """p_t^{nu+m} for each m in shifts from the pair geometry xy = x*y and
+    d2 = (x-y)**2, sharing the exponential prefactor.
 
-    Entries whose Gaussian factor underflows are skipped outright; the
-    polynomial coefficients downstream can never amplify them back above
-    the underflow threshold.
+    Both inputs are symmetric in (x, y) bit for bit, so one ladder serves
+    both argument orders.  Entries whose Gaussian factor underflows are
+    skipped outright; the polynomial coefficients downstream can never
+    amplify them back above the underflow threshold.
     """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xy = x * y
     z = xy / (2.0 * t)
-    common = np.sqrt(xy) / (2.0 * t) * np.exp(-((x - y) ** 2) / (4.0 * t))
+    common = np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t))
+    del d2  # a batch-sized temporary in the pointwise callers; not needed below
     if common.ndim > 0 and common.size > 512:
         live = common > 1e-280
         frac = float(np.count_nonzero(live)) / common.size
@@ -176,6 +175,14 @@ def _p1d_shifts(nu: float, shifts, t, x, y) -> dict:
                 out[m] = vals
             return out
     return {m: common * besseli_scaled(nu + m, z) for m in shifts}
+
+
+def _p1d_shifts(nu: float, shifts, t, x, y) -> dict:
+    """p_t^{nu+m}(x, y) for each m in shifts (see ``_ladder``)."""
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return _ladder(nu, shifts, t, x * y, (x - y) ** 2)
 
 
 def _p1d(nu: float, t, x, y):

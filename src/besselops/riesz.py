@@ -14,9 +14,15 @@ trapezoid in log t the natural rule).  No principal-value machinery is
 used: the time cutoff regularizes the diagonal, and all off-diagonal
 quantities converge as the plan refines.
 
-Grid application reuses the same quadrature: for 1-D grids the kernel
-matrix is assembled once and cached; in higher dimensions each time node
-factorizes into per-axis kernel contractions.
+Grid application reuses the same quadrature.  On a 1-D grid the matrix
+A[i, j] ~ R(x_i, x_j) w_j (or the kernel of R_nu - R_{nu+1}) is built by
+one triangle builder: per time node one Bessel ladder on the node pairs
+i <= j, combined with the word for both argument orders (the terms cancel
+near the diagonal, so they are combined per node, before the time sum),
+and the dense matrix written once after the time loop.  ``riesz_matrix``
+keeps its result in the bounded matrix cache of ``grids``.  In higher
+dimensions each time node factorizes into per-axis kernel contractions,
+each axis matrix built from the same triangle ladder.
 """
 
 from __future__ import annotations
@@ -28,17 +34,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, GridError
-from .grids import Grid, GridFunction, apply_semigroup
+from .grids import _MATRIX_CACHE, Grid, GridFunction, apply_semigroup
 from .heat import (
     NuVector,
+    _ladder,
     _p1d_shifts,
     as_nu_vector,
     delta_expansion,
-    delta_heat_difference_1d,
     eval_delta_heat_1d,
 )
 from .sampling import make_rng, sample_smooth_triples
-from .special import besseli_scaled, gamma
+from .special import gamma
 
 __all__ = [
     "SubordinationPlan",
@@ -189,81 +195,113 @@ def riesz_kernel(nu, k, x, y, plan: SubordinationPlan = DEFAULT_PLAN) -> float:
     return float(riesz_kernel_batch(nu, k, x, y, plan)[0])
 
 
-_RIESZ_MATRIX_CACHE: dict = {}
-_AXIS_PRE_CACHE: dict = {}
+@dataclass(frozen=True)
+class _TriangleWord:
+    """The word delta_nu^k on the node pairs i <= j of one axis.
+
+    ``xy`` and ``d2`` are the ladder geometry x_i x_j and (x_i - x_j)^2.
+    Each term c x^a y^b t^{-d} p_t^{nu+m} is kept as (c, d, m, x_i^a x_j^b,
+    x_j^a x_i^b): the monomials of the upper triangle (x, y) = (x_i, x_j)
+    and of the lower triangle (x, y) = (x_j, x_i).
+    """
+
+    n: int
+    iu: tuple[np.ndarray, np.ndarray]
+    xy: np.ndarray
+    d2: np.ndarray
+    shifts: list[int]
+    terms: tuple
 
 
-def _axis_precompute(axis):
-    """t-independent pairwise node data, upper triangle only (symmetric)."""
-    key = axis.cache_key()
-    hit = _AXIS_PRE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    x = axis.nodes
+def _triangle_word(nu_j: float, k_j: int, x: np.ndarray) -> _TriangleWord:
     iu = np.triu_indices(x.size)
-    xy_u = (x[:, None] * x[None, :])[iu]
-    d2_u = ((x[:, None] - x[None, :]) ** 2)[iu]
-    sq_u = np.sqrt(xy_u)
-    pre = (iu, xy_u, d2_u, sq_u)
-    if len(_AXIS_PRE_CACHE) > 64:
-        _AXIS_PRE_CACHE.clear()
-    _AXIS_PRE_CACHE[key] = pre
-    return pre
+    xi, xj = x[iu[0]], x[iu[1]]
+    expansion = delta_expansion(nu_j, k_j)
+    terms = tuple(
+        (float(e.coeff), e.tneg, e.shift, xi**e.xpow * xj**e.ypow, xj**e.xpow * xi**e.ypow)
+        for e in expansion.terms
+    )
+    return _TriangleWord(x.size, iu, xi * xj, (xi - xj) ** 2, expansion.shifts, terms)
 
 
-def _axis_delta_matrix(nu_j: float, k_j: int, t: float, axis) -> np.ndarray:
-    """delta^{k_j} p_t^{nu_j}(x_i, x_j) w_j, exploiting kernel symmetry.
+def _combine_triangle(word: _TriangleWord, t: float, ladder: dict):
+    """The word at time t over a ladder on the triangle: (upper, lower)."""
+    upper = lower = 0.0
+    for c, d, m, mono_u, mono_l in word.terms:
+        scale = c * t ** (-d)
+        upper = upper + scale * mono_u * ladder[m]
+        lower = lower + scale * mono_l * ladder[m]
+    return upper, lower
+
+
+def _mirror(word: _TriangleWord, upper, lower) -> np.ndarray:
+    """The dense n x n matrix with the given upper and lower triangles."""
+    out = np.empty((word.n, word.n))
+    out[word.iu] = upper
+    out.T[word.iu] = lower
+    return out
+
+
+def _axis_delta_matrix(nu_j: float, t: float, axis, word: _TriangleWord) -> np.ndarray:
+    """delta^{k_j} p_t^{nu_j}(x_i, x_j) w_j at one time node.
 
     The shifted kernels p^{nu+m} are symmetric in (x, y); only the
-    monomial coefficients of the derivative expansion break symmetry, so
-    Bessel evaluations run on the upper triangle and are mirrored.
+    monomials break the symmetry, so one ladder on the triangle i <= j
+    serves both triangles.
     """
-    x = axis.nodes
-    n = x.size
-    iu, xy_u, d2_u, sq_u = _axis_precompute(axis)
-    common = sq_u / (2.0 * t) * np.exp(-d2_u / (4.0 * t))
-    live = common > 1e-280
-    any_dead = not bool(np.all(live))
-    expansion = delta_expansion(nu_j, k_j)
-    z_u = xy_u / (2.0 * t)
-    kernels = {}
-    for m in expansion.shifts:
-        if any_dead:
-            vals = np.zeros_like(common)
-            if np.any(live):
-                vals[live] = common[live] * besseli_scaled(nu_j + m, z_u[live])
-        else:
-            vals = common * besseli_scaled(nu_j + m, z_u)
-        full = np.empty((n, n))
-        full[iu] = vals
-        full.T[iu] = vals
-        kernels[m] = full
-    acc = np.zeros((n, n))
-    for term in expansion.terms:
-        mono = float(term.coeff) * t ** (-term.tneg)
-        acc += mono * np.multiply.outer(x**term.xpow, x**term.ypow) * kernels[term.shift]
-    return acc * axis.weights[None, :]
+    ladder = _ladder(nu_j, word.shifts, t, word.xy, word.d2)
+    return _mirror(word, *_combine_triangle(word, t, ladder)) * axis.weights[None, :]
 
 
-def riesz_matrix(nu, k, grid: Grid, plan: SubordinationPlan = DEFAULT_PLAN) -> np.ndarray:
-    """Assembled 1-D transform matrix A[i, j] ~ R(x_i, x_j) w_j (cached)."""
+def _grid_matrix(nu: float, k: int, axis, plan: SubordinationPlan, difference: bool):
+    """A[i, j] ~ R_nu(x_i, x_j) w_j on a 1-D axis, or the kernel of
+    R_nu - R_{nu+1} when ``difference``.
+
+    Per time node: one ladder on the triangle i <= j, combined with the word
+    for both triangles (the combination cancels near the diagonal, so it
+    stays per node).  The dense matrix is written once, after the loop.
+    The difference combines the word over the ladder and over the ladder
+    one step up, p_t^{(nu+1)+m} = p_t^{nu+(m+1)}, as
+    ``heat.delta_heat_difference_1d`` does pointwise.
+    """
+    word = _triangle_word(nu, k, axis.nodes)
+    shifts = word.shifts
+    if difference:
+        shifts = sorted({*shifts, *(m + 1 for m in shifts)})
+    t_nodes, w = plan.nodes()
+    half = k / 2.0
+    upper = np.zeros(word.xy.size)
+    lower = np.zeros(word.xy.size)
+    for t, wi in zip(t_nodes, w):
+        ladder = _ladder(nu, shifts, t, word.xy, word.d2)
+        up, lo = _combine_triangle(word, t, ladder)
+        if difference:
+            up1, lo1 = _combine_triangle(word, t, {m: ladder[m + 1] for m in word.shifts})
+            up, lo = up - up1, lo - lo1
+        scale = wi * t**half
+        upper += scale * up
+        lower += scale * lo
+    return _mirror(word, upper, lower) * axis.weights[None, :] / gamma(half)
+
+
+def _one_axis(nu, k, grid: Grid):
     nu = as_nu_vector(nu)
     if grid.ndim != 1:
         raise GridError("assembled matrices are for 1-D grids")
-    k = _multi(k, 1)
-    key = (grid.cache_key(), nu.nu, k, plan)
-    hit = _RIESZ_MATRIX_CACHE.get(key)
-    if hit is not None:
-        return hit
-    t_nodes, w = plan.nodes()
-    half = sum(k) / 2.0
-    acc = np.zeros((grid.axes[0].size, grid.axes[0].size))
-    for t, wi in zip(t_nodes, w):
-        acc += wi * t**half * _axis_delta_matrix(nu.nu[0], k[0], t, grid.axes[0])
-    acc /= gamma(half)
-    acc.setflags(write=False)
-    _RIESZ_MATRIX_CACHE[key] = acc
-    return acc
+    return nu.nu[0], _multi(k, 1)[0]
+
+
+def riesz_matrix(nu, k, grid: Grid, plan: SubordinationPlan = DEFAULT_PLAN) -> np.ndarray:
+    """Assembled 1-D transform matrix A[i, j] ~ R(x_i, x_j) w_j.
+
+    Read-only and cached in the shared bounded matrix cache
+    (``grids.MATRIX_CACHE_BYTES``): a hit returns the same array.
+    """
+    nu_0, k_0 = _one_axis(nu, k, grid)
+    return _MATRIX_CACHE.get(
+        ("riesz", grid.cache_key(), nu_0, k_0, plan),
+        lambda: _grid_matrix(nu_0, k_0, grid.axes[0], plan, difference=False),
+    )
 
 
 def riesz_apply(nu, k, f: GridFunction, plan: SubordinationPlan = DEFAULT_PLAN) -> GridFunction:
@@ -286,13 +324,16 @@ def riesz_apply(nu, k, f: GridFunction, plan: SubordinationPlan = DEFAULT_PLAN) 
     if f.grid.ndim == 1:
         mat = riesz_matrix(nu, k, f.grid, plan)
         return GridFunction(f.grid, mat @ f.values)
+    words = [
+        _triangle_word(v, kj, axis.nodes) for v, kj, axis in zip(nu.nu, k, f.grid.axes)
+    ]
     t_nodes, w = plan.nodes()
     half = order / 2.0
     acc = np.zeros(f.grid.shape)
     for t, wi in zip(t_nodes, w):
         vals = f.values
-        for j in range(f.grid.ndim):
-            mat = _axis_delta_matrix(nu.nu[j], k[j], t, f.grid.axes[j])
+        for j, axis in enumerate(f.grid.axes):
+            mat = _axis_delta_matrix(nu.nu[j], t, axis, words[j])
             vals = np.moveaxis(np.tensordot(mat, vals, axes=(1, j)), 0, j)
         acc += wi * t**half * vals
     return GridFunction(f.grid, acc / gamma(half))
@@ -361,19 +402,14 @@ def riesz_difference_kernel(
 def riesz_difference_matrix(
     nu, k, axis_index: int, grid: Grid, plan: SubordinationPlan = DEFAULT_PLAN
 ) -> np.ndarray:
-    """Assembled 1-D difference-operator matrix (not cached; cheap enough)."""
-    nu = as_nu_vector(nu)
-    if grid.ndim != 1:
-        raise GridError("assembled matrices are for 1-D grids")
-    k = _multi(k, 1)
-    x = grid.axes[0].nodes
-    t_nodes, w = plan.nodes()
-    half = sum(k) / 2.0
-    acc = np.zeros((x.size, x.size))
-    for t, wi in zip(t_nodes, w):
-        diff = delta_heat_difference_1d(nu.nu[0], k[0], t, x[:, None], x[None, :])
-        acc += wi * t**half * diff
-    return acc * grid.axes[0].weights[None, :] / gamma(half)
+    """Assembled 1-D matrix A[i, j] ~ (R_nu - R_{nu+1})(x_i, x_j) w_j.
+
+    Not cached: thm4_1, its one caller, builds it once.  One Bessel ladder
+    per time node on the triangle i <= j serves both orders and both
+    triangles.
+    """
+    nu_0, k_0 = _one_axis(nu, k, grid)
+    return _grid_matrix(nu_0, k_0, grid.axes[0], plan, difference=True)
 
 
 # ---------------------------------------------------------------------------

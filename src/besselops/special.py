@@ -131,11 +131,18 @@ def _series_block(alpha: float, zz: np.ndarray) -> np.ndarray:
     term = np.exp(alpha * np.log(0.5 * zz)) / gamma(alpha + 1.0)
     total = term.copy()
     q = 0.25 * zz * zz
+    # The full check cannot pass while one element fails it, so the
+    # element that converges last, the largest argument, is tested first.
+    probe = int(np.argmax(zz))
     for k in range(_SERIES_MAX_TERMS):
         term *= q
         term /= (k + 1.0) * (alpha + k + 1.0)
         total += term
-        if k & 1 and np.all(term <= _SERIES_TOL * total):
+        if (
+            k & 1
+            and term[probe] <= _SERIES_TOL * total[probe]
+            and np.all(term <= _SERIES_TOL * total)
+        ):
             break
     return total
 
@@ -170,6 +177,9 @@ def _asymptotic_scaled(alpha: float, z: np.ndarray) -> np.ndarray:
     term = np.ones_like(z)
     prev_mag = np.full_like(z, np.inf)
     active = np.ones(z.shape, dtype=bool)
+    # The full check cannot pass while one element fails it, so the
+    # element that converges last, the smallest argument, is tested first.
+    probe = int(np.argmin(z))
     for k in range(1, _ASYMP_MAX_TERMS + 1):
         factor = (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
         term = term * (-factor) / z
@@ -178,6 +188,8 @@ def _asymptotic_scaled(alpha: float, z: np.ndarray) -> np.ndarray:
         active &= mag < prev_mag
         s = np.where(active, s + term, s)
         prev_mag = mag
+        if active[probe] and mag[probe] > _SERIES_TOL * abs(s[probe]):
+            continue
         if not np.any(active & (mag > _SERIES_TOL * np.abs(s))):
             break
     return s / np.sqrt(2.0 * math.pi * z)

@@ -42,6 +42,17 @@ class TestExitCodes:
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_bessel_overflow_is_2(self, monkeypatch, capsys):
+        import besselops.cli as cli
+
+        def overflow(args):
+            raise OverflowError("besseli overflows for z >= 705.0; use besseli_scaled")
+
+        monkeypatch.setattr(cli, "cmd_kernel_eval", overflow)
+        rc = main(["kernel", "eval", "--nu", "0.5", "--t", "1.0", "--x", "1.0", "--y", "2.0"])
+        assert rc == 2
+        assert "overflows" in capsys.readouterr().err
+
     def test_kernel_eval_ok(self, capsys):
         rc = main(["kernel", "eval", "--nu", "0.5", "--t", "1.0", "--x", "1.0", "--y", "2.0"])
         assert rc == 0

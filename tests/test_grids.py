@@ -10,6 +10,7 @@ from scipy import special as sps
 
 from besselops.errors import DomainError, GridError, UnderResolvedError
 from besselops.grids import (
+    MATRIX_CACHE_BYTES,
     EigenfunctionSpec,
     Grid,
     GridFunction,
@@ -28,8 +29,10 @@ from besselops.grids import (
     lp_norm,
     maximal_function,
     uniform_axis,
+    _kernel_matrix,
+    _MatrixCache,
 )
-from besselops.heat import NuVector, eval_delta_heat_1d, heat_kernel_1d
+from besselops.heat import NuVector, _p1d, eval_delta_heat_1d, heat_kernel_1d
 
 
 class TestGridConstruction:
@@ -156,6 +159,59 @@ class TestSemigroup:
         f = GridFunction(g, np.zeros(g.shape))
         with pytest.raises(GridError):
             apply_semigroup(NuVector((0.5,)), 1.0, f)
+
+    @pytest.mark.parametrize("nu, t", [(2.0, 2.0**-10), (0.6, 3.0)])
+    def test_kernel_matrix_from_the_triangle_is_the_full_build(self, nu, t):
+        # The triangle i <= j is evaluated and mirrored; p^nu is symmetric
+        # bit for bit, so nothing moves against evaluating every entry.
+        ax = default_grid(1, nodes_per_axis=512).axes[0]
+        x = ax.nodes
+        full = _p1d(nu, t, x[:, None], x[None, :]) * ax.weights[None, :]
+        assert np.array_equal(_kernel_matrix(nu, t, ax), full)
+
+
+class TestMatrixCache:
+    def test_evicts_least_recently_used_within_the_bound(self):
+        block = np.zeros(16).nbytes
+        cache = _MatrixCache(3 * block)
+        builds = []
+
+        def build(key):
+            def make():
+                builds.append(key)
+                return np.full(16, float(key))
+
+            return make
+
+        first = cache.get(0, build(0))
+        cache.get(1, build(1))
+        cache.get(2, build(2))
+        # A hit returns the stored, read-only object and marks it recent.
+        assert cache.get(0, build(0)) is first
+        assert not first.flags.writeable
+        cache.get(3, build(3))  # evicts 1, the least recently used
+        assert cache.nbytes <= 3 * block
+        cache.get(0, build(0))
+        cache.get(2, build(2))
+        cache.get(1, build(1))  # rebuilt
+        assert builds == [0, 1, 2, 3, 1]
+        assert cache.nbytes <= 3 * block
+
+    def test_bytes_never_exceed_the_bound(self):
+        cache = _MatrixCache(1000)
+        rng = np.random.default_rng(5)
+        for key, size in enumerate(rng.integers(1, 60, 200)):
+            arr = cache.get(key, lambda: np.zeros(size))
+            assert arr.size == size
+            assert cache.nbytes <= 1000
+        # An array larger than the bound is returned but not kept.
+        assert cache.get("big", lambda: np.zeros(200)).size == 200
+        assert cache.nbytes <= 1000
+
+    def test_bound_holds_the_thm1_6i_working_set(self):
+        # One 512^2 Riesz matrix and the 33 semigroup kernel matrices of
+        # the dense time grid.
+        assert MATRIX_CACHE_BYTES >= 34 * 512 * 512 * 8
 
 
 class TestMaximalFunction:

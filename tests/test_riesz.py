@@ -8,9 +8,11 @@ the spectral identity for fractional inverses; plan/grid refinement.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+import besselops.heat as heat
 from besselops.errors import DomainError
 from besselops.grids import (
     EigenfunctionSpec,
@@ -34,6 +36,7 @@ from besselops.riesz import (
     riesz_apply,
     riesz_difference_batch,
     riesz_difference_kernel,
+    riesz_difference_matrix,
     riesz_kernel,
     riesz_kernel_batch,
     riesz_matrix,
@@ -192,6 +195,133 @@ class TestRieszApply:
         b = riesz_apply(nu, (1, 1), f2, plan).values
         combo = riesz_apply(nu, (1, 1), GridFunction(g, f1.values + 2 * f2.values), plan)
         assert np.allclose(combo.values, a + 2 * b, rtol=1e-10, atol=1e-12)
+
+
+# The mpmath oracle for the assembled 1-D matrices: the same discretized sum
+# (1/Gamma(k/2)) sum_t w_t t^{k/2} D(t, x_i, x_j) w_j at 40 digits, on the
+# whole diagonal and a spread of off-diagonal pairs of a 48-node grid.
+ORACLE_NU = 0.6
+ORACLE_PLAN = SubordinationPlan(1e-6, 1e4, 8)
+ORACLE_GRID = default_grid(1, nodes_per_axis=48)
+ORACLE_PAIRS = (
+    [(i, i) for i in range(48)]
+    + [(i, i + 1) for i in range(0, 47, 5)]
+    + [(i, i + 4) for i in range(0, 44, 6)]
+    + [(0, 47), (10, 30), (20, 40), (33, 45)]
+)
+
+
+def _mp_word(name, t, x, y, p):
+    """D(t, x, y) from the ladder p[m] = p_t^{nu+m}(x, y), by hand from
+    delta_nu p^{nu+m} = (m/x - x/2t) p^{nu+m} + (y/2t) p^{nu+m+1}."""
+    if name == "k1":
+        return (y * p[1] - x * p[0]) / (2 * t)
+    if name == "k2":
+        return (
+            (x * x / (4 * t * t) - 1 / (2 * t)) * p[0]
+            + (y / (2 * t * x) - x * y / (2 * t * t)) * p[1]
+            + y * y / (4 * t * t) * p[2]
+        )
+    # delta_nu p^nu - delta_{nu+1} p^{nu+1}
+    return (y * p[1] - x * p[0]) / (2 * t) - (y * p[2] - x * p[1]) / (2 * t)
+
+
+@pytest.fixture(scope="module")
+def mp_ladders():
+    """{(i, j): [(t, w_t, [p^{nu}, p^{nu+1}, p^{nu+2}]) per live node]}."""
+    x = ORACLE_GRID.axes[0].nodes
+    t_nodes, w = ORACLE_PLAN.nodes()
+    out = {}
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(ORACLE_NU)
+        for i, j in ORACLE_PAIRS:
+            xi, xj = mpmath.mpf(x[i]), mpmath.mpf(x[j])
+            rows = []
+            for t, wt in zip(t_nodes, w):
+                t = mpmath.mpf(t)
+                if (xi - xj) ** 2 / (4 * t) > 800:
+                    continue  # the Gaussian factor is below e^-800
+                z = xi * xj / (2 * t)
+                pre = mpmath.sqrt(xi * xj) / (2 * t) * mpmath.exp(-(xi**2 + xj**2) / (4 * t))
+                i0, i1 = mpmath.besseli(nu, z), mpmath.besseli(nu + 1, z)
+                i2 = i0 - 2 * (nu + 1) / z * i1
+                rows.append((t, mpmath.mpf(wt), [pre * i0, pre * i1, pre * i2]))
+            out[i, j] = rows
+    return out
+
+
+def _mp_entry(name, k, ladder, xa, xb, wb):
+    with mpmath.workdps(40):
+        xa, xb = mpmath.mpf(xa), mpmath.mpf(xb)
+        total = mpmath.fsum(
+            wt * t ** (mpmath.mpf(k) / 2) * _mp_word(name, t, xa, xb, p) for t, wt, p in ladder
+        )
+        return float(total * mpmath.mpf(wb) / mpmath.gamma(mpmath.mpf(k) / 2))
+
+
+class TestGridMatrices:
+    @pytest.mark.parametrize("name, k", [("k1", 1), ("k2", 2), ("diff", 1)])
+    def test_against_mpmath(self, mp_ladders, name, k):
+        g = ORACLE_GRID
+        if name == "diff":
+            mat = riesz_difference_matrix(ORACLE_NU, (k,), 0, g, ORACLE_PLAN)
+        else:
+            mat = riesz_matrix(ORACLE_NU, (k,), g, ORACLE_PLAN)
+        x, w = g.axes[0].nodes, g.axes[0].weights
+        scale = np.max(np.abs(mat))
+        worst_diag = worst_off = 0.0
+        for (i, j), ladder in mp_ladders.items():
+            for a, b in {(i, j), (j, i)}:
+                err = abs(mat[a, b] - _mp_entry(name, k, ladder, x[a], x[b], w[b])) / scale
+                if a == b:
+                    worst_diag = max(worst_diag, err)
+                else:
+                    worst_off = max(worst_off, err)
+        assert worst_off <= 1e-14
+        # The diagonal cancels between the terms of each time node.
+        assert worst_diag <= 1e-8
+
+    def test_weighted_norm_tends_to_the_isometry(self):
+        # In 1-D, R_nu = delta_nu L_nu^{-1/2} is an L^2 isometry.
+        plan = SubordinationPlan(1e-6, 1e4, 12)
+        sigma = {}
+        for n in (128, 256):
+            g = default_grid(1, nodes_per_axis=n)
+            sw = np.sqrt(g.axes[0].weights)
+            mat = riesz_matrix(1.0, (1,), g, plan)
+            sigma[n] = np.linalg.norm(sw[:, None] * mat / sw[None, :], 2)
+        assert abs(sigma[256] - 1.0) < abs(sigma[128] - 1.0)
+        assert sigma[256] < 1.04
+
+    def test_difference_is_the_matrix_difference(self):
+        g = default_grid(1, nodes_per_axis=96)
+        plan = SubordinationPlan(1e-6, 1e4, 12)
+        diff = riesz_difference_matrix(0.6, (1,), 0, g, plan)
+        parts = riesz_matrix(0.6, (1,), g, plan) - riesz_matrix(1.6, (1,), g, plan)
+        assert np.max(np.abs(diff - parts)) <= 1e-12 * np.max(np.abs(parts))
+
+    def test_difference_evaluates_the_triangle_once_per_node(self, monkeypatch):
+        n = 40
+        plan = SubordinationPlan(1e-4, 1e2, 4)
+        sizes = []
+        bessel = heat.besseli_scaled
+
+        def counted(alpha, z):
+            sizes.append(np.size(z))
+            return bessel(alpha, z)
+
+        monkeypatch.setattr(heat, "besseli_scaled", counted)
+        riesz_difference_matrix(0.6, (1,), 0, default_grid(1, nodes_per_axis=n), plan)
+        # Shifts 0, 1 and 2 at every node, each on at most the triangle.
+        assert len(sizes) <= 3 * plan.nodes()[0].size
+        assert max(sizes) <= n * (n + 1) // 2
+
+    def test_matrix_cache_returns_the_same_read_only_array(self):
+        g = default_grid(1, nodes_per_axis=64)
+        plan = SubordinationPlan(1e-4, 1e2, 4)
+        first = riesz_matrix(0.6, (1,), g, plan)
+        assert riesz_matrix(NuVector((0.6,)), 1, g, plan) is first
+        assert not first.flags.writeable
 
 
 class TestFractionalInverse:
