@@ -424,6 +424,11 @@ def _thm1_5_campaign(config: CampaignConfig, collect: bool):
             + "; unclipped-exponent fit: C_hat = "
             + repr(sweep["smooth_raw_exponent"]["C_hat"])
         )
+    notes.append(
+        "kernel: exact time integral from Schlafli's integral; the plan is unused in 1-D"
+        if config.nu_vector.n == 1
+        else "kernel: subordination quadrature on the plan's time grid"
+    )
     report = BoundReport(
         inequality=config.inequality,
         params=_params_dict(config, box=list(sweep_box)),

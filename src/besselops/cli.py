@@ -349,7 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     ra.add_argument("--input", required=True, help="grid function CSV")
     plan_flags(ra)
     ra.set_defaults(func=cmd_riesz_apply)
-    rv = rsub.add_parser("verify")
+    rv = rsub.add_parser(
+        "verify",
+        help="Calderon-Zygmund size and smoothness sweep of the kernel",
+        description="Calderon-Zygmund size and smoothness sweep.  For n = 1 the kernel is "
+        "the exact time integral (Schlafli's integral) and the --plan-* flags are unused; "
+        "they govern the subordination quadrature for n >= 2.",
+    )
     rv.add_argument("--nu", required=True)
     rv.add_argument("--k", required=True)
     rv.add_argument("--samples", type=int, default=400)

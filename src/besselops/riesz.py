@@ -12,7 +12,14 @@ so the order-k Riesz kernel is the time integral
 discretized on a log-uniform time grid (the dt/t measure makes plain
 trapezoid in log t the natural rule).  No principal-value machinery is
 used: the time cutoff regularizes the diagonal, and all off-diagonal
-quantities converge as the plan refines.
+quantities converge as the plan refines.  ``riesz_kernel_batch`` is this
+quadrature in every dimension.
+
+In 1-D the time integral of each term of the word has a closed form once
+the Bessel function is written by Schlafli's integral, which leaves a
+smooth angular integral and no Bessel call (``riesz_kernel_1d``).  The
+Calderon-Zygmund sweeps use it for n = 1; their subordination plan governs
+only n >= 2.
 
 Grid application reuses the same quadrature.  On a 1-D grid the matrix
 A[i, j] ~ R(x_i, x_j) w_j (or the kernel of R_nu - R_{nu+1}) is built by
@@ -29,7 +36,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +61,8 @@ __all__ = [
     "DEFAULT_PLAN",
     "riesz_kernel",
     "riesz_kernel_batch",
+    "riesz_kernel_1d",
+    "SCHLAFLI_NODES",
     "riesz_matrix",
     "riesz_apply",
     "fractional_inverse_apply",
@@ -195,6 +207,205 @@ def riesz_kernel(nu, k, x, y, plan: SubordinationPlan = DEFAULT_PLAN) -> float:
     return float(riesz_kernel_batch(nu, k, x, y, plan)[0])
 
 
+# ---------------------------------------------------------------------------
+# The exact time integral in 1-D (Schlafli's integral)
+
+# Gauss nodes of the four pieces of ``riesz_kernel_1d``: theta in [0, pi/2]
+# (graded), theta in [pi/2, pi], and u before and after u0 = |log(x/y)|.
+SCHLAFLI_NODES = (30, 12, 24, 32)
+
+
+def _orthonormal_recurrence(x, a, b, p0):
+    """(p_n, p_n', sum_{m<n} p_m^2) at x, from the orthonormal recurrence
+    b_{m+1} p_{m+1} = (x - a_m) p_m - b_m p_{m-1} (a[m] = a_m, b[m] = b_{m+1})."""
+    p, dp = np.full_like(x, p0), np.zeros_like(x)
+    prev, dprev, norm = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    for m in range(a.size):
+        bm = b[m - 1] if m else 0.0
+        norm += p * p
+        p, prev, dp, dprev = (
+            ((x - a[m]) * p - bm * prev) / b[m],
+            p,
+            (p + (x - a[m]) * dp - bm * dprev) / b[m],
+            dp,
+        )
+    return p, dp, norm
+
+
+def _tridiagonal_eigenvalues(a, b):
+    """Eigenvalues of the symmetric tridiagonal matrix with diagonal a and
+    off-diagonal b[:-1] to about 1e-10, by bisection on Sturm counts.
+    (``numpy.linalg.eigvalsh`` would load LAPACK, which raises a process's
+    peak memory by about 0.75 MB.)"""
+    n = a.size
+    lo = np.full(n, np.min(a) - 2.0 * np.max(b))
+    hi = np.full(n, np.max(a) + 2.0 * np.max(b))
+    rank = np.arange(n)
+    with np.errstate(divide="ignore"):
+        for _ in range(44):
+            mid = 0.5 * (lo + hi)
+            pivot, below = np.ones(n), np.zeros(n, dtype=int)
+            for m in range(n):
+                pivot = a[m] - mid - (b[m - 1] ** 2 / pivot if m else 0.0)
+                below += pivot < 0.0
+            lo, hi = np.where(below > rank, lo, mid), np.where(below > rank, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+@lru_cache(maxsize=None)
+def _gauss(n: int, laguerre: bool) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Laguerre rule (weight e^{-r} on [0, inf)) or
+    Gauss-Legendre rule (weight 1 on [-1, 1]).
+
+    Newton steps on the orthonormal recurrence polish the classical
+    estimate of the Legendre nodes or the Laguerre Jacobi matrix's
+    eigenvalues; the weights are the Christoffel numbers 1 / sum p_m(x)^2,
+    a sum of positive terms, accurate where the derivative formulas lose
+    digits.
+    """
+    m = np.arange(1.0, n + 1.0)
+    if laguerre:
+        a, b, p0 = 2.0 * m - 1.0, m, 1.0
+        x = _tridiagonal_eigenvalues(a, b)
+    else:
+        a, b, p0 = np.zeros(n), m / np.sqrt(4.0 * m * m - 1.0), math.sqrt(0.5)
+        x = -np.cos(math.pi * (m - 0.25) / (n + 0.5))
+    for _ in range(4):
+        p, dp, _ = _orthonormal_recurrence(x, a, b, p0)
+        x = x - p / dp
+    return x, 1.0 / _orthonormal_recurrence(x, a, b, p0)[2]
+
+
+@lru_cache(maxsize=None)
+def _schlafli_word(k: int) -> tuple:
+    """delta^k in the variables of Schlafli's integral, grouped by time power.
+
+    Each term c x^a y^m t^{-d} p_t^{nu+m} of ``delta_expansion`` has y to
+    the power of its shift m (the word has no adjoint letters).  Under the
+    theta integral p^{nu+m} brings cos((nu+m) theta), so a group of one
+    s = k/2 - d sums to Re e^{i nu theta} sum c x^a z^m with z = y e^{i theta};
+    under the u integral z = -y e^{-u}.  Re-expanded in w = x - z, the
+    near-diagonal cancellation between the terms happens here, in exact
+    arithmetic.  Per s: (s, ((c, alpha, j), ...)) for the polynomial
+    sum c x^alpha w^j, with the time integral's Gamma(1-s) 4^{1-s} in c.
+    """
+    groups = defaultdict(lambda: defaultdict(Fraction))
+    for term in delta_expansion(0.0, k).terms:
+        assert term.ypow == term.shift
+        s, m = Fraction(k, 2) - term.tneg, term.shift
+        for j in range(m + 1):
+            groups[s][term.xpow + m - j, j] += term.coeff * math.comb(m, j) * (-1) ** j
+    return tuple(
+        (
+            float(s),
+            tuple(
+                (float(c) * math.gamma(1 - s) * 4.0 ** float(1 - s), a, j)
+                for (a, j), c in sorted(poly.items())
+                if c
+            ),
+        )
+        for s, poly in sorted(groups.items())
+    )
+
+
+def riesz_kernel_1d(nu, k, x, y, both: bool = False) -> np.ndarray:
+    """Rows R(x, y) and, if ``both``, R(y, x) of the 1-D Riesz kernel, with
+    the time integral done exactly: no Bessel function and no time grid.
+
+    Schlafli's integral (Watson, Bessel Functions, 6.22) writes p_t^mu as
+    sqrt(xy)/(2t) [(1/pi) int_0^pi e^{-Q/4t} cos(mu theta) dtheta
+    - (sin(mu pi)/pi) int_0^inf e^{-P/4t - mu u} du] with
+    Q = (x-y)^2 + 4xy sin^2(theta/2) and P = x^2 + y^2 + 2xy cosh u.  In a
+    term c x^a y^b t^{-d} p_t^{nu+m} of the word, the time integral
+    int t^{s-1} e^{-Q/4t} dt/t = Gamma(1-s) (Q/4)^{s-1}, s = k/2 - d < 1, is
+    exact.  The remaining integrals are Gauss rules with SCHLAFLI_NODES points:
+    theta in [0, pi/2] through sin(theta/2) = (eps/2) sinh v,
+    eps = |x-y|/sqrt(xy), where Q = (x-y)^2 cosh^2 v resolves the
+    near-diagonal peak; theta in [pi/2, pi] plain; u split at |log(x/y)|,
+    where the integrand's decay rate turns from nu to nu + 1 - s, Legendre
+    before and Laguerre at the rate nu + 1 - s after.  Everything shared by
+    the two argument orders is symmetric in (x, y) bit for bit, so each row
+    equals a one-order call.  Arrays x, y of shape (count,) or (1, count);
+    the result has shape (rows, count).
+    """
+    nu = as_nu_vector(nu)
+    if nu.n != 1:
+        raise DomainError("the exact kernel is one-dimensional")
+    nu, k = nu.nu[0], _multi(k, 1)[0]
+    if k < 1:
+        raise DomainError("Riesz kernels need |k| >= 1")
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if not (np.all(x > 0.0) and np.all(y > 0.0)):
+        raise DomainError("all coordinates must be strictly positive")
+    if np.any(x == y):
+        raise DomainError("diagonal evaluation x == y is not defined")
+    groups = _schlafli_word(k)
+    nodes = SCHLAFLI_NODES
+    # Under the theta integral |w|^2 = Q, so a term of the word is
+    # c x^alpha Q^{s-1+j/2} cos(nu theta + j arg w).
+    powers = {s - 1.0 + 0.5 * j for s, terms in groups for _, _, j in terms}
+    pairs = ((x, y), (y, x)) if both else ((x, y),)
+    alphas = {a for _, terms in groups for _, a, _ in terms}
+    mono = [{a: first**a if a else 1.0 for a in alphas} for first, _ in pairs]
+    d2 = (x - y) ** 2
+    xy = x * y
+    total = np.zeros((len(pairs), x.size))
+
+    def theta_node(theta, sh, ch, q, weight):
+        """One theta node; sh, ch = sin, cos(theta/2)."""
+        q_to = {p: q**p for p in powers}
+        for row, (a, b) in enumerate(pairs):
+            # arg(a - b e^{i theta}), with a - b cos(theta) = (a - b) + 2b sin^2(theta/2)
+            arg = np.arctan2(-2.0 * b * sh * ch, (a - b) + 2.0 * b * sh * sh)
+            acc = 0.0
+            for s, terms in groups:
+                for c, al, j in terms:
+                    wave = np.cos(nu * theta + j * arg)
+                    acc = acc + c * mono[row][al] * q_to[s - 1.0 + 0.5 * j] * wave
+            total[row] += weight * acc
+
+    eps = np.sqrt(d2 / xy)
+    v_max = np.arcsinh(math.sqrt(2.0) / eps)
+    for r, wr in zip(*_gauss(nodes[0], False)):
+        v = 0.5 * (r + 1.0) * v_max
+        cosh = np.cosh(v)
+        sh = 0.5 * eps * np.sinh(v)
+        ch = np.sqrt(1.0 - sh * sh)
+        jac = 0.5 * wr * v_max * eps * cosh / ch
+        theta_node(2.0 * np.arcsin(sh), sh, ch, d2 * cosh * cosh, jac / math.pi)
+    for r, wr in zip(*_gauss(nodes[1], False)):
+        theta = 0.25 * math.pi * (r + 3.0)
+        sh, ch = math.sin(0.5 * theta), math.cos(0.5 * theta)
+        theta_node(theta, sh, ch, d2 + 4.0 * xy * sh * sh, 0.25 * wr)
+
+    whole = round(nu)
+    sin_nu = math.sin(math.pi * (nu - whole)) * (-1.0) ** whole
+    if sin_nu != 0.0:
+        # With E = e^{-u}: P e^{-u} = (x + yE)(y + xE), and w = a + bE.
+        u0 = np.abs(np.log(x) - np.log(y))
+
+        def u_nodes(lam):
+            """(u, weight times e^{-lam u}) per node, one node at a time."""
+            for r, wr in zip(*_gauss(nodes[2], False)):
+                u = 0.5 * (r + 1.0) * u0
+                yield u, 0.5 * wr * u0 * np.exp(-lam * u)
+            tail = np.exp(-lam * u0) / lam
+            for r, wr in zip(*_gauss(nodes[3], True)):
+                yield u0 + r / lam, wr * tail
+
+        for s, terms in groups:
+            for u, weight in u_nodes(nu + 1.0 - s):
+                e = np.exp(-u)
+                factors = (x + y * e, y + x * e)
+                scale = (sin_nu / math.pi) * weight * (factors[0] * factors[1]) ** (s - 1.0)
+                for row in range(len(pairs)):
+                    total[row] -= scale * sum(
+                        c * mono[row][al] * factors[row] ** j for c, al, j in terms
+                    )
+    return total * (np.sqrt(xy) / (2.0 * math.gamma(0.5 * k)))
+
+
 @dataclass(frozen=True)
 class _TriangleWord:
     """The word delta_nu^k on the node pairs i <= j of one axis.
@@ -288,7 +499,10 @@ def _one_axis(nu, k, grid: Grid):
     nu = as_nu_vector(nu)
     if grid.ndim != 1:
         raise GridError("assembled matrices are for 1-D grids")
-    return nu.nu[0], _multi(k, 1)[0]
+    k_0 = _multi(k, 1)[0]
+    if k_0 < 1:
+        raise DomainError("Riesz kernels need |k| >= 1")
+    return nu.nu[0], k_0
 
 
 def riesz_matrix(nu, k, grid: Grid, plan: SubordinationPlan = DEFAULT_PLAN) -> np.ndarray:
@@ -409,6 +623,8 @@ def riesz_difference_matrix(
     triangles.
     """
     nu_0, k_0 = _one_axis(nu, k, grid)
+    if int(axis_index) != 0:
+        raise DomainError("axis index out of range")
     return _grid_matrix(nu_0, k_0, grid.axes[0], plan, difference=True)
 
 
@@ -460,6 +676,14 @@ def _cz_triples(n: int, sample_plan: CzSamplePlan):
     return x, y, yp
 
 
+def _sweep_kernels(nu: NuVector, k, x, y, plan: SubordinationPlan, both: bool):
+    """R(x, y) and, if ``both``, R(y, x): the exact time integral in 1-D,
+    the plan's quadrature in higher dimensions."""
+    if nu.n == 1:
+        return riesz_kernel_1d(nu, k, x, y, both)
+    return _riesz_quadrature(nu, k, x, y, plan, both)
+
+
 def _size_side(n: int, x, y, r_xy, sample_plan: CzSamplePlan) -> dict:
     d = np.sqrt(np.sum((x - y) ** 2, axis=0))
     size_ratio = np.abs(r_xy) * d**n
@@ -475,10 +699,11 @@ def _size_side(n: int, x, y, r_xy, sample_plan: CzSamplePlan) -> dict:
 
 def cz_size_sweep(nu, k, sample_plan: CzSamplePlan, plan: SubordinationPlan) -> dict:
     """The size side of ``cz_bound_check``: sup |R(x,y)| |x-y|^n, from
-    R(x, y) alone."""
+    R(x, y) alone.  In 1-D R is the exact time integral
+    (``riesz_kernel_1d``) and ``plan`` is unused; it governs only n >= 2."""
     nu = as_nu_vector(nu)
     x, y, _ = _cz_triples(nu.n, sample_plan)
-    r_xy = _riesz_quadrature(nu, k, x, y, plan, both=False)[0]
+    r_xy = _sweep_kernels(nu, k, x, y, plan, both=False)[0]
     return _size_side(nu.n, x, y, r_xy, sample_plan)
 
 
@@ -488,8 +713,8 @@ def _smooth_sweep(nu: NuVector, k, sample_plan: CzSamplePlan, plan: Subordinatio
     gam = min(1.0, nu.gamma_nu)
     gam_raw = nu.gamma_nu
     x, y, yp = _cz_triples(n, sample_plan)
-    r_xy, r_yx = _riesz_quadrature(nu, k, x, y, plan, both=True)
-    r_xyp, r_ypx = _riesz_quadrature(nu, k, x, yp, plan, both=True)
+    r_xy, r_yx = _sweep_kernels(nu, k, x, y, plan, both=True)
+    r_xyp, r_ypx = _sweep_kernels(nu, k, x, yp, plan, both=True)
 
     d = np.sqrt(np.sum((x - y) ** 2, axis=0))
     dp = np.sqrt(np.sum((y - yp) ** 2, axis=0))
@@ -526,7 +751,11 @@ def _smooth_sweep(nu: NuVector, k, sample_plan: CzSamplePlan, plan: Subordinatio
 
 
 def cz_smooth_sweep(nu, k, sample_plan: CzSamplePlan, plan: SubordinationPlan) -> dict:
-    """The "smooth" and "smooth_raw_exponent" entries of ``cz_bound_check``."""
+    """The "smooth" and "smooth_raw_exponent" entries of ``cz_bound_check``.
+
+    In 1-D the kernels are the exact time integral (``riesz_kernel_1d``)
+    and ``plan`` is unused; it governs only n >= 2.
+    """
     return _smooth_sweep(as_nu_vector(nu), k, sample_plan, plan)[0]
 
 
@@ -544,7 +773,9 @@ def cz_bound_check(
     unclipped exponent nu_min + 1/2 is fitted alongside for comparison.
     Refinement doubles the (nested) sample count; the verdict applies the
     < 5% drift rule to both primary constants.  R(x, y), R(y, x), R(x, y')
-    and R(y', x) come from two ladder batches, one per sampled pair.
+    and R(y', x) come from two kernel batches, one per sampled pair: in 1-D
+    the exact time integral (``riesz_kernel_1d``, ``plan`` unused), for
+    n >= 2 the subordination quadrature of ``plan``.
     """
     nu = as_nu_vector(nu)
     sides, x, y, r_xy = _smooth_sweep(nu, k, sample_plan, plan)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from besselops import cli, heat
+from besselops import cli, heat, riesz
 from besselops.campaigns import (
     INEQUALITY_IDS,
     SPECS,
@@ -157,10 +157,9 @@ class TestOperatorCampaigns:
 
     @pytest.mark.parametrize("ineq,batches", [("thm1_5_size", 1), ("thm1_5_smooth", 2)])
     def test_thm1_5_bessel_work(self, monkeypatch, ineq, batches):
-        # Four independent quadratures of R(x,y), R(y,x), R(x,y'), R(y',x)
-        # would make 4 ladders per time node; the size sweep needs only
-        # R(x,y), and the smoothness sweep gets each reverse order from the
-        # ladder of its pair.
+        # In 1-D the kernels are the exact time integral: no Bessel call.
+        # The size sweep needs only R(x,y); the smoothness sweep gets
+        # R(x,y), R(y,x), R(x,y') and R(y',x) from one batch per pair.
         cfg = small(default_config(ineq), samples=100, plan_nodes_per_decade=4)
         calls = []
         besseli_scaled = heat.besseli_scaled
@@ -169,11 +168,18 @@ class TestOperatorCampaigns:
             calls.append(alpha)
             return besseli_scaled(alpha, z)
 
+        exact_batches = []
+        exact = riesz.riesz_kernel_1d
+
+        def counted_batches(*args, **kwargs):
+            exact_batches.append(args)
+            return exact(*args, **kwargs)
+
         monkeypatch.setattr(heat, "besseli_scaled", counted)
+        monkeypatch.setattr(riesz, "riesz_kernel_1d", counted_batches)
         run_campaign(cfg)
-        shifts = len(heat.delta_expansion(cfg.nu[0], cfg.k[0]).shifts)
-        four_batches = 4 * cfg.plan.nodes()[0].size * shifts
-        assert len(calls) * 4 == four_batches * batches
+        assert calls == []
+        assert len(exact_batches) == batches
 
     def test_hardy_spot_check_k0_reduces_to_maximal(self):
         with warnings.catch_warnings():

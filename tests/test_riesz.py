@@ -1,8 +1,11 @@
 """Riesz transform and fractional-power tests.
 
-Oracles: the closed-form order-1 kernel at nu = 1/2 from the image-kernel
-logarithm; the eigenfunction mapping R phi_lam^{nu} = -phi_lam^{nu+1};
-the spectral identity for fractional inverses; plan/grid refinement.
+Oracles: the closed-form order-1 and order-2 kernels at nu = 1/2 (from
+the image-kernel logarithm and from the Green's function min(x, y)); a
+30-digit mpmath evaluation of the time integral; the eigenfunction mapping
+R phi_lam^{nu} = -phi_lam^{nu+1}; the spectral identity for fractional
+inverses; plan/grid refinement.  The subordination quadrature and the exact
+1-D kernel (Schlafli's integral) are checked against the same oracles.
 """
 
 import math
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 import besselops.heat as heat
+import besselops.riesz as riesz
 from besselops.errors import DomainError
 from besselops.grids import (
     EigenfunctionSpec,
@@ -25,8 +29,10 @@ from besselops.grids import (
 )
 from besselops.heat import NuVector
 from besselops.riesz import (
+    SCHLAFLI_NODES,
     CzSamplePlan,
     SubordinationPlan,
+    _cz_triples,
     _drift,
     _riesz_quadrature,
     cz_bound_check,
@@ -38,6 +44,7 @@ from besselops.riesz import (
     riesz_difference_kernel,
     riesz_difference_matrix,
     riesz_kernel,
+    riesz_kernel_1d,
     riesz_kernel_batch,
     riesz_matrix,
 )
@@ -53,17 +60,27 @@ def dirichlet_riesz_oracle(x, y):
         return dK - K / x
 
 
+def order_two_oracle(x, y):
+    """R_2 at nu = 1/2: delta_{1/2} = d/dx - 1/x applied twice to the Green's
+    function min(x, y) of -d^2/dx^2 with the Dirichlet condition at 0."""
+    return np.where(x > y, 2.0 * y / x**2, 0.0)
+
+
+def off_diagonal_pairs(seed, count, separation):
+    rng = np.random.default_rng(seed)
+    xs, ys = [], []
+    while len(xs) < count:
+        x, y = 10.0 ** rng.uniform(-1, 1, 2)
+        if abs(x - y) >= separation:
+            xs.append(x)
+            ys.append(y)
+    return np.asarray(xs), np.asarray(ys)
+
+
 class TestRieszKernel:
     def test_dirichlet_closed_form(self):
-        rng = np.random.default_rng(4)
-        xs, ys = [], []
-        while len(xs) < 100:
-            x, y = 10.0 ** rng.uniform(-1, 1, 2)
-            if abs(x - y) >= 0.05:
-                xs.append(x)
-                ys.append(y)
-        x = np.asarray(xs)[None, :]
-        y = np.asarray(ys)[None, :]
+        x, y = off_diagonal_pairs(4, 100, 0.05)
+        x, y = x[None, :], y[None, :]
         vals = riesz_kernel_batch(NuVector((0.5,)), (1,), x, y, WIDE_PLAN)
         oracle = dirichlet_riesz_oracle(x[0], y[0])
         assert np.max(np.abs(vals - oracle) / np.abs(oracle)) <= 1e-8
@@ -72,17 +89,23 @@ class TestRieszKernel:
             float(vals[0]), rel=1e-14
         )
 
+    def test_order_two_closed_form(self):
+        # WIDE_PLAN's own truncation misses 1e-11 on these pairs: e^{-25}
+        # from t_min = 1e-6 at |x - y| = 0.01, and a t^{-3/2} tail beyond
+        # t_max = 1e8 near x, y ~ 10.  Two more decades each way clear both.
+        x, y = off_diagonal_pairs(6, 200, 0.01)
+        oracle = order_two_oracle(x, y)
+        plan = SubordinationPlan(t_min=1e-8, t_max=1e10, nodes_per_decade=24)
+        sub = riesz_kernel_batch(0.5, (2,), x[None, :], y[None, :], plan)
+        exact = riesz_kernel_1d(0.5, 2, x, y)[0]
+        for vals in (sub, exact):
+            assert np.max(np.abs(vals - oracle) * np.abs(x - y)) <= 1e-11
+
     def test_size_envelope_off_diagonal(self):
         rng = np.random.default_rng(9)
         nu = NuVector((0.7,))
-        xs, ys = [], []
-        while len(xs) < 200:
-            x, y = 10.0 ** rng.uniform(-1, 1, 2)
-            if abs(x - y) >= 0.02:
-                xs.append(x)
-                ys.append(y)
-        x = np.asarray(xs)[None, :]
-        y = np.asarray(ys)[None, :]
+        x, y = off_diagonal_pairs(9, 200, 0.02)
+        x, y = x[None, :], y[None, :]
         vals = riesz_kernel_batch(nu, (2,), x, y, WIDE_PLAN)
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals) * np.abs(x[0] - y[0])) < 10.0
@@ -107,6 +130,101 @@ class TestRieszKernel:
         narrow = SubordinationPlan(t_min=1e-2, t_max=1e2, nodes_per_decade=24)
         with pytest.warns(RuntimeWarning):
             riesz_kernel(0.5, 1, 1.0, 1.2, narrow)
+
+
+# 30-digit reference for the exact 1-D kernel: the time integral
+# (1/Gamma(k/2)) int t^{k/2} delta^k p_t dt/t by the trapezoid rule in log t
+# with step 1/4, from where the Gaussian factor is below e^-80 to 32 units
+# past log(xy/2).  The integrand is analytic in a strip about the real log t
+# axis, so the rule converges geometrically; at this step it is within
+# 4e-16 of adaptive tanh-sinh at 30 digits, in |R| |x - y|.  The pairs reach
+# eps = |x-y|/sqrt(xy) = 1e-3 and y/x from 1e-5 to 2e2.
+MP_PAIRS = (
+    (1.0, 1.001), (1.0, 0.999), (3.0, 3.003), (0.2, 0.2002), (1.0, 1.05), (2.0, 1.7),
+    (0.5, 1.5), (1.0, 0.3), (4.0, 9.0), (10.0, 0.5), (0.05, 10.0), (0.1, 19.4),
+    (2.0, 0.01), (1.0, 1e-3), (4.0, 4e-5), (1.0, 1e-5),
+)
+
+
+def _mp_time_integral(nu, x, y, ks=(1, 2), step=0.25):
+    with mpmath.workdps(30):
+        x, y, nu, step = (mpmath.mpf(v) for v in (x, y, nu, step))
+        lo = mpmath.log((x - y) ** 2 / 320)
+        count = int((mpmath.log(x * y / 2) + 32 - lo) / step) + 1
+        words = {}  # k: [(c x^a y^b, d, m)] for the terms c x^a y^b t^-d p^{nu+m}
+        for k in ks:
+            words[k] = []
+            for e in heat.delta_expansion(0.5, k).terms:
+                c = mpmath.mpf(e.coeff.numerator) / e.coeff.denominator
+                words[k].append((c * x**e.xpow * y**e.ypow, e.tneg, e.shift))
+        total = dict.fromkeys(ks, mpmath.mpf(0))
+        for i in range(count):
+            t = mpmath.exp(lo + i * step)
+            z = x * y / (2 * t)
+            pre = mpmath.sqrt(x * y) / (2 * t) * mpmath.exp(-((x - y) ** 2) / (4 * t) - z)
+            i0, i1 = mpmath.besseli(nu, z), mpmath.besseli(nu + 1, z)
+            p = [pre * i0, pre * i1, pre * (i0 - 2 * (nu + 1) / z * i1)]
+            for k in ks:
+                word = mpmath.fsum(c * t**-d * p[m] for c, d, m in words[k])
+                total[k] += t ** (mpmath.mpf(k) / 2) * word
+        return {k: float(step * total[k] / mpmath.gamma(mpmath.mpf(k) / 2)) for k in ks}
+
+
+@pytest.fixture(scope="module")
+def mp_time_integrals():
+    """{nu: {k: array of R_k over MP_PAIRS}}."""
+    out = {}
+    for nu in (0.6, 0.7, 1.0):
+        rows = [_mp_time_integral(nu, x, y) for x, y in MP_PAIRS]
+        out[nu] = {k: np.array([r[k] for r in rows]) for k in (1, 2)}
+    return out
+
+
+class TestExactKernel1D:
+    """``riesz_kernel_1d``: the time integral in closed form (Schlafli)."""
+
+    # nu = 1.0 has sin(nu pi) = 0: no u integral at all.
+    @pytest.mark.parametrize("nu", [0.6, 0.7, 1.0])
+    @pytest.mark.parametrize("k, tol", [(1, 1e-12), (2, 1e-10)])
+    def test_against_mpmath_time_integral(self, mp_time_integrals, nu, k, tol):
+        x = np.array([p[0] for p in MP_PAIRS])
+        y = np.array([p[1] for p in MP_PAIRS])
+        vals = riesz_kernel_1d(nu, k, x, y)[0]
+        assert np.max(np.abs(vals - mp_time_integrals[nu][k]) * np.abs(x - y)) <= tol
+
+    def test_dirichlet_closed_form(self):
+        x, y = off_diagonal_pairs(4, 200, 0.01)
+        vals = riesz_kernel_1d(NuVector((0.5,)), (1,), x[None, :], y[None, :])[0]
+        assert np.max(np.abs(vals - dirichlet_riesz_oracle(x, y)) * np.abs(x - y)) <= 1e-12
+
+    def test_nested_rule_on_the_thm1_5_samples(self, monkeypatch):
+        # The committed node counts against doubled counts, on the samples of
+        # the bundled thm1_5 campaigns at seed 0 (nu = 0.7, k = 2).
+        x, y, yp = _cz_triples(
+            1, CzSamplePlan(count=2500, seed=0, levels=3, box=(0.1, 10.0), min_separation=0.01)
+        )
+        for b in (y, yp):
+            base = riesz_kernel_1d(0.7, 2, x, b, both=True)
+            with monkeypatch.context() as m:
+                m.setattr(riesz, "SCHLAFLI_NODES", tuple(2 * n for n in SCHLAFLI_NODES))
+                fine = riesz_kernel_1d(0.7, 2, x, b, both=True)
+            assert not np.array_equal(fine, base)
+            assert np.max(np.abs(fine - base) * np.abs(x - b)) <= 1e-13
+
+    def test_no_bessel_call_and_refusals(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(heat, "besseli_scaled", lambda alpha, z: calls.append(alpha))
+        x, y = off_diagonal_pairs(2, 50, 0.01)
+        assert np.all(np.isfinite(riesz_kernel_1d(0.7, 2, x, y, both=True)))
+        with pytest.raises(DomainError):
+            riesz_kernel_1d(0.7, 0, x, y)
+        with pytest.raises(DomainError):
+            riesz_kernel_1d(0.7, 1, x, np.where(np.arange(50) == 3, x, y))
+        with pytest.raises(DomainError):
+            riesz_kernel_1d(NuVector((0.5, 1.5)), (1, 1), x, y)
+        with pytest.raises(DomainError):
+            riesz_kernel_1d(0.7, 1, -x, y)
+        assert calls == []
 
 
 class TestRieszApply:
@@ -316,6 +434,24 @@ class TestGridMatrices:
         assert len(sizes) <= 3 * plan.nodes()[0].size
         assert max(sizes) <= n * (n + 1) // 2
 
+    @pytest.mark.parametrize("difference", [False, True])
+    def test_order_zero_refused_before_any_ladder(self, monkeypatch, difference):
+        calls = []
+        monkeypatch.setattr(heat, "besseli_scaled", lambda alpha, z: calls.append(alpha))
+        g = default_grid(1, nodes_per_axis=32)
+        with pytest.raises(DomainError):
+            if difference:
+                riesz_difference_matrix(0.6, (0,), 0, g)
+            else:
+                riesz_matrix(0.6, (0,), g)
+        assert calls == []
+
+    def test_difference_matrix_refuses_other_axes(self):
+        g = default_grid(1, nodes_per_axis=32)
+        for axis in (7, 1, -1):
+            with pytest.raises(DomainError):
+                riesz_difference_matrix(0.6, (1,), axis, g)
+
     def test_matrix_cache_returns_the_same_read_only_array(self):
         g = default_grid(1, nodes_per_axis=64)
         plan = SubordinationPlan(1e-4, 1e2, 4)
@@ -447,6 +583,15 @@ class TestCzBoundCheck:
         r_xy, r_yx = _riesz_quadrature(NuVector(nu), k, x, y, plan, both=True)
         assert np.array_equal(r_xy, riesz_kernel_batch(nu, k, x, y, plan))
         assert np.array_equal(r_yx, riesz_kernel_batch(nu, k, y, x, plan))
+
+    def test_exact_kernel_reverse_order_is_bit_equal(self):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.1, 6.0, 700)
+        y = rng.uniform(0.1, 6.0, 700)
+        for nu, k in [(0.7, 2), (0.6, 1), (1.0, 2)]:
+            r_xy, r_yx = riesz_kernel_1d(nu, k, x, y, both=True)
+            assert np.array_equal(r_xy, riesz_kernel_1d(nu, k, x, y)[0])
+            assert np.array_equal(r_yx, riesz_kernel_1d(nu, k, y, x)[0])
 
     def test_drift_of_non_finite_levels_is_inf(self):
         assert _drift([math.inf, math.inf]) == math.inf
