@@ -53,6 +53,8 @@ from .riesz import (
     SubordinationPlan,
     _drift,
     _level_maxima,
+    _pair_word,
+    _word_product,
     cz_size_sweep,
     cz_smooth_sweep,
     riesz_apply,
@@ -350,11 +352,12 @@ def _prop2_8_campaign(config: CampaignConfig, collect: bool):
     x = loguniform(rng, config.box[0], config.box[1], count)
     y = x * 2.0 ** rng.uniform(-3.0, 3.0, count)
 
+    word = _pair_word(k, x, y, both=False)
     t_nodes, w = config.plan.nodes()
     half = k / 2.0
     lhs = np.zeros(count)
     for t, wi in zip(t_nodes, w):
-        lhs += wi * t**half * np.abs(delta_heat_difference_1d(nu0, k, t, x, y))
+        lhs += wi * t**half * np.abs(_word_product((nu0,), (word,), t, 0)[0])
 
     mid = (y / 2.0 < x) & (x < 2.0 * y)
     upper = x >= 2.0 * y

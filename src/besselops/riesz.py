@@ -12,24 +12,29 @@ so the order-k Riesz kernel is the time integral
 discretized on a log-uniform time grid (the dt/t measure makes plain
 trapezoid in log t the natural rule).  No principal-value machinery is
 used: the time cutoff regularizes the diagonal, and all off-diagonal
-quantities converge as the plan refines.  ``riesz_kernel_batch`` is this
-quadrature in every dimension.
+quantities converge as the plan refines.
+
+Every subordination integral here has one evaluator.  A pair word holds the
+word delta^k of one axis on a batch of pairs (sampled (x, y), or the node
+pairs i <= j of a grid axis) for one or both argument orders, and
+``_word_product`` evaluates prod_j word_j at one time node from one Bessel
+ladder per axis.  The kernel of R_nu - R_{nu+e_j} reads the ladder one step
+up on axis j, p_t^{(nu+1)+m} = p_t^{nu+(m+1)}.  The terms cancel near the
+diagonal, so they are combined per time node, before the time sum.  Each
+caller keeps only its time sum: ``riesz_kernel_batch``, the
+``riesz_difference_batch`` kernel and the n >= 2 Calderon-Zygmund sweeps
+(``_riesz_quadrature``, with the tail indicator), the 1-D grid matrices
+``riesz_matrix`` and ``riesz_difference_matrix`` (one ladder per time node
+on the triangle i <= j serves both triangles; the dense matrix is written
+once, after the time loop), the per-axis matrices of the n-D
+``riesz_apply``, and the prop2_8 campaign.  ``riesz_matrix`` keeps its
+result in the bounded matrix cache of ``grids``.
 
 In 1-D the time integral of each term of the word has a closed form once
 the Bessel function is written by Schlafli's integral, which leaves a
 smooth angular integral and no Bessel call (``riesz_kernel_1d``).  The
 Calderon-Zygmund sweeps use it for n = 1; their subordination plan governs
 only n >= 2.
-
-Grid application reuses the same quadrature.  On a 1-D grid the matrix
-A[i, j] ~ R(x_i, x_j) w_j (or the kernel of R_nu - R_{nu+1}) is built by
-one triangle builder: per time node one Bessel ladder on the node pairs
-i <= j, combined with the word for both argument orders (the terms cancel
-near the diagonal, so they are combined per node, before the time sum),
-and the dense matrix written once after the time loop.  ``riesz_matrix``
-keeps its result in the bounded matrix cache of ``grids``.  In higher
-dimensions each time node factorizes into per-axis kernel contractions,
-each axis matrix built from the same triangle ladder.
 """
 
 from __future__ import annotations
@@ -45,14 +50,7 @@ import numpy as np
 
 from .errors import DomainError, GridError
 from .grids import _MATRIX_CACHE, Grid, GridFunction, apply_semigroup
-from .heat import (
-    NuVector,
-    _ladder,
-    _p1d_shifts,
-    as_nu_vector,
-    delta_expansion,
-    eval_delta_heat_1d,
-)
+from .heat import NuVector, _ladder, as_nu_vector, delta_expansion
 from .sampling import make_rng, sample_smooth_triples
 from .special import gamma
 
@@ -76,30 +74,24 @@ __all__ = [
 ]
 
 
+# Evaluations warn when the boundary-node contributions of the time
+# quadrature exceed this fraction of the absolutely accumulated integral.
+TAIL_TOLERANCE = 1e-6
+
+
 @dataclass(frozen=True)
 class SubordinationPlan:
-    """Log-uniform time quadrature for the subordination integrals.
-
-    ``tail_tolerance`` is the stored tail-error bound: evaluations warn
-    when the boundary-node contributions exceed this fraction of the
-    absolutely accumulated integral.
-    """
+    """Log-uniform time quadrature for the subordination integrals."""
 
     t_min: float = 1e-6
     t_max: float = 1e4
     nodes_per_decade: int = 24
-    transform: str = "log-uniform"
-    tail_tolerance: float = 1e-6
 
     def __post_init__(self):
         if not (0.0 < self.t_min < self.t_max):
             raise DomainError("need 0 < t_min < t_max")
         if self.nodes_per_decade < 2:
             raise DomainError("need at least 2 nodes per decade")
-        if self.transform != "log-uniform":
-            raise DomainError("only the log-uniform transform is implemented")
-        if not self.tail_tolerance > 0.0:
-            raise DomainError("tail tolerance must be positive")
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """(t, w) with sum_i w_i g(t_i) ~ int g(t) dt/t."""
@@ -127,23 +119,100 @@ def _multi(k, n: int) -> tuple[int, ...]:
     return k
 
 
-def _integrand_batch(nu: NuVector, k, t: float, x: np.ndarray, y: np.ndarray):
-    """prod_j delta^{k_j} p_t^{nu_j}(x_j, y_j) over a batch of points."""
-    out = 1.0
-    for j in range(nu.n):
-        out = out * eval_delta_heat_1d(nu.nu[j], k[j], t, x[j], y[j])
+def _check_coordinates(*arrays) -> None:
+    if not all(np.all((a > 0.0) & np.isfinite(a)) for a in arrays):
+        raise DomainError("all coordinates must be strictly positive")
+
+
+@dataclass
+class _PairWord:
+    """The word delta^k of one axis on a batch of pairs (x, y).
+
+    ``xy`` and ``d2`` are the ladder geometry x*y and (x - y)**2, symmetric
+    in (x, y) bit for bit.  Each term c x^a y^b t^{-d} p_t^{nu+m} is kept as
+    (c, d, m, monos): the rows of monos are x^a y^b and, when both argument
+    orders are wanted, y^a x^b.  The coefficients do not depend on nu.
+
+    ``ladder`` holds the last time node's ladder until the next one is
+    built.  Freed earlier, its pages go back to the system between time
+    nodes and return as page faults: at n = 512 a riesz_matrix build takes
+    60% more faults and about 6% more time.
+    """
+
+    xy: np.ndarray
+    d2: np.ndarray
+    shifts: list[int]
+    terms: tuple
+    ladder: dict | None = None
+
+
+def _pair_word(k_j: int, x: np.ndarray, y: np.ndarray, both: bool) -> _PairWord:
+    expansion = delta_expansion(0.0, k_j)
+    orders = ((x, y), (y, x)) if both else ((x, y),)
+    terms = tuple(
+        (float(e.coeff), e.tneg, e.shift, np.stack([a**e.xpow * b**e.ypow for a, b in orders]))
+        for e in expansion.terms
+    )
+    return _PairWord(x * y, (x - y) ** 2, expansion.shifts, terms)
+
+
+def _combine(word: _PairWord, t: float, ladder: dict, step: int = 0) -> np.ndarray:
+    """The word at time t over a ladder {m: p_t^{nu+m}}, one row per argument
+    order.  ``step = 1`` reads p_t^{nu+m+1} = p_t^{(nu+1)+m}: the word of
+    order nu + 1 from the same ladder.
+
+    The sum is formed in place: a fresh temporary per operation costs more
+    than the arithmetic on grid-sized pair batches.
+    """
+    total = None
+    for c, d, m, monos in word.terms:
+        term = c * t ** (-d) * monos
+        term *= ladder[m + step]
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total
+
+
+def _word_product(nu, words, t: float, difference_axis=None) -> np.ndarray:
+    """prod_j word_j at time t over the pairs, one row per argument order,
+    from one Bessel ladder per axis.  On ``difference_axis`` the factor is
+    the word of order nu_j minus that of order nu_j + 1, from one ladder over
+    the shifts m and m + 1.
+    """
+    out = None
+    for j, (nu_j, word) in enumerate(zip(nu, words)):
+        shifts = word.shifts
+        if j == difference_axis:
+            shifts = sorted({*shifts, *(m + 1 for m in shifts)})
+        word.ladder = _ladder(nu_j, shifts, t, word.xy, word.d2)
+        if j == difference_axis:
+            # Built first, the shifted word leaves the heap fewer pages to
+            # return between time nodes (a third fewer page faults at n = 384).
+            shifted = _combine(word, t, word.ladder, 1)
+            factor = _combine(word, t, word.ladder)
+            factor -= shifted
+        else:
+            factor = _combine(word, t, word.ladder)
+        if out is None:
+            out = factor
+        else:
+            out *= factor
     return out
 
 
-def _riesz_quadrature(nu, k, x, y, plan: SubordinationPlan, both: bool) -> np.ndarray:
-    """Rows R(x, y) and, if ``both``, R(y, x) over batches x, y of shape (n, count).
+def _riesz_quadrature(
+    nu, k, x, y, plan: SubordinationPlan, both: bool, difference_axis=None
+) -> np.ndarray:
+    """Rows R(x, y) and, if ``both``, R(y, x) over batches x, y of shape (n, count);
+    the kernel of R_nu - R_{nu+e_j} instead when ``difference_axis`` is j.
 
-    p_t^{nu+m} is symmetric in (x, y) bit for bit (x*y and (x-y)**2 are),
-    so each axis's ladder is evaluated once per time node and combined for
-    both argument orders.  The tail indicator compares the boundary-node
-    contributions to the absolutely accumulated integral (the signed total
-    may cancel to zero, legitimately, e.g. the order-2 kernel on the x < y
-    side in 1-D).
+    p_t^{nu+m} is symmetric in (x, y) bit for bit, so each axis's ladder is
+    evaluated once per time node and combined for both argument orders.  The
+    tail indicator compares the boundary-node contributions to the
+    absolutely accumulated integral (the signed total may cancel to zero,
+    legitimately, e.g. the order-2 kernel on the x < y side in 1-D).
     """
     nu = as_nu_vector(nu)
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -152,29 +221,21 @@ def _riesz_quadrature(nu, k, x, y, plan: SubordinationPlan, both: bool) -> np.nd
     order = sum(k)
     if order < 1:
         raise DomainError("Riesz kernels need |k| >= 1")
+    _check_coordinates(x, y)
     if np.any(np.all(x == y, axis=0)):
         raise DomainError("diagonal evaluation x == y is not defined")
-    expansions = [delta_expansion(v, kj) for v, kj in zip(nu.nu, k)]
-    pairs = ((x, y), (y, x)) if both else ((x, y),)
+    words = [_pair_word(k_j, x[j], y[j], both) for j, k_j in enumerate(k)]
     t_nodes, w = plan.nodes()
     half = order / 2.0
-    total = np.zeros((len(pairs), x.shape[1]))
+    total = np.zeros((2 if both else 1, x.shape[1]))
     abs_total = np.zeros_like(total)
     first = last = None
-    for i, (t, wi) in enumerate(zip(t_nodes, w)):
-        ladders = [
-            _p1d_shifts(v, e.shifts, t, x[j], y[j])
-            for j, (v, e) in enumerate(zip(nu.nu, expansions))
-        ]
-        contrib = np.empty_like(total)
-        for row, (a, b) in enumerate(pairs):
-            integrand = 1.0
-            for j, e in enumerate(expansions):
-                integrand = integrand * e.combine(ladders[j], t, a[j], b[j])
-            contrib[row] = wi * t**half * integrand
+    for t, wi in zip(t_nodes, w):
+        contrib = _word_product(nu.nu, words, t, difference_axis)
+        contrib *= wi * t**half
         total += contrib
         abs_total += np.abs(contrib)
-        if i == 0:
+        if first is None:
             first = contrib
         last = contrib
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -183,10 +244,10 @@ def _riesz_quadrature(nu, k, x, y, plan: SubordinationPlan, both: bool) -> np.nd
                 np.where(abs_total > 0, (np.abs(first) + np.abs(last)) / abs_total, 0.0)
             )
         )
-    if tail > plan.tail_tolerance:
+    if tail > TAIL_TOLERANCE:
         warnings.warn(
             f"subordination tail indicator {tail:.2e} above "
-            f"{plan.tail_tolerance:.0e}; widen the plan",
+            f"{TAIL_TOLERANCE:.0e}; widen the plan",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -336,8 +397,7 @@ def riesz_kernel_1d(nu, k, x, y, both: bool = False) -> np.ndarray:
         raise DomainError("Riesz kernels need |k| >= 1")
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
-    if not (np.all(x > 0.0) and np.all(y > 0.0)):
-        raise DomainError("all coordinates must be strictly positive")
+    _check_coordinates(x, y)
     if np.any(x == y):
         raise DomainError("diagonal evaluation x == y is not defined")
     groups = _schlafli_word(k)
@@ -406,93 +466,37 @@ def riesz_kernel_1d(nu, k, x, y, both: bool = False) -> np.ndarray:
     return total * (np.sqrt(xy) / (2.0 * math.gamma(0.5 * k)))
 
 
-@dataclass(frozen=True)
-class _TriangleWord:
-    """The word delta_nu^k on the node pairs i <= j of one axis.
-
-    ``xy`` and ``d2`` are the ladder geometry x_i x_j and (x_i - x_j)^2.
-    Each term c x^a y^b t^{-d} p_t^{nu+m} is kept as (c, d, m, x_i^a x_j^b,
-    x_j^a x_i^b): the monomials of the upper triangle (x, y) = (x_i, x_j)
-    and of the lower triangle (x, y) = (x_j, x_i).
-    """
-
-    n: int
-    iu: tuple[np.ndarray, np.ndarray]
-    xy: np.ndarray
-    d2: np.ndarray
-    shifts: list[int]
-    terms: tuple
+def _axis_word(k_j: int, nodes: np.ndarray):
+    """The node pairs i <= j of one axis and the pair word on them, for both
+    triangles: row 0 is (x, y) = (x_i, x_j), row 1 is (x_j, x_i)."""
+    iu = np.triu_indices(nodes.size)
+    return iu, _pair_word(k_j, nodes[iu[0]], nodes[iu[1]], both=True)
 
 
-def _triangle_word(nu_j: float, k_j: int, x: np.ndarray) -> _TriangleWord:
-    iu = np.triu_indices(x.size)
-    xi, xj = x[iu[0]], x[iu[1]]
-    expansion = delta_expansion(nu_j, k_j)
-    terms = tuple(
-        (float(e.coeff), e.tneg, e.shift, xi**e.xpow * xj**e.ypow, xj**e.xpow * xi**e.ypow)
-        for e in expansion.terms
-    )
-    return _TriangleWord(x.size, iu, xi * xj, (xi - xj) ** 2, expansion.shifts, terms)
-
-
-def _combine_triangle(word: _TriangleWord, t: float, ladder: dict):
-    """The word at time t over a ladder on the triangle: (upper, lower)."""
-    upper = lower = 0.0
-    for c, d, m, mono_u, mono_l in word.terms:
-        scale = c * t ** (-d)
-        upper = upper + scale * mono_u * ladder[m]
-        lower = lower + scale * mono_l * ladder[m]
-    return upper, lower
-
-
-def _mirror(word: _TriangleWord, upper, lower) -> np.ndarray:
-    """The dense n x n matrix with the given upper and lower triangles."""
-    out = np.empty((word.n, word.n))
-    out[word.iu] = upper
-    out.T[word.iu] = lower
+def _mirror(iu, n: int, rows) -> np.ndarray:
+    """The dense n x n matrix with rows[0] above and rows[1] below the diagonal."""
+    out = np.empty((n, n))
+    out[iu] = rows[0]
+    out.T[iu] = rows[1]
     return out
-
-
-def _axis_delta_matrix(nu_j: float, t: float, axis, word: _TriangleWord) -> np.ndarray:
-    """delta^{k_j} p_t^{nu_j}(x_i, x_j) w_j at one time node.
-
-    The shifted kernels p^{nu+m} are symmetric in (x, y); only the
-    monomials break the symmetry, so one ladder on the triangle i <= j
-    serves both triangles.
-    """
-    ladder = _ladder(nu_j, word.shifts, t, word.xy, word.d2)
-    return _mirror(word, *_combine_triangle(word, t, ladder)) * axis.weights[None, :]
 
 
 def _grid_matrix(nu: float, k: int, axis, plan: SubordinationPlan, difference: bool):
     """A[i, j] ~ R_nu(x_i, x_j) w_j on a 1-D axis, or the kernel of
     R_nu - R_{nu+1} when ``difference``.
 
-    Per time node: one ladder on the triangle i <= j, combined with the word
-    for both triangles (the combination cancels near the diagonal, so it
-    stays per node).  The dense matrix is written once, after the loop.
-    The difference combines the word over the ladder and over the ladder
-    one step up, p_t^{(nu+1)+m} = p_t^{nu+(m+1)}, as
-    ``heat.delta_heat_difference_1d`` does pointwise.
+    Per time node one ladder on the triangle i <= j serves both triangles;
+    the dense matrix is written once, after the loop.
     """
-    word = _triangle_word(nu, k, axis.nodes)
-    shifts = word.shifts
-    if difference:
-        shifts = sorted({*shifts, *(m + 1 for m in shifts)})
+    iu, word = _axis_word(k, axis.nodes)
     t_nodes, w = plan.nodes()
     half = k / 2.0
-    upper = np.zeros(word.xy.size)
-    lower = np.zeros(word.xy.size)
+    total = np.zeros((2, word.xy.size))
     for t, wi in zip(t_nodes, w):
-        ladder = _ladder(nu, shifts, t, word.xy, word.d2)
-        up, lo = _combine_triangle(word, t, ladder)
-        if difference:
-            up1, lo1 = _combine_triangle(word, t, {m: ladder[m + 1] for m in word.shifts})
-            up, lo = up - up1, lo - lo1
-        scale = wi * t**half
-        upper += scale * up
-        lower += scale * lo
-    return _mirror(word, upper, lower) * axis.weights[None, :] / gamma(half)
+        rows = _word_product((nu,), (word,), t, 0 if difference else None)
+        rows *= wi * t**half
+        total += rows
+    return _mirror(iu, axis.nodes.size, total) * axis.weights[None, :] / gamma(half)
 
 
 def _one_axis(nu, k, grid: Grid):
@@ -538,16 +542,16 @@ def riesz_apply(nu, k, f: GridFunction, plan: SubordinationPlan = DEFAULT_PLAN) 
     if f.grid.ndim == 1:
         mat = riesz_matrix(nu, k, f.grid, plan)
         return GridFunction(f.grid, mat @ f.values)
-    words = [
-        _triangle_word(v, kj, axis.nodes) for v, kj, axis in zip(nu.nu, k, f.grid.axes)
-    ]
+    axes = f.grid.axes
+    words = [_axis_word(k_j, axis.nodes) for k_j, axis in zip(k, axes)]
     t_nodes, w = plan.nodes()
     half = order / 2.0
     acc = np.zeros(f.grid.shape)
     for t, wi in zip(t_nodes, w):
         vals = f.values
-        for j, axis in enumerate(f.grid.axes):
-            mat = _axis_delta_matrix(nu.nu[j], t, axis, words[j])
+        for j, ((iu, word), axis) in enumerate(zip(words, axes)):
+            rows = _word_product((nu.nu[j],), (word,), t)
+            mat = _mirror(iu, axis.nodes.size, rows) * axis.weights[None, :]
             vals = np.moveaxis(np.tensordot(mat, vals, axes=(1, j)), 0, j)
         acc += wi * t**half * vals
     return GridFunction(f.grid, acc / gamma(half))
@@ -558,7 +562,6 @@ def fractional_inverse_apply(
     s: float,
     f: GridFunction,
     plan: SubordinationPlan = DEFAULT_PLAN,
-    small_u_completion: bool = True,
 ) -> GridFunction:
     """L^{-s} f by subordination: (1/Gamma(s)) int u^s e^{-uL} f du/u.
 
@@ -575,33 +578,21 @@ def fractional_inverse_apply(
     for u, wi in zip(u_nodes, w):
         acc += wi * u**s * apply_semigroup(nu, u, f).values
     acc /= gamma(s)
-    if small_u_completion:
-        acc += f.values * plan.t_min**s / gamma(s + 1.0)
+    acc += f.values * plan.t_min**s / gamma(s + 1.0)
     return GridFunction(f.grid, acc)
 
 
 def riesz_difference_batch(
     nu, k, axis_index: int, x, y, plan: SubordinationPlan = DEFAULT_PLAN
 ):
-    """Kernel of R_nu - R_{nu+e_j}, one quadrature of the integrand difference."""
+    """Kernel of R_nu - R_{nu+e_j}: one quadrature of the integrand
+    difference, one Bessel ladder per axis and time node; warns like
+    ``riesz_kernel_batch``."""
     nu = as_nu_vector(nu)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    k = _multi(k, nu.n)
-    order = sum(k)
-    if order < 1:
-        raise DomainError("Riesz kernels need |k| >= 1")
     j = int(axis_index)
     if not 0 <= j < nu.n:
         raise DomainError("axis index out of range")
-    nu_shift = nu.shifted(tuple(1 if i == j else 0 for i in range(nu.n)))
-    t_nodes, w = plan.nodes()
-    half = order / 2.0
-    total = np.zeros(x.shape[1])
-    for t, wi in zip(t_nodes, w):
-        diff = _integrand_batch(nu, k, t, x, y) - _integrand_batch(nu_shift, k, t, x, y)
-        total += wi * t**half * diff
-    return total / gamma(half)
+    return _riesz_quadrature(nu, k, x, y, plan, both=False, difference_axis=j)[0]
 
 
 def riesz_difference_kernel(

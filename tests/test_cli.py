@@ -53,6 +53,11 @@ class TestExitCodes:
         assert rc == 2
         assert "overflows" in capsys.readouterr().err
 
+    def test_riesz_kernel_off_the_half_line_is_2(self, capsys):
+        rc = main(["riesz", "kernel", "--nu", "0.7", "--k", "2", "--x=-1", "--y=-2"])
+        assert rc == 2
+        assert "strictly positive" in capsys.readouterr().err
+
     def test_kernel_eval_ok(self, capsys):
         rc = main(["kernel", "eval", "--nu", "0.5", "--t", "1.0", "--x", "1.0", "--y", "2.0"])
         assert rc == 0

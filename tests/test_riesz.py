@@ -131,6 +131,21 @@ class TestRieszKernel:
         with pytest.warns(RuntimeWarning):
             riesz_kernel(0.5, 1, 1.0, 1.2, narrow)
 
+    @pytest.mark.parametrize(
+        "x, y", [(-1.0, -2.0), (-1.0, 2.0), (0.0, 1.0), (math.inf, 1.0), (1.0, math.nan)]
+    )
+    def test_coordinates_off_the_half_line_refused(self, x, y):
+        calls = (
+            lambda: riesz_kernel(0.7, 2, x, y),
+            lambda: riesz_kernel_batch(0.7, 2, [[x]], [[y]]),
+            lambda: riesz_difference_kernel(0.7, (1,), 0, x, y),
+            lambda: riesz_difference_batch(0.7, (1,), 0, [[x]], [[y]]),
+            lambda: riesz_kernel_1d(0.7, 2, [x], [y]),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="strictly positive"):
+                call()
+
 
 # 30-digit reference for the exact 1-D kernel: the time integral
 # (1/Gamma(k/2)) int t^{k/2} delta^k p_t dt/t by the trapezoid rule in log t
@@ -452,6 +467,23 @@ class TestGridMatrices:
             with pytest.raises(DomainError):
                 riesz_difference_matrix(0.6, (1,), axis, g)
 
+    @pytest.mark.filterwarnings("ignore:subordination tail indicator")
+    @pytest.mark.parametrize("k, difference", [(1, False), (2, False), (1, True)])
+    def test_grid_and_pointwise_paths_are_one_quadrature(self, k, difference):
+        n = 48
+        g = default_grid(1, nodes_per_axis=n)
+        plan = SubordinationPlan(1e-4, 1e4, 8)
+        x, w = g.axes[0].nodes, g.axes[0].weights
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        if difference:
+            mat = riesz_difference_matrix(0.6, (k,), 0, g, plan)
+            points = riesz_difference_batch(0.6, (k,), 0, x[i][None], x[j][None], plan)
+        else:
+            mat = riesz_matrix(0.6, (k,), g, plan)
+            points = riesz_kernel_batch(0.6, (k,), x[i][None], x[j][None], plan)
+        kernel = mat / w[None, :]
+        assert np.max(np.abs(kernel[i, j] - points)) <= 1e-14 * np.max(np.abs(kernel))
+
     def test_matrix_cache_returns_the_same_read_only_array(self):
         g = default_grid(1, nodes_per_axis=64)
         plan = SubordinationPlan(1e-4, 1e2, 4)
@@ -524,6 +556,49 @@ class TestRieszDifference:
         y = np.array([[2.0 * (1.0 + d) for d in np.geomspace(1e-3, 0.4, 16)]])
         diff = riesz_difference_batch(nu, (1,), 0, x, y, WIDE_PLAN)
         assert np.all(np.abs(diff) * x[0] < 5.0)
+
+    @pytest.mark.filterwarnings("ignore:subordination tail indicator")
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_two_axis_difference_is_the_kernel_difference(self, j):
+        nu = NuVector((0.6, 1.1))
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.3, 3.0, (2, 64))
+        y = rng.uniform(0.3, 3.0, (2, 64))
+        direct = riesz_difference_batch(nu, (1, 1), j, x, y, WIDE_PLAN)
+        shifted = nu.shifted(tuple(int(i == j) for i in range(2)))
+        parts = riesz_kernel_batch(nu, (1, 1), x, y, WIDE_PLAN) - riesz_kernel_batch(
+            shifted, (1, 1), x, y, WIDE_PLAN
+        )
+        np.testing.assert_allclose(direct, parts, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.filterwarnings("ignore:subordination tail indicator")
+    def test_one_ladder_per_axis_and_time_node(self, monkeypatch):
+        # k = (1, 1): shifts {0, 1, 2} on the difference axis, {0, 1} on the
+        # other, so five Bessel evaluations per time node (two full products,
+        # one per order vector, would take eight).  At most 512 pairs, so no
+        # ladder skips its underflowed entries.
+        calls = []
+        bessel = heat.besseli_scaled
+
+        def counted(alpha, z):
+            calls.append(alpha)
+            return bessel(alpha, z)
+
+        monkeypatch.setattr(heat, "besseli_scaled", counted)
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0.3, 3.0, (2, 64))
+        y = rng.uniform(0.3, 3.0, (2, 64))
+        plan = SubordinationPlan(1e-4, 1e2, 4)
+        riesz_difference_batch(NuVector((0.6, 1.1)), (1, 1), 0, x, y, plan)
+        assert 0 < len(calls) <= 5 * plan.nodes()[0].size
+
+    def test_tail_warning_on_truncated_near_diagonal_pairs(self):
+        nu = NuVector((0.6,))
+        with pytest.warns(RuntimeWarning, match="subordination tail indicator"):
+            riesz_difference_batch(nu, (1,), 0, [[2.0]], [[2.004]], WIDE_PLAN)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            riesz_difference_batch(nu, (1,), 0, [[1.0, 1.7, 0.5]], [[2.0, 0.9, 3.0]], WIDE_PLAN)
 
     def test_scalar_wrapper(self):
         v = riesz_difference_kernel(NuVector((0.6,)), (2,), 0, 1.0, 2.0, WIDE_PLAN)
