@@ -154,27 +154,29 @@ def _ladder(nu: float, shifts, t, xy, d2) -> dict:
     """p_t^{nu+m} for each m in shifts from the pair geometry xy = x*y and
     d2 = (x-y)**2, sharing the exponential prefactor.
 
-    Both inputs are symmetric in (x, y) bit for bit, so one ladder serves
-    both argument orders.  Entries whose Gaussian factor underflows are
-    skipped outright; the polynomial coefficients downstream can never
-    amplify them back above the underflow threshold.
+    All orders nu + m come from one ``besseli_scaled`` call on z = xy/2t,
+    each row scaled by the prefactor in place.  Both inputs are symmetric in
+    (x, y) bit for bit, so one ladder serves both argument orders.  Entries
+    whose Gaussian factor underflows are skipped outright; the polynomial
+    coefficients downstream can never amplify them back above the underflow
+    threshold.
     """
     z = xy / (2.0 * t)
     common = np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t))
     del d2  # a batch-sized temporary in the pointwise callers; not needed below
+    orders = [nu + m for m in shifts]
     if common.ndim > 0 and common.size > 512:
         live = common > 1e-280
         frac = float(np.count_nonzero(live)) / common.size
         if frac < 0.85:
-            out = {}
-            zz = z[live] if np.any(live) else z[:0]
-            for m in shifts:
-                vals = np.zeros_like(common)
-                if zz.size:
-                    vals[live] = common[live] * besseli_scaled(nu + m, zz)
-                out[m] = vals
-            return out
-    return {m: common * besseli_scaled(nu + m, z) for m in shifts}
+            rows = besseli_scaled(orders, z[live])
+            rows *= common[live]
+            vals = np.zeros((len(shifts),) + common.shape)
+            vals[:, live] = rows
+            return dict(zip(shifts, vals))
+    rows = besseli_scaled(orders, z)
+    rows *= common
+    return dict(zip(shifts, rows))
 
 
 def _p1d_shifts(nu: float, shifts, t, x, y) -> dict:

@@ -17,6 +17,16 @@ rejected: the defining power series
 requires alpha > -1.  The series has positive terms (no cancellation), so
 it is used for moderate z; beyond the switch point the Hankel large-z
 expansion of e^{-z} I_alpha(z) is summed to its optimally small term.
+
+``besseli_scaled`` also takes a sequence of orders and returns one row per
+order, bit for bit the one-order values: a heat-kernel ladder p_t^{nu+m}
+needs several orders on one z, so the checks, the series/asymptotic split,
+the magnitude bins, log(z/2), (z/2)^2 and e^{-z} are computed once.
+
+The series runs in bins of z, each as long as its largest element needs,
+and the bin edges move no bit: an element is done once its term is
+<= 1e-17 of its total, below half an ulp of the total (> 5.5e-17 of it),
+and its later terms are smaller still, so they leave the total unchanged.
 """
 
 from __future__ import annotations
@@ -44,6 +54,10 @@ _OVERFLOW_Z = 705.0
 _SERIES_TOL = 1e-17
 _SERIES_MAX_TERMS = 500
 _ASYMP_MAX_TERMS = 30
+
+# Lower edges of the series bins; the last bin ends at the switch point.
+# Most heat-kernel arguments lie below 1, so the bins there are fine.
+_SERIES_EDGES = (0.0, 1e-3, 0.03, 0.3, 1.0, 5.0, 15.0)
 
 # Lanczos g=7, n=9 coefficients.
 _LANCZOS_G = 7.0
@@ -127,17 +141,16 @@ def _switch_point(alpha: float) -> float:
     return min(600.0, max(20.0, 2.0 * alpha * alpha))
 
 
-def _series_block(alpha: float, zz: np.ndarray) -> np.ndarray:
-    term = np.exp(alpha * np.log(0.5 * zz)) / gamma(alpha + 1.0)
+def _series(alpha: float, term: np.ndarray, q: np.ndarray, probe: int) -> np.ndarray:
+    """sum_k term_k from term_0 = ``term`` (overwritten) and
+    term_{k+1} = term_k q / ((k+1)(alpha+k+1)), with q = (z/2)^2."""
     total = term.copy()
-    q = 0.25 * zz * zz
-    # The full check cannot pass while one element fails it, so the
-    # element that converges last, the largest argument, is tested first.
-    probe = int(np.argmax(zz))
     for k in range(_SERIES_MAX_TERMS):
         term *= q
         term /= (k + 1.0) * (alpha + k + 1.0)
         total += term
+        # The full check cannot pass while one element fails it, so the
+        # element that converges last, the largest argument, is tested first.
         if (
             k & 1
             and term[probe] <= _SERIES_TOL * total[probe]
@@ -145,24 +158,6 @@ def _series_block(alpha: float, zz: np.ndarray) -> np.ndarray:
         ):
             break
     return total
-
-
-def _series_sum(alpha: float, z: np.ndarray) -> np.ndarray:
-    """sum_k (z/2)^{alpha+2k} / (k! Gamma(alpha+k+1)); equals I_alpha(z).
-
-    Elements are binned by magnitude so small arguments stop after a few
-    terms instead of riding along with the slowest element.
-    """
-    out = np.empty_like(z)
-    zero = z == 0.0
-    if np.any(zero):
-        out[zero] = 1.0 if alpha == 0.0 else (0.0 if alpha > 0.0 else np.inf)
-    edges = (0.0, 1.0, 5.0, 15.0, np.inf)
-    for lo, hi in zip(edges, edges[1:]):
-        sel = (z > lo) & (z <= hi)
-        if np.any(sel):
-            out[sel] = _series_block(alpha, z[sel])
-    return out
 
 
 def _asymptotic_scaled(alpha: float, z: np.ndarray) -> np.ndarray:
@@ -175,6 +170,7 @@ def _asymptotic_scaled(alpha: float, z: np.ndarray) -> np.ndarray:
     mu = 4.0 * alpha * alpha
     s = np.ones_like(z)
     term = np.ones_like(z)
+    mag = np.empty_like(z)
     prev_mag = np.full_like(z, np.inf)
     active = np.ones(z.shape, dtype=bool)
     # The full check cannot pass while one element fails it, so the
@@ -182,28 +178,47 @@ def _asymptotic_scaled(alpha: float, z: np.ndarray) -> np.ndarray:
     probe = int(np.argmin(z))
     for k in range(1, _ASYMP_MAX_TERMS + 1):
         factor = (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
-        term = term * (-factor) / z
-        mag = np.abs(term)
+        term *= -factor
+        term /= z
+        np.abs(term, out=mag)
         # Freeze elements past their smallest term; add the rest.
         active &= mag < prev_mag
-        s = np.where(active, s + term, s)
-        prev_mag = mag
-        if active[probe] and mag[probe] > _SERIES_TOL * abs(s[probe]):
+        np.add(s, term, out=s, where=active)
+        mag, prev_mag = prev_mag, mag
+        if active[probe] and prev_mag[probe] > _SERIES_TOL * abs(s[probe]):
             continue
-        if not np.any(active & (mag > _SERIES_TOL * np.abs(s))):
+        if not np.any(active & (prev_mag > _SERIES_TOL * np.abs(s))):
             break
     return s / np.sqrt(2.0 * math.pi * z)
 
 
-def _scaled_core(alpha: float, z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    zs = _switch_point(alpha)
-    small = z <= zs
-    if np.any(small):
-        zz = z[small]
-        out[small] = np.exp(-zz) * _series_sum(alpha, zz)
-    if np.any(~small):
-        out[~small] = _asymptotic_scaled(alpha, z[~small])
+def _scaled_rows(orders: list[float], z: np.ndarray) -> np.ndarray:
+    """Row i is e^{-z} I_{orders[i]}(z) over the checked 1-D array z; orders
+    with one switch point share the split, and all orders share the bins."""
+    out = np.empty((len(orders), z.size))
+    zero = np.flatnonzero(z == 0.0)
+    for row, a in zip(out, orders):
+        row[zero] = 1.0 if a == 0.0 else (0.0 if a > 0.0 else np.inf)
+    groups: dict[float, list[int]] = {}
+    for i, a in enumerate(orders):
+        groups.setdefault(_switch_point(a), []).append(i)
+    bins = [(lo, hi, range(len(orders))) for lo, hi in zip(_SERIES_EDGES, _SERIES_EDGES[1:])]
+    bins += [(_SERIES_EDGES[-1], zs, rows) for zs, rows in groups.items()]
+    for lo, hi, rows in bins:
+        idx = np.flatnonzero((z > lo) & (z <= hi))
+        if idx.size:
+            zz = z[idx]
+            log_half, q, scale = np.log(0.5 * zz), 0.25 * zz * zz, np.exp(-zz)
+            probe = int(np.argmax(zz))
+            for i in rows:
+                term = np.exp(orders[i] * log_half) / gamma(orders[i] + 1.0)
+                out[i, idx] = scale * _series(orders[i], term, q, probe)
+    for zs, rows in groups.items():
+        idx = np.flatnonzero(z > zs)
+        if idx.size:
+            zz = z[idx]
+            for i in rows:
+                out[i, idx] = _asymptotic_scaled(orders[i], zz)
     return out
 
 
@@ -213,12 +228,20 @@ def _as_array(z) -> tuple[np.ndarray, bool]:
 
 
 def besseli_scaled(alpha, z):
-    """e^{-z} I_alpha(z), finite for every representable z >= 0."""
-    a = _order(alpha)
+    """e^{-z} I_alpha(z), finite for every representable z >= 0.
+
+    ``alpha`` may be a sequence of orders; the result then has one row per
+    order, ``out[i]`` bit for bit equal to ``besseli_scaled(alpha[i], z)``,
+    and the work that does not depend on the order is done once.
+    """
+    multi = not isinstance(alpha, BesselOrder) and np.ndim(alpha) > 0
+    orders = [_order(a) for a in alpha] if multi else [_order(alpha)]
     arr, scalar = _as_array(z)
     _check_nonneg(arr)
-    out = _scaled_core(a, arr)
-    return float(out[0]) if scalar else out.reshape(np.shape(z))
+    rows = _scaled_rows(orders, arr.ravel())
+    if multi:
+        return rows.reshape((len(orders),) + np.shape(z))
+    return float(rows[0, 0]) if scalar else rows[0].reshape(np.shape(z))
 
 
 def besseli(alpha, z):
@@ -234,7 +257,7 @@ def besseli(alpha, z):
         raise OverflowError(
             f"besseli overflows for z >= {_OVERFLOW_Z}; use besseli_scaled"
         )
-    out = np.exp(arr) * _scaled_core(a, arr)
+    out = np.exp(arr) * besseli_scaled(a, arr)
     return float(out[0]) if scalar else out.reshape(np.shape(z))
 
 
@@ -255,15 +278,7 @@ def besseli_ratio(alpha, z):
     if np.any(small):
         zz = arr[small]
         # Series for z^{-alpha} I_alpha: k=0 term is the z->0 limit.
-        term = np.full_like(zz, limit)
-        total = term.copy()
-        q = 0.25 * zz * zz
-        for k in range(_SERIES_MAX_TERMS):
-            term = term * q / ((k + 1.0) * (a + k + 1.0))
-            total += term
-            if np.all(term <= _SERIES_TOL * total):
-                break
-        out[small] = total
+        out[small] = _series(a, np.full_like(zz, limit), 0.25 * zz * zz, int(np.argmax(zz)))
     if np.any(~small):
         zz = arr[~small]
         with np.errstate(over="ignore"):

@@ -22,6 +22,7 @@ from besselops.grids import (
     EigenfunctionSpec,
     Grid,
     GridFunction,
+    _MatrixCache,
     default_grid,
     eigenfunction_gridfn,
     log_axis,
@@ -436,18 +437,34 @@ class TestGridMatrices:
     def test_difference_evaluates_the_triangle_once_per_node(self, monkeypatch):
         n = 40
         plan = SubordinationPlan(1e-4, 1e2, 4)
-        sizes = []
+        calls = []
         bessel = heat.besseli_scaled
 
         def counted(alpha, z):
-            sizes.append(np.size(z))
+            calls.append((list(alpha), np.size(z)))
             return bessel(alpha, z)
 
         monkeypatch.setattr(heat, "besseli_scaled", counted)
         riesz_difference_matrix(0.6, (1,), 0, default_grid(1, nodes_per_axis=n), plan)
-        # Shifts 0, 1 and 2 at every node, each on at most the triangle.
-        assert len(sizes) <= 3 * plan.nodes()[0].size
-        assert max(sizes) <= n * (n + 1) // 2
+        # Shifts 0, 1 and 2 in one call per node, on at most the triangle.
+        assert 0 < len(calls) <= plan.nodes()[0].size
+        for orders, size in calls:
+            assert orders == [0.6, 0.6 + 1, 0.6 + 2]
+            assert size <= n * (n + 1) // 2
+
+    def test_one_bessel_call_per_time_node(self, monkeypatch):
+        plan = SubordinationPlan(1e-4, 1e2, 4)
+        calls = []
+        bessel = heat.besseli_scaled
+
+        def counted(alpha, z):
+            calls.append(list(alpha))
+            return bessel(alpha, z)
+
+        monkeypatch.setattr(heat, "besseli_scaled", counted)
+        monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 20))
+        riesz_matrix(1.0, (1,), default_grid(1, nodes_per_axis=64), plan)
+        assert calls == [[1.0, 2.0]] * plan.nodes()[0].size
 
     @pytest.mark.parametrize("difference", [False, True])
     def test_order_zero_refused_before_any_ladder(self, monkeypatch, difference):
@@ -574,14 +591,14 @@ class TestRieszDifference:
     @pytest.mark.filterwarnings("ignore:subordination tail indicator")
     def test_one_ladder_per_axis_and_time_node(self, monkeypatch):
         # k = (1, 1): shifts {0, 1, 2} on the difference axis, {0, 1} on the
-        # other, so five Bessel evaluations per time node (two full products,
-        # one per order vector, would take eight).  At most 512 pairs, so no
-        # ladder skips its underflowed entries.
+        # other, each axis's ladder in one Bessel call per time node (two
+        # full products, one per order vector, would take four).  At most
+        # 512 pairs, so no ladder skips its underflowed entries.
         calls = []
         bessel = heat.besseli_scaled
 
         def counted(alpha, z):
-            calls.append(alpha)
+            calls.append(list(alpha))
             return bessel(alpha, z)
 
         monkeypatch.setattr(heat, "besseli_scaled", counted)
@@ -590,7 +607,8 @@ class TestRieszDifference:
         y = rng.uniform(0.3, 3.0, (2, 64))
         plan = SubordinationPlan(1e-4, 1e2, 4)
         riesz_difference_batch(NuVector((0.6, 1.1)), (1, 1), 0, x, y, plan)
-        assert 0 < len(calls) <= 5 * plan.nodes()[0].size
+        assert 0 < len(calls) <= 2 * plan.nodes()[0].size
+        assert sum(map(len, calls)) <= 5 * plan.nodes()[0].size
 
     def test_tail_warning_on_truncated_near_diagonal_pairs(self):
         nu = NuVector((0.6,))

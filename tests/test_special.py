@@ -102,19 +102,19 @@ class TestBesselI:
     def test_against_scipy_broad(self):
         alphas = [-0.9, -0.5, -0.3, 0.0, 0.5, 1.0, 2.5, 4.0, 7.5]
         zs = np.geomspace(1e-3, 600.0, 80)
-        for a in alphas:
-            ours = besseli_scaled(a, zs)
+        for a, ours in zip(alphas, besseli_scaled(alphas, zs)):
             ref = sps.ive(a, zs)
             assert np.allclose(ours, ref, rtol=5e-13, atol=0), f"alpha={a}"
 
     def test_cross_regime_continuity(self):
         # Series and asymptotic agree near the switch point.
-        from besselops.special import _asymptotic_scaled, _series_sum, _switch_point
+        from besselops.special import _asymptotic_scaled, _series, _switch_point
 
         for a in (0.0, 0.5, 1.7, 3.0, 6.0):
             zs = _switch_point(a)
             z = np.linspace(zs * 0.98, zs * 1.25, 25)
-            series = np.exp(-z) * _series_sum(a, z)
+            first = np.exp(a * np.log(0.5 * z)) / gamma(a + 1.0)
+            series = np.exp(-z) * _series(a, first, 0.25 * z * z, z.size - 1)
             asym = _asymptotic_scaled(a, z)
             assert np.max(np.abs(series / asym - 1.0)) < 1e-10
 
@@ -136,6 +136,66 @@ class TestBesselI:
         assert ev.value == pytest.approx(i_half_closed(2.0), rel=1e-12)
         assert ev.scaled_value == pytest.approx(math.exp(-2.0) * ev.value, rel=1e-12)
         assert ev.ratio_value == pytest.approx(ev.value / 2.0**0.5, rel=1e-12)
+
+
+def assert_rows_match_single_orders(alphas, z):
+    # z = 5e-324 gives nan for orders <= 0 on both paths: z/2 rounds to 0.
+    rows = besseli_scaled(alphas, z)
+    assert rows.shape == (len(alphas),) + np.shape(z)
+    for a, row in zip(alphas, rows):
+        assert np.array_equal(row, besseli_scaled(a, z), equal_nan=True), f"alpha={a}"
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
+class TestMultiOrder:
+    """One call with a sequence of orders is bit for bit the one-order calls."""
+
+    # Switch points 20, 20, 35.28 and 112.5, and orders in (-1, 0].
+    ALPHAS = [0.6, 1.6, 4.2, 7.5, -0.9, -0.5, -1e-3, 0.0]
+
+    def test_branches_and_bin_edges(self):
+        from besselops.special import _SERIES_EDGES, _switch_point
+
+        points = [*_SERIES_EDGES, 20.0, 600.0, *(_switch_point(a) for a in self.ALPHAS)]
+        points = np.array(points)
+        z = np.concatenate(
+            [points, np.nextafter(points, 0.0), np.nextafter(points, np.inf),
+             np.geomspace(1e-300, 1e4, 400), [0.0, 0.0]]
+        )
+        assert_rows_match_single_orders(self.ALPHAS, z)
+        assert_rows_match_single_orders(self.ALPHAS[::-1], z[::-1])
+
+    @pytest.mark.parametrize(
+        "z", [0.0, 0.7, 300.0, np.array([[0.0, 0.2], [16.0, 50.0], [1e3, 1e-4]]), np.array([])]
+    )
+    def test_scalar_two_d_and_empty(self, z):
+        assert_rows_match_single_orders(self.ALPHAS, z)
+
+    def test_one_order_sequence_and_errors(self):
+        z = np.array([0.3, 3.0, 30.0])
+        assert besseli_scaled([1.6], z).shape == (1, 3)
+        assert besseli_scaled((BesselOrder(0.5), 2.5), 1.0).shape == (2,)
+        assert besseli_scaled([], z).shape == (0, 3)
+        with pytest.raises(DomainError):
+            besseli_scaled([0.5, -1.0], z)
+        with pytest.raises(DomainError):
+            besseli_scaled([0.5, 1.5], -z)
+
+    @given(
+        alphas=st.lists(st.floats(min_value=-0.999, max_value=12.0), min_size=1, max_size=5),
+        z=st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=2.0),
+                st.floats(min_value=0.0, max_value=800.0),
+                st.sampled_from([0.0, 1e-3, 0.03, 0.3, 1.0, 5.0, 15.0, 20.0, 600.0]),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_single_orders(self, alphas, z):
+        assert_rows_match_single_orders(alphas, np.array(z))
 
 
 class TestIdentities:
