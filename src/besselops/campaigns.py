@@ -41,9 +41,12 @@ from .heat import (
     NuVector,
     as_nu_vector,
     _bound_rhs_arrays,
+    _pair_word,
+    _word_product,
     adjoint_power_heat_1d,
     delta_dt_heat_1d,
     delta_dt_heat_nd_arrays,
+    delta_expansion,
     delta_heat_difference_1d,
     eval_delta_heat_1d,
     mixed_partial_delta,
@@ -53,8 +56,6 @@ from .riesz import (
     SubordinationPlan,
     _drift,
     _level_maxima,
-    _pair_word,
-    _word_product,
     cz_size_sweep,
     cz_smooth_sweep,
     riesz_apply,
@@ -352,12 +353,12 @@ def _prop2_8_campaign(config: CampaignConfig, collect: bool):
     x = loguniform(rng, config.box[0], config.box[1], count)
     y = x * 2.0 ** rng.uniform(-3.0, 3.0, count)
 
-    word = _pair_word(k, x, y, both=False)
+    word = _pair_word(delta_expansion(nu0, k), x, y)
     t_nodes, w = config.plan.nodes()
     half = k / 2.0
     lhs = np.zeros(count)
     for t, wi in zip(t_nodes, w):
-        lhs += wi * t**half * np.abs(_word_product((nu0,), (word,), t, 0)[0])
+        lhs += wi * t**half * np.abs(_word_product((nu0,), (word,), t, 0))
 
     mid = (y / 2.0 < x) & (x < 2.0 * y)
     upper = x >= 2.0 * y

@@ -241,6 +241,14 @@ class _MatrixCache:
 _MATRIX_CACHE = _MatrixCache(MATRIX_CACHE_BYTES)
 
 
+def _mirror(iu, n: int, rows) -> np.ndarray:
+    """The dense n x n matrix with rows[0] above and rows[1] below the diagonal."""
+    out = np.empty((n, n))
+    out[iu] = rows[0]
+    out.T[iu] = rows[1]
+    return out
+
+
 def _kernel_matrix(nu_j: float, t: float, axis: Axis) -> np.ndarray:
     """K[i, i'] = p_t^{nu_j}(x_i, x_{i'}) * w_{i'}; cached per axis.
 
@@ -251,11 +259,8 @@ def _kernel_matrix(nu_j: float, t: float, axis: Axis) -> np.ndarray:
     def build():
         x = axis.nodes
         iu = np.triu_indices(x.size)
-        mat = np.empty((x.size, x.size))
         vals = _p1d(nu_j, t, x[iu[0]], x[iu[1]])
-        mat[iu] = vals
-        mat.T[iu] = vals
-        return mat * axis.weights[None, :]
+        return _mirror(iu, x.size, (vals, vals)) * axis.weights[None, :]
 
     return _MATRIX_CACHE.get(("semigroup", axis.cache_key(), float(nu_j), float(t)), build)
 

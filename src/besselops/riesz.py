@@ -14,21 +14,17 @@ trapezoid in log t the natural rule).  No principal-value machinery is
 used: the time cutoff regularizes the diagonal, and all off-diagonal
 quantities converge as the plan refines.
 
-Every subordination integral here has one evaluator.  A pair word holds the
-word delta^k of one axis on a batch of pairs (sampled (x, y), or the node
-pairs i <= j of a grid axis) for one or both argument orders, and
-``_word_product`` evaluates prod_j word_j at one time node from one Bessel
-ladder per axis.  The kernel of R_nu - R_{nu+e_j} reads the ladder one step
-up on axis j, p_t^{(nu+1)+m} = p_t^{nu+(m+1)}.  The terms cancel near the
-diagonal, so they are combined per time node, before the time sum.  Each
-caller keeps only its time sum: ``riesz_kernel_batch``, the
-``riesz_difference_batch`` kernel and the n >= 2 Calderon-Zygmund sweeps
-(``_riesz_quadrature``, with the tail indicator), the 1-D grid matrices
-``riesz_matrix`` and ``riesz_difference_matrix`` (one ladder per time node
-on the triangle i <= j serves both triangles; the dense matrix is written
-once, after the time loop), the per-axis matrices of the n-D
-``riesz_apply``, and the prop2_8 campaign.  ``riesz_matrix`` keeps its
-result in the bounded matrix cache of ``grids``.
+Every subordination integral here goes through the word evaluator of
+``heat``: the word delta^k of each axis on a batch of pairs
+(``heat._pair_word``), one Bessel ladder per axis and time node, and for
+R_nu - R_{nu+e_j} the same ladder read one step up on axis j
+(``heat._word_product``).  The terms cancel near the diagonal, so they are
+combined per time node, before the time sum.  This module keeps only the
+time sums: ``_riesz_quadrature`` (batches and the n >= 2 sweeps, with the
+tail indicator), ``_grid_matrix`` (the 1-D grid matrices, one ladder per
+time node on the node pairs i <= j for both triangles) and the n-D
+``riesz_apply``.  ``riesz_matrix`` keeps its result in the bounded matrix
+cache of ``grids``.
 
 In 1-D the time integral of each term of the word has a closed form once
 the Bessel function is written by Schlafli's integral, which leaves a
@@ -49,8 +45,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, GridError
-from .grids import _MATRIX_CACHE, Grid, GridFunction, apply_semigroup
-from .heat import NuVector, _ladder, as_nu_vector, delta_expansion
+from .grids import _MATRIX_CACHE, Grid, GridFunction, _mirror, apply_semigroup
+from .heat import NuVector, _check_positive, _pair_word, _word_product, as_nu_vector, delta_expansion
 from .sampling import make_rng, sample_smooth_triples
 from .special import gamma
 
@@ -119,89 +115,6 @@ def _multi(k, n: int) -> tuple[int, ...]:
     return k
 
 
-def _check_coordinates(*arrays) -> None:
-    if not all(np.all((a > 0.0) & np.isfinite(a)) for a in arrays):
-        raise DomainError("all coordinates must be strictly positive")
-
-
-@dataclass
-class _PairWord:
-    """The word delta^k of one axis on a batch of pairs (x, y).
-
-    ``xy`` and ``d2`` are the ladder geometry x*y and (x - y)**2, symmetric
-    in (x, y) bit for bit.  Each term c x^a y^b t^{-d} p_t^{nu+m} is kept as
-    (c, d, m, monos): the rows of monos are x^a y^b and, when both argument
-    orders are wanted, y^a x^b.  The coefficients do not depend on nu.
-
-    ``ladder`` holds the last time node's ladder until the next one is
-    built.  Freed earlier, its pages go back to the system between time
-    nodes and return as page faults: at n = 512 a riesz_matrix build takes
-    60% more faults and about 6% more time.
-    """
-
-    xy: np.ndarray
-    d2: np.ndarray
-    shifts: list[int]
-    terms: tuple
-    ladder: dict | None = None
-
-
-def _pair_word(k_j: int, x: np.ndarray, y: np.ndarray, both: bool) -> _PairWord:
-    expansion = delta_expansion(0.0, k_j)
-    orders = ((x, y), (y, x)) if both else ((x, y),)
-    terms = tuple(
-        (float(e.coeff), e.tneg, e.shift, np.stack([a**e.xpow * b**e.ypow for a, b in orders]))
-        for e in expansion.terms
-    )
-    return _PairWord(x * y, (x - y) ** 2, expansion.shifts, terms)
-
-
-def _combine(word: _PairWord, t: float, ladder: dict, step: int = 0) -> np.ndarray:
-    """The word at time t over a ladder {m: p_t^{nu+m}}, one row per argument
-    order.  ``step = 1`` reads p_t^{nu+m+1} = p_t^{(nu+1)+m}: the word of
-    order nu + 1 from the same ladder.
-
-    The sum is formed in place: a fresh temporary per operation costs more
-    than the arithmetic on grid-sized pair batches.
-    """
-    total = None
-    for c, d, m, monos in word.terms:
-        term = c * t ** (-d) * monos
-        term *= ladder[m + step]
-        if total is None:
-            total = term
-        else:
-            total += term
-    return total
-
-
-def _word_product(nu, words, t: float, difference_axis=None) -> np.ndarray:
-    """prod_j word_j at time t over the pairs, one row per argument order,
-    from one Bessel ladder per axis.  On ``difference_axis`` the factor is
-    the word of order nu_j minus that of order nu_j + 1, from one ladder over
-    the shifts m and m + 1.
-    """
-    out = None
-    for j, (nu_j, word) in enumerate(zip(nu, words)):
-        shifts = word.shifts
-        if j == difference_axis:
-            shifts = sorted({*shifts, *(m + 1 for m in shifts)})
-        word.ladder = _ladder(nu_j, shifts, t, word.xy, word.d2)
-        if j == difference_axis:
-            # Built first, the shifted word leaves the heap fewer pages to
-            # return between time nodes (a third fewer page faults at n = 384).
-            shifted = _combine(word, t, word.ladder, 1)
-            factor = _combine(word, t, word.ladder)
-            factor -= shifted
-        else:
-            factor = _combine(word, t, word.ladder)
-        if out is None:
-            out = factor
-        else:
-            out *= factor
-    return out
-
-
 def _riesz_quadrature(
     nu, k, x, y, plan: SubordinationPlan, both: bool, difference_axis=None
 ) -> np.ndarray:
@@ -221,10 +134,9 @@ def _riesz_quadrature(
     order = sum(k)
     if order < 1:
         raise DomainError("Riesz kernels need |k| >= 1")
-    _check_coordinates(x, y)
+    words = [_pair_word(delta_expansion(0.0, k_j), x_j, y_j, both) for k_j, x_j, y_j in zip(k, x, y)]
     if np.any(np.all(x == y, axis=0)):
         raise DomainError("diagonal evaluation x == y is not defined")
-    words = [_pair_word(k_j, x[j], y[j], both) for j, k_j in enumerate(k)]
     t_nodes, w = plan.nodes()
     half = order / 2.0
     total = np.zeros((2 if both else 1, x.shape[1]))
@@ -397,7 +309,7 @@ def riesz_kernel_1d(nu, k, x, y, both: bool = False) -> np.ndarray:
         raise DomainError("Riesz kernels need |k| >= 1")
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
-    _check_coordinates(x, y)
+    _check_positive("coordinates", x, y)
     if np.any(x == y):
         raise DomainError("diagonal evaluation x == y is not defined")
     groups = _schlafli_word(k)
@@ -470,15 +382,7 @@ def _axis_word(k_j: int, nodes: np.ndarray):
     """The node pairs i <= j of one axis and the pair word on them, for both
     triangles: row 0 is (x, y) = (x_i, x_j), row 1 is (x_j, x_i)."""
     iu = np.triu_indices(nodes.size)
-    return iu, _pair_word(k_j, nodes[iu[0]], nodes[iu[1]], both=True)
-
-
-def _mirror(iu, n: int, rows) -> np.ndarray:
-    """The dense n x n matrix with rows[0] above and rows[1] below the diagonal."""
-    out = np.empty((n, n))
-    out[iu] = rows[0]
-    out.T[iu] = rows[1]
-    return out
+    return iu, _pair_word(delta_expansion(0.0, k_j), nodes[iu[0]], nodes[iu[1]], both=True)
 
 
 def _grid_matrix(nu: float, k: int, axis, plan: SubordinationPlan, difference: bool):
@@ -491,7 +395,7 @@ def _grid_matrix(nu: float, k: int, axis, plan: SubordinationPlan, difference: b
     iu, word = _axis_word(k, axis.nodes)
     t_nodes, w = plan.nodes()
     half = k / 2.0
-    total = np.zeros((2, word.xy.size))
+    total = np.zeros((2, iu[0].size))
     for t, wi in zip(t_nodes, w):
         rows = _word_product((nu,), (word,), t, 0 if difference else None)
         rows *= wi * t**half

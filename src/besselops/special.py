@@ -192,6 +192,15 @@ def _asymptotic_scaled(alpha: float, z: np.ndarray) -> np.ndarray:
     return s / np.sqrt(2.0 * math.pi * z)
 
 
+def _log_half(z: np.ndarray) -> np.ndarray:
+    """log(z/2) for z > 0; log(z) - log(2) below 2 * tiny, where 0.5 * z is
+    inexact (5e-324 halves to 0)."""
+    sub = z < 2.0 * np.finfo(float).tiny
+    if sub.any():
+        return np.log(np.where(sub, z, 0.5 * z)) - np.where(sub, math.log(2.0), 0.0)
+    return np.log(0.5 * z)
+
+
 def _scaled_rows(orders: list[float], z: np.ndarray) -> np.ndarray:
     """Row i is e^{-z} I_{orders[i]}(z) over the checked 1-D array z; orders
     with one switch point share the split, and all orders share the bins."""
@@ -208,7 +217,7 @@ def _scaled_rows(orders: list[float], z: np.ndarray) -> np.ndarray:
         idx = np.flatnonzero((z > lo) & (z <= hi))
         if idx.size:
             zz = z[idx]
-            log_half, q, scale = np.log(0.5 * zz), 0.25 * zz * zz, np.exp(-zz)
+            log_half, q, scale = _log_half(zz), 0.25 * zz * zz, np.exp(-zz)
             probe = int(np.argmax(zz))
             for i in rows:
                 term = np.exp(orders[i] * log_half) / gamma(orders[i] + 1.0)

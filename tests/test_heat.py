@@ -125,6 +125,31 @@ class TestKernel1D:
                 heat_kernel_1d(*bad)
 
 
+@pytest.mark.parametrize(
+    "x, y", [(-1.0, -2.0), (-1.0, 2.0), (0.0, 1.0), (math.inf, 1.0), (1.0, math.nan)]
+)
+def test_coordinates_off_the_half_line_refused(monkeypatch, x, y):
+    # The twin of the Riesz test of the same name: every word is refused by
+    # the shared coordinate check, before any Bessel ladder.
+    ladders = []
+    monkeypatch.setattr(heat, "besseli_scaled", lambda alpha, z: ladders.append(alpha))
+    calls = (
+        lambda: eval_delta_heat_1d(0.7, 1, 1.0, x, y),
+        lambda: eval_delta_heat_1d(0.7, 1, 1.0, y, x),
+        lambda: mixed_partial_delta(0.7, 1, 1, 1.0, x, y),
+        lambda: delta_dt_heat_1d(0.7, 1, 1, 1.0, x, y),
+        lambda: delta_heat_difference_1d(0.7, 1, 1.0, x, y),
+        lambda: adjoint_power_heat_1d(0.7, 1, 1, 1.0, x, y),
+        lambda: delta_dt_heat_nd_arrays((0.7, 1.2), (1, 0), 1, 1.0, [[x], [1.0]], [[y], [1.5]]),
+        lambda: KernelPoint(1.0, (1.0, x), (2.0, y)),
+        lambda: critical_function((x, y)),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="strictly positive"):
+            call()
+    assert ladders == []
+
+
 class TestKernelND:
     def test_product_structure(self):
         q = KernelPoint(0.8, (1.0, 2.0), (1.5, 0.7))

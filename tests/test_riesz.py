@@ -162,7 +162,7 @@ MP_PAIRS = (
 )
 
 
-def _mp_time_integral(nu, x, y, ks=(1, 2), step=0.25):
+def _mp_time_integral(nu, x, y, ks=(1, 2, 3), step=0.25):
     with mpmath.workdps(30):
         x, y, nu, step = (mpmath.mpf(v) for v in (x, y, nu, step))
         lo = mpmath.log((x - y) ** 2 / 320)
@@ -178,8 +178,12 @@ def _mp_time_integral(nu, x, y, ks=(1, 2), step=0.25):
             t = mpmath.exp(lo + i * step)
             z = x * y / (2 * t)
             pre = mpmath.sqrt(x * y) / (2 * t) * mpmath.exp(-((x - y) ** 2) / (4 * t) - z)
-            i0, i1 = mpmath.besseli(nu, z), mpmath.besseli(nu + 1, z)
-            p = [pre * i0, pre * i1, pre * (i0 - 2 * (nu + 1) / z * i1)]
+            # I_{nu+m+2} = I_{nu+m} - 2 (nu+m+1)/z I_{nu+m+1}: the digits it
+            # loses at small z are those of terms far below p^nu there.
+            bessel = [mpmath.besseli(nu, z), mpmath.besseli(nu + 1, z)]
+            for m in range(max(ks) - 1):
+                bessel.append(bessel[m] - 2 * (nu + m + 1) / z * bessel[m + 1])
+            p = [pre * i for i in bessel]
             for k in ks:
                 word = mpmath.fsum(c * t**-d * p[m] for c, d, m in words[k])
                 total[k] += t ** (mpmath.mpf(k) / 2) * word
@@ -192,7 +196,7 @@ def mp_time_integrals():
     out = {}
     for nu in (0.6, 0.7, 1.0):
         rows = [_mp_time_integral(nu, x, y) for x, y in MP_PAIRS]
-        out[nu] = {k: np.array([r[k] for r in rows]) for k in (1, 2)}
+        out[nu] = {k: np.array([r[k] for r in rows]) for k in (1, 2, 3)}
     return out
 
 
@@ -201,12 +205,25 @@ class TestExactKernel1D:
 
     # nu = 1.0 has sin(nu pi) = 0: no u integral at all.
     @pytest.mark.parametrize("nu", [0.6, 0.7, 1.0])
-    @pytest.mark.parametrize("k, tol", [(1, 1e-12), (2, 1e-10)])
+    @pytest.mark.parametrize("k, tol", [(1, 1e-12), (2, 1e-10), (3, 1e-12)])
     def test_against_mpmath_time_integral(self, mp_time_integrals, nu, k, tol):
         x = np.array([p[0] for p in MP_PAIRS])
         y = np.array([p[1] for p in MP_PAIRS])
         vals = riesz_kernel_1d(nu, k, x, y)[0]
         assert np.max(np.abs(vals - mp_time_integrals[nu][k]) * np.abs(x - y)) <= tol
+
+    @pytest.mark.parametrize("k, tol", [(1, 1e-13), (2, 1e-11), (3, 2e-11)])
+    def test_subordination_far_field(self, k, tol):
+        # The subordination quadrature against the exact time integral where
+        # the wide plan resolves every pair (|x - y| >= 0.1, no tail warning).
+        # k = 3 has the coefficients 3/4, 3/2 and 3/8, the first that are not
+        # powers of two.
+        x, y = off_diagonal_pairs(11, 300, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sub = riesz_kernel_batch(0.7, k, x[None, :], y[None, :], WIDE_PLAN)
+        exact = riesz_kernel_1d(0.7, k, x, y)[0]
+        assert np.max(np.abs(sub - exact) * np.abs(x - y)) <= tol
 
     def test_dirichlet_closed_form(self):
         x, y = off_diagonal_pairs(4, 200, 0.01)
