@@ -9,6 +9,13 @@ Grids are log-spaced by default (dense near the boundary where the critical
 radius and the kernel weights vary fastest) with trapezoid weights for
 nonuniform nodes, so the weights sum exactly to the box measure.  Functions
 are sampled on the tensor grid and treated as immutable after construction.
+
+Each axis keeps one pair geometry (``Axis.pairs``): x_i x_j and
+(x_i - x_j)^2 on the node pairs i <= j, the distinct products and the
+inverse index.  On a log axis the products repeat exactly as floats (7,074
+distinct among 131,328 pairs at n = 512), so the dense kernel matrices here
+and in ``riesz`` evaluate their Bessel functions once per distinct product
+(``heat._ladder``).
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, GridError, UnderResolvedError
-from .heat import NuVector, as_nu_vector, _p1d, eval_delta_heat_1d
+from .heat import NuVector, as_nu_vector, _ladder, eval_delta_heat_1d
 from .special import gamma
 
 __all__ = [
@@ -102,6 +109,23 @@ class Axis:
     @property
     def spacing_max(self) -> float:
         return float(np.max(np.diff(self.nodes)))
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, ...]:
+        """(xy, d2, distinct, inverse) on the node pairs i <= j, in the order
+        of ``np.triu_indices(size)``: xy = x_i x_j, d2 = (x_i - x_j)**2, the
+        distinct values of xy, and the int32 index of each pair's product
+        among them, so xy == distinct[inverse].  Every grid matrix reads its
+        ladder geometry here (``heat._ladder``); kept as long as the axis."""
+        i, j = np.triu_indices(self.size)
+        x = self.nodes
+        xy = x[i] * x[j]
+        d2 = (x[i] - x[j]) ** 2
+        distinct, inverse = np.unique(xy, return_inverse=True)
+        out = (xy, d2, distinct, inverse.astype(np.int32))
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
     def cache_key(self):
         return (
@@ -253,14 +277,14 @@ def _kernel_matrix(nu_j: float, t: float, axis: Axis) -> np.ndarray:
     """K[i, i'] = p_t^{nu_j}(x_i, x_{i'}) * w_{i'}; cached per axis.
 
     p_t^{nu_j} is symmetric bit for bit (see ``heat._ladder``), so it is
-    evaluated on i <= i' and mirrored.
+    evaluated on i <= i' and mirrored, with the Bessel function on the
+    axis's distinct node products only (``Axis.pairs``).
     """
 
     def build():
-        x = axis.nodes
-        iu = np.triu_indices(x.size)
-        vals = _p1d(nu_j, t, x[iu[0]], x[iu[1]])
-        return _mirror(iu, x.size, (vals, vals)) * axis.weights[None, :]
+        xy, d2, distinct, inverse = axis.pairs
+        vals = _ladder(nu_j, (0,), t, xy, d2, (distinct, inverse))[0]
+        return _mirror(np.triu_indices(axis.size), axis.size, (vals, vals)) * axis.weights[None, :]
 
     return _MATRIX_CACHE.get(("semigroup", axis.cache_key(), float(nu_j), float(t)), build)
 

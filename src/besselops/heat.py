@@ -34,7 +34,9 @@ One evaluator: ``_combine`` sums a word's monomials (``_monomials``) over
 a ladder {m: p_t^{beta+m}}, symmetric in (x, y) bit for bit, so words and
 argument orders can share it; ``step = 1`` reads p_t^{(beta+1)+m} =
 p_t^{beta+(m+1)}.  A word summed at many times (``_pair_word``, for
-``riesz``) keeps its monomials.  Finite differences are test oracles.
+``riesz``) keeps its monomials; on a grid axis its ladders evaluate the
+Bessel functions once per distinct node product (``_ladder``).  Finite
+differences are test oracles.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def _check_positive(name, *values):
             raise DomainError(f"{name} must be strictly positive and finite")
 
 
-def _ladder(nu: float, shifts, t, xy, d2) -> dict:
+def _ladder(nu: float, shifts, t, xy, d2, unique=None) -> dict:
     """p_t^{nu+m} for each m in shifts from the pair geometry xy = x*y and
     d2 = (x-y)**2, sharing the exponential prefactor.
 
@@ -160,23 +162,35 @@ def _ladder(nu: float, shifts, t, xy, d2) -> dict:
     whose Gaussian factor underflows are skipped outright; the polynomial
     coefficients downstream can never amplify them back above the underflow
     threshold.
+
+    ``unique = (distinct, inverse)`` with xy == distinct[inverse], as a grid
+    axis keeps it (``grids.Axis.pairs``): the Bessel call then runs once per
+    distinct product and the live entries are gathered back.  The
+    evaluation is exact per element, so the gathered rows are bit for bit
+    the direct ones.
     """
-    z = xy / (2.0 * t)
     common = np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t))
     del d2  # a batch-sized temporary in the pointwise callers; not needed below
     orders = [nu + m for m in shifts]
+    live = None
     if common.ndim > 0 and common.size > 512:
         live = common > 1e-280
-        frac = float(np.count_nonzero(live)) / common.size
-        if frac < 0.85:
-            rows = besseli_scaled(orders, z[live])
-            rows *= common[live]
-            vals = np.zeros((len(shifts),) + common.shape)
-            vals[:, live] = rows
-            return dict(zip(shifts, vals))
-    rows = besseli_scaled(orders, z)
-    rows *= common
-    return dict(zip(shifts, rows))
+        if float(np.count_nonzero(live)) / common.size >= 0.85:
+            live = None
+    if unique is not None:
+        distinct, inverse = unique
+        rows = besseli_scaled(orders, distinct / (2.0 * t))
+        rows = np.take(rows, inverse if live is None else inverse[live], axis=1)
+    else:
+        z = xy / (2.0 * t)
+        rows = besseli_scaled(orders, z if live is None else z[live])
+    if live is None:
+        rows *= common
+        return dict(zip(shifts, rows))
+    rows *= common[live]
+    vals = np.zeros((len(shifts),) + common.shape)
+    vals[:, live] = rows
+    return dict(zip(shifts, vals))
 
 
 def _p1d_shifts(nu: float, shifts, t, x, y) -> dict:
@@ -286,7 +300,8 @@ def _stepped(shifts) -> list[int]:
 class _PairWord:
     """A word summed at many times, on a batch of pairs: its monomials
     (``_monomials``, kept) and its ladder geometry x*y and (x-y)**2, formed
-    once.  The coefficients do not depend on nu.
+    once, or taken with the distinct products from a grid axis
+    (``unique``, see ``_ladder``).  The coefficients do not depend on nu.
 
     ``ladder`` holds the last time node's ladder until the next one is
     built.  Freed earlier, its pages go back to the system between time
@@ -298,12 +313,18 @@ class _PairWord:
     monomials: tuple
     xy: np.ndarray
     d2: np.ndarray
+    unique: tuple | None = None
     ladder: dict | None = None
 
 
-def _pair_word(expansion: HeatKernelExpansion, x: np.ndarray, y: np.ndarray, both=False):
+def _pair_word(expansion: HeatKernelExpansion, x, y, both=False, pairs=None):
+    """The word on the pairs (x, y); ``pairs`` is the (xy, d2, distinct,
+    inverse) of a grid axis on the same pairs (``grids.Axis.pairs``)."""
     monomials = tuple(_monomials(expansion.terms, x, y, both))
-    return _PairWord(expansion.shifts, monomials, x * y, (x - y) ** 2)
+    if pairs is None:
+        return _PairWord(expansion.shifts, monomials, x * y, (x - y) ** 2)
+    xy, d2, distinct, inverse = pairs
+    return _PairWord(expansion.shifts, monomials, xy, d2, (distinct, inverse))
 
 
 def _word_product(nu, words, t, difference_axis=None):
@@ -315,7 +336,7 @@ def _word_product(nu, words, t, difference_axis=None):
     for j, (nu_j, word) in enumerate(zip(nu, words)):
         diff = j == difference_axis
         shifts = _stepped(word.shifts) if diff else word.shifts
-        word.ladder = _ladder(nu_j, shifts, t, word.xy, word.d2)
+        word.ladder = _ladder(nu_j, shifts, t, word.xy, word.d2, word.unique)
         if diff:
             # Built first, the shifted word leaves the heap fewer pages to
             # return between time nodes (a third fewer page faults at n = 384).

@@ -201,6 +201,26 @@ def _log_half(z: np.ndarray) -> np.ndarray:
     return np.log(0.5 * z)
 
 
+def _first_term(alpha: float, log_half: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """The series' first term (z/2)^alpha / Gamma(alpha + 1), and where it
+    overflows (an empty slice where nothing does).  ``bounds`` holds the
+    least and the largest log(z/2); while alpha times each is <= 700,
+    nothing overflows.  Past that (orders near -1 at subnormal z) the
+    overflowed entries are zeroed in the term, so the series never meets
+    inf * 0 = nan, and the caller writes inf."""
+    if max(alpha * bounds[0], alpha * bounds[1]) <= 700.0:
+        return np.exp(alpha * log_half) / gamma(alpha + 1.0), slice(0)
+    with np.errstate(over="ignore"):
+        term = np.exp(alpha * log_half) / gamma(alpha + 1.0)
+        over = np.isinf(term)
+        # (z/2)^alpha alone may overflow while the term does not.
+        half = np.exp(0.5 * alpha * log_half[over])
+        term[over] = half * (half / gamma(alpha + 1.0))
+    over = np.isinf(term)
+    term[over] = 0.0
+    return term, over
+
+
 def _scaled_rows(orders: list[float], z: np.ndarray) -> np.ndarray:
     """Row i is e^{-z} I_{orders[i]}(z) over the checked 1-D array z; orders
     with one switch point share the split, and all orders share the bins."""
@@ -219,9 +239,11 @@ def _scaled_rows(orders: list[float], z: np.ndarray) -> np.ndarray:
             zz = z[idx]
             log_half, q, scale = _log_half(zz), 0.25 * zz * zz, np.exp(-zz)
             probe = int(np.argmax(zz))
+            bounds = (np.min(log_half), np.max(log_half))
             for i in rows:
-                term = np.exp(orders[i] * log_half) / gamma(orders[i] + 1.0)
+                term, over = _first_term(orders[i], log_half, bounds)
                 out[i, idx] = scale * _series(orders[i], term, q, probe)
+                out[i, idx[over]] = np.inf
     for zs, rows in groups.items():
         idx = np.flatnonzero(z > zs)
         if idx.size:
@@ -237,7 +259,8 @@ def _as_array(z) -> tuple[np.ndarray, bool]:
 
 
 def besseli_scaled(alpha, z):
-    """e^{-z} I_alpha(z), finite for every representable z >= 0.
+    """e^{-z} I_alpha(z), finite for every representable z >= 0 except where
+    I_alpha itself overflows, at orders near -1 and subnormal z: inf there.
 
     ``alpha`` may be a sequence of orders; the result then has one row per
     order, ``out[i]`` bit for bit equal to ``besseli_scaled(alpha[i], z)``,

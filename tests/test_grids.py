@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
+import besselops.grids as grids
+import besselops.heat as heat
 from besselops.errors import DomainError, GridError, UnderResolvedError
 from besselops.grids import (
     MATRIX_CACHE_BYTES,
@@ -31,6 +33,7 @@ from besselops.grids import (
     uniform_axis,
     _kernel_matrix,
     _MatrixCache,
+    _mirror,
 )
 from besselops.heat import NuVector, _p1d, eval_delta_heat_1d, heat_kernel_1d
 
@@ -168,6 +171,42 @@ class TestSemigroup:
         x = ax.nodes
         full = _p1d(nu, t, x[:, None], x[None, :]) * ax.weights[None, :]
         assert np.array_equal(_kernel_matrix(nu, t, ax), full)
+
+
+    @pytest.mark.parametrize(
+        "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 64)], ids=["log", "uniform"]
+    )
+    @pytest.mark.parametrize("nu, t", [(2.0, 2.0**-10), (0.6, 3.0)])
+    def test_kernel_matrix_matches_the_per_pair_build(self, axis, nu, t):
+        # Bessel functions once per distinct node product, gathered, against
+        # the kernel evaluated on every pair of the triangle.
+        x = axis.nodes
+        iu = np.triu_indices(x.size)
+        vals = _p1d(nu, t, x[iu[0]], x[iu[1]])
+        per_pair = _mirror(iu, x.size, (vals, vals)) * axis.weights[None, :]
+        assert np.array_equal(_kernel_matrix(nu, t, axis), per_pair)
+
+    @pytest.mark.parametrize(
+        "axis", [log_axis(1e-2, 20.0, 96), uniform_axis(0.05, 10.0, 96)], ids=["log", "uniform"]
+    )
+    def test_bessel_points_per_time_node_are_the_distinct_products(self, monkeypatch, axis):
+        # One Bessel call per time node, on the axis's distinct node
+        # products, whether or not the Gaussian factor underflows on some
+        # pairs (the dead entries are not gathered).
+        g = Grid((axis,))
+        f = GridFunction(g, np.ones(g.shape))
+        distinct = axis.pairs[2].size
+        sizes = []
+        bessel = heat.besseli_scaled
+
+        def counted(alpha, z):
+            sizes.append(np.size(z))
+            return bessel(alpha, z)
+
+        monkeypatch.setattr(heat, "besseli_scaled", counted)
+        monkeypatch.setattr(grids, "_MATRIX_CACHE", _MatrixCache(1 << 24))
+        maximal_function(NuVector((0.6,)), f)
+        assert sizes == [distinct] * len(T_GRID_DEFAULT)
 
 
 class TestMatrixCache:

@@ -27,6 +27,7 @@ from besselops.grids import (
     eigenfunction_gridfn,
     log_axis,
     lp_norm,
+    uniform_axis,
 )
 from besselops.heat import NuVector
 from besselops.riesz import (
@@ -410,6 +411,30 @@ def _mp_entry(name, k, ladder, xa, xb, wb):
         return float(total * mpmath.mpf(wb) / mpmath.gamma(mpmath.mpf(k) / 2))
 
 
+def bessel_points(monkeypatch, run) -> list[int]:
+    """The argument count of each ``besseli_scaled`` call that ``run`` makes."""
+    sizes = []
+    bessel = heat.besseli_scaled
+
+    def counted(alpha, z):
+        sizes.append(np.size(z))
+        return bessel(alpha, z)
+
+    monkeypatch.setattr(heat, "besseli_scaled", counted)
+    run()
+    monkeypatch.setattr(heat, "besseli_scaled", bessel)
+    return sizes
+
+
+def _per_pair_axis_word(k_j, axis):
+    """``riesz._axis_word`` with the geometry formed on the pairs and the
+    Bessel functions evaluated on every pair."""
+    iu = np.triu_indices(axis.size)
+    x = axis.nodes
+    word = heat._pair_word(heat.delta_expansion(0.0, k_j), x[iu[0]], x[iu[1]], both=True)
+    return iu, word
+
+
 class TestGridMatrices:
     @pytest.mark.parametrize("name, k", [("k1", 1), ("k2", 2), ("diff", 1)])
     def test_against_mpmath(self, mp_ladders, name, k):
@@ -494,6 +519,77 @@ class TestGridMatrices:
             else:
                 riesz_matrix(0.6, (0,), g)
         assert calls == []
+
+    def test_orders_above_two_refused_before_any_ladder(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(heat, "besseli_scaled", lambda alpha, z: calls.append(alpha))
+        g1, g2 = default_grid(1, nodes_per_axis=32), default_grid(2, nodes_per_axis=8)
+        f1, f2 = GridFunction(g1, np.ones(g1.shape)), GridFunction(g2, np.ones(g2.shape))
+        refused = (
+            lambda: riesz_matrix(0.6, (3,), g1),
+            lambda: riesz_difference_matrix(0.6, (3,), 0, g1),
+            lambda: riesz_apply(0.6, (4,), f1),
+            lambda: riesz_apply((0.6, 0.7), (1, 3), f2),
+            lambda: riesz_apply((0.6, 0.7), (3, 0), f2),
+        )
+        for call in refused:
+            with pytest.raises(DomainError, match="k_j <= 2"):
+                call()
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 64)], ids=["log", "uniform"]
+    )
+    @pytest.mark.parametrize("k, difference", [(1, False), (2, False), (1, True)])
+    def test_distinct_products_match_the_per_pair_build(self, monkeypatch, axis, k, difference):
+        # The grid words evaluate their Bessel functions once per distinct
+        # node product and gather; the per-pair words (the sampled path's
+        # geometry) evaluate them on every pair.  t_min = 1e-6 puts early
+        # time nodes on the ladder's live-entries branch.
+        g = Grid((axis,))
+        plan = SubordinationPlan(1e-6, 1e4, 8)
+
+        def build():
+            monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 24))
+            if difference:
+                return riesz_difference_matrix(0.6, (k,), 0, g, plan)
+            return riesz_matrix(0.6, (k,), g, plan)
+
+        grid_build = build()
+        monkeypatch.setattr(riesz, "_axis_word", _per_pair_axis_word)
+        assert np.array_equal(grid_build, build())
+
+    @pytest.mark.filterwarnings("ignore:subordination tail indicator")
+    def test_nd_apply_matches_the_per_pair_build(self, monkeypatch):
+        g = Grid((log_axis(1e-2, 20.0, 24), uniform_axis(0.05, 10.0, 20)))
+        f = GridFunction.from_callable(g, lambda x, y: np.exp(-((x - 2.0) ** 2) - y))
+        plan = SubordinationPlan(1e-4, 1e3, 4)
+        grid_apply = riesz_apply(NuVector((0.6, 1.1)), (1, 2), f, plan).values
+        monkeypatch.setattr(riesz, "_axis_word", _per_pair_axis_word)
+        per_pair = riesz_apply(NuVector((0.6, 1.1)), (1, 2), f, plan).values
+        assert np.array_equal(grid_apply, per_pair)
+
+    def test_bessel_points_per_node_are_the_distinct_products(self, monkeypatch):
+        # One Bessel call per time node, on the distinct node products, also
+        # at the early nodes where the Gaussian factor underflows on some
+        # pairs.
+        plan = SubordinationPlan(1e-4, 1e2, 4)
+        g = default_grid(1, nodes_per_axis=64)
+        distinct = g.axes[0].pairs[2].size
+        assert distinct == 611
+        monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 20))
+        sizes = bessel_points(monkeypatch, lambda: riesz_matrix(1.0, (1,), g, plan))
+        assert sizes == [distinct] * plan.nodes()[0].size
+
+    def test_nd_apply_bessel_points_are_the_distinct_products(self, monkeypatch):
+        # One ladder per axis and time node; every pair is live from t = 1 on.
+        plan = SubordinationPlan(1.0, 1e2, 4)
+        g = Grid((log_axis(1e-2, 20.0, 40), uniform_axis(0.05, 10.0, 12)))
+        f = GridFunction(g, np.ones(g.shape))
+        sizes = bessel_points(monkeypatch, lambda: riesz_apply((0.6, 1.1), (1, 1), f, plan))
+        per_node = [ax.pairs[2].size for ax in g.axes]
+        assert per_node[0] < 40 * 41 // 2
+        assert sizes == per_node * plan.nodes()[0].size
 
     def test_difference_matrix_refuses_other_axes(self):
         g = default_grid(1, nodes_per_axis=32)

@@ -5,6 +5,7 @@ half-integer forms give exact cross-checks.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -128,6 +129,25 @@ class TestBesselI:
             ref = [float(mpmath.besseli(alpha, mpmath.mpf(v))) for v in z]
         np.testing.assert_allclose(besseli_scaled(alpha, z), ref, rtol=5e-13, atol=0.0)
 
+    def test_overflow_near_order_minus_one_against_mpmath(self):
+        # Near alpha = -1 the value at subnormal z overflows; there the
+        # result is inf, with no nan and no inf * 0 inside the series.
+        # (z/2)^alpha alone overflows at -0.953 and 5e-324, the value not.
+        alphas = [-0.999, -0.96, -0.953, -0.95]
+        z = np.array([5e-324, 1e-323, 1e-320, 3e-310, 2.5e-308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = besseli_scaled(alphas, z)
+        with mpmath.workdps(30):
+            for a, row in zip(alphas, rows):
+                ref = np.array([mpmath.besseli(a, mpmath.mpf(v)) for v in z])
+                over = ref > mpmath.mpf(np.finfo(float).max)
+                assert np.all(np.isinf(row[over]))
+                expect = np.array([float(v) for v in ref[~over]])
+                np.testing.assert_allclose(row[~over], expect, rtol=5e-13, atol=0.0)
+        assert np.isinf(rows).sum() == 5  # -0.999 at the first three z, -0.96 at two
+        assert_rows_match_single_orders(alphas, z)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             besseli(-1.0, 1.0)
@@ -148,11 +168,11 @@ class TestBesselI:
         assert ev.ratio_value == pytest.approx(ev.value / 2.0**0.5, rel=1e-12)
 
 
-def assert_rows_match_single_orders(alphas, z, equal_nan=False):
+def assert_rows_match_single_orders(alphas, z):
     rows = besseli_scaled(alphas, z)
     assert rows.shape == (len(alphas),) + np.shape(z)
     for a, row in zip(alphas, rows):
-        assert np.array_equal(row, besseli_scaled(a, z), equal_nan=equal_nan), f"alpha={a}"
+        assert np.array_equal(row, besseli_scaled(a, z)), f"alpha={a}"
 
 
 class TestMultiOrder:
@@ -201,11 +221,8 @@ class TestMultiOrder:
         ),
     )
     @settings(max_examples=200, deadline=None)
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_rows_match_single_orders(self, alphas, z):
-        # Orders near -1 at subnormal z overflow: (z/2)^alpha is inf, and the
-        # series step inf * (z/2)^2 = inf * 0 gives nan on both paths.
-        assert_rows_match_single_orders(alphas, np.array(z), equal_nan=True)
+        assert_rows_match_single_orders(alphas, np.array(z))
 
 
 class TestIdentities:
