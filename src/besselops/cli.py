@@ -4,7 +4,9 @@ Exit codes: 0 for passing verdicts (stable/valid), 1 for failing ones
 (violated/invalid/unstable), 2 for configuration errors and for inputs the
 library refuses, a Bessel value that overflows float64 included.  Campaign
 reports are canonical JSON (deterministic for fixed config and seed);
-wall-clock runtime goes to a sidecar meta file and stderr only.
+wall-clock runtime and the environment (Python and numpy versions, thread
+variables) go to a sidecar meta file, and the runtime to stderr; neither
+enters the report.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import pathlib
+import platform
 import sys
 import time
 
@@ -272,6 +276,26 @@ def cmd_cover_build(args) -> int:
 # campaign
 
 
+# The thread-pool variables of the numerical libraries numpy may load; a
+# run's speed depends on them, so the sidecar records them.
+_THREAD_VARIABLES = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
+def _environment() -> dict:
+    """Python and numpy versions and the thread variables (None when unset)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "threads": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
+    }
+
+
 def cmd_campaign_run(args) -> int:
     source = args.config
     if source in INEQUALITY_IDS:
@@ -291,9 +315,8 @@ def cmd_campaign_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / f"{config.inequality}.report.json"
     report_path.write_text(report.canonical_json())
-    (out / f"{config.inequality}.meta.json").write_text(
-        json.dumps({"runtime_seconds": elapsed}, indent=2) + "\n"
-    )
+    meta = {"runtime_seconds": elapsed, "environment": _environment()}
+    (out / f"{config.inequality}.meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     if samples is not None:
         csv_path = out / f"{config.inequality}.samples.csv"
         with open(csv_path, "w") as fh:

@@ -10,12 +10,15 @@ radius and the kernel weights vary fastest) with trapezoid weights for
 nonuniform nodes, so the weights sum exactly to the box measure.  Functions
 are sampled on the tensor grid and treated as immutable after construction.
 
-Each axis keeps one pair geometry (``Axis.pairs``): x_i x_j and
-(x_i - x_j)^2 on the node pairs i <= j, the distinct products and the
+Each axis keeps one pair geometry (``Axis.pairs``): the node pairs i <= j
+sorted by (x_i - x_j)^2, with x_i x_j, the distinct products and the
 inverse index.  On a log axis the products repeat exactly as floats (7,074
 distinct among 131,328 pairs at n = 512), so the dense kernel matrices here
 and in ``riesz`` evaluate their Bessel functions once per distinct product
-(``heat._ladder``).
+(``heat._ladder``).  At time t the pairs whose Gaussian factor
+exp(-(x_i - x_j)^2/4t) is not exactly 0 are a prefix of the sorted order;
+the ladders and the sums over them run on that prefix, and the matrices
+hold exact zeros past it.
 """
 
 from __future__ import annotations
@@ -112,17 +115,25 @@ class Axis:
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, ...]:
-        """(xy, d2, distinct, inverse) on the node pairs i <= j, in the order
-        of ``np.triu_indices(size)``: xy = x_i x_j, d2 = (x_i - x_j)**2, the
-        distinct values of xy, and the int32 index of each pair's product
-        among them, so xy == distinct[inverse].  Every grid matrix reads its
-        ladder geometry here (``heat._ladder``); kept as long as the axis."""
+        """(xy, d2, distinct, inverse, i, j) on the node pairs i <= j, sorted
+        by d2 = (x_i - x_j)**2, ties in the order of ``np.triu_indices``:
+        xy = x_i x_j, d2, the distinct values of xy, the int32 index of each
+        pair's product among them, so xy == distinct[inverse], and the int32
+        node indices.  At time t the pairs whose Gaussian factor
+        exp(-d2/4t) is not exactly 0 are a prefix of this order, and a grid
+        ladder works on that prefix only (``heat._ladder``).  Every grid
+        matrix reads its pairs here; kept as long as the axis."""
         i, j = np.triu_indices(self.size)
         x = self.nodes
-        xy = x[i] * x[j]
         d2 = (x[i] - x[j]) ** 2
+        order = np.argsort(d2, kind="stable")
+        d2 = d2[order]
+        i = i[order].astype(np.int32)
+        j = j[order].astype(np.int32)
+        del order
+        xy = x[i] * x[j]
         distinct, inverse = np.unique(xy, return_inverse=True)
-        out = (xy, d2, distinct, inverse.astype(np.int32))
+        out = (xy, d2, distinct, inverse.astype(np.int32), i, j)
         for arr in out:
             arr.setflags(write=False)
         return out
@@ -265,11 +276,15 @@ class _MatrixCache:
 _MATRIX_CACHE = _MatrixCache(MATRIX_CACHE_BYTES)
 
 
-def _mirror(iu, n: int, rows) -> np.ndarray:
-    """The dense n x n matrix with rows[0] above and rows[1] below the diagonal."""
-    out = np.empty((n, n))
-    out[iu] = rows[0]
-    out.T[iu] = rows[1]
+def _weighted_matrix(out: np.ndarray, axis: Axis, upper, lower) -> np.ndarray:
+    """Writes upper on the first len(upper) pairs (i, j) of ``Axis.pairs``
+    and lower on their mirror images (j, i), then scales column j by w_j.
+    ``out`` is the zeroed n x n matrix; the pairs past the prefix stay 0."""
+    i, j = axis.pairs[4:]
+    cut = upper.shape[-1]
+    out[i[:cut], j[:cut]] = upper
+    out[j[:cut], i[:cut]] = lower
+    out *= axis.weights
     return out
 
 
@@ -277,14 +292,17 @@ def _kernel_matrix(nu_j: float, t: float, axis: Axis) -> np.ndarray:
     """K[i, i'] = p_t^{nu_j}(x_i, x_{i'}) * w_{i'}; cached per axis.
 
     p_t^{nu_j} is symmetric bit for bit (see ``heat._ladder``), so it is
-    evaluated on i <= i' and mirrored, with the Bessel function on the
-    axis's distinct node products only (``Axis.pairs``).
+    evaluated on the pairs i <= i' whose Gaussian factor does not underflow
+    and mirrored, with the Bessel function on the axis's distinct node
+    products only (``Axis.pairs``).  The output is allocated before the
+    ladder's temporaries, which keeps the process's peak memory lower.
     """
 
     def build():
-        xy, d2, distinct, inverse = axis.pairs
-        vals = _ladder(nu_j, (0,), t, xy, d2, (distinct, inverse))[0]
-        return _mirror(np.triu_indices(axis.size), axis.size, (vals, vals)) * axis.weights[None, :]
+        out = np.zeros((axis.size, axis.size))
+        xy, d2, distinct, inverse, _, _ = axis.pairs
+        row = _ladder(nu_j, (0,), t, xy, d2, (distinct, inverse))[0]
+        return _weighted_matrix(out, axis, row, row)
 
     return _MATRIX_CACHE.get(("semigroup", axis.cache_key(), float(nu_j), float(t)), build)
 

@@ -34,9 +34,11 @@ One evaluator: ``_combine`` sums a word's monomials (``_monomials``) over
 a ladder {m: p_t^{beta+m}}, symmetric in (x, y) bit for bit, so words and
 argument orders can share it; ``step = 1`` reads p_t^{(beta+1)+m} =
 p_t^{beta+(m+1)}.  A word summed at many times (``_pair_word``, for
-``riesz``) keeps its monomials; on a grid axis its ladders evaluate the
-Bessel functions once per distinct node product (``_ladder``).  Finite
-differences are test oracles.
+``riesz``) keeps its monomials.  On a grid axis its ladders evaluate the
+Bessel functions once per distinct node product, and cover only the prefix
+of the distance-sorted node pairs on which the Gaussian factor is not
+exactly 0 (``_ladder``); ``_word_product`` sums the monomials on that
+prefix.  Finite differences are test oracles.
 """
 
 from __future__ import annotations
@@ -152,38 +154,52 @@ def _check_positive(name, *values):
             raise DomainError(f"{name} must be strictly positive and finite")
 
 
+# exp(-u) is exactly 0.0 in float64 for u above about 745.13.
+_EXP_ZERO = 746.0
+
+
 def _ladder(nu: float, shifts, t, xy, d2, unique=None) -> dict:
     """p_t^{nu+m} for each m in shifts from the pair geometry xy = x*y and
     d2 = (x-y)**2, sharing the exponential prefactor.
 
     All orders nu + m come from one ``besseli_scaled`` call on z = xy/2t,
     each row scaled by the prefactor in place.  Both inputs are symmetric in
-    (x, y) bit for bit, so one ladder serves both argument orders.  Entries
-    whose Gaussian factor underflows are skipped outright; the polynomial
-    coefficients downstream can never amplify them back above the underflow
-    threshold.
+    (x, y) bit for bit, so one ladder serves both argument orders.  When
+    fewer than 85% of more than 512 entries have a prefactor above 1e-280,
+    the others are +0; the polynomial coefficients downstream can never
+    amplify them back above the underflow threshold.
 
     ``unique = (distinct, inverse)`` with xy == distinct[inverse], as a grid
-    axis keeps it (``grids.Axis.pairs``): the Bessel call then runs once per
-    distinct product and the live entries are gathered back.  The
-    evaluation is exact per element, so the gathered rows are bit for bit
-    the direct ones.
+    axis keeps it (``grids.Axis.pairs``, with d2 ascending).  Past the
+    prefix cut = searchsorted(d2, 746 * 4t) the Gaussian factor is exactly
+    0.0, so the prefactor is formed, and the rows are gathered and scaled,
+    on the first cut pairs only; a caller reads the entries past them as
+    +0, which is what the full rows hold there.  The Bessel call runs once
+    per distinct product, exact per element, so the rows are bit for bit
+    the per-pair ones.  On the sampled batches (``unique`` None) the dead
+    entries take no Bessel arithmetic and are scattered back as +0.
     """
+    orders = [nu + m for m in shifts]
+    if unique is not None:
+        cut = int(np.searchsorted(d2, _EXP_ZERO * 4.0 * t))
+        common = np.sqrt(xy[:cut]) / (2.0 * t) * np.exp(-d2[:cut] / (4.0 * t))
+        if xy.size > 512:
+            live = common > 1e-280
+            if float(np.count_nonzero(live)) / xy.size < 0.85:
+                common[~live] = 0.0
+        distinct, inverse = unique
+        rows = np.take(besseli_scaled(orders, distinct / (2.0 * t)), inverse[:cut], axis=1)
+        rows *= common
+        return dict(zip(shifts, rows))
     common = np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t))
     del d2  # a batch-sized temporary in the pointwise callers; not needed below
-    orders = [nu + m for m in shifts]
     live = None
     if common.ndim > 0 and common.size > 512:
         live = common > 1e-280
         if float(np.count_nonzero(live)) / common.size >= 0.85:
             live = None
-    if unique is not None:
-        distinct, inverse = unique
-        rows = besseli_scaled(orders, distinct / (2.0 * t))
-        rows = np.take(rows, inverse if live is None else inverse[live], axis=1)
-    else:
-        z = xy / (2.0 * t)
-        rows = besseli_scaled(orders, z if live is None else z[live])
+    z = xy / (2.0 * t)
+    rows = besseli_scaled(orders, z if live is None else z[live])
     if live is None:
         rows *= common
         return dict(zip(shifts, rows))
@@ -301,7 +317,9 @@ class _PairWord:
     """A word summed at many times, on a batch of pairs: its monomials
     (``_monomials``, kept) and its ladder geometry x*y and (x-y)**2, formed
     once, or taken with the distinct products from a grid axis
-    (``unique``, see ``_ladder``).  The coefficients do not depend on nu.
+    (``unique``, see ``_ladder``), whose ladders cover only the prefix of
+    pairs where the Gaussian factor is not 0.  The coefficients do not
+    depend on nu.
 
     ``ladder`` holds the last time node's ladder until the next one is
     built.  Freed earlier, its pages go back to the system between time
@@ -319,11 +337,12 @@ class _PairWord:
 
 def _pair_word(expansion: HeatKernelExpansion, x, y, both=False, pairs=None):
     """The word on the pairs (x, y); ``pairs`` is the (xy, d2, distinct,
-    inverse) of a grid axis on the same pairs (``grids.Axis.pairs``)."""
+    inverse, i, j) of a grid axis on the same pairs, in the same order
+    (``grids.Axis.pairs``)."""
     monomials = tuple(_monomials(expansion.terms, x, y, both))
     if pairs is None:
         return _PairWord(expansion.shifts, monomials, x * y, (x - y) ** 2)
-    xy, d2, distinct, inverse = pairs
+    xy, d2, distinct, inverse = pairs[:4]
     return _PairWord(expansion.shifts, monomials, xy, d2, (distinct, inverse))
 
 
@@ -331,20 +350,27 @@ def _word_product(nu, words, t, difference_axis=None):
     """prod_j word_j at time t, one row per argument order, from one Bessel
     ladder per axis.  On ``difference_axis`` the factor is the word of order
     nu_j minus that of order nu_j + 1, from one ladder one step longer.
+
+    A grid word's rows cover the prefix of its pairs that its ladder covers
+    (``_ladder``), so a product takes at most one grid word.
     """
     out = None
     for j, (nu_j, word) in enumerate(zip(nu, words)):
         diff = j == difference_axis
         shifts = _stepped(word.shifts) if diff else word.shifts
         word.ladder = _ladder(nu_j, shifts, t, word.xy, word.d2, word.unique)
+        monomials = word.monomials
+        if word.unique is not None:
+            cut = word.ladder[shifts[0]].shape[-1]
+            monomials = tuple((d, m, monos[..., :cut]) for d, m, monos in monomials)
         if diff:
             # Built first, the shifted word leaves the heap fewer pages to
             # return between time nodes (a third fewer page faults at n = 384).
-            shifted = _combine(word.monomials, t, word.ladder, 1)
-            factor = _combine(word.monomials, t, word.ladder)
+            shifted = _combine(monomials, t, word.ladder, 1)
+            factor = _combine(monomials, t, word.ladder)
             factor -= shifted
         else:
-            factor = _combine(word.monomials, t, word.ladder)
+            factor = _combine(monomials, t, word.ladder)
         if out is None:
             out = factor
         else:

@@ -24,8 +24,11 @@ time sums: ``_riesz_quadrature`` (batches and the n >= 2 sweeps, with the
 tail indicator), ``_grid_matrix`` (the 1-D grid matrices, one ladder per
 time node on the node pairs i <= j for both triangles) and the n-D
 ``riesz_apply``.  The grid words take their ladder geometry from the axis
-(``grids.Axis.pairs``), so their Bessel functions run once per distinct
-node product; they refuse k_j >= 3, whose diagonal is rounding noise.
+(``grids.Axis.pairs``, the node pairs sorted by distance), so their Bessel
+functions run once per distinct node product, and at each time node the
+ladder, the word and the time sum cover only the prefix of pairs whose
+Gaussian factor is not exactly 0; the matrices hold +0 past it.  They
+refuse k_j >= 3, whose diagonal is rounding noise.
 ``riesz_matrix`` keeps its result in the bounded matrix cache of ``grids``.
 
 In 1-D the time integral of each term of the word has a closed form once
@@ -47,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, GridError
-from .grids import _MATRIX_CACHE, Grid, GridFunction, _mirror, apply_semigroup
+from .grids import _MATRIX_CACHE, Grid, GridFunction, _weighted_matrix, apply_semigroup
 from .heat import NuVector, _check_positive, _pair_word, _word_product, as_nu_vector, delta_expansion
 from .sampling import make_rng, sample_smooth_triples
 from .special import gamma
@@ -381,32 +384,35 @@ def riesz_kernel_1d(nu, k, x, y, both: bool = False) -> np.ndarray:
 
 
 def _axis_word(k_j: int, axis):
-    """The node pairs i <= j of one axis and the pair word on them, for both
-    triangles: row 0 is (x, y) = (x_i, x_j), row 1 is (x_j, x_i).  The
-    ladder geometry is the axis's own (``grids.Axis.pairs``), so the Bessel
-    functions run on its distinct node products."""
-    iu = np.triu_indices(axis.size)
+    """The pair word on the node pairs i <= j of one axis (``grids.Axis.pairs``,
+    sorted by distance), for both triangles: row 0 is (x, y) = (x_i, x_j),
+    row 1 is (x_j, x_i).  The ladder geometry is the axis's own, so the
+    Bessel functions run on its distinct node products and each time node
+    works on the prefix of pairs its Gaussian factor reaches."""
+    i, j = axis.pairs[4:]
     x = axis.nodes
-    expansion = delta_expansion(0.0, k_j)
-    return iu, _pair_word(expansion, x[iu[0]], x[iu[1]], both=True, pairs=axis.pairs)
+    return _pair_word(delta_expansion(0.0, k_j), x[i], x[j], both=True, pairs=axis.pairs)
 
 
 def _grid_matrix(nu: float, k: int, axis, plan: SubordinationPlan, difference: bool):
     """A[i, j] ~ R_nu(x_i, x_j) w_j on a 1-D axis, or the kernel of
     R_nu - R_{nu+1} when ``difference``.
 
-    Per time node one ladder on the triangle i <= j serves both triangles;
+    Per time node one ladder on the triangle i <= j serves both triangles,
+    and only its prefix of pairs with a nonzero Gaussian factor is summed;
     the dense matrix is written once, after the loop.
     """
-    iu, word = _axis_word(k, axis)
+    word = _axis_word(k, axis)
     t_nodes, w = plan.nodes()
     half = k / 2.0
-    total = np.zeros((2, iu[0].size))
+    total = np.zeros((2, axis.pairs[0].size))
     for t, wi in zip(t_nodes, w):
         rows = _word_product((nu,), (word,), t, 0 if difference else None)
         rows *= wi * t**half
-        total += rows
-    return _mirror(iu, axis.nodes.size, total) * axis.weights[None, :] / gamma(half)
+        total[:, : rows.shape[-1]] += rows
+    out = _weighted_matrix(np.zeros((axis.size, axis.size)), axis, total[0], total[1])
+    out /= gamma(half)
+    return out
 
 
 # On a grid the diagonal i = j is evaluated too, and for k_j >= 3 the terms
@@ -477,9 +483,9 @@ def riesz_apply(nu, k, f: GridFunction, plan: SubordinationPlan = DEFAULT_PLAN) 
     acc = np.zeros(f.grid.shape)
     for t, wi in zip(t_nodes, w):
         vals = f.values
-        for j, ((iu, word), axis) in enumerate(zip(words, axes)):
+        for j, (word, axis) in enumerate(zip(words, axes)):
             rows = _word_product((nu.nu[j],), (word,), t)
-            mat = _mirror(iu, axis.nodes.size, rows) * axis.weights[None, :]
+            mat = _weighted_matrix(np.zeros((axis.size, axis.size)), axis, rows[0], rows[1])
             vals = np.moveaxis(np.tensordot(mat, vals, axes=(1, j)), 0, j)
         acc += wi * t**half * vals
     return GridFunction(f.grid, acc / gamma(half))

@@ -32,20 +32,16 @@ and its later terms are smaller still, so they leave the total unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "BesselOrder",
-    "BesselEval",
     "gamma",
     "besseli",
     "besseli_scaled",
     "besseli_ratio",
-    "bessel_eval",
 ]
 
 # Unscaled I overflows float64 around z ~ 709; refuse a little earlier.
@@ -94,37 +90,8 @@ def gamma(x: float) -> float:
     return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
 
 
-@dataclass(frozen=True)
-class BesselOrder:
-    """Validated order for the first-kind modified Bessel family.
-
-    The power series defining I_alpha requires alpha > -1.  Orders in
-    (-1, -1/2] are accepted here even though the operator-level machinery
-    restricts to orders above -1/2; shifted orders below the operator
-    threshold show up inside recursions.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.alpha) or self.alpha <= -1.0:
-            raise DomainError(f"Bessel order must exceed -1, got {self.alpha}")
-
-    def __float__(self) -> float:
-        return float(self.alpha)
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """The three evaluation forms of I_alpha at a single point."""
-
-    value: float
-    scaled_value: float
-    ratio_value: float
-
-
 def _order(alpha) -> float:
-    a = float(alpha.alpha) if isinstance(alpha, BesselOrder) else float(alpha)
+    a = float(alpha)
     if not math.isfinite(a) or a <= -1.0:
         raise DomainError(f"Bessel order must exceed -1, got {a}")
     return a
@@ -266,7 +233,7 @@ def besseli_scaled(alpha, z):
     order, ``out[i]`` bit for bit equal to ``besseli_scaled(alpha[i], z)``,
     and the work that does not depend on the order is done once.
     """
-    multi = not isinstance(alpha, BesselOrder) and np.ndim(alpha) > 0
+    multi = np.ndim(alpha) > 0
     orders = [_order(a) for a in alpha] if multi else [_order(alpha)]
     arr, scalar = _as_array(z)
     _check_nonneg(arr)
@@ -316,15 +283,3 @@ def besseli_ratio(alpha, z):
         with np.errstate(over="ignore"):
             out[~small] = np.exp(zz - a * np.log(zz)) * _asymptotic_scaled(a, zz)
     return float(out[0]) if scalar else out.reshape(np.shape(z))
-
-
-def bessel_eval(alpha, z: float) -> BesselEval:
-    """All three evaluation forms at one point (value may be inf for huge z)."""
-    a = _order(alpha)
-    zf = float(z)
-    scaled = besseli_scaled(a, zf)
-    if zf >= _OVERFLOW_Z:
-        value = math.inf
-    else:
-        value = math.exp(zf) * scaled
-    return BesselEval(value=value, scaled_value=scaled, ratio_value=besseli_ratio(a, zf))

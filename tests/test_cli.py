@@ -1,6 +1,7 @@
 """CLI contract tests: commands, outputs, exit codes, determinism."""
 
 import json
+import platform
 import subprocess
 import sys
 
@@ -102,6 +103,26 @@ class TestCampaignRun:
         meta = json.loads((tmp_path / "thm2_1.meta.json").read_text())
         assert "runtime_seconds" in meta
         assert "runtime" not in json.dumps(report)
+
+    def test_meta_records_the_environment(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        rc = main(["--out", str(tmp_path), "campaign", "run", "--config", "thm2_1"])
+        assert rc == 0
+        env = json.loads((tmp_path / "thm2_1.meta.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert list(env["threads"]) == [
+            "OMP_NUM_THREADS",
+            "OPENBLAS_NUM_THREADS",
+            "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS",
+            "VECLIB_MAXIMUM_THREADS",
+        ]
+        assert env["threads"]["OMP_NUM_THREADS"] == "1"
+        assert env["threads"]["MKL_NUM_THREADS"] is None
+        report = (tmp_path / "thm2_1.report.json").read_text()
+        assert "numpy" not in report and "THREADS" not in report
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

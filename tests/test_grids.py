@@ -33,9 +33,41 @@ from besselops.grids import (
     uniform_axis,
     _kernel_matrix,
     _MatrixCache,
-    _mirror,
 )
 from besselops.heat import NuVector, _p1d, eval_delta_heat_1d, heat_kernel_1d
+
+
+def live_regime(axis, t) -> str:
+    """Which branch of the ladder's live rule the axis's pairs take at time t:
+    fewer than 85% of the prefactors above 1e-280, 85-100%, or all of them."""
+    x = axis.nodes
+    iu = np.triu_indices(axis.size)
+    xy, d2 = x[iu[0]] * x[iu[1]], (x[iu[0]] - x[iu[1]]) ** 2
+    live = np.count_nonzero(np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t)) > 1e-280)
+    if live == xy.size:
+        return "all"
+    return "most" if live / xy.size >= 0.85 else "few"
+
+
+def regime_times(axis) -> dict:
+    """The first time of a log-spaced scan in each live regime."""
+    times = {}
+    for t in np.geomspace(1e-4, 10.0, 51):
+        times.setdefault(live_regime(axis, t), float(t))
+    assert sorted(times) == ["all", "few", "most"]
+    return times
+
+
+def all_pairs_kernel_matrix(nu, t, axis):
+    """The semigroup kernel matrix from every pair of the triangle, in the
+    order of ``np.triu_indices``, mirrored and weighted."""
+    x = axis.nodes
+    iu = np.triu_indices(x.size)
+    vals = _p1d(nu, t, x[iu[0]], x[iu[1]])
+    out = np.empty((x.size, x.size))
+    out[iu] = vals
+    out.T[iu] = vals
+    return out * axis.weights[None, :]
 
 
 class TestGridConstruction:
@@ -46,6 +78,22 @@ class TestGridConstruction:
         g = Grid((ax, uniform_axis(0.5, 4.0, 129)))
         measure = (20.0 - 1e-2) * 3.5
         assert float(np.sum(g.weight_array)) == pytest.approx(measure, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 33)], ids=["log", "uniform"]
+    )
+    def test_pairs_are_the_triangle_sorted_by_distance(self, axis):
+        xy, d2, distinct, inverse, i, j = axis.pairs
+        x = axis.nodes
+        assert i.dtype == j.dtype == inverse.dtype == np.int32
+        assert np.all(np.diff(d2) >= 0.0)
+        assert np.array_equal(d2, (x[i] - x[j]) ** 2)
+        assert np.array_equal(xy, x[i] * x[j])
+        assert np.array_equal(xy, distinct[inverse])
+        assert np.array_equal(distinct, np.unique(xy))
+        # (i, j) is a permutation of the triangle i <= j.
+        iu = np.triu_indices(axis.size)
+        assert np.array_equal(np.sort(i.astype(np.int64) * axis.size + j), iu[0] * axis.size + iu[1])
 
     def test_rejects_bad_axes(self):
         with pytest.raises(GridError):
@@ -178,13 +226,45 @@ class TestSemigroup:
     )
     @pytest.mark.parametrize("nu, t", [(2.0, 2.0**-10), (0.6, 3.0)])
     def test_kernel_matrix_matches_the_per_pair_build(self, axis, nu, t):
-        # Bessel functions once per distinct node product, gathered, against
-        # the kernel evaluated on every pair of the triangle.
-        x = axis.nodes
-        iu = np.triu_indices(x.size)
-        vals = _p1d(nu, t, x[iu[0]], x[iu[1]])
-        per_pair = _mirror(iu, x.size, (vals, vals)) * axis.weights[None, :]
-        assert np.array_equal(_kernel_matrix(nu, t, axis), per_pair)
+        # Bessel functions once per distinct node product on the live prefix
+        # of the distance-sorted pairs, against the kernel evaluated on every
+        # pair of the triangle.
+        assert np.array_equal(_kernel_matrix(nu, t, axis), all_pairs_kernel_matrix(nu, t, axis))
+
+    @pytest.mark.parametrize(
+        "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 64)], ids=["log", "uniform"]
+    )
+    @pytest.mark.parametrize("nu", [1.0, 0.3, -0.2])
+    def test_kernel_matrix_matches_the_per_pair_build_in_every_live_regime(self, axis, nu):
+        for t in regime_times(axis).values():
+            assert np.array_equal(
+                _kernel_matrix(nu, t, axis), all_pairs_kernel_matrix(nu, t, axis)
+            ), t
+
+    @pytest.mark.parametrize(
+        "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 64)], ids=["log", "uniform"]
+    )
+    def test_kernel_matrix_ladders_cover_the_live_prefix(self, monkeypatch, axis):
+        # Each ladder returns the first cut pairs, where cut counts the pairs
+        # with d2 < 746 * 4t, and exp(-d2/4t) is exactly 0 on every pair left out.
+        calls = []
+        ladder = grids._ladder
+
+        def recorded(nu, shifts, t, xy, d2, unique=None):
+            (row,) = ladder(nu, shifts, t, xy, d2, unique).values()
+            calls.append((t, d2, row.size))
+            return {0: row}
+
+        monkeypatch.setattr(grids, "_ladder", recorded)
+        times = regime_times(axis)
+        for t in times.values():
+            _kernel_matrix(0.6, t, axis)
+        assert [t for t, _, _ in calls] == list(times.values())
+        for t, d2, cut in calls:
+            assert d2 is axis.pairs[1]
+            assert cut == np.searchsorted(d2, 746.0 * 4.0 * t)
+            assert np.all(np.exp(-d2[cut:] / (4.0 * t)) == 0.0)
+        assert calls[0][2] < axis.pairs[0].size
 
     @pytest.mark.parametrize(
         "axis", [log_axis(1e-2, 20.0, 96), uniform_axis(0.05, 10.0, 96)], ids=["log", "uniform"]

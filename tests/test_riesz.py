@@ -30,6 +30,7 @@ from besselops.grids import (
     uniform_axis,
 )
 from besselops.heat import NuVector
+from besselops.special import gamma
 from besselops.riesz import (
     SCHLAFLI_NODES,
     CzSamplePlan,
@@ -426,13 +427,60 @@ def bessel_points(monkeypatch, run) -> list[int]:
     return sizes
 
 
-def _per_pair_axis_word(k_j, axis):
-    """``riesz._axis_word`` with the geometry formed on the pairs and the
-    Bessel functions evaluated on every pair."""
+def _all_pairs_rows(nu, k, axis, plan, difference=False):
+    """Per time node t, the word rows on every pair of the triangle, in the
+    order of ``np.triu_indices``, with the Bessel functions evaluated on
+    every pair: the sampled path's geometry, no distinct products, no prefix."""
     iu = np.triu_indices(axis.size)
     x = axis.nodes
-    word = heat._pair_word(heat.delta_expansion(0.0, k_j), x[iu[0]], x[iu[1]], both=True)
-    return iu, word
+    word = heat._pair_word(heat.delta_expansion(0.0, k), x[iu[0]], x[iu[1]], both=True)
+    for t, wi in zip(*plan.nodes()):
+        yield t, wi, heat._word_product((nu,), (word,), t, 0 if difference else None)
+
+
+def _all_pairs_dense(axis, rows):
+    iu = np.triu_indices(axis.size)
+    out = np.empty((axis.size, axis.size))
+    out[iu] = rows[0]
+    out.T[iu] = rows[1]
+    return out * axis.weights[None, :]
+
+
+def all_pairs_matrix(nu, k, axis, plan, difference=False):
+    """``riesz_matrix`` (or ``riesz_difference_matrix``) from all the pairs."""
+    total = 0.0
+    for t, wi, rows in _all_pairs_rows(nu, k, axis, plan, difference):
+        rows *= wi * t ** (k / 2.0)
+        total = total + rows
+    return _all_pairs_dense(axis, total) / gamma(k / 2.0)
+
+
+def all_pairs_apply(nu, k, f, plan):
+    """The n-D ``riesz_apply`` from all the pairs of every axis."""
+    axes = f.grid.axes
+    per_axis = [_all_pairs_rows(nu_j, k_j, ax, plan) for nu_j, k_j, ax in zip(nu, k, axes)]
+    half = sum(k) / 2.0
+    acc = np.zeros(f.grid.shape)
+    for nodes in zip(*per_axis):
+        vals = f.values
+        for j, ((t, wi, rows), axis) in enumerate(zip(nodes, axes)):
+            vals = np.moveaxis(np.tensordot(_all_pairs_dense(axis, rows), vals, axes=(1, j)), 0, j)
+        acc += wi * t**half * vals
+    return acc / gamma(half)
+
+
+def live_regimes(axis, times) -> set:
+    """The branches of the ladder's live rule that the axis's pairs take at
+    the given times: fewer than 85% of the prefactors above 1e-280, 85-100%,
+    or all of them."""
+    iu = np.triu_indices(axis.size)
+    x = axis.nodes
+    xy, d2 = x[iu[0]] * x[iu[1]], (x[iu[0]] - x[iu[1]]) ** 2
+    out = set()
+    for t in times:
+        live = np.count_nonzero(np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t)) > 1e-280)
+        out.add("all" if live == xy.size else "most" if live / xy.size >= 0.85 else "few")
+    return out
 
 
 class TestGridMatrices:
@@ -543,31 +591,72 @@ class TestGridMatrices:
     @pytest.mark.parametrize("k, difference", [(1, False), (2, False), (1, True)])
     def test_distinct_products_match_the_per_pair_build(self, monkeypatch, axis, k, difference):
         # The grid words evaluate their Bessel functions once per distinct
-        # node product and gather; the per-pair words (the sampled path's
-        # geometry) evaluate them on every pair.  t_min = 1e-6 puts early
-        # time nodes on the ladder's live-entries branch.
+        # node product, on the live prefix of the distance-sorted pairs; the
+        # reference evaluates them on every pair of the triangle.  The plan's
+        # time nodes take every branch of the ladder's live rule.
         g = Grid((axis,))
         plan = SubordinationPlan(1e-6, 1e4, 8)
+        assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
+        monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 24))
+        if difference:
+            grid_build = riesz_difference_matrix(0.6, (k,), 0, g, plan)
+        else:
+            grid_build = riesz_matrix(0.6, (k,), g, plan)
+        assert np.array_equal(grid_build, all_pairs_matrix(0.6, k, axis, plan, difference))
 
-        def build():
-            monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 24))
-            if difference:
-                return riesz_difference_matrix(0.6, (k,), 0, g, plan)
-            return riesz_matrix(0.6, (k,), g, plan)
-
-        grid_build = build()
-        monkeypatch.setattr(riesz, "_axis_word", _per_pair_axis_word)
-        assert np.array_equal(grid_build, build())
+    @pytest.mark.parametrize("nu", [1.0, -0.2])
+    @pytest.mark.parametrize(
+        "axis", [log_axis(1e-2, 20.0, 48), uniform_axis(0.05, 10.0, 40)], ids=["log", "uniform"]
+    )
+    def test_matrices_match_the_per_pair_build_at_other_orders(self, monkeypatch, axis, nu):
+        g = Grid((axis,))
+        plan = SubordinationPlan(1e-5, 1e3, 6)
+        assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
+        monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 24))
+        for k in (1, 2):
+            assert np.array_equal(riesz_matrix(nu, (k,), g, plan), all_pairs_matrix(nu, k, axis, plan))
+        diff = riesz_difference_matrix(nu, (1,), 0, g, plan)
+        assert np.array_equal(diff, all_pairs_matrix(nu, 1, axis, plan, difference=True))
 
     @pytest.mark.filterwarnings("ignore:subordination tail indicator")
-    def test_nd_apply_matches_the_per_pair_build(self, monkeypatch):
-        g = Grid((log_axis(1e-2, 20.0, 24), uniform_axis(0.05, 10.0, 20)))
+    def test_nd_apply_matches_the_per_pair_build(self):
+        g = Grid((log_axis(1e-2, 20.0, 40), uniform_axis(0.05, 10.0, 36)))
         f = GridFunction.from_callable(g, lambda x, y: np.exp(-((x - 2.0) ** 2) - y))
-        plan = SubordinationPlan(1e-4, 1e3, 4)
+        plan = SubordinationPlan(1e-5, 1e3, 4)
+        for axis in g.axes:
+            assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
         grid_apply = riesz_apply(NuVector((0.6, 1.1)), (1, 2), f, plan).values
-        monkeypatch.setattr(riesz, "_axis_word", _per_pair_axis_word)
-        per_pair = riesz_apply(NuVector((0.6, 1.1)), (1, 2), f, plan).values
-        assert np.array_equal(grid_apply, per_pair)
+        assert np.array_equal(grid_apply, all_pairs_apply((0.6, 1.1), (1, 2), f, plan))
+
+    @pytest.mark.filterwarnings("ignore:subordination tail indicator")
+    def test_grid_ladders_cover_the_live_prefix(self, monkeypatch):
+        # Each grid ladder returns rows on the first cut pairs, cut being the
+        # count of pairs with d2 < 746 * 4t, and exp(-d2/4t) is exactly 0 on
+        # every pair it leaves out; at the early time nodes that is most pairs.
+        calls = []
+        ladder = heat._ladder
+
+        def recorded(nu, shifts, t, xy, d2, unique=None):
+            out = ladder(nu, shifts, t, xy, d2, unique)
+            (shape,) = {row.shape for row in out.values()}
+            calls.append((t, d2, *shape))
+            return out
+
+        monkeypatch.setattr(heat, "_ladder", recorded)
+        monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 24))
+        plan = SubordinationPlan(1e-5, 1e3, 4)
+        g1 = default_grid(1, nodes_per_axis=64)
+        g2 = Grid((log_axis(1e-2, 20.0, 24), uniform_axis(0.05, 10.0, 20)))
+        riesz_matrix(0.6, (1,), g1, plan)
+        riesz_difference_matrix(0.6, (2,), 0, g1, plan)
+        riesz_apply((0.6, 1.1), (1, 2), GridFunction(g2, np.ones(g2.shape)), plan)
+        axes = (*g1.axes, *g2.axes)
+        assert len(calls) == 4 * plan.nodes()[0].size
+        for t, d2, cut in calls:
+            assert any(d2 is ax.pairs[1] for ax in axes)
+            assert cut == np.searchsorted(d2, 746.0 * 4.0 * t)
+            assert np.all(np.exp(-d2[cut:] / (4.0 * t)) == 0.0)
+        assert min(cut / d2.size for _, d2, cut in calls) < 0.5
 
     def test_bessel_points_per_node_are_the_distinct_products(self, monkeypatch):
         # One Bessel call per time node, on the distinct node products, also
