@@ -240,9 +240,9 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 # Semigroup application and the maximal function
 
-# Every cached dense operator matrix (the semigroup kernels here and the 1-D
-# Riesz matrices) shares one store; 128 MiB holds 64 matrices at n = 512,
-# about twice the working set of the thm1_6i campaign.
+# The cached dense operator matrices (the 1-D Riesz matrices) share one
+# store; 128 MiB holds 64 matrices at n = 512.  Semigroup kernels are not
+# kept: each is read once, by one contraction of a whole stack of values.
 MATRIX_CACHE_BYTES = 128 * 2**20
 
 
@@ -289,7 +289,7 @@ def _weighted_matrix(out: np.ndarray, axis: Axis, upper, lower) -> np.ndarray:
 
 
 def _kernel_matrix(nu_j: float, t: float, axis: Axis) -> np.ndarray:
-    """K[i, i'] = p_t^{nu_j}(x_i, x_{i'}) * w_{i'}; cached per axis.
+    """K[i, i'] = p_t^{nu_j}(x_i, x_{i'}) * w_{i'}, built on every call.
 
     p_t^{nu_j} is symmetric bit for bit (see ``heat._ladder``), so it is
     evaluated on the pairs i <= i' whose Gaussian factor does not underflow
@@ -297,14 +297,44 @@ def _kernel_matrix(nu_j: float, t: float, axis: Axis) -> np.ndarray:
     products only (``Axis.pairs``).  The output is allocated before the
     ladder's temporaries, which keeps the process's peak memory lower.
     """
+    out = np.zeros((axis.size, axis.size))
+    xy, d2, distinct, inverse, _, _ = axis.pairs
+    row = _ladder(nu_j, (0,), t, xy, d2, (distinct, inverse))[0]
+    return _weighted_matrix(out, axis, row, row)
 
-    def build():
-        out = np.zeros((axis.size, axis.size))
-        xy, d2, distinct, inverse, _, _ = axis.pairs
-        row = _ladder(nu_j, (0,), t, xy, d2, (distinct, inverse))[0]
-        return _weighted_matrix(out, axis, row, row)
 
-    return _MATRIX_CACHE.get(("semigroup", axis.cache_key(), float(nu_j), float(t)), build)
+def _semigroup_values(nu: NuVector, t: float, grid: Grid, values: np.ndarray) -> np.ndarray:
+    """The semigroup at time t on ``values`` of shape grid.shape + batch.
+
+    The contraction over axis j carries the trailing batch axes, so a stack
+    of functions costs one matrix product per axis, and each kernel matrix
+    is built once for the whole stack.
+    """
+    for j, axis in enumerate(grid.axes):
+        mat = _kernel_matrix(nu.nu[j], t, axis)
+        values = np.moveaxis(np.tensordot(mat, values, axes=(1, j)), 0, j)
+    return values
+
+
+def _maximal_values(nu: NuVector, t_grid, grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Running max over ``t_grid`` of |``_semigroup_values``|, on a stack."""
+    best = None
+    for t in t_grid:
+        g = np.abs(_semigroup_values(nu, t, grid, values))
+        best = g if best is None else np.maximum(best, g, out=best)
+    return best
+
+
+def _check_semigroup(nu, grid: Grid, t_grid) -> tuple[NuVector, tuple[float, ...]]:
+    nu = as_nu_vector(nu)
+    if nu.n != grid.ndim:
+        raise GridError("order vector dimension does not match grid")
+    t_grid = tuple(float(t) for t in t_grid)
+    if not t_grid:
+        raise DomainError("t_grid must be nonempty")
+    if not all(t > 0.0 for t in t_grid):
+        raise DomainError("time must be positive")
+    return nu, t_grid
 
 
 def apply_semigroup(nu, t: float, f: GridFunction) -> GridFunction:
@@ -313,16 +343,8 @@ def apply_semigroup(nu, t: float, f: GridFunction) -> GridFunction:
     g(x_i) = sum_j w_j p_t(x_i, y_j) f(y_j), one kernel contraction per axis;
     linear in f and positivity preserving.
     """
-    nu = as_nu_vector(nu)
-    if nu.n != f.grid.ndim:
-        raise GridError("order vector dimension does not match grid")
-    if not t > 0.0:
-        raise DomainError("time must be positive")
-    out = f.values
-    for j in range(f.grid.ndim):
-        mat = _kernel_matrix(nu.nu[j], t, f.grid.axes[j])
-        out = np.moveaxis(np.tensordot(mat, out, axes=(1, j)), 0, j)
-    return GridFunction(f.grid, out)
+    nu, (t,) = _check_semigroup(nu, f.grid, (t,))
+    return GridFunction(f.grid, _semigroup_values(nu, t, f.grid, f.values))
 
 
 def maximal_function(nu, f: GridFunction, t_grid=T_GRID_DEFAULT) -> GridFunction:
@@ -331,14 +353,8 @@ def maximal_function(nu, f: GridFunction, t_grid=T_GRID_DEFAULT) -> GridFunction
     A finite time grid undershoots the supremum over all t > 0; callers that
     need a sensitivity estimate should compare against a denser grid.
     """
-    t_grid = tuple(float(t) for t in t_grid)
-    if not t_grid:
-        raise DomainError("t_grid must be nonempty")
-    best = None
-    for t in t_grid:
-        g = np.abs(apply_semigroup(nu, t, f).values)
-        best = g if best is None else np.maximum(best, g)
-    return GridFunction(f.grid, best)
+    nu, t_grid = _check_semigroup(nu, f.grid, t_grid)
+    return GridFunction(f.grid, _maximal_values(nu, t_grid, f.grid, f.values))
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

@@ -29,7 +29,9 @@ functions run once per distinct node product, and at each time node the
 ladder, the word and the time sum cover only the prefix of pairs whose
 Gaussian factor is not exactly 0; the matrices hold +0 past it.  They
 refuse k_j >= 3, whose diagonal is rounding noise.
-``riesz_matrix`` keeps its result in the bounded matrix cache of ``grids``.
+``riesz_matrix`` keeps its result in the bounded matrix cache of ``grids``,
+which holds no other matrices: repeated ``riesz_apply`` calls read it, and
+a caller with many functions applies it once to their stack.
 
 In 1-D the time integral of each term of the word has a closed form once
 the Bessel function is written by Schlafli's integral, which leaves a

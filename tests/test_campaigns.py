@@ -4,11 +4,12 @@ live in the acceptance suite)."""
 
 import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from besselops import cli, heat, riesz
+from besselops import campaigns, cli, grids, heat, riesz
 from besselops.campaigns import (
     INEQUALITY_IDS,
     SPECS,
@@ -20,8 +21,11 @@ from besselops.campaigns import (
     bmo_spot_check,
     run_campaign,
 )
-from besselops.errors import ConfigError
+from besselops.errors import ConfigError, DomainError
+from besselops.grids import T_GRID_DEFAULT, _MatrixCache, default_grid, lp_norm, maximal_function
 from besselops.heat import NuVector
+from besselops.riesz import SubordinationPlan, riesz_apply
+from besselops.sampling import make_rng
 
 
 def small(cfg: CampaignConfig, **over) -> CampaignConfig:
@@ -202,3 +206,95 @@ class TestOperatorCampaigns:
         rep, _ = run_campaign(cfg)
         assert np.isfinite(rep.C_hat)
         assert rep.C_hat < 10.0
+
+
+def per_atom_hardy(nu, k, p, atom_count, seed, grid_nodes, levels):
+    """hardy_spot_check one atom at a time: the transform, the maximal
+    function and the quasi-norm per atom, the worst atom picked inside the
+    loop, and both time grids applied to it afresh."""
+    plan = SubordinationPlan(1e-6, 1e4, 12)
+    grid = default_grid(1, nodes_per_axis=grid_nodes)
+    nu_shifted = nu.shifted(k)
+    rng = make_rng(seed)
+    norms = []
+    worst_atom = None
+    for _ in range(atom_count * 2 ** (levels - 1)):
+        atom = campaigns._random_atom(rng, grid, p)
+        ra = riesz_apply(nu, k, atom.f, plan)
+        norms.append(lp_norm(maximal_function(nu_shifted, ra, T_GRID_DEFAULT), p))
+        if worst_atom is None or norms[-1] >= max(norms):
+            worst_atom = atom
+    norms = np.asarray(norms)
+    prefixes = [norms[: atom_count * 2**lev] for lev in range(levels)]
+    dense = tuple(2.0 ** (m / 2.0) for m in range(-20, 13))
+    ra = riesz_apply(nu, k, worst_atom.f, plan)
+    base = lp_norm(maximal_function(nu_shifted, ra, T_GRID_DEFAULT), p)
+    fine = lp_norm(maximal_function(nu_shifted, ra, dense), p)
+    return {
+        "max": float(np.max(norms)),
+        "median": float(np.median(norms)),
+        "per_refinement_max": [float(np.max(v)) for v in prefixes],
+        "per_refinement_ratio": [float(np.max(v) / np.median(v)) for v in prefixes],
+        "worst_atom": {"center": list(worst_atom.ball.center), "radius": worst_atom.ball.radius},
+        "t_grid_refinement_delta": abs(fine - base) / base,
+    }
+
+
+class TestHardySpotCheck:
+    @pytest.mark.parametrize("k", [(1,), (0,)])
+    def test_atom_stack_matches_the_per_atom_loop(self, k):
+        nu = NuVector((1.0,))
+        args = dict(atom_count=8, seed=3, grid_nodes=128, levels=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = hardy_spot_check(nu, k, 1.0, **args)
+            ref = per_atom_hardy(nu, k, 1.0, **args)
+        # gemm and gemv sum in different orders: rounding only
+        for key in ("max", "median", "per_refinement_max", "per_refinement_ratio"):
+            assert got[key] == pytest.approx(ref[key], rel=1e-12, abs=0.0), key
+        assert got["t_grid_refinement_delta"] == pytest.approx(
+            ref["t_grid_refinement_delta"], rel=0.0, abs=1e-10
+        )
+        assert got["worst_atom"]["center"] == ref["worst_atom"]["center"]
+        assert got["worst_atom"]["radius"] == ref["worst_atom"]["radius"]
+        assert got["worst_atom"]["norm"] == got["max"]
+
+    def test_builds_each_matrix_once(self, monkeypatch):
+        # One Riesz matrix, and one semigroup kernel per time of the dense
+        # grid 2^(m/2), m = -20..12: the default grid's 17 for the whole
+        # atom stack, the other 16 for the worst atom.
+        cache = _MatrixCache(grids.MATRIX_CACHE_BYTES)
+        monkeypatch.setattr(grids, "_MATRIX_CACHE", cache)
+        monkeypatch.setattr(riesz, "_MATRIX_CACHE", cache)
+        kernel_times = []
+        ladder = grids._ladder
+
+        def counted_ladder(nu, shifts, t, *args):
+            kernel_times.append(t)
+            return ladder(nu, shifts, t, *args)
+
+        riesz_builds = []
+        grid_matrix = riesz._grid_matrix
+
+        def counted_matrix(*args, **kwargs):
+            riesz_builds.append(args)
+            return grid_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(grids, "_ladder", counted_ladder)
+        monkeypatch.setattr(riesz, "_grid_matrix", counted_matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            hardy_spot_check(NuVector((1.0,)), (1,), 1.0, atom_count=4, grid_nodes=96, levels=2)
+        dense = tuple(2.0 ** (m / 2.0) for m in range(-20, 13))
+        assert Counter(kernel_times) == Counter(dense)
+        assert len(riesz_builds) == 1
+        assert [key[0] for key in cache._store] == ["riesz"]
+
+    @pytest.mark.parametrize("nodes", [16, 64])
+    def test_refuses_more_than_one_dimension_before_building_a_grid(self, monkeypatch, nodes):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(campaigns, "default_grid", no_grid)
+        with pytest.raises(DomainError, match="1-D"):
+            hardy_spot_check(NuVector((1.0, 1.0)), (1, 0), 1.0, atom_count=2, grid_nodes=nodes)

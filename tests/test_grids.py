@@ -32,7 +32,9 @@ from besselops.grids import (
     maximal_function,
     uniform_axis,
     _kernel_matrix,
+    _maximal_values,
     _MatrixCache,
+    _semigroup_values,
 )
 from besselops.heat import NuVector, _p1d, eval_delta_heat_1d, heat_kernel_1d
 
@@ -328,8 +330,9 @@ class TestMatrixCache:
         assert cache.nbytes <= 1000
 
     def test_bound_holds_the_thm1_6i_working_set(self):
-        # One 512^2 Riesz matrix and the 33 semigroup kernel matrices of
-        # the dense time grid.
+        # Sized for one 512^2 Riesz matrix and the 33 semigroup kernel
+        # matrices of the dense time grid.  Semigroup kernels are no longer
+        # cached (thm1_6i keeps only its Riesz matrix), so the bound is slack.
         assert MATRIX_CACHE_BYTES >= 34 * 512 * 512 * 8
 
 
@@ -347,6 +350,24 @@ class TestMaximalFunction:
         f = GridFunction(g, np.zeros(16))
         with pytest.raises(DomainError):
             maximal_function(0.5, f, ())
+
+    @pytest.mark.parametrize("nu, nodes", [((0.5,), 96), ((0.6, 1.2), 40)], ids=["1d", "2d"])
+    def test_stack_core_matches_column_by_column(self, nu, nodes):
+        # A stack of functions contracts as matrix-matrix products, one
+        # function as matrix-vector products: they sum in different orders.
+        nu = NuVector(nu)
+        g = default_grid(nu.n, nodes_per_axis=nodes)
+        stack = np.random.default_rng(7).standard_normal(g.shape + (5,))
+        t_grid = (2.0**-6, 0.5, 4.0)
+        got_apply = _semigroup_values(nu, 0.5, g, stack)
+        got_max = _maximal_values(nu, t_grid, g, stack)
+        for b in range(stack.shape[-1]):
+            f = GridFunction(g, stack[..., b])
+            for got, ref in (
+                (got_apply[..., b], apply_semigroup(nu, 0.5, f).values),
+                (got_max[..., b], maximal_function(nu, f, t_grid).values),
+            ):
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestLpNorm:
