@@ -610,32 +610,34 @@ def bmo_spot_check(
 
     The sampled-supremum norm proxy is sampler dependent, so this check
     reports ratios and their refinement behavior without any hard gate.
+    Each sampler takes two ``bmo_norm`` passes over a stack of functions:
+    the denominators, then the transforms of the functions whose
+    denominator is not 0 (0/0 is skipped).  Each transform is computed
+    once and serves both samplers.
     """
     nu = as_nu_vector(nu)
-    k = tuple(int(v) for v in np.atleast_1d(k))
+    k = _grid_multi(k, nu.n)
     plan = plan or SubordinationPlan(1e-6, 1e4, 12)
     grid = default_grid(nu.n, nodes_per_axis=grid_nodes)
     max_degree = max(0, math.floor(s))
     rng = make_rng(seed)
     corpus = _random_corpus(rng, grid, corpus_size)
-    ratios = []
+    transforms: dict[int, GridFunction] = {}
+
+    def sampled_ratios(functions, sampler):
+        denoms = bmo_norm(functions, s, max_degree, sampler)
+        kept = [i for i, d in enumerate(denoms) if d != 0.0]
+        for i in kept:
+            if i not in transforms:
+                transforms[i] = riesz_apply(nu, k, corpus[i], plan)
+        nums = bmo_norm([transforms[i] for i in kept], s, max_degree, sampler)
+        return [num / denoms[i] for i, num in zip(kept, nums)]
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for f in corpus:
-            denom = bmo_norm(f, s, max_degree, BallSampler(grid, 16, 8))
-            if denom == 0.0:
-                continue  # 0/0 convention: skipped
-            rf = riesz_apply(nu, k, f, plan)
-            num = bmo_norm(rf, s, max_degree, BallSampler(grid, 16, 8))
-            ratios.append(num / denom)
-        coarse = max(ratios) if ratios else 0.0
-        fine_ratios = []
-        for f in corpus[: max(2, corpus_size // 3)]:
-            denom = bmo_norm(f, s, max_degree, BallSampler(grid, 32, 16))
-            if denom == 0.0:
-                continue
-            rf = riesz_apply(nu, k, f, plan)
-            fine_ratios.append(bmo_norm(rf, s, max_degree, BallSampler(grid, 32, 16)) / denom)
+        ratios = sampled_ratios(corpus, BallSampler(grid, 16, 8))
+        fine_ratios = sampled_ratios(corpus[: max(2, corpus_size // 3)], BallSampler(grid, 32, 16))
+    coarse = max(ratios) if ratios else 0.0
     return {
         "ratios": ratios,
         "max_ratio": coarse,

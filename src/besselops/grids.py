@@ -11,14 +11,15 @@ nonuniform nodes, so the weights sum exactly to the box measure.  Functions
 are sampled on the tensor grid and treated as immutable after construction.
 
 Each axis keeps one pair geometry (``Axis.pairs``): the node pairs i <= j
-sorted by (x_i - x_j)^2, with x_i x_j, the distinct products and the
-inverse index.  On a log axis the products repeat exactly as floats (7,074
-distinct among 131,328 pairs at n = 512), so the dense kernel matrices here
-and in ``riesz`` evaluate their Bessel functions once per distinct product
-(``heat._ladder``).  At time t the pairs whose Gaussian factor
-exp(-(x_i - x_j)^2/4t) is not exactly 0 are a prefix of the sorted order;
-the ladders and the sums over them run on that prefix, and the matrices
-hold exact zeros past it.
+sorted by (x_i - x_j)^2, with x_i x_j, the distinct products (numbered by
+first use in that order) and the inverse index.  On a log axis the products
+repeat exactly as floats (7,074 distinct among 131,328 pairs at n = 512),
+so the dense kernel matrices here and in ``riesz`` evaluate their Bessel
+functions once per distinct product (``heat._ladder``).  At time t the
+pairs whose Gaussian factor exp(-(x_i - x_j)^2/4t) is not exactly 0 are a
+prefix of the sorted order, and the products they use a prefix of the
+distinct ones; the ladders and the sums over them run on those prefixes,
+and the matrices hold exact zeros past them.
 """
 
 from __future__ import annotations
@@ -117,12 +118,14 @@ class Axis:
     def pairs(self) -> tuple[np.ndarray, ...]:
         """(xy, d2, distinct, inverse, i, j) on the node pairs i <= j, sorted
         by d2 = (x_i - x_j)**2, ties in the order of ``np.triu_indices``:
-        xy = x_i x_j, d2, the distinct values of xy, the int32 index of each
-        pair's product among them, so xy == distinct[inverse], and the int32
-        node indices.  At time t the pairs whose Gaussian factor
-        exp(-d2/4t) is not exactly 0 are a prefix of this order, and a grid
-        ladder works on that prefix only (``heat._ladder``).  Every grid
-        matrix reads its pairs here; kept as long as the axis."""
+        xy = x_i x_j, d2, the distinct values of xy numbered by their first
+        use in this order, the int32 index of each pair's product among
+        them, so xy == distinct[inverse], and the int32 node indices.  At
+        time t the pairs whose Gaussian factor exp(-d2/4t) is not exactly 0
+        are a prefix of this order, the products they use are a prefix of
+        ``distinct``, and a grid ladder works on those prefixes only
+        (``heat._ladder``).  Every grid matrix reads its pairs here; kept as
+        long as the axis."""
         i, j = np.triu_indices(self.size)
         x = self.nodes
         d2 = (x[i] - x[j]) ** 2
@@ -132,8 +135,11 @@ class Axis:
         j = j[order].astype(np.int32)
         del order
         xy = x[i] * x[j]
-        distinct, inverse = np.unique(xy, return_inverse=True)
-        out = (xy, d2, distinct, inverse.astype(np.int32), i, j)
+        distinct, first, inverse = np.unique(xy, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(order.size, dtype=np.int32)
+        rank[order] = np.arange(order.size, dtype=np.int32)
+        out = (xy, d2, distinct[order], rank[inverse], i, j)
         for arr in out:
             arr.setflags(write=False)
         return out

@@ -34,11 +34,11 @@ One evaluator: ``_combine`` sums a word's monomials (``_monomials``) over
 a ladder {m: p_t^{beta+m}}, symmetric in (x, y) bit for bit, so words and
 argument orders can share it; ``step = 1`` reads p_t^{(beta+1)+m} =
 p_t^{beta+(m+1)}.  A word summed at many times (``_pair_word``, for
-``riesz``) keeps its monomials.  On a grid axis its ladders evaluate the
-Bessel functions once per distinct node product, and cover only the prefix
-of the distance-sorted node pairs on which the Gaussian factor is not
-exactly 0 (``_ladder``); ``_word_product`` sums the monomials on that
-prefix.  Finite differences are test oracles.
+``riesz``) keeps its monomials.  On a grid axis its ladders cover only the
+prefix of the distance-sorted node pairs on which the Gaussian factor is
+not exactly 0, and evaluate the Bessel functions once per distinct node
+product of that prefix (``_ladder``); ``_word_product`` sums the monomials
+on that prefix.  Finite differences are test oracles.
 """
 
 from __future__ import annotations
@@ -170,12 +170,14 @@ def _ladder(nu: float, shifts, t, xy, d2, unique=None) -> dict:
     amplify them back above the underflow threshold.
 
     ``unique = (distinct, inverse)`` with xy == distinct[inverse], as a grid
-    axis keeps it (``grids.Axis.pairs``, with d2 ascending).  Past the
-    prefix cut = searchsorted(d2, 746 * 4t) the Gaussian factor is exactly
-    0.0, so the prefactor is formed, and the rows are gathered and scaled,
-    on the first cut pairs only; a caller reads the entries past them as
-    +0, which is what the full rows hold there.  The Bessel call runs once
-    per distinct product, exact per element, so the rows are bit for bit
+    axis keeps it (``grids.Axis.pairs``, with d2 ascending and the distinct
+    products numbered by first use).  Past the prefix cut =
+    searchsorted(d2, 746 * 4t) the Gaussian factor is exactly 0.0, so the
+    prefactor is formed, and the rows are gathered and scaled, on the first
+    cut pairs only; a caller reads the entries past them as +0, which is
+    what the full rows hold there.  Those pairs use the first
+    u = max(inverse[:cut]) + 1 distinct products, and the Bessel call runs
+    once on each of them, exact per element, so the rows are bit for bit
     the per-pair ones.  On the sampled batches (``unique`` None) the dead
     entries take no Bessel arithmetic and are scattered back as +0.
     """
@@ -188,7 +190,9 @@ def _ladder(nu: float, shifts, t, xy, d2, unique=None) -> dict:
             if float(np.count_nonzero(live)) / xy.size < 0.85:
                 common[~live] = 0.0
         distinct, inverse = unique
-        rows = np.take(besseli_scaled(orders, distinct / (2.0 * t)), inverse[:cut], axis=1)
+        prefix = inverse[:cut]  # the diagonal pairs come first (d2 = 0), so cut >= 1
+        used = distinct[: int(prefix.max()) + 1]
+        rows = np.take(besseli_scaled(orders, used / (2.0 * t)), prefix, axis=1)
         rows *= common
         return dict(zip(shifts, rows))
     common = np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t))

@@ -24,10 +24,11 @@ time sums: ``_riesz_quadrature`` (batches and the n >= 2 sweeps, with the
 tail indicator), ``_grid_matrix`` (the 1-D grid matrices, one ladder per
 time node on the node pairs i <= j for both triangles) and the n-D
 ``riesz_apply``.  The grid words take their ladder geometry from the axis
-(``grids.Axis.pairs``, the node pairs sorted by distance), so their Bessel
-functions run once per distinct node product, and at each time node the
-ladder, the word and the time sum cover only the prefix of pairs whose
-Gaussian factor is not exactly 0; the matrices hold +0 past it.  They
+(``grids.Axis.pairs``, the node pairs sorted by distance), so at each
+time node the ladder, the word and the time sum cover only the prefix of
+pairs whose Gaussian factor is not exactly 0, with the Bessel functions
+run once per distinct node product of that prefix; the matrices hold +0
+past it.  They
 refuse k_j >= 3, whose diagonal is rounding noise.
 ``riesz_matrix`` keeps its result in the bounded matrix cache of ``grids``,
 which holds no other matrices: repeated ``riesz_apply`` calls read it, and
@@ -388,9 +389,9 @@ def riesz_kernel_1d(nu, k, x, y, both: bool = False) -> np.ndarray:
 def _axis_word(k_j: int, axis):
     """The pair word on the node pairs i <= j of one axis (``grids.Axis.pairs``,
     sorted by distance), for both triangles: row 0 is (x, y) = (x_i, x_j),
-    row 1 is (x_j, x_i).  The ladder geometry is the axis's own, so the
-    Bessel functions run on its distinct node products and each time node
-    works on the prefix of pairs its Gaussian factor reaches."""
+    row 1 is (x_j, x_i).  The ladder geometry is the axis's own, so each
+    time node works on the prefix of pairs its Gaussian factor reaches, and
+    the Bessel functions run on the distinct node products of that prefix."""
     i, j = axis.pairs[4:]
     x = axis.nodes
     return _pair_word(delta_expansion(0.0, k_j), x[i], x[j], both=True, pairs=axis.pairs)

@@ -6,6 +6,13 @@ throughout: balls below the critical radius require moment cancellation
 it are judged by raw size.  Everything here works on sampled functions,
 with grid quadrature standing in for integrals; integrals over balls that
 stick out of the grid box are clipped to the box with a warning.
+
+``bmo_norm`` also takes a stack of functions on one grid: the part of each
+ball that does not depend on the function (its mask, volume and branch,
+and below the critical radius its moment basis and Gram matrix, checked
+by ``_moment_gram`` as ``minimizing_polynomial`` checks it) is formed
+once, and the sums over the ball run on all functions at once, bit for
+bit the one-function values.
 """
 
 from __future__ import annotations
@@ -312,9 +319,26 @@ def _expand_scaled_coeffs(coeffs, center, radius, indices, n):
             expo = tuple(k for k, _ in combo)
             coef = scale
             for _, b in combo:
-                coef *= b
+                coef = coef * b  # not in place: ``coeffs`` may hold arrays
             raw[expo] = raw.get(expo, 0.0) + coef
     return raw
+
+
+def _moment_gram(pts, w, ball: Ball, indices, cond_limit: float = 1e12):
+    """Scaled basis columns and their Gram matrix on the ball's nodes ``pts``
+    with weights ``w``; ``UnderResolvedError`` when the ball holds too few
+    nodes or the Gram matrix is numerically singular.  Neither depends on
+    the function fitted."""
+    if w.size < len(indices):
+        raise UnderResolvedError(
+            f"ball holds {w.size} nodes; need at least {len(indices)}"
+        )
+    cols = _scaled_basis(pts, ball.center, ball.radius, indices)
+    gram = _weighted_gram(cols, w)
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > cond_limit:
+        raise UnderResolvedError(f"moment matrix condition {cond:.2e} too large")
+    return cols, gram
 
 
 def minimizing_polynomial(
@@ -331,32 +355,21 @@ def minimizing_polynomial(
     n = grid.ndim
     if max_degree < 0:
         raise DomainError("degree must be >= 0")
-    mask = _ball_mask(grid, ball)
-    clipped = _clipped_to_box(grid, ball)
-    if clipped:
+    nodes = _node_stack(grid)
+    mask = ball.contains(nodes)
+    if _clipped_to_box(grid, ball):
         warnings.warn("ball clipped to the grid box", RuntimeWarning, stacklevel=2)
     indices = multi_indices(n, max_degree)
-    count = int(np.count_nonzero(mask))
-    if count < len(indices):
-        raise UnderResolvedError(
-            f"ball holds {count} nodes; need at least {len(indices)}"
-        )
-    pts = _node_stack(grid)[:, mask]
     w = grid.weight_array[mask]
-    cols = _scaled_basis(pts, ball.center, ball.radius, indices)
-    gram = _weighted_gram(cols, w)
+    cols, gram = _moment_gram(nodes[:, mask], w, ball, indices, cond_limit)
     rhs = np.array([float(np.sum(w * ca * g.values[mask])) for ca in cols])
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise UnderResolvedError(f"moment matrix condition {cond:.2e} too large")
     sol = np.linalg.solve(gram, rhs)
     resid = gram @ sol - rhs
     scale = np.maximum(np.abs(rhs), float(np.sum(w * np.abs(g.values[mask]))) + 1e-300)
-    poly = PolyND(
+    return PolyND(
         _expand_scaled_coeffs(sol, ball.center, ball.radius, indices, n),
         residual=float(np.max(np.abs(resid) / scale)),
     )
-    return poly
 
 
 def _clipped_to_box(grid: Grid, ball: Ball) -> bool:
@@ -390,7 +403,9 @@ class BallSampler:
                 yield Ball(center, float(r))
 
 
-def bmo_norm(f: GridFunction, s: float, max_degree: int, sampler: BallSampler | None = None) -> float:
+def bmo_norm(
+    f, s: float, max_degree: int, sampler: BallSampler | None = None
+) -> float | list[float]:
     """Localized oscillation norm estimate over a sampled family of balls.
 
     Subcritical balls (r < rho(center)) measure the L^2 deviation from the
@@ -399,42 +414,78 @@ def bmo_norm(f: GridFunction, s: float, max_degree: int, sampler: BallSampler | 
     averaged over B intersected with the grid box.  Under-resolved balls
     are skipped with a warning.  A sampled maximum is a lower proxy for
     the supremum; callers judge stability by refining the sampler.
+
+    ``f`` may also be a sequence of grid functions on one grid; the result
+    is then a list with one value per function, each bit for bit its
+    one-function value.  Each ball's mask, volume, branch and (below the
+    critical radius) moment basis and Gram matrix are formed once for the
+    whole sequence, which is one pass over ``sampler.balls()`` and at most
+    one warning.
     """
     if s < 0.0:
         raise DomainError("s must be >= 0")
     if max_degree < math.floor(s):
         raise DomainError("polynomial degree must be at least floor(s)")
-    sampler = sampler or BallSampler(f.grid)
-    grid = f.grid
+    single = isinstance(f, GridFunction)
+    functions = [f] if single else list(f)
+    if not functions:
+        return []
+    grid = functions[0].grid
+    if any(g.grid.cache_key() != grid.cache_key() for g in functions[1:]):
+        raise GridError("the functions must share one grid")
+    values = np.stack([g.values.ravel() for g in functions])
+    sampler = sampler or BallSampler(grid)
     n = grid.ndim
-    w = grid.weight_array
-    best = 0.0
+    nodes = _node_stack(grid)
+    weights = grid.weight_array
+    indices = multi_indices(n, max_degree)
+    best = np.zeros(len(functions))
     skipped = 0
     for ball in sampler.balls():
-        mask = _ball_mask(grid, ball)
-        quad_measure = float(np.sum(w[mask]))
-        if quad_measure <= 0.0:
+        mask = ball.contains(nodes)
+        w = weights[mask]
+        if float(w.sum()) <= 0.0:
             skipped += 1
             continue
-        rho = critical_function(ball.center)
-        if ball.radius < rho:
+        # C-contiguous rows, so each row sum is the pairwise sum of one
+        # function's ``np.sum`` (``values[:, mask]`` comes out column-major).
+        dev = np.compress(mask.ravel(), values, axis=1)
+        if ball.radius < critical_function(ball.center):
+            pts = nodes[:, mask]
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    poly = minimizing_polynomial(f, ball, max_degree)
+                cols, gram = _moment_gram(pts, w, ball, indices)
             except UnderResolvedError:
                 skipped += 1
                 continue
-            dev = f.values[mask] - poly.evaluate(_node_stack(grid)[:, mask])
-        else:
-            dev = f.values[mask]
-        mean_sq = float(np.sum(w[mask] * dev**2)) / ball.volume
-        best = max(best, ball.volume ** (-s / n) * math.sqrt(max(mean_sq, 0.0)))
+            dev = dev - _fitted_polynomials(dev, pts, w, ball, indices, cols, gram)
+        volume = ball.volume
+        mean_sq = (w * dev**2).sum(axis=1) / volume
+        val = volume ** (-s / n) * np.sqrt(np.maximum(mean_sq, 0.0))
+        best = np.where(val > best, val, best)  # max(best, val), keeping best on nan
     if skipped:
         warnings.warn(
             f"{skipped} under-resolved balls skipped", RuntimeWarning, stacklevel=2
         )
-    return best
+    out = best.tolist()
+    return out[0] if single else out
+
+
+def _fitted_polynomials(vals, pts, w, ball: Ball, indices, cols, gram) -> np.ndarray:
+    """The minimizing polynomial of each row of ``vals`` (functions x the
+    ball's nodes) evaluated on the ball's nodes, as ``minimizing_polynomial``
+    and ``PolyND.evaluate`` form it for one function.
+
+    Each moment is the row sum of ``w * col * vals``, the pairwise sum the
+    one-function ``np.sum`` takes; each function is solved on its own, since
+    a multi-right-hand-side solve need not round alike.
+    """
+    rhs = np.stack([np.sum(w * ca * vals, axis=1) for ca in cols], axis=1)
+    sol = np.stack([np.linalg.solve(gram, row) for row in rhs], axis=1)
+    raw = _expand_scaled_coeffs(sol, ball.center, ball.radius, indices, len(ball.center))
+    out = np.zeros(vals.shape)
+    for alpha, c in raw.items():
+        out += c[:, None] * _monomials(pts, alpha)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ smoke runs of each inequality family (the heavy acceptance-tolerance runs
 live in the acceptance suite)."""
 
 import json
+import math
 import warnings
 from collections import Counter
 
@@ -22,10 +23,18 @@ from besselops.campaigns import (
     run_campaign,
 )
 from besselops.errors import ConfigError, DomainError
-from besselops.grids import T_GRID_DEFAULT, _MatrixCache, default_grid, lp_norm, maximal_function
+from besselops.grids import (
+    T_GRID_DEFAULT,
+    GridFunction,
+    _MatrixCache,
+    default_grid,
+    lp_norm,
+    maximal_function,
+)
 from besselops.heat import NuVector
 from besselops.riesz import SubordinationPlan, riesz_apply
 from besselops.sampling import make_rng
+from besselops.spaces import BallSampler, bmo_norm
 
 
 def small(cfg: CampaignConfig, **over) -> CampaignConfig:
@@ -238,6 +247,82 @@ def per_atom_hardy(nu, k, p, atom_count, seed, grid_nodes, levels):
         "worst_atom": {"center": list(worst_atom.ball.center), "radius": worst_atom.ball.radius},
         "t_grid_refinement_delta": abs(fine - base) / base,
     }
+
+
+def per_function_bmo(nu, k, s, corpus_size, seed, grid_nodes):
+    """bmo_spot_check one function at a time: a denominator, and the
+    transform and its norm where the denominator is not 0, per function and
+    per sampler."""
+    plan = SubordinationPlan(1e-6, 1e4, 12)
+    grid = default_grid(nu.n, nodes_per_axis=grid_nodes)
+    max_degree = max(0, math.floor(s))
+    corpus = campaigns._random_corpus(make_rng(seed), grid, corpus_size)
+    passes = []
+    for count, sampler in (
+        (corpus_size, BallSampler(grid, 16, 8)),
+        (max(2, corpus_size // 3), BallSampler(grid, 32, 16)),
+    ):
+        ratios = []
+        for f in corpus[:count]:
+            denom = bmo_norm(f, s, max_degree, sampler)
+            if denom == 0.0:
+                continue
+            rf = riesz_apply(nu, k, f, plan)
+            ratios.append(bmo_norm(rf, s, max_degree, sampler) / denom)
+        passes.append(ratios)
+    return {
+        "ratios": passes[0],
+        "max_ratio": max(passes[0]) if passes[0] else 0.0,
+        "sampler_refined_max": max(passes[1]) if passes[1] else 0.0,
+        "advisory": True,
+    }
+
+
+class TestBmoSpotCheck:
+    @pytest.mark.parametrize("k, s", [((1,), 0.0), ((2,), 1.5), ((0,), 0.5)])
+    def test_stacks_match_the_per_function_loop(self, monkeypatch, k, s):
+        # Corpus function 1 is 0, so both samplers take the 0/0 skip.
+        draw = campaigns._random_corpus
+
+        def with_zero(rng, grid, count):
+            corpus = draw(rng, grid, count)
+            corpus[1] = GridFunction(grid, np.zeros(grid.shape))
+            return corpus
+
+        monkeypatch.setattr(campaigns, "_random_corpus", with_zero)
+        nu = NuVector((1.0,))
+        args = dict(k=k, s=s, corpus_size=6, seed=3, grid_nodes=160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = per_function_bmo(nu, **args)
+            norm_calls = []
+            transforms = []
+
+            def counted_norm(f, *rest):
+                norm_calls.append(f)
+                return bmo_norm(f, *rest)
+
+            def counted_apply(*a):
+                transforms.append(a)
+                return riesz_apply(*a)
+
+            monkeypatch.setattr(campaigns, "bmo_norm", counted_norm)
+            monkeypatch.setattr(campaigns, "riesz_apply", counted_apply)
+            got = bmo_spot_check(nu, **args)
+        assert got == ref
+        assert len(ref["ratios"]) == 5
+        # Two passes per sampler; each nonzero function transformed once.
+        assert [len(stack) for stack in norm_calls] == [6, 5, 2, 1]
+        assert len(transforms) == 5
+
+    @pytest.mark.parametrize("k", [(1, 1), (3,), (-1,)])
+    def test_refuses_k_before_drawing_the_corpus(self, monkeypatch, k):
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("corpus drawn")
+
+        monkeypatch.setattr(campaigns, "_random_corpus", no_corpus)
+        with pytest.raises(DomainError):
+            bmo_spot_check(NuVector((1.0,)), k, corpus_size=3, grid_nodes=64)
 
 
 class TestHardySpotCheck:

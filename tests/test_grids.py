@@ -92,7 +92,12 @@ class TestGridConstruction:
         assert np.array_equal(d2, (x[i] - x[j]) ** 2)
         assert np.array_equal(xy, x[i] * x[j])
         assert np.array_equal(xy, distinct[inverse])
-        assert np.array_equal(distinct, np.unique(xy))
+        assert np.array_equal(np.sort(distinct), np.unique(xy))
+        # The distinct products are numbered by first use in the sorted
+        # order, so the pairs of any prefix use a prefix of them.
+        ids, first = np.unique(inverse, return_index=True)
+        assert np.array_equal(ids, np.arange(distinct.size))
+        assert np.all(np.diff(first) > 0)
         # (i, j) is a permutation of the triangle i <= j.
         iu = np.triu_indices(axis.size)
         assert np.array_equal(np.sort(i.astype(np.int64) * axis.size + j), iu[0] * axis.size + iu[1])
@@ -272,12 +277,15 @@ class TestSemigroup:
         "axis", [log_axis(1e-2, 20.0, 96), uniform_axis(0.05, 10.0, 96)], ids=["log", "uniform"]
     )
     def test_bessel_points_per_time_node_are_the_distinct_products(self, monkeypatch, axis):
-        # One Bessel call per time node, on the axis's distinct node
-        # products, whether or not the Gaussian factor underflows on some
-        # pairs (the dead entries are not gathered).
+        # One Bessel call per time node, on the distinct node products of
+        # the pairs i <= j with d2 < 746 * 4t, the prefix the ladder covers.
         g = Grid((axis,))
         f = GridFunction(g, np.ones(g.shape))
-        distinct = axis.pairs[2].size
+        x = axis.nodes
+        iu = np.triu_indices(axis.size)
+        xy, d2 = x[iu[0]] * x[iu[1]], (x[iu[0]] - x[iu[1]]) ** 2
+        expected = [np.unique(xy[d2 < 746.0 * 4.0 * t]).size for t in T_GRID_DEFAULT]
+        assert min(expected) < axis.pairs[2].size == max(expected)
         sizes = []
         bessel = heat.besseli_scaled
 
@@ -288,7 +296,7 @@ class TestSemigroup:
         monkeypatch.setattr(heat, "besseli_scaled", counted)
         monkeypatch.setattr(grids, "_MATRIX_CACHE", _MatrixCache(1 << 24))
         maximal_function(NuVector((0.6,)), f)
-        assert sizes == [distinct] * len(T_GRID_DEFAULT)
+        assert sizes == expected
 
 
 class TestMatrixCache:

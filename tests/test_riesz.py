@@ -659,16 +659,21 @@ class TestGridMatrices:
         assert min(cut / d2.size for _, d2, cut in calls) < 0.5
 
     def test_bessel_points_per_node_are_the_distinct_products(self, monkeypatch):
-        # One Bessel call per time node, on the distinct node products, also
-        # at the early nodes where the Gaussian factor underflows on some
-        # pairs.
+        # One Bessel call per time node, on the distinct node products of
+        # the pairs i <= j with d2 < 746 * 4t, the prefix the ladder covers:
+        # fewer at the early nodes, where the Gaussian factor underflows on
+        # some pairs.
         plan = SubordinationPlan(1e-4, 1e2, 4)
         g = default_grid(1, nodes_per_axis=64)
-        distinct = g.axes[0].pairs[2].size
-        assert distinct == 611
+        assert g.axes[0].pairs[2].size == 611
+        x = g.axes[0].nodes
+        iu = np.triu_indices(x.size)
+        xy, d2 = x[iu[0]] * x[iu[1]], (x[iu[0]] - x[iu[1]]) ** 2
+        expected = [np.unique(xy[d2 < 746.0 * 4.0 * t]).size for t in plan.nodes()[0]]
+        assert expected[0] < 611 == expected[-1]
         monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 20))
         sizes = bessel_points(monkeypatch, lambda: riesz_matrix(1.0, (1,), g, plan))
-        assert sizes == [distinct] * plan.nodes()[0].size
+        assert sizes == expected
 
     def test_nd_apply_bessel_points_are_the_distinct_products(self, monkeypatch):
         # One ladder per axis and time node; every pair is live from t = 1 on.

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from besselops.errors import DomainError, UnderResolvedError
+from besselops.errors import DomainError, GridError, UnderResolvedError
 from besselops.fixtures import (
     bundled_ball_atoms,
     bundled_line_atoms,
@@ -157,6 +157,16 @@ class TestMinimizingPolynomial:
             minimizing_polynomial(f, Ball((5.0,), 0.01), 2)
 
 
+class ListedBalls:
+    """A duck-typed ball sampler over a fixed list of balls."""
+
+    def __init__(self, balls):
+        self._balls = list(balls)
+
+    def balls(self):
+        return iter(self._balls)
+
+
 class TestBmoNorm:
     def test_polynomial_under_small_balls_is_zero(self):
         g = default_grid(1, nodes_per_axis=512)
@@ -212,6 +222,80 @@ class TestBmoNorm:
         fine = bmo_norm(f, 0.0, 1, BallSampler(g, n_centers=32, n_radii=16))
         assert fine > 0.0
         assert abs(fine - coarse) <= 0.10 * fine
+
+    @staticmethod
+    def stack_cases():
+        """(grid, functions, samplers) on a 1-D log grid and a small 2-D
+        uniform grid.  The subcritical samplers hold balls of 0 to 23 nodes
+        (empty in 2-D, too few nodes for degree 1 or 2, an ill-conditioned
+        Gram matrix at degree 2 in 2-D) and one ball clipped by the box;
+        ``BallSampler`` adds the supercritical branch."""
+        rng = np.random.default_rng(11)
+        cases = []
+        g1 = default_grid(1, nodes_per_axis=256)
+        g2 = Grid((uniform_axis(4.0, 10.0, 48), uniform_axis(4.0, 10.0, 40)))
+        for g, centers, clipped in (
+            (g1, [(0.3,), (2.0,), (7.0,)], Ball((19.9,), 1.2)),
+            (g2, [(6.0, 7.0), (8.0, 5.0)], Ball((9.9, 9.8), 0.5)),
+        ):
+            x = g.node_mesh[0]
+            functions = [
+                GridFunction(g, np.sin(3.0 * x) * np.prod(g.node_mesh, axis=0)),
+                GridFunction(g, rng.normal(size=g.shape)),
+                GridFunction(g, np.zeros(g.shape)),
+                GridFunction(g, 1.0 - 0.5 * x + 0.25 * x**2),
+            ]
+            balls = [
+                Ball(c, frac * critical_function(c)) for c in centers for frac in (0.2, 0.6, 0.95)
+            ]
+            balls.append(clipped)
+            assert all(b.radius < critical_function(b.center) for b in balls)
+            cases.append((g, functions, (ListedBalls(balls), BallSampler(g, 8, 6))))
+        return cases
+
+    @pytest.mark.parametrize("s, degree", [(0.0, 0), (0.0, 2), (0.5, 1), (1.5, 1), (1.5, 2)])
+    def test_stack_matches_one_call_per_function(self, s, degree):
+        for g, functions, samplers in self.stack_cases():
+            for sampler in samplers:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    stacked = bmo_norm(functions, s, degree, sampler)
+                stacked_messages = [str(w.message) for w in caught]
+                assert len(stacked_messages) <= 1
+                singles = []
+                for f in functions:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        singles.append(bmo_norm(f, s, degree, sampler))
+                    assert [str(w.message) for w in caught] == stacked_messages
+                assert np.array_equal(stacked, singles)
+                assert all(type(v) is float for v in stacked + singles)
+                assert stacked[2] == 0.0 and stacked[0] > 0.0
+
+    def test_stack_fits_subcritical_balls_and_warns_once(self):
+        # Every subcritical sampler above fits some balls and skips others.
+        for g, functions, (sampler, _) in self.stack_cases():
+            total = len(list(sampler.balls()))
+            for degree in (0, 1, 2):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    bmo_norm(functions, 0.0, degree, sampler)
+                if degree == 0 and g.ndim == 1:
+                    assert caught == []
+                    continue
+                (w,) = caught
+                skipped = int(str(w.message).split()[0])
+                assert str(w.message) == f"{skipped} under-resolved balls skipped"
+                assert 0 < skipped < total
+
+    def test_stack_of_nothing_and_mixed_grids(self):
+        g = default_grid(1, nodes_per_axis=64)
+        other = default_grid(1, nodes_per_axis=65)
+        assert bmo_norm([], 0.0, 0) == []
+        with pytest.raises(GridError):
+            bmo_norm([GridFunction(g, np.ones(64)), GridFunction(other, np.ones(65))], 0.0, 0)
+        with pytest.raises(DomainError):
+            bmo_norm([], -1.0, 0)
 
     def test_default_sampler_and_degree_check(self):
         g = default_grid(1, nodes_per_axis=256)
