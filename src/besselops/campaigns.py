@@ -42,7 +42,7 @@ from .heat import (
     as_nu_vector,
     _bound_rhs_arrays,
     _pair_word,
-    _word_product,
+    _word_products,
     adjoint_power_heat_1d,
     delta_dt_heat_1d,
     delta_dt_heat_nd_arrays,
@@ -359,8 +359,8 @@ def _prop2_8_campaign(config: CampaignConfig, collect: bool):
     t_nodes, w = config.plan.nodes()
     half = k / 2.0
     lhs = np.zeros(count)
-    for t, wi in zip(t_nodes, w):
-        lhs += wi * t**half * np.abs(_word_product((nu0,), (word,), t, 0))
+    for t, wi, diff in zip(t_nodes, w, _word_products((nu0,), (word,), t_nodes, 0)):
+        lhs += wi * t**half * np.abs(diff)
 
     mid = (y / 2.0 < x) & (x < 2.0 * y)
     upper = x >= 2.0 * y
@@ -583,16 +583,21 @@ def hardy_spot_check(
 
 
 def _random_corpus(rng, grid, count: int):
-    x = grid.axes[0].nodes
+    """``count`` sums of three random Gaussian bumps on the grid, each with a
+    centre drawn per coordinate, cut to 0 wherever a coordinate is more
+    than 8 from 3."""
+    mesh = grid.node_mesh
+    outside = np.any([np.abs(x - 3.0) > 8.0 for x in mesh], axis=0)
     out = []
     for _ in range(count):
         vals = np.zeros(grid.shape)
         for _ in range(3):
-            c = float(loguniform(rng, 0.3, 9.0, ()))
+            c = [float(loguniform(rng, 0.3, 9.0, ())) for _ in mesh]
             width = float(loguniform(rng, 0.05, 1.0, ()))
             amp = float(rng.uniform(-1.0, 1.0))
-            vals += amp * np.exp(-((x - c) ** 2) / width**2)
-        vals[np.abs(x - 3.0) > 8.0] = 0.0  # keep support compact
+            d2 = sum((x - c_j) ** 2 for x, c_j in zip(mesh, c))
+            vals += amp * np.exp(-d2 / width**2)
+        vals[outside] = 0.0  # keep support compact
         out.append(GridFunction(grid, vals))
     return out
 

@@ -15,11 +15,15 @@ sorted by (x_i - x_j)^2, with x_i x_j, the distinct products (numbered by
 first use in that order) and the inverse index.  On a log axis the products
 repeat exactly as floats (7,074 distinct among 131,328 pairs at n = 512),
 so the dense kernel matrices here and in ``riesz`` evaluate their Bessel
-functions once per distinct product (``heat._ladder``).  At time t the
+functions once per distinct product (``heat._ladders``).  At time t the
 pairs whose Gaussian factor exp(-(x_i - x_j)^2/4t) is not exactly 0 are a
 prefix of the sorted order, and the products they use a prefix of the
 distinct ones; the ladders and the sums over them run on those prefixes,
-and the matrices hold exact zeros past them.
+and the matrices hold exact zeros past them.  The semigroup at many times
+(``maximal_function``, and ``riesz.fractional_inverse_apply``) draws its
+kernels from one ladder stream per axis, which evaluates the Bessel
+functions of consecutive times in one call per block (``heat._ladders``);
+``apply_semigroup`` is the stream of one time.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, GridError, UnderResolvedError
-from .heat import NuVector, as_nu_vector, _ladder, eval_delta_heat_1d
+from .heat import NuVector, as_nu_vector, _ladders, eval_delta_heat_1d
 from .special import gamma
 
 __all__ = [
@@ -124,7 +128,7 @@ class Axis:
         time t the pairs whose Gaussian factor exp(-d2/4t) is not exactly 0
         are a prefix of this order, the products they use are a prefix of
         ``distinct``, and a grid ladder works on those prefixes only
-        (``heat._ladder``).  Every grid matrix reads its pairs here; kept as
+        (``heat._ladders``).  Every grid matrix reads its pairs here; kept as
         long as the axis."""
         i, j = np.triu_indices(self.size)
         x = self.nodes
@@ -282,51 +286,57 @@ class _MatrixCache:
 _MATRIX_CACHE = _MatrixCache(MATRIX_CACHE_BYTES)
 
 
-def _weighted_matrix(out: np.ndarray, axis: Axis, upper, lower) -> np.ndarray:
+def _weighted_matrix(out: np.ndarray, axis: Axis, upper, lower=None) -> np.ndarray:
     """Writes upper on the first len(upper) pairs (i, j) of ``Axis.pairs``
-    and lower on their mirror images (j, i), then scales column j by w_j.
-    ``out`` is the zeroed n x n matrix; the pairs past the prefix stay 0."""
+    and lower (by default upper) on their mirror images (j, i), then scales
+    column j by w_j.  ``out`` is the zeroed n x n matrix; the pairs past the
+    prefix stay 0."""
     i, j = axis.pairs[4:]
     cut = upper.shape[-1]
     out[i[:cut], j[:cut]] = upper
-    out[j[:cut], i[:cut]] = lower
+    out[j[:cut], i[:cut]] = upper if lower is None else lower
     out *= axis.weights
     return out
 
 
-def _kernel_matrix(nu_j: float, t: float, axis: Axis) -> np.ndarray:
-    """K[i, i'] = p_t^{nu_j}(x_i, x_{i'}) * w_{i'}, built on every call.
+def _kernel_matrices(nu_j: float, times, axis: Axis):
+    """Yields K[i, i'] = p_t^{nu_j}(x_i, x_{i'}) * w_{i'} for each t in
+    ``times``, from one ladder stream (``heat._ladders``).
 
-    p_t^{nu_j} is symmetric bit for bit (see ``heat._ladder``), so it is
-    evaluated on the pairs i <= i' whose Gaussian factor does not underflow
-    and mirrored, with the Bessel function on the axis's distinct node
-    products only (``Axis.pairs``).  The output is allocated before the
-    ladder's temporaries, which keeps the process's peak memory lower.
+    p_t^{nu_j} is symmetric bit for bit, so it is evaluated on the pairs
+    i <= i' whose Gaussian factor does not underflow and mirrored, with the
+    Bessel function on the axis's distinct node products only
+    (``Axis.pairs``).  Each output is allocated before its ladder is drawn,
+    which keeps the process's peak memory lower, and is held by its caller
+    alone.
     """
-    out = np.zeros((axis.size, axis.size))
     xy, d2, distinct, inverse, _, _ = axis.pairs
-    row = _ladder(nu_j, (0,), t, xy, d2, (distinct, inverse))[0]
-    return _weighted_matrix(out, axis, row, row)
+    ladders = _ladders(nu_j, (0,), times, xy, d2, (distinct, inverse))
+    for _ in times:
+        yield _weighted_matrix(np.zeros((axis.size, axis.size)), axis, next(ladders)[0])
 
 
-def _semigroup_values(nu: NuVector, t: float, grid: Grid, values: np.ndarray) -> np.ndarray:
-    """The semigroup at time t on ``values`` of shape grid.shape + batch.
+def _semigroup_values(nu: NuVector, times, grid: Grid, values: np.ndarray):
+    """Yields the semigroup at each t in ``times`` on ``values`` of shape
+    grid.shape + batch, the kernels drawn from one stream per axis.
 
     The contraction over axis j carries the trailing batch axes, so a stack
-    of functions costs one matrix product per axis, and each kernel matrix
-    is built once for the whole stack.
+    of functions costs one matrix product per axis and time, and each
+    kernel matrix is built once for the whole stack and freed after it.
     """
-    for j, axis in enumerate(grid.axes):
-        mat = _kernel_matrix(nu.nu[j], t, axis)
-        values = np.moveaxis(np.tensordot(mat, values, axes=(1, j)), 0, j)
-    return values
+    streams = [_kernel_matrices(nu_j, times, axis) for nu_j, axis in zip(nu.nu, grid.axes)]
+    for _ in times:
+        out = values
+        for j, kernels in enumerate(streams):
+            out = np.moveaxis(np.tensordot(next(kernels), out, axes=(1, j)), 0, j)
+        yield out
 
 
 def _maximal_values(nu: NuVector, t_grid, grid: Grid, values: np.ndarray) -> np.ndarray:
     """Running max over ``t_grid`` of |``_semigroup_values``|, on a stack."""
     best = None
-    for t in t_grid:
-        g = np.abs(_semigroup_values(nu, t, grid, values))
+    for g in _semigroup_values(nu, t_grid, grid, values):
+        g = np.abs(g)
         best = g if best is None else np.maximum(best, g, out=best)
     return best
 
@@ -349,8 +359,8 @@ def apply_semigroup(nu, t: float, f: GridFunction) -> GridFunction:
     g(x_i) = sum_j w_j p_t(x_i, y_j) f(y_j), one kernel contraction per axis;
     linear in f and positivity preserving.
     """
-    nu, (t,) = _check_semigroup(nu, f.grid, (t,))
-    return GridFunction(f.grid, _semigroup_values(nu, t, f.grid, f.values))
+    nu, t_grid = _check_semigroup(nu, f.grid, (t,))
+    return GridFunction(f.grid, next(_semigroup_values(nu, t_grid, f.grid, f.values)))
 
 
 def maximal_function(nu, f: GridFunction, t_grid=T_GRID_DEFAULT) -> GridFunction:

@@ -33,12 +33,16 @@ is L_beta on p_t^beta itself.
 One evaluator: ``_combine`` sums a word's monomials (``_monomials``) over
 a ladder {m: p_t^{beta+m}}, symmetric in (x, y) bit for bit, so words and
 argument orders can share it; ``step = 1`` reads p_t^{(beta+1)+m} =
-p_t^{beta+(m+1)}.  A word summed at many times (``_pair_word``, for
-``riesz``) keeps its monomials.  On a grid axis its ladders cover only the
-prefix of the distance-sorted node pairs on which the Gaussian factor is
-not exactly 0, and evaluate the Bessel functions once per distinct node
-product of that prefix (``_ladder``); ``_word_product`` sums the monomials
-on that prefix.  Finite differences are test oracles.
+p_t^{beta+(m+1)}.  A time loop draws its ladders from one stream per
+axis (``_ladders``), which evaluates the Bessel functions of consecutive
+time nodes in one call per block of at least ``_BESSEL_BLOCK`` arguments;
+``_ladder`` is the stream of one node.  A word summed at many times
+(``_pair_word``, for ``riesz``) keeps its monomials, and
+``_word_products`` yields its product over the axes at each time node.  On
+a grid axis the ladders cover only the prefix of the distance-sorted node
+pairs on which the Gaussian factor is not exactly 0, evaluate the Bessel
+functions once per distinct node product of that prefix, and the
+monomials are summed on that prefix.  Finite differences are test oracles.
 """
 
 from __future__ import annotations
@@ -157,13 +161,26 @@ def _check_positive(name, *values):
 # exp(-u) is exactly 0.0 in float64 for u above about 745.13.
 _EXP_ZERO = 746.0
 
+# A ladder stream evaluates its Bessel functions in one call per block of
+# consecutive time nodes holding at least this many arguments.  Below it the
+# evaluator's fixed work per call (its bins, masks and convergence probes)
+# outweighs its arithmetic; above it the per-argument temporaries, about
+# 100 bytes each, only raise the peak memory.
+_BESSEL_BLOCK = 2**14
 
-def _ladder(nu: float, shifts, t, xy, d2, unique=None) -> dict:
-    """p_t^{nu+m} for each m in shifts from the pair geometry xy = x*y and
-    d2 = (x-y)**2, sharing the exponential prefactor.
 
-    All orders nu + m come from one ``besseli_scaled`` call on z = xy/2t,
-    each row scaled by the prefactor in place.  Both inputs are symmetric in
+def _ladders(nu: float, shifts, times, xy, d2, unique=None):
+    """Yields {m: p_t^{nu+m}} for each t in ``times``, from the pair geometry
+    xy = x*y and d2 = (x-y)**2, each ladder sharing its exponential prefactor.
+
+    The Bessel arguments z = xy/2t of consecutive time nodes are collected
+    until they number at least ``_BESSEL_BLOCK`` (or the nodes run out), and
+    all orders nu + m of the block come from one ``besseli_scaled`` call on
+    them; a block of one node is evaluated on its own arguments, with no
+    copy.  Each element of that call is independent of the batch it is in
+    (``special``), so a ladder is bit for bit the one its node would get
+    alone.  A node is finished when it is yielded: its rows are gathered
+    and scaled by the prefactor in place.  Both inputs are symmetric in
     (x, y) bit for bit, so one ladder serves both argument orders.  When
     fewer than 85% of more than 512 entries have a prefactor above 1e-280,
     the others are +0; the polynomial coefficients downstream can never
@@ -176,41 +193,92 @@ def _ladder(nu: float, shifts, t, xy, d2, unique=None) -> dict:
     prefactor is formed, and the rows are gathered and scaled, on the first
     cut pairs only; a caller reads the entries past them as +0, which is
     what the full rows hold there.  Those pairs use the first
-    u = max(inverse[:cut]) + 1 distinct products, and the Bessel call runs
-    once on each of them, exact per element, so the rows are bit for bit
-    the per-pair ones.  On the sampled batches (``unique`` None) the dead
-    entries take no Bessel arithmetic and are scattered back as +0.
+    u = max(inverse[:cut]) + 1 distinct products, and the Bessel functions
+    run once on each of them, so a pending node keeps only its u arguments.
+    On the sampled batches (``unique`` None, t a scalar or an array that
+    broadcasts with xy) the dead entries take no Bessel arithmetic and are
+    scattered back as +0, so a pending node keeps its live entries only.
     """
     orders = [nu + m for m in shifts]
-    if unique is not None:
-        cut = int(np.searchsorted(d2, _EXP_ZERO * 4.0 * t))
+    node = _sampled_node if unique is None else _grid_node
+    block, size = [], 0
+    for t in times:
+        block.append(node(t, xy, d2, unique))
+        size += block[-1][0].size
+        if size >= _BESSEL_BLOCK:
+            yield from _finish_block(orders, shifts, block)
+            block, size = [], 0
+    if block:
+        del xy, d2  # batch-sized temporaries of the pointwise callers
+        yield from _finish_block(orders, shifts, block)
+
+
+def _finish_block(orders, shifts, block):
+    """One ``besseli_scaled`` call on the block's arguments, then each
+    node's ladder from its slice of the rows."""
+    if len(block) == 1:
+        ((z, finish),) = block
+        yield dict(zip(shifts, finish(besseli_scaled(orders, z))))
+        return
+    rows = besseli_scaled(orders, np.concatenate([z.ravel() for z, _ in block]))
+    start = 0
+    for z, finish in block:
+        part = rows[:, start : start + z.size].reshape((len(orders),) + z.shape)
+        start += z.size
+        yield dict(zip(shifts, finish(part)))
+
+
+def _grid_node(t, xy, d2, unique):
+    """(z, finish) of a grid ladder at time t; ``finish(rows)`` takes the
+    Bessel rows on z and returns the ladder's rows on the live prefix."""
+    distinct, inverse = unique
+    cut = int(np.searchsorted(d2, _EXP_ZERO * 4.0 * t))
+    prefix = inverse[:cut]  # the diagonal pairs come first (d2 = 0), so cut >= 1
+    z = distinct[: int(prefix.max()) + 1] / (2.0 * t)
+
+    def finish(rows):
         common = np.sqrt(xy[:cut]) / (2.0 * t) * np.exp(-d2[:cut] / (4.0 * t))
         if xy.size > 512:
             live = common > 1e-280
             if float(np.count_nonzero(live)) / xy.size < 0.85:
                 common[~live] = 0.0
-        distinct, inverse = unique
-        prefix = inverse[:cut]  # the diagonal pairs come first (d2 = 0), so cut >= 1
-        used = distinct[: int(prefix.max()) + 1]
-        rows = np.take(besseli_scaled(orders, used / (2.0 * t)), prefix, axis=1)
-        rows *= common
-        return dict(zip(shifts, rows))
+        out = np.take(rows, prefix, axis=1)
+        out *= common
+        return out
+
+    return z, finish
+
+
+def _sampled_node(t, xy, d2, unique=None):
+    """(z, finish) of a ladder on a batch of pairs at time t (see
+    ``_grid_node``); z holds the live entries only when there are few."""
     common = np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t))
-    del d2  # a batch-sized temporary in the pointwise callers; not needed below
-    live = None
+    z = xy / (2.0 * t)
     if common.ndim > 0 and common.size > 512:
         live = common > 1e-280
-        if float(np.count_nonzero(live)) / common.size >= 0.85:
-            live = None
-    z = xy / (2.0 * t)
-    rows = besseli_scaled(orders, z if live is None else z[live])
-    if live is None:
+        if float(np.count_nonzero(live)) / common.size < 0.85:
+            shape, idx, z, common = common.shape, np.flatnonzero(live), z[live], common[live]
+
+            def scatter(rows):
+                rows *= common
+                vals = np.zeros((rows.shape[0],) + shape)
+                vals.reshape(rows.shape[0], -1)[:, idx] = rows
+                return vals
+
+            return z, scatter
+
+    def scale(rows):
         rows *= common
-        return dict(zip(shifts, rows))
-    rows *= common[live]
-    vals = np.zeros((len(shifts),) + common.shape)
-    vals[:, live] = rows
-    return dict(zip(shifts, vals))
+        return rows
+
+    return z, scale
+
+
+def _ladder(nu: float, shifts, t, xy, d2, unique=None) -> dict:
+    """p_t^{nu+m} for each m in shifts at the one time t (``_ladders``)."""
+    stream = _ladders(nu, shifts, (t,), xy, d2, unique)
+    del xy, d2  # the stream drops them before its Bessel call
+    return next(stream)
 
 
 def _p1d_shifts(nu: float, shifts, t, x, y) -> dict:
@@ -321,14 +389,9 @@ class _PairWord:
     """A word summed at many times, on a batch of pairs: its monomials
     (``_monomials``, kept) and its ladder geometry x*y and (x-y)**2, formed
     once, or taken with the distinct products from a grid axis
-    (``unique``, see ``_ladder``), whose ladders cover only the prefix of
+    (``unique``, see ``_ladders``), whose ladders cover only the prefix of
     pairs where the Gaussian factor is not 0.  The coefficients do not
     depend on nu.
-
-    ``ladder`` holds the last time node's ladder until the next one is
-    built.  Freed earlier, its pages go back to the system between time
-    nodes and return as page faults: at n = 512 a riesz_matrix build takes
-    60% more faults and about 6% more time.
     """
 
     shifts: list[int]
@@ -336,7 +399,6 @@ class _PairWord:
     xy: np.ndarray
     d2: np.ndarray
     unique: tuple | None = None
-    ladder: dict | None = None
 
 
 def _pair_word(expansion: HeatKernelExpansion, x, y, both=False, pairs=None):
@@ -350,36 +412,43 @@ def _pair_word(expansion: HeatKernelExpansion, x, y, both=False, pairs=None):
     return _PairWord(expansion.shifts, monomials, xy, d2, (distinct, inverse))
 
 
-def _word_product(nu, words, t, difference_axis=None):
-    """prod_j word_j at time t, one row per argument order, from one Bessel
-    ladder per axis.  On ``difference_axis`` the factor is the word of order
-    nu_j minus that of order nu_j + 1, from one ladder one step longer.
+def _word_products(nu, words, times, difference_axis=None):
+    """Yields prod_j word_j at each t in ``times``, one row per argument
+    order, from one ladder stream per axis (``_ladders``).  On
+    ``difference_axis`` the factor is the word of order nu_j minus that of
+    order nu_j + 1, from ladders one step longer.
 
-    A grid word's rows cover the prefix of its pairs that its ladder covers
-    (``_ladder``), so a product takes at most one grid word.
+    A grid word's rows cover the prefix of its pairs that its ladder covers,
+    so a product takes at most one grid word.  Each axis's last ladder is
+    kept until its next one is built: freed earlier, its pages go back to
+    the system between time nodes and return as page faults (at n = 512 a
+    riesz_matrix build takes 60% more faults and about 6% more time).
     """
-    out = None
-    for j, (nu_j, word) in enumerate(zip(nu, words)):
-        diff = j == difference_axis
-        shifts = _stepped(word.shifts) if diff else word.shifts
-        word.ladder = _ladder(nu_j, shifts, t, word.xy, word.d2, word.unique)
-        monomials = word.monomials
-        if word.unique is not None:
-            cut = word.ladder[shifts[0]].shape[-1]
-            monomials = tuple((d, m, monos[..., :cut]) for d, m, monos in monomials)
-        if diff:
-            # Built first, the shifted word leaves the heap fewer pages to
-            # return between time nodes (a third fewer page faults at n = 384).
-            shifted = _combine(monomials, t, word.ladder, 1)
-            factor = _combine(monomials, t, word.ladder)
-            factor -= shifted
-        else:
-            factor = _combine(monomials, t, word.ladder)
-        if out is None:
-            out = factor
-        else:
-            out *= factor
-    return out
+    shifts = [_stepped(w.shifts) if j == difference_axis else w.shifts for j, w in enumerate(words)]
+    streams = [
+        _ladders(nu_j, s, times, w.xy, w.d2, w.unique) for nu_j, s, w in zip(nu, shifts, words)
+    ]
+    for t, *ladders in zip(times, *streams):
+        out = None
+        for j, (word, ladder) in enumerate(zip(words, ladders)):
+            monomials = word.monomials
+            if word.unique is not None:
+                cut = ladder[shifts[j][0]].shape[-1]
+                monomials = tuple((d, m, monos[..., :cut]) for d, m, monos in monomials)
+            if j == difference_axis:
+                # Built first, the shifted word leaves the heap fewer pages to
+                # return between time nodes (a third fewer page faults at n = 384).
+                shifted = _combine(monomials, t, ladder, 1)
+                factor = _combine(monomials, t, ladder)
+                factor -= shifted
+                del shifted  # not held across the yield
+            else:
+                factor = _combine(monomials, t, ladder)
+            if out is None:
+                out = factor
+            else:
+                out *= factor
+        yield out
 
 
 def _merge(raw: dict[tuple[int, int, int, int], Fraction]) -> tuple[ExpansionTerm, ...]:

@@ -16,20 +16,22 @@ quantities converge as the plan refines.
 
 Every subordination integral here goes through the word evaluator of
 ``heat``: the word delta^k of each axis on a batch of pairs
-(``heat._pair_word``), one Bessel ladder per axis and time node, and for
-R_nu - R_{nu+e_j} the same ladder read one step up on axis j
-(``heat._word_product``).  The terms cancel near the diagonal, so they are
-combined per time node, before the time sum.  This module keeps only the
-time sums: ``_riesz_quadrature`` (batches and the n >= 2 sweeps, with the
-tail indicator), ``_grid_matrix`` (the 1-D grid matrices, one ladder per
-time node on the node pairs i <= j for both triangles) and the n-D
-``riesz_apply``.  The grid words take their ladder geometry from the axis
-(``grids.Axis.pairs``, the node pairs sorted by distance), so at each
-time node the ladder, the word and the time sum cover only the prefix of
-pairs whose Gaussian factor is not exactly 0, with the Bessel functions
-run once per distinct node product of that prefix; the matrices hold +0
-past it.  They
-refuse k_j >= 3, whose diagonal is rounding noise.
+(``heat._pair_word``), one ladder per axis and time node, and for
+R_nu - R_{nu+e_j} the same ladder read one step up on axis j.  Each axis's
+ladders come from one stream over the time nodes, which evaluates the
+Bessel functions of consecutive nodes in one call per block
+(``heat._word_products``, ``heat._ladders``).  The terms cancel near the
+diagonal, so they are combined per time node, before the time sum.  This
+module keeps only the time sums: ``_riesz_quadrature`` (batches and the
+n >= 2 sweeps, with the tail indicator), ``_grid_matrix`` (the 1-D grid
+matrices, one ladder per time node on the node pairs i <= j for both
+triangles) and the n-D ``riesz_apply``.  The grid words take their ladder
+geometry from the axis (``grids.Axis.pairs``, the node pairs sorted by
+distance), so at each time node the ladder, the word and the time sum
+cover only the prefix of pairs whose Gaussian factor is not exactly 0,
+with the Bessel functions run once per distinct node product of that
+prefix; the matrices hold +0 past it.  They refuse k_j >= 3, whose
+diagonal is rounding noise.
 ``riesz_matrix`` keeps its result in the bounded matrix cache of ``grids``,
 which holds no other matrices: repeated ``riesz_apply`` calls read it, and
 a caller with many functions applies it once to their stack.
@@ -53,8 +55,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, GridError
-from .grids import _MATRIX_CACHE, Grid, GridFunction, _weighted_matrix, apply_semigroup
-from .heat import NuVector, _check_positive, _pair_word, _word_product, as_nu_vector, delta_expansion
+from .grids import (
+    _MATRIX_CACHE,
+    Grid,
+    GridFunction,
+    _check_semigroup,
+    _semigroup_values,
+    _weighted_matrix,
+)
+from .heat import NuVector, _check_positive, _pair_word, _word_products, as_nu_vector, delta_expansion
 from .sampling import make_rng, sample_smooth_triples
 from .special import gamma
 
@@ -150,8 +159,8 @@ def _riesz_quadrature(
     total = np.zeros((2 if both else 1, x.shape[1]))
     abs_total = np.zeros_like(total)
     first = last = None
-    for t, wi in zip(t_nodes, w):
-        contrib = _word_product(nu.nu, words, t, difference_axis)
+    products = _word_products(nu.nu, words, t_nodes, difference_axis)
+    for t, wi, contrib in zip(t_nodes, w, products):
         contrib *= wi * t**half
         total += contrib
         abs_total += np.abs(contrib)
@@ -409,8 +418,8 @@ def _grid_matrix(nu: float, k: int, axis, plan: SubordinationPlan, difference: b
     t_nodes, w = plan.nodes()
     half = k / 2.0
     total = np.zeros((2, axis.pairs[0].size))
-    for t, wi in zip(t_nodes, w):
-        rows = _word_product((nu,), (word,), t, 0 if difference else None)
+    products = _word_products((nu,), (word,), t_nodes, 0 if difference else None)
+    for t, wi, rows in zip(t_nodes, w, products):
         rows *= wi * t**half
         total[:, : rows.shape[-1]] += rows
     out = _weighted_matrix(np.zeros((axis.size, axis.size)), axis, total[0], total[1])
@@ -480,14 +489,16 @@ def riesz_apply(nu, k, f: GridFunction, plan: SubordinationPlan = DEFAULT_PLAN) 
         mat = riesz_matrix(nu, k, f.grid, plan)
         return GridFunction(f.grid, mat @ f.values)
     axes = f.grid.axes
-    words = [_axis_word(k_j, axis) for k_j, axis in zip(k, axes)]
     t_nodes, w = plan.nodes()
+    streams = [
+        _word_products((nu_j,), (_axis_word(k_j, axis),), t_nodes)
+        for nu_j, k_j, axis in zip(nu.nu, k, axes)
+    ]
     half = order / 2.0
     acc = np.zeros(f.grid.shape)
-    for t, wi in zip(t_nodes, w):
+    for t, wi, *axis_rows in zip(t_nodes, w, *streams):
         vals = f.values
-        for j, (word, axis) in enumerate(zip(words, axes)):
-            rows = _word_product((nu.nu[j],), (word,), t)
+        for j, (rows, axis) in enumerate(zip(axis_rows, axes)):
             mat = _weighted_matrix(np.zeros((axis.size, axis.size)), axis, rows[0], rows[1])
             vals = np.moveaxis(np.tensordot(mat, vals, axes=(1, j)), 0, j)
         acc += wi * t**half * vals
@@ -507,13 +518,13 @@ def fractional_inverse_apply(
     u^{s-1} weight concentrates mass at small times the grid cannot
     resolve, and lets callers pick t_min near the squared node spacing.
     """
-    nu = as_nu_vector(nu)
     if not s > 0.0:
         raise DomainError("power s must be positive")
     u_nodes, w = plan.nodes()
+    nu, _ = _check_semigroup(nu, f.grid, u_nodes)
     acc = np.zeros(f.grid.shape)
-    for u, wi in zip(u_nodes, w):
-        acc += wi * u**s * apply_semigroup(nu, u, f).values
+    for u, wi, vals in zip(u_nodes, w, _semigroup_values(nu, u_nodes, f.grid, f.values)):
+        acc += wi * u**s * vals
     acc /= gamma(s)
     acc += f.values * plan.t_min**s / gamma(s + 1.0)
     return GridFunction(f.grid, acc)
@@ -523,7 +534,7 @@ def riesz_difference_batch(
     nu, k, axis_index: int, x, y, plan: SubordinationPlan = DEFAULT_PLAN
 ):
     """Kernel of R_nu - R_{nu+e_j}: one quadrature of the integrand
-    difference, one Bessel ladder per axis and time node; warns like
+    difference, one ladder per axis and time node; warns like
     ``riesz_kernel_batch``."""
     nu = as_nu_vector(nu)
     j = int(axis_index)

@@ -63,7 +63,8 @@ def multi_indices(n: int, max_order: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class Ball:
-    """Euclidean ball with strictly positive center coordinates."""
+    """Euclidean ball with strictly positive, finite center coordinates and
+    a positive, finite radius."""
 
     center: tuple[float, ...]
     radius: float
@@ -72,14 +73,22 @@ class Ball:
         object.__setattr__(
             self, "center", tuple(float(v) for v in np.atleast_1d(self.center))
         )
-        if any(v <= 0.0 for v in self.center):
-            raise DomainError("ball center must have positive coordinates")
-        if not self.radius > 0.0:
-            raise DomainError("ball radius must be positive")
+        if not self.center:
+            raise DomainError("ball center must have at least one coordinate")
+        if not all(0.0 < v < math.inf for v in self.center):
+            raise DomainError("ball center must have positive, finite coordinates")
+        if not 0.0 < self.radius < math.inf:
+            raise DomainError("ball radius must be positive and finite")
 
     @property
     def n(self) -> int:
         return len(self.center)
+
+    @property
+    def critical_radius(self) -> float:
+        """rho(center) = min_j(center_j)/16 (``critical_function``), from the
+        coordinates checked here."""
+        return min(self.center) / 16.0
 
     @property
     def volume(self) -> float:
@@ -173,7 +182,7 @@ def validate_p_rho_atom(
     sup_bound = a.ball.volume ** (-1.0 / a.p)
     size_ok = bool(np.max(np.abs(vals)) <= sup_bound * (1.0 + sup_tol))
 
-    rho = critical_function(a.ball.center)
+    rho = a.ball.critical_radius
     required = a.ball.radius < rho
     omega = math.floor(n * (1.0 / a.p - 1.0))
     w = grid.weight_array
@@ -450,7 +459,7 @@ def bmo_norm(
         # C-contiguous rows, so each row sum is the pairwise sum of one
         # function's ``np.sum`` (``values[:, mask]`` comes out column-major).
         dev = np.compress(mask.ravel(), values, axis=1)
-        if ball.radius < critical_function(ball.center):
+        if ball.radius < ball.critical_radius:
             pts = nodes[:, mask]
             try:
                 cols, gram = _moment_gram(pts, w, ball, indices)
@@ -642,7 +651,7 @@ def atom_dual_decompose(a: AtomCandidate, cond_limit: float = 1e10) -> Decomposi
     grid = a.f.grid
     n = grid.ndim
     ball = a.ball
-    rho = critical_function(ball.center)
+    rho = ball.critical_radius
     if ball.radius >= rho:
         raise DomainError("decomposition needs a subcritical ball (r < rho)")
     omega = math.floor(n * (1.0 / a.p - 1.0))

@@ -23,10 +23,18 @@ order, bit for bit the one-order values: a heat-kernel ladder p_t^{nu+m}
 needs several orders on one z, so the checks, the series/asymptotic split,
 the magnitude bins, log(z/2), (z/2)^2 and e^{-z} are computed once.
 
-The series runs in bins of z, each as long as its largest element needs,
-and the bin edges move no bit: an element is done once its term is
-<= 1e-17 of its total, below half an ulp of the total (> 5.5e-17 of it),
-and its later terms are smaller still, so they leave the total unchanged.
+Each element of a call is independent of the batch it is in, so a call on
+concatenated arguments is bit for bit the calls on the parts, and neither
+the bin edges nor the batch's composition move a bit.  The series runs in
+bins of z, each as long as its largest element needs: an element is done
+once its term is <= 1e-17 of its total, below half an ulp of the total
+(> 5.5e-17 of it), and its later terms are smaller still, so running on
+leaves the total unchanged.  An asymptotic element freezes once its terms
+stop shrinking, and while they shrink past 1e-17 of its sum they leave it
+unchanged too.  Everything else (the domain check, the zero and overflow
+entries, the first term, log(z/2)) is elementwise.  The heat kernels rely
+on it twice: a grid axis evaluates each distinct node product once, and a
+time loop evaluates a block of consecutive time nodes in one call.
 """
 
 from __future__ import annotations

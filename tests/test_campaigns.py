@@ -325,6 +325,38 @@ class TestBmoSpotCheck:
             bmo_spot_check(NuVector((1.0,)), k, corpus_size=3, grid_nodes=64)
 
 
+class TestRandomCorpus:
+    def test_one_dimensional_draws_are_the_bumps_on_the_axis(self):
+        # At n = 1 each bump's centre, width and amplitude are drawn in that
+        # order and summed on the axis nodes, cut past |x - 3| > 8.
+        from besselops.sampling import loguniform
+
+        g = default_grid(1, nodes_per_axis=256)
+        corpus = campaigns._random_corpus(make_rng(4), g, 5)
+        rng, x = make_rng(4), g.axes[0].nodes
+        for f in corpus:
+            vals = np.zeros(g.shape)
+            for _ in range(3):
+                c = float(loguniform(rng, 0.3, 9.0, ()))
+                width = float(loguniform(rng, 0.05, 1.0, ()))
+                amp = float(rng.uniform(-1.0, 1.0))
+                vals += amp * np.exp(-((x - c) ** 2) / width**2)
+            vals[np.abs(x - 3.0) > 8.0] = 0.0
+            assert np.array_equal(f.values, vals)
+
+    def test_two_dimensional_bumps_vary_along_both_axes(self):
+        g = default_grid(2, nodes_per_axis=64)
+        x1, x2 = g.node_mesh
+        cut = (np.abs(x1 - 3.0) > 8.0) | (np.abs(x2 - 3.0) > 8.0)
+        assert cut[:, 0].any() and cut[0, :].any() and not cut.all()
+        for f in campaigns._random_corpus(make_rng(0), g, 4):
+            assert np.all(f.values[cut] == 0.0)
+            kept = f.values[~cut[:, 0]][:, ~cut[0]]
+            assert np.any(kept != 0.0)
+            # Neither all rows nor all columns alike: a bump per coordinate.
+            assert np.any(kept != kept[:1, :]) and np.any(kept != kept[:, :1])
+
+
 class TestHardySpotCheck:
     @pytest.mark.parametrize("k", [(1,), (0,)])
     def test_atom_stack_matches_the_per_atom_loop(self, k):
@@ -352,11 +384,13 @@ class TestHardySpotCheck:
         monkeypatch.setattr(grids, "_MATRIX_CACHE", cache)
         monkeypatch.setattr(riesz, "_MATRIX_CACHE", cache)
         kernel_times = []
-        ladder = grids._ladder
+        ladders = grids._ladders
 
-        def counted_ladder(nu, shifts, t, *args):
-            kernel_times.append(t)
-            return ladder(nu, shifts, t, *args)
+        def counted_ladders(nu, shifts, times, *args):
+            # A time counts once its ladder is drawn from the stream.
+            for t, ladder in zip(times, ladders(nu, shifts, times, *args)):
+                kernel_times.append(t)
+                yield ladder
 
         riesz_builds = []
         grid_matrix = riesz._grid_matrix
@@ -365,7 +399,7 @@ class TestHardySpotCheck:
             riesz_builds.append(args)
             return grid_matrix(*args, **kwargs)
 
-        monkeypatch.setattr(grids, "_ladder", counted_ladder)
+        monkeypatch.setattr(grids, "_ladders", counted_ladders)
         monkeypatch.setattr(riesz, "_grid_matrix", counted_matrix)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -31,7 +31,7 @@ from besselops.grids import (
     lp_norm,
     maximal_function,
     uniform_axis,
-    _kernel_matrix,
+    _kernel_matrices,
     _maximal_values,
     _MatrixCache,
     _semigroup_values,
@@ -58,6 +58,11 @@ def regime_times(axis) -> dict:
         times.setdefault(live_regime(axis, t), float(t))
     assert sorted(times) == ["all", "few", "most"]
     return times
+
+
+def kernel_matrix(nu, t, axis):
+    """The semigroup kernel matrix at the one time t."""
+    return next(_kernel_matrices(nu, (t,), axis))
 
 
 def all_pairs_kernel_matrix(nu, t, axis):
@@ -225,7 +230,7 @@ class TestSemigroup:
         ax = default_grid(1, nodes_per_axis=512).axes[0]
         x = ax.nodes
         full = _p1d(nu, t, x[:, None], x[None, :]) * ax.weights[None, :]
-        assert np.array_equal(_kernel_matrix(nu, t, ax), full)
+        assert np.array_equal(kernel_matrix(nu, t, ax), full)
 
 
     @pytest.mark.parametrize(
@@ -236,7 +241,7 @@ class TestSemigroup:
         # Bessel functions once per distinct node product on the live prefix
         # of the distance-sorted pairs, against the kernel evaluated on every
         # pair of the triangle.
-        assert np.array_equal(_kernel_matrix(nu, t, axis), all_pairs_kernel_matrix(nu, t, axis))
+        assert np.array_equal(kernel_matrix(nu, t, axis), all_pairs_kernel_matrix(nu, t, axis))
 
     @pytest.mark.parametrize(
         "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 64)], ids=["log", "uniform"]
@@ -245,58 +250,63 @@ class TestSemigroup:
     def test_kernel_matrix_matches_the_per_pair_build_in_every_live_regime(self, axis, nu):
         for t in regime_times(axis).values():
             assert np.array_equal(
-                _kernel_matrix(nu, t, axis), all_pairs_kernel_matrix(nu, t, axis)
+                kernel_matrix(nu, t, axis), all_pairs_kernel_matrix(nu, t, axis)
             ), t
 
     @pytest.mark.parametrize(
         "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 64)], ids=["log", "uniform"]
     )
     def test_kernel_matrix_ladders_cover_the_live_prefix(self, monkeypatch, axis):
-        # Each ladder returns the first cut pairs, where cut counts the pairs
-        # with d2 < 746 * 4t, and exp(-d2/4t) is exactly 0 on every pair left out.
+        # Each ladder of the stream returns the first cut pairs, where cut
+        # counts the pairs with d2 < 746 * 4t, and exp(-d2/4t) is exactly 0
+        # on every pair left out.
         calls = []
-        ladder = grids._ladder
+        ladders = grids._ladders
 
-        def recorded(nu, shifts, t, xy, d2, unique=None):
-            (row,) = ladder(nu, shifts, t, xy, d2, unique).values()
-            calls.append((t, d2, row.size))
-            return {0: row}
+        def recorded(nu, shifts, times, xy, d2, unique=None):
+            for t, ladder in zip(times, ladders(nu, shifts, times, xy, d2, unique)):
+                (row,) = ladder.values()
+                calls.append((t, d2, row.size))
+                yield ladder
 
-        monkeypatch.setattr(grids, "_ladder", recorded)
-        times = regime_times(axis)
-        for t in times.values():
-            _kernel_matrix(0.6, t, axis)
-        assert [t for t, _, _ in calls] == list(times.values())
-        for t, d2, cut in calls:
+        monkeypatch.setattr(grids, "_ladders", recorded)
+        times = tuple(regime_times(axis).values())
+        matrices = list(_kernel_matrices(0.6, times, axis))
+        assert [t for t, _, _ in calls] == list(times)
+        for (t, d2, cut), mat in zip(calls, matrices):
             assert d2 is axis.pairs[1]
             assert cut == np.searchsorted(d2, 746.0 * 4.0 * t)
             assert np.all(np.exp(-d2[cut:] / (4.0 * t)) == 0.0)
+            assert np.array_equal(mat, kernel_matrix(0.6, t, axis))
         assert calls[0][2] < axis.pairs[0].size
 
     @pytest.mark.parametrize(
         "axis", [log_axis(1e-2, 20.0, 96), uniform_axis(0.05, 10.0, 96)], ids=["log", "uniform"]
     )
-    def test_bessel_points_per_time_node_are_the_distinct_products(self, monkeypatch, axis):
-        # One Bessel call per time node, on the distinct node products of
-        # the pairs i <= j with d2 < 746 * 4t, the prefix the ladder covers.
+    def test_bessel_points_per_time_node_are_the_distinct_products(
+        self, monkeypatch, bessel_calls, axis
+    ):
+        # The maximal function draws its kernels from one ladder stream: the
+        # Bessel calls run on the distinct node products of the pairs i <= j
+        # with d2 < 746 * 4t, the prefix each ladder covers, node after node,
+        # in blocks of at least _BESSEL_BLOCK arguments (a small block forms
+        # several of them).
         g = Grid((axis,))
         f = GridFunction(g, np.ones(g.shape))
         x = axis.nodes
         iu = np.triu_indices(axis.size)
         xy, d2 = x[iu[0]] * x[iu[1]], (x[iu[0]] - x[iu[1]]) ** 2
         expected = [np.unique(xy[d2 < 746.0 * 4.0 * t]).size for t in T_GRID_DEFAULT]
-        assert min(expected) < axis.pairs[2].size == max(expected)
-        sizes = []
-        bessel = heat.besseli_scaled
-
-        def counted(alpha, z):
-            sizes.append(np.size(z))
-            return bessel(alpha, z)
-
-        monkeypatch.setattr(heat, "besseli_scaled", counted)
-        monkeypatch.setattr(grids, "_MATRIX_CACHE", _MatrixCache(1 << 24))
-        maximal_function(NuVector((0.6,)), f)
-        assert sizes == expected
+        distinct = axis.pairs[2]
+        assert min(expected) < distinct.size == max(expected)
+        nodes = [distinct[:u] / (2.0 * t) for u, t in zip(expected, T_GRID_DEFAULT)]
+        for block in (heat._BESSEL_BLOCK, 1500):
+            monkeypatch.setattr(heat, "_BESSEL_BLOCK", block)
+            bessel_calls.clear()
+            maximal_function(NuVector((0.6,)), f)
+            bessel_calls.assert_blocks(nodes)
+            assert len(bessel_calls) > (block == 1500)
+            assert all(orders == [0.6] for orders, _ in bessel_calls)
 
 
 class TestMatrixCache:
@@ -367,7 +377,7 @@ class TestMaximalFunction:
         g = default_grid(nu.n, nodes_per_axis=nodes)
         stack = np.random.default_rng(7).standard_normal(g.shape + (5,))
         t_grid = (2.0**-6, 0.5, 4.0)
-        got_apply = _semigroup_values(nu, 0.5, g, stack)
+        got_apply = next(_semigroup_values(nu, (0.5,), g, stack))
         got_max = _maximal_values(nu, t_grid, g, stack)
         for b in range(stack.shape[-1]):
             f = GridFunction(g, stack[..., b])

@@ -17,6 +17,7 @@ import pytest
 
 from besselops import heat
 from besselops.errors import DomainError
+from besselops.grids import log_axis, uniform_axis
 from besselops.heat import (
     KernelPoint,
     NuVector,
@@ -439,6 +440,76 @@ class TestSharedLadders:
         got = delta_dt_heat_nd_arrays(nu, k, big_m, self.T, self.X, self.Y)
         assert np.array_equal(got, expected)
         assert calls == [[0, 1, 2, 3], [0, 1, 2, 3]]
+
+
+def live_regime(common) -> str:
+    """The branch of the ladder's live rule on the prefactors ``common``:
+    fewer than 85% above 1e-280, 85-100%, or all of them."""
+    live = np.count_nonzero(common > 1e-280)
+    return "all" if live == common.size else "most" if live / common.size >= 0.85 else "few"
+
+
+class TestLadderStreams:
+    """A stream's ladders are bit for bit the one-node ladders of ``_ladder``,
+    whatever blocks the stream's Bessel calls gather."""
+
+    @staticmethod
+    def assert_stream_matches(nu, shifts, times, xy, d2, unique=None):
+        stream = list(heat._ladders(nu, shifts, times, xy, d2, unique))
+        assert len(stream) == len(times)
+        for t, ladder in zip(times, stream):
+            alone = heat._ladder(nu, shifts, t, xy, d2, unique)
+            assert list(ladder) == list(shifts)
+            for m in shifts:
+                assert ladder[m].shape == alone[m].shape
+                assert np.array_equal(ladder[m], alone[m]), (t, m)
+
+    @staticmethod
+    def regimes(times, xy, d2) -> set:
+        return {live_regime(np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t))) for t in times}
+
+    @pytest.mark.parametrize(
+        "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 64)], ids=["log", "uniform"]
+    )
+    @pytest.mark.parametrize("block", [None, 700, 1])
+    def test_grid_stream_matches_the_one_node_ladders(self, monkeypatch, axis, block):
+        if block is not None:
+            monkeypatch.setattr(heat, "_BESSEL_BLOCK", block)
+        xy, d2, distinct, inverse, _, _ = axis.pairs
+        times = np.geomspace(1e-5, 1e3, 33)
+        assert self.regimes(times, xy, d2) == {"few", "most", "all"}
+        self.assert_stream_matches(0.6, [0, 1, 2], times, xy, d2, (distinct, inverse))
+
+    @pytest.mark.parametrize("block", [None, 3000, 1])
+    def test_sampled_stream_matches_the_one_node_ladders(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(heat, "_BESSEL_BLOCK", block)
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.05, 10.0, 2000)
+        y = rng.uniform(0.05, 10.0, 2000)
+        xy, d2 = x * y, (x - y) ** 2
+        times = np.geomspace(1e-4, 1e2, 25)
+        assert self.regimes(times, xy, d2) == {"few", "most", "all"}
+        self.assert_stream_matches(-0.3, [0, 1], times, xy, d2)
+
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_broadcast_time_arrays(self, monkeypatch, block):
+        # Each time node is an array of shape (6, 1) against pairs of shape
+        # (1, 150): ladders of shape (6, 150), past the 512 entries at which
+        # the dead ones are dropped.
+        if block is not None:
+            monkeypatch.setattr(heat, "_BESSEL_BLOCK", block)
+        rng = np.random.default_rng(12)
+        x = rng.uniform(0.05, 10.0, (1, 150))
+        y = rng.uniform(0.05, 10.0, (1, 150))
+        xy, d2 = x * y, (x - y) ** 2
+        times = [np.geomspace(1e-4, 1e-1, 6)[:, None] * s for s in np.geomspace(1.0, 1e3, 7)]
+        assert self.regimes(times, xy, d2) == {"few", "most", "all"}
+        self.assert_stream_matches(1.5, [0, 2], times, xy, d2)
+
+    def test_no_times_no_bessel_call(self, monkeypatch):
+        monkeypatch.setattr(heat, "besseli_scaled", None)
+        assert list(heat._ladders(0.6, [0], (), np.ones(3), np.zeros(3))) == []
 
 
 class TestBoundRhs:

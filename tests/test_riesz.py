@@ -412,19 +412,15 @@ def _mp_entry(name, k, ladder, xa, xb, wb):
         return float(total * mpmath.mpf(wb) / mpmath.gamma(mpmath.mpf(k) / 2))
 
 
-def bessel_points(monkeypatch, run) -> list[int]:
-    """The argument count of each ``besseli_scaled`` call that ``run`` makes."""
-    sizes = []
-    bessel = heat.besseli_scaled
-
-    def counted(alpha, z):
-        sizes.append(np.size(z))
-        return bessel(alpha, z)
-
-    monkeypatch.setattr(heat, "besseli_scaled", counted)
-    run()
-    monkeypatch.setattr(heat, "besseli_scaled", bessel)
-    return sizes
+def prefix_arguments(axis, times) -> list:
+    """Per time node t, the Bessel arguments of a grid ladder: the first u
+    distinct node products of the axis over 2t, u counted independently as
+    the distinct products of the pairs i <= j with d2 < 746 * 4t."""
+    x = axis.nodes
+    iu = np.triu_indices(axis.size)
+    xy, d2 = x[iu[0]] * x[iu[1]], (x[iu[0]] - x[iu[1]]) ** 2
+    distinct = axis.pairs[2]
+    return [distinct[: np.unique(xy[d2 < 746.0 * 4.0 * t]).size] / (2.0 * t) for t in times]
 
 
 def _all_pairs_rows(nu, k, axis, plan, difference=False):
@@ -435,7 +431,8 @@ def _all_pairs_rows(nu, k, axis, plan, difference=False):
     x = axis.nodes
     word = heat._pair_word(heat.delta_expansion(0.0, k), x[iu[0]], x[iu[1]], both=True)
     for t, wi in zip(*plan.nodes()):
-        yield t, wi, heat._word_product((nu,), (word,), t, 0 if difference else None)
+        # One stream per node: the reference takes no Bessel call across nodes.
+        yield t, wi, next(heat._word_products((nu,), (word,), (t,), 0 if difference else None))
 
 
 def _all_pairs_dense(axis, rows):
@@ -524,37 +521,33 @@ class TestGridMatrices:
         parts = riesz_matrix(0.6, (1,), g, plan) - riesz_matrix(1.6, (1,), g, plan)
         assert np.max(np.abs(diff - parts)) <= 1e-12 * np.max(np.abs(parts))
 
-    def test_difference_evaluates_the_triangle_once_per_node(self, monkeypatch):
+    def test_difference_evaluates_the_triangle_once_per_node(self, bessel_calls):
         n = 40
         plan = SubordinationPlan(1e-4, 1e2, 4)
-        calls = []
-        bessel = heat.besseli_scaled
+        g = default_grid(1, nodes_per_axis=n)
+        riesz_difference_matrix(0.6, (1,), 0, g, plan)
+        # Shifts 0, 1 and 2 in one call per block of time nodes, on each
+        # node's prefix of the triangle's distinct products, once.
+        assert all(orders == [0.6, 0.6 + 1, 0.6 + 2] for orders, _ in bessel_calls)
+        nodes = prefix_arguments(g.axes[0], plan.nodes()[0])
+        assert max(z.size for z in nodes) <= n * (n + 1) // 2
+        bessel_calls.assert_blocks(nodes)
 
-        def counted(alpha, z):
-            calls.append((list(alpha), np.size(z)))
-            return bessel(alpha, z)
-
-        monkeypatch.setattr(heat, "besseli_scaled", counted)
-        riesz_difference_matrix(0.6, (1,), 0, default_grid(1, nodes_per_axis=n), plan)
-        # Shifts 0, 1 and 2 in one call per node, on at most the triangle.
-        assert 0 < len(calls) <= plan.nodes()[0].size
-        for orders, size in calls:
-            assert orders == [0.6, 0.6 + 1, 0.6 + 2]
-            assert size <= n * (n + 1) // 2
-
-    def test_one_bessel_call_per_time_node(self, monkeypatch):
+    def test_one_bessel_call_per_block_of_time_nodes(self, monkeypatch, bessel_calls):
+        # The time nodes' arguments are evaluated together, a block of at
+        # least _BESSEL_BLOCK of them per call: the 25 nodes here hold 13,337
+        # arguments, one call at the module's block and six at 2000.
         plan = SubordinationPlan(1e-4, 1e2, 4)
-        calls = []
-        bessel = heat.besseli_scaled
-
-        def counted(alpha, z):
-            calls.append(list(alpha))
-            return bessel(alpha, z)
-
-        monkeypatch.setattr(heat, "besseli_scaled", counted)
-        monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 20))
-        riesz_matrix(1.0, (1,), default_grid(1, nodes_per_axis=64), plan)
-        assert calls == [[1.0, 2.0]] * plan.nodes()[0].size
+        g = default_grid(1, nodes_per_axis=64)
+        nodes = prefix_arguments(g.axes[0], plan.nodes()[0])
+        assert sum(z.size for z in nodes) == 13337
+        for block, calls in ((heat._BESSEL_BLOCK, 1), (2000, 6)):
+            monkeypatch.setattr(heat, "_BESSEL_BLOCK", block)
+            monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 20))
+            bessel_calls.clear()
+            riesz_matrix(1.0, (1,), g, plan)
+            assert [orders for orders, _ in bessel_calls] == [[1.0, 2.0]] * calls
+            bessel_calls.assert_blocks(nodes)
 
     @pytest.mark.parametrize("difference", [False, True])
     def test_order_zero_refused_before_any_ladder(self, monkeypatch, difference):
@@ -630,19 +623,20 @@ class TestGridMatrices:
 
     @pytest.mark.filterwarnings("ignore:subordination tail indicator")
     def test_grid_ladders_cover_the_live_prefix(self, monkeypatch):
-        # Each grid ladder returns rows on the first cut pairs, cut being the
-        # count of pairs with d2 < 746 * 4t, and exp(-d2/4t) is exactly 0 on
-        # every pair it leaves out; at the early time nodes that is most pairs.
+        # Each grid ladder a stream yields has rows on the first cut pairs,
+        # cut being the count of pairs with d2 < 746 * 4t, and exp(-d2/4t) is
+        # exactly 0 on every pair it leaves out; at the early time nodes that
+        # is most pairs.
         calls = []
-        ladder = heat._ladder
+        ladders = heat._ladders
 
-        def recorded(nu, shifts, t, xy, d2, unique=None):
-            out = ladder(nu, shifts, t, xy, d2, unique)
-            (shape,) = {row.shape for row in out.values()}
-            calls.append((t, d2, *shape))
-            return out
+        def recorded(nu, shifts, times, xy, d2, unique=None):
+            for t, ladder in zip(times, ladders(nu, shifts, times, xy, d2, unique)):
+                (shape,) = {row.shape for row in ladder.values()}
+                calls.append((t, d2, *shape))
+                yield ladder
 
-        monkeypatch.setattr(heat, "_ladder", recorded)
+        monkeypatch.setattr(heat, "_ladders", recorded)
         monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 24))
         plan = SubordinationPlan(1e-5, 1e3, 4)
         g1 = default_grid(1, nodes_per_axis=64)
@@ -658,32 +652,42 @@ class TestGridMatrices:
             assert np.all(np.exp(-d2[cut:] / (4.0 * t)) == 0.0)
         assert min(cut / d2.size for _, d2, cut in calls) < 0.5
 
-    def test_bessel_points_per_node_are_the_distinct_products(self, monkeypatch):
-        # One Bessel call per time node, on the distinct node products of
-        # the pairs i <= j with d2 < 746 * 4t, the prefix the ladder covers:
-        # fewer at the early nodes, where the Gaussian factor underflows on
-        # some pairs.
+    def test_bessel_points_per_node_are_the_distinct_products(self, monkeypatch, bessel_calls):
+        # The Bessel calls run on the distinct node products of the pairs
+        # i <= j with d2 < 746 * 4t, the prefix each ladder covers, node after
+        # node: fewer at the early nodes, where the Gaussian factor underflows
+        # on some pairs.
         plan = SubordinationPlan(1e-4, 1e2, 4)
         g = default_grid(1, nodes_per_axis=64)
         assert g.axes[0].pairs[2].size == 611
         x = g.axes[0].nodes
         iu = np.triu_indices(x.size)
         xy, d2 = x[iu[0]] * x[iu[1]], (x[iu[0]] - x[iu[1]]) ** 2
-        expected = [np.unique(xy[d2 < 746.0 * 4.0 * t]).size for t in plan.nodes()[0]]
+        times = plan.nodes()[0]
+        expected = [np.unique(xy[d2 < 746.0 * 4.0 * t]).size for t in times]
         assert expected[0] < 611 == expected[-1]
         monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 20))
-        sizes = bessel_points(monkeypatch, lambda: riesz_matrix(1.0, (1,), g, plan))
-        assert sizes == expected
+        riesz_matrix(1.0, (1,), g, plan)
+        distinct = g.axes[0].pairs[2]
+        bessel_calls.assert_blocks([distinct[:u] / (2.0 * t) for u, t in zip(expected, times)])
 
-    def test_nd_apply_bessel_points_are_the_distinct_products(self, monkeypatch):
-        # One ladder per axis and time node; every pair is live from t = 1 on.
+    def test_nd_apply_bessel_points_are_the_distinct_products(self, monkeypatch, bessel_calls):
+        # One ladder stream per axis; every pair is live from t = 1 on, so
+        # each node evaluates all of its axis's distinct products.  A small
+        # block interleaves the two streams' calls.
         plan = SubordinationPlan(1.0, 1e2, 4)
         g = Grid((log_axis(1e-2, 20.0, 40), uniform_axis(0.05, 10.0, 12)))
         f = GridFunction(g, np.ones(g.shape))
-        sizes = bessel_points(monkeypatch, lambda: riesz_apply((0.6, 1.1), (1, 1), f, plan))
-        per_node = [ax.pairs[2].size for ax in g.axes]
-        assert per_node[0] < 40 * 41 // 2
-        assert sizes == per_node * plan.nodes()[0].size
+        assert g.axes[0].pairs[2].size < 40 * 41 // 2
+        times = plan.nodes()[0]
+        for block, calls in ((heat._BESSEL_BLOCK, 2), (500, 7)):
+            monkeypatch.setattr(heat, "_BESSEL_BLOCK", block)
+            bessel_calls.clear()
+            riesz_apply((0.6, 1.1), (1, 1), f, plan)
+            assert len(bessel_calls) == calls
+            for nu, axis in zip((0.6, 1.1), g.axes):
+                axis_calls = type(bessel_calls)(c for c in bessel_calls if c[0] == [nu, nu + 1])
+                axis_calls.assert_blocks([axis.pairs[2] / (2.0 * t) for t in times])
 
     def test_difference_matrix_refuses_other_axes(self):
         g = default_grid(1, nodes_per_axis=32)

@@ -46,6 +46,29 @@ class TestBallsAndIndices:
         with pytest.raises(DomainError):
             Ball((1.0,), 0.0)
 
+    @pytest.mark.parametrize(
+        "center, radius",
+        [
+            ((math.nan,), 1.0),
+            ((1.0, math.inf), 1.0),
+            ((2.0, -math.inf), 1.0),
+            ((1.0,), math.inf),
+            ((1.0,), math.nan),
+            ((), 1.0),
+        ],
+    )
+    def test_non_finite_balls_refused(self, center, radius):
+        with pytest.raises(DomainError):
+            Ball(center, radius)
+
+    @pytest.mark.parametrize(
+        "center", [(3.0,), (0.7, 0.3), (5e-324, 2.0), (1e308, 7.1, 0.013), (np.float64(2.5),)]
+    )
+    def test_critical_radius_is_the_critical_function(self, center):
+        ball = Ball(center, 1.0)
+        assert type(ball.critical_radius) is float
+        assert ball.critical_radius == critical_function(ball.center)
+
 
 class TestAtomValidators:
     def test_bundled_ball_fixtures(self):
@@ -296,6 +319,24 @@ class TestBmoNorm:
             bmo_norm([GridFunction(g, np.ones(64)), GridFunction(other, np.ones(65))], 0.0, 0)
         with pytest.raises(DomainError):
             bmo_norm([], -1.0, 0)
+
+    def test_reads_the_ball_critical_radius(self, monkeypatch):
+        # The balls checked their centres; the norm does not check them again.
+        import besselops.heat as heat
+        import besselops.spaces as spaces
+
+        g = default_grid(1, nodes_per_axis=512)
+        f = GridFunction(g, np.sin(g.axes[0].nodes))
+        sampler = ListedBalls(Ball((c,), r) for c in (2.0, 4.0) for r in (0.12, 0.2, 2.0))
+        assert {b.radius < b.critical_radius for b in sampler.balls()} == {True, False}
+        expected = bmo_norm(f, 0.0, 1, sampler)
+
+        def refused(x):
+            raise AssertionError("critical_function called")
+
+        monkeypatch.setattr(spaces, "critical_function", refused)
+        monkeypatch.setattr(heat, "critical_function", refused)
+        assert bmo_norm(f, 0.0, 1, sampler) == expected > 0.0
 
     def test_default_sampler_and_degree_check(self):
         g = default_grid(1, nodes_per_axis=256)

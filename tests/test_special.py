@@ -217,6 +217,50 @@ class TestMultiOrder:
         assert_rows_match_single_orders(alphas, np.array(z))
 
 
+class TestBatchIndependence:
+    """Each element of a call is independent of the batch around it, so a
+    call on concatenated arguments is bit for bit the calls on the parts
+    (the heat ladder streams rely on it)."""
+
+    ORDERS = st.one_of(
+        st.floats(min_value=-0.999, max_value=12.0),
+        st.sampled_from([-0.999, -0.96, -0.953, 0.0, 0.5, 3.2, 17.4]),
+    )
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_concatenated_call_matches_the_split_calls(self, data):
+        from besselops.special import _SERIES_EDGES, _switch_point
+
+        orders = data.draw(st.lists(self.ORDERS, min_size=1, max_size=4))
+        edges = [*_SERIES_EDGES, *(_switch_point(a) for a in orders)]
+        near_edge = st.sampled_from(edges).flatmap(
+            lambda e: st.sampled_from(
+                [e, np.nextafter(e, 0.0), np.nextafter(e, np.inf), 0.5 * e, e + 0.5]
+            )
+        )
+        point = st.one_of(
+            st.floats(min_value=0.0, max_value=800.0),
+            st.floats(min_value=0.0, max_value=2.2250738585072014e-308),  # 0 and subnormals
+            st.sampled_from([0.0, 5e-324, 1e-323, 1e-320]),
+            near_edge,
+        )
+        a = np.array(data.draw(st.lists(point, max_size=30)), dtype=float)
+        b = np.array(data.draw(st.lists(point, max_size=30)), dtype=float)
+        whole = besseli_scaled(orders, np.concatenate([a, b]))
+        split = np.concatenate([besseli_scaled(orders, a), besseli_scaled(orders, b)], axis=1)
+        assert not np.any(np.isnan(whole))
+        assert np.array_equal(whole, split)
+
+    def test_inf_near_order_minus_one_at_subnormal_z(self):
+        # The overflowed elements (inf) sit in a batch with finite ones.
+        z = np.array([5e-324, 1e-323, 0.5, 300.0])
+        whole = besseli_scaled([-0.999, 0.5], z)
+        assert np.isinf(whole[0, :2]).all() and np.isfinite(whole[:, 2:]).all()
+        parts = [besseli_scaled([-0.999, 0.5], z[i : i + 1]) for i in range(z.size)]
+        assert np.array_equal(whole, np.concatenate(parts, axis=1))
+
+
 class TestIdentities:
     """The recurrence/derivative identities used as the module's test surface."""
 
