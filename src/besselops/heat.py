@@ -201,30 +201,37 @@ def _ladders(nu: float, shifts, times, xy, d2, unique=None):
     """
     orders = [nu + m for m in shifts]
     node = _sampled_node if unique is None else _grid_node
-    block, size = [], 0
+    args, finishes, size = [], [], 0
     for t in times:
-        block.append(node(t, xy, d2, unique))
-        size += block[-1][0].size
+        z, finish = node(t, xy, d2, unique)
+        args.append(z)
+        finishes.append(finish)
+        size += z.size
         if size >= _BESSEL_BLOCK:
-            yield from _finish_block(orders, shifts, block)
-            block, size = [], 0
-    if block:
+            yield from _finish_block(orders, shifts, args, finishes)
+            args, finishes, size = [], [], 0
+    if args:
         del xy, d2  # batch-sized temporaries of the pointwise callers
-        yield from _finish_block(orders, shifts, block)
+        yield from _finish_block(orders, shifts, args, finishes)
 
 
-def _finish_block(orders, shifts, block):
-    """One ``besseli_scaled`` call on the block's arguments, then each
-    node's ladder from its slice of the rows."""
-    if len(block) == 1:
-        ((z, finish),) = block
-        yield dict(zip(shifts, finish(besseli_scaled(orders, z))))
+def _finish_block(orders, shifts, args, finishes):
+    """One ``besseli_scaled`` call on the pending nodes' arguments ``args``,
+    which it empties, then each node's ladder from its slice of the rows."""
+    if len(args) == 1:
+        yield dict(zip(shifts, finishes[0](besseli_scaled(orders, args.pop()))))
         return
-    rows = besseli_scaled(orders, np.concatenate([z.ravel() for z, _ in block]))
+    shapes = [z.shape for z in args]
+    z = np.concatenate([z.ravel() for z in args])
+    args.clear()  # copied into z: the call holds each argument once
+    rows = besseli_scaled(orders, z)
+    del z
     start = 0
-    for z, finish in block:
-        part = rows[:, start : start + z.size].reshape((len(orders),) + z.shape)
-        start += z.size
+    for shape, finish in zip(shapes, finishes):
+        stop = start + math.prod(shape)
+        # A copy: a ladder the caller keeps must not keep the block's rows.
+        part = rows[:, start:stop].reshape((len(orders),) + shape).copy()
+        start = stop
         yield dict(zip(shifts, finish(part)))
 
 

@@ -164,7 +164,11 @@ def _asymptotic_scaled(alpha: float, z: np.ndarray) -> np.ndarray:
             continue
         if not np.any(active & (prev_mag > _SERIES_TOL * np.abs(s))):
             break
-    return s / np.sqrt(2.0 * math.pi * z)
+    del term, mag, prev_mag, active
+    root = 2.0 * math.pi * z
+    np.sqrt(root, out=root)
+    s /= root
+    return s
 
 
 def _log_half(z: np.ndarray) -> np.ndarray:
@@ -208,17 +212,23 @@ def _scaled_rows(orders: list[float], z: np.ndarray) -> np.ndarray:
         groups.setdefault(_switch_point(a), []).append(i)
     bins = [(lo, hi, range(len(orders))) for lo, hi in zip(_SERIES_EDGES, _SERIES_EDGES[1:])]
     bins += [(_SERIES_EDGES[-1], zs, rows) for zs, rows in groups.items()]
+    # The per-argument temporaries of a bin set the call's peak memory, so a
+    # bin drops each of them once it is done with it.
     for lo, hi, rows in bins:
         idx = np.flatnonzero((z > lo) & (z <= hi))
         if idx.size:
             zz = z[idx]
             log_half, q, scale = _log_half(zz), 0.25 * zz * zz, np.exp(-zz)
             probe = int(np.argmax(zz))
+            del zz
             bounds = (np.min(log_half), np.max(log_half))
             for i in rows:
                 term, over = _first_term(orders[i], log_half, bounds)
-                out[i, idx] = scale * _series(orders[i], term, q, probe)
-                out[i, idx[over]] = np.inf
+                total = _series(orders[i], term, q, probe)
+                del term
+                total *= scale
+                total[over] = np.inf
+                out[i, idx] = total
     for zs, rows in groups.items():
         idx = np.flatnonzero(z > zs)
         if idx.size:

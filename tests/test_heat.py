@@ -457,6 +457,10 @@ class TestLadderStreams:
     def assert_stream_matches(nu, shifts, times, xy, d2, unique=None):
         stream = list(heat._ladders(nu, shifts, times, xy, d2, unique))
         assert len(stream) == len(times)
+        # A kept ladder holds its own rows, not a view of its block's.
+        rows = [row for ladder in stream for row in ladder.values()]
+        owners = {id(row if row.base is None else row.base) for row in rows}
+        assert len(owners) == len(stream)
         for t, ladder in zip(times, stream):
             alone = heat._ladder(nu, shifts, t, xy, d2, unique)
             assert list(ladder) == list(shifts)
