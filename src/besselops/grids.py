@@ -23,7 +23,8 @@ and the matrices hold exact zeros past them.  The semigroup at many times
 (``maximal_function``, and ``riesz.fractional_inverse_apply``) draws its
 kernels from one ladder stream per axis, which evaluates the Bessel
 functions of consecutive times in one call per block (``heat._ladders``);
-``apply_semigroup`` is the stream of one time.
+``apply_semigroup`` is the stream of one time.  No matrix is kept between
+calls: each is built by the call that applies it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import csv
 import io
 import json
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -108,7 +108,6 @@ class Axis:
             raise GridError("axis weights must sum to the interval length")
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
-        self._digest = hash(self.nodes.tobytes())
 
     @property
     def size(self) -> int:
@@ -148,15 +147,6 @@ class Axis:
             arr.setflags(write=False)
         return out
 
-    def cache_key(self):
-        return (
-            self.scheme,
-            float(self.lo),
-            float(self.hi),
-            int(self.nodes.size),
-            self._digest,
-        )
-
 
 def log_axis(lo: float, hi: float, n: int) -> Axis:
     if not 0.0 < lo < hi:
@@ -195,9 +185,6 @@ class Grid:
     @property
     def box(self) -> tuple[tuple[float, float], ...]:
         return tuple((ax.lo, ax.hi) for ax in self.axes)
-
-    def cache_key(self):
-        return tuple(ax.cache_key() for ax in self.axes)
 
     @cached_property
     def weight_array(self) -> np.ndarray:
@@ -247,43 +234,20 @@ class GridFunction:
         return float(np.sum(self.grid.weight_array * self.values))
 
 
+def _one_grid(functions) -> Grid:
+    """The grid of a nonempty sequence of grid functions; ``GridError``
+    unless every function is sampled on the same axis nodes."""
+    grid = functions[0].grid
+    for f in functions[1:]:
+        if f.grid.shape != grid.shape or not all(
+            np.array_equal(a.nodes, b.nodes) for a, b in zip(f.grid.axes, grid.axes)
+        ):
+            raise GridError("the functions must share one grid")
+    return grid
+
+
 # ---------------------------------------------------------------------------
 # Semigroup application and the maximal function
-
-# The cached dense operator matrices (the 1-D Riesz matrices) share one
-# store; 128 MiB holds 64 matrices at n = 512.  Semigroup kernels are not
-# kept: each is read once, by one contraction of a whole stack of values.
-MATRIX_CACHE_BYTES = 128 * 2**20
-
-
-class _MatrixCache:
-    """Least-recently-used store of read-only arrays, bounded in bytes.
-
-    A hit returns the stored array object itself.  An array larger than the
-    bound is returned but not kept.
-    """
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.nbytes = 0
-        self._store: OrderedDict = OrderedDict()
-
-    def get(self, key, build) -> np.ndarray:
-        """The array stored under ``key``, or ``build()`` stored there."""
-        hit = self._store.get(key)
-        if hit is not None:
-            self._store.move_to_end(key)
-            return hit
-        arr = build()
-        arr.setflags(write=False)
-        self._store[key] = arr
-        self.nbytes += arr.nbytes
-        while self.nbytes > self.max_bytes:
-            self.nbytes -= self._store.popitem(last=False)[1].nbytes
-        return arr
-
-
-_MATRIX_CACHE = _MatrixCache(MATRIX_CACHE_BYTES)
 
 
 def _weighted_matrix(out: np.ndarray, axis: Axis, upper, lower=None) -> np.ndarray:

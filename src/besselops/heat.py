@@ -71,7 +71,6 @@ __all__ = [
     "delta_heat_difference_1d",
     "delta_heat_kernel_nd",
     "delta_dt_heat_1d",
-    "delta_dt_heat_nd",
     "delta_dt_heat_nd_arrays",
     "adjoint_power_heat_1d",
     "mixed_partial_delta",
@@ -633,13 +632,6 @@ def delta_dt_heat_nd_arrays(nu, k, big_m: int, t, x, y):
             prod = prod * factors[j][comp[j]]
         total = total + prod
     return total
-
-
-def delta_dt_heat_nd(nu, k, big_m: int, q: KernelPoint) -> float:
-    """delta_nu^k (Delta_nu)^M applied to the product kernel at one point."""
-    x = np.asarray(q.x, dtype=float)[:, None]
-    y = np.asarray(q.y, dtype=float)[:, None]
-    return float(delta_dt_heat_nd_arrays(nu, k, big_m, np.asarray([q.t]), x, y)[0])
 
 
 # ---------------------------------------------------------------------------

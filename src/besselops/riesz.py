@@ -32,9 +32,9 @@ cover only the prefix of pairs whose Gaussian factor is not exactly 0,
 with the Bessel functions run once per distinct node product of that
 prefix; the matrices hold +0 past it.  They refuse k_j >= 3, whose
 diagonal is rounding noise.
-``riesz_matrix`` keeps its result in the bounded matrix cache of ``grids``,
-which holds no other matrices: repeated ``riesz_apply`` calls read it, and
-a caller with many functions applies it once to their stack.
+No matrix is kept between calls: ``riesz_matrix`` builds on every call, and
+a caller with many functions builds it once and applies it to each of them
+(``riesz_apply`` on a sequence) or to their stack.
 
 In 1-D the time integral of each term of the word has a closed form once
 the Bessel function is written by Schlafli's integral, which leaves a
@@ -56,10 +56,10 @@ import numpy as np
 
 from .errors import DomainError, GridError
 from .grids import (
-    _MATRIX_CACHE,
     Grid,
     GridFunction,
     _check_semigroup,
+    _one_grid,
     _semigroup_values,
     _weighted_matrix,
 )
@@ -77,7 +77,6 @@ __all__ = [
     "riesz_matrix",
     "riesz_apply",
     "fractional_inverse_apply",
-    "riesz_difference_kernel",
     "riesz_difference_batch",
     "riesz_difference_matrix",
     "CzSamplePlan",
@@ -455,23 +454,24 @@ def _one_axis(nu, k, grid: Grid):
 
 
 def riesz_matrix(nu, k, grid: Grid, plan: SubordinationPlan = DEFAULT_PLAN) -> np.ndarray:
-    """Assembled 1-D transform matrix A[i, j] ~ R(x_i, x_j) w_j.
-
-    Read-only and cached in the shared bounded matrix cache
-    (``grids.MATRIX_CACHE_BYTES``): a hit returns the same array.
-    """
+    """Assembled 1-D transform matrix A[i, j] ~ R(x_i, x_j) w_j, built on
+    every call."""
     nu_0, k_0 = _one_axis(nu, k, grid)
-    return _MATRIX_CACHE.get(
-        ("riesz", grid.cache_key(), nu_0, k_0, plan),
-        lambda: _grid_matrix(nu_0, k_0, grid.axes[0], plan, difference=False),
-    )
+    return _grid_matrix(nu_0, k_0, grid.axes[0], plan, difference=False)
 
 
-def riesz_apply(nu, k, f: GridFunction, plan: SubordinationPlan = DEFAULT_PLAN) -> GridFunction:
+def riesz_apply(nu, k, f, plan: SubordinationPlan = DEFAULT_PLAN):
     """Riesz transform of a grid function by subordination quadrature.
 
     |k| = 0 is the identity (useful as the degenerate case in spot checks);
     any k_j >= 3 is refused (``_grid_multi``).
+
+    ``f`` may also be a sequence of grid functions on one grid; the result
+    is then a list with one transform per function, each bit for bit its
+    one-function value.  The 1-D matrix, or in n-D each time node's axis
+    matrices, are built once per call and applied to each function in turn
+    (one matrix-vector product per function: a product with their stack
+    would sum in another order).
 
     Time nodes with sqrt(t) below the local node spacing contribute
     unresolved near-diagonal spikes; for smooth inputs those contributions
@@ -479,30 +479,46 @@ def riesz_apply(nu, k, f: GridFunction, plan: SubordinationPlan = DEFAULT_PLAN) 
     plan.t_min around the square of the coarsest relevant spacing.
     """
     nu = as_nu_vector(nu)
-    if nu.n != f.grid.ndim:
-        raise GridError("order vector dimension does not match grid")
     k = _grid_multi(k, nu.n)
-    order = sum(k)
-    if order == 0:
-        return f
-    if f.grid.ndim == 1:
-        mat = riesz_matrix(nu, k, f.grid, plan)
-        return GridFunction(f.grid, mat @ f.values)
-    axes = f.grid.axes
+    single = isinstance(f, GridFunction)
+    functions = [f] if single else list(f)
+    if not functions:
+        return []
+    grid = _one_grid(functions)
+    if nu.n != grid.ndim:
+        raise GridError("order vector dimension does not match grid")
+    if sum(k) == 0:
+        out = functions
+    elif grid.ndim == 1:
+        mat = riesz_matrix(nu, k, grid, plan)
+        out = [GridFunction(grid, mat @ g.values) for g in functions]
+    else:
+        out = [GridFunction(grid, acc) for acc in _nd_apply(nu, k, grid, functions, plan)]
+    return out[0] if single else out
+
+
+def _nd_apply(nu: NuVector, k, grid: Grid, functions, plan: SubordinationPlan):
+    """The n-D transforms of ``functions``: per time node, each axis matrix
+    is built once and contracted with each function's values."""
+    axes = grid.axes
     t_nodes, w = plan.nodes()
     streams = [
         _word_products((nu_j,), (_axis_word(k_j, axis),), t_nodes)
         for nu_j, k_j, axis in zip(nu.nu, k, axes)
     ]
-    half = order / 2.0
-    acc = np.zeros(f.grid.shape)
+    half = sum(k) / 2.0
+    accs = [np.zeros(grid.shape) for _ in functions]
     for t, wi, *axis_rows in zip(t_nodes, w, *streams):
-        vals = f.values
-        for j, (rows, axis) in enumerate(zip(axis_rows, axes)):
-            mat = _weighted_matrix(np.zeros((axis.size, axis.size)), axis, rows[0], rows[1])
-            vals = np.moveaxis(np.tensordot(mat, vals, axes=(1, j)), 0, j)
-        acc += wi * t**half * vals
-    return GridFunction(f.grid, acc / gamma(half))
+        mats = [
+            _weighted_matrix(np.zeros((axis.size, axis.size)), axis, rows[0], rows[1])
+            for rows, axis in zip(axis_rows, axes)
+        ]
+        for g, acc in zip(functions, accs):
+            vals = g.values
+            for j, mat in enumerate(mats):
+                vals = np.moveaxis(np.tensordot(mat, vals, axes=(1, j)), 0, j)
+            acc += wi * t**half * vals
+    return [acc / gamma(half) for acc in accs]
 
 
 def fractional_inverse_apply(
@@ -543,23 +559,13 @@ def riesz_difference_batch(
     return _riesz_quadrature(nu, k, x, y, plan, both=False, difference_axis=j)[0]
 
 
-def riesz_difference_kernel(
-    nu, k, axis_index: int, x, y, plan: SubordinationPlan = DEFAULT_PLAN
-) -> float:
-    nu = as_nu_vector(nu)
-    x = np.asarray(np.atleast_1d(x), dtype=float)[:, None]
-    y = np.asarray(np.atleast_1d(y), dtype=float)[:, None]
-    return float(riesz_difference_batch(nu, k, axis_index, x, y, plan)[0])
-
-
 def riesz_difference_matrix(
     nu, k, axis_index: int, grid: Grid, plan: SubordinationPlan = DEFAULT_PLAN
 ) -> np.ndarray:
     """Assembled 1-D matrix A[i, j] ~ (R_nu - R_{nu+1})(x_i, x_j) w_j.
 
-    Not cached: thm4_1, its one caller, builds it once.  One Bessel ladder
-    per time node on the triangle i <= j serves both orders and both
-    triangles.
+    One Bessel ladder per time node on the triangle i <= j serves both
+    orders and both triangles.
     """
     nu_0, k_0 = _one_axis(nu, k, grid)
     if int(axis_index) != 0:

@@ -21,12 +21,13 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .errors import DomainError, GridError, UnderResolvedError
-from .grids import Grid, GridFunction
-from .heat import critical_function
+from .grids import Grid, GridFunction, _one_grid
+from .heat import as_nu_vector, critical_function
 
 __all__ = [
     "Ball",
@@ -171,8 +172,6 @@ def validate_p_rho_atom(
     grid = a.f.grid
     n = grid.ndim
     if nu is not None:
-        from .heat import as_nu_vector
-
         nuv = as_nu_vector(nu)
         if not a.p > n / (n + nuv.gamma_nu):
             raise DomainError(f"p={a.p} below the admissible range for nu={nuv.nu}")
@@ -311,8 +310,6 @@ def _weighted_gram(cols, w) -> np.ndarray:
 
 def _expand_scaled_coeffs(coeffs, center, radius, indices, n):
     """Convert coefficients in ((x-c)/r)^beta to raw monomial coefficients."""
-    from itertools import product
-
     raw: dict[tuple[int, ...], float] = {}
     for alpha, c in zip(indices, coeffs):
         scale = c / radius ** sum(alpha)
@@ -439,9 +436,7 @@ def bmo_norm(
     functions = [f] if single else list(f)
     if not functions:
         return []
-    grid = functions[0].grid
-    if any(g.grid.cache_key() != grid.cache_key() for g in functions[1:]):
-        raise GridError("the functions must share one grid")
+    grid = _one_grid(functions)
     values = np.stack([g.values.ravel() for g in functions])
     sampler = sampler or BallSampler(grid)
     n = grid.ndim
@@ -611,14 +606,6 @@ class DecompositionResult:
     j0: int
     omega: int
     certificates: dict
-
-    def reconstruction(self) -> np.ndarray:
-        total = self.a1.values.copy()
-        for piece in self.a2.values():
-            total = total + piece.values
-        for piece in self.a3.values():
-            total = total + piece.values
-        return total
 
 
 def _annulus_masks(grid: Grid, ball: Ball, j0: int):

@@ -26,7 +26,6 @@ from besselops.errors import ConfigError, DomainError
 from besselops.grids import (
     T_GRID_DEFAULT,
     GridFunction,
-    _MatrixCache,
     default_grid,
     lp_norm,
     maximal_function,
@@ -218,25 +217,26 @@ class TestOperatorCampaigns:
 
 
 def per_atom_hardy(nu, k, p, atom_count, seed, grid_nodes, levels):
-    """hardy_spot_check one atom at a time: the transform, the maximal
-    function and the quasi-norm per atom, the worst atom picked inside the
-    loop, and both time grids applied to it afresh."""
+    """hardy_spot_check one atom at a time: the maximal function and the
+    quasi-norm per atom, the worst atom picked inside the loop, and both
+    time grids applied to its transform afresh.  The transforms come from
+    one ``riesz_apply`` call, bit for bit the one-atom calls."""
     plan = SubordinationPlan(1e-6, 1e4, 12)
     grid = default_grid(1, nodes_per_axis=grid_nodes)
     nu_shifted = nu.shifted(k)
     rng = make_rng(seed)
+    atoms = [campaigns._random_atom(rng, grid, p) for _ in range(atom_count * 2 ** (levels - 1))]
+    transforms = riesz_apply(nu, k, [atom.f for atom in atoms], plan)
     norms = []
-    worst_atom = None
-    for _ in range(atom_count * 2 ** (levels - 1)):
-        atom = campaigns._random_atom(rng, grid, p)
-        ra = riesz_apply(nu, k, atom.f, plan)
+    worst = None
+    for i, ra in enumerate(transforms):
         norms.append(lp_norm(maximal_function(nu_shifted, ra, T_GRID_DEFAULT), p))
-        if worst_atom is None or norms[-1] >= max(norms):
-            worst_atom = atom
+        if worst is None or norms[-1] >= max(norms):
+            worst = i
+    worst_atom, ra = atoms[worst], transforms[worst]
     norms = np.asarray(norms)
     prefixes = [norms[: atom_count * 2**lev] for lev in range(levels)]
     dense = tuple(2.0 ** (m / 2.0) for m in range(-20, 13))
-    ra = riesz_apply(nu, k, worst_atom.f, plan)
     base = lp_norm(maximal_function(nu_shifted, ra, T_GRID_DEFAULT), p)
     fine = lp_norm(maximal_function(nu_shifted, ra, dense), p)
     return {
@@ -250,24 +250,25 @@ def per_atom_hardy(nu, k, p, atom_count, seed, grid_nodes, levels):
 
 
 def per_function_bmo(nu, k, s, corpus_size, seed, grid_nodes):
-    """bmo_spot_check one function at a time: a denominator, and the
-    transform and its norm where the denominator is not 0, per function and
-    per sampler."""
+    """bmo_spot_check one function at a time: a denominator, and the norm
+    of the transform where the denominator is not 0, per function and per
+    sampler.  The transforms come from one ``riesz_apply`` call, bit for
+    bit the one-function calls."""
     plan = SubordinationPlan(1e-6, 1e4, 12)
     grid = default_grid(nu.n, nodes_per_axis=grid_nodes)
     max_degree = max(0, math.floor(s))
     corpus = campaigns._random_corpus(make_rng(seed), grid, corpus_size)
+    transforms = riesz_apply(nu, k, corpus, plan)
     passes = []
     for count, sampler in (
         (corpus_size, BallSampler(grid, 16, 8)),
         (max(2, corpus_size // 3), BallSampler(grid, 32, 16)),
     ):
         ratios = []
-        for f in corpus[:count]:
+        for f, rf in zip(corpus[:count], transforms):
             denom = bmo_norm(f, s, max_degree, sampler)
             if denom == 0.0:
                 continue
-            rf = riesz_apply(nu, k, f, plan)
             ratios.append(bmo_norm(rf, s, max_degree, sampler) / denom)
         passes.append(ratios)
     return {
@@ -297,6 +298,7 @@ class TestBmoSpotCheck:
             ref = per_function_bmo(nu, **args)
             norm_calls = []
             transforms = []
+            riesz_builds = []
 
             def counted_norm(f, *rest):
                 norm_calls.append(f)
@@ -306,14 +308,23 @@ class TestBmoSpotCheck:
                 transforms.append(a)
                 return riesz_apply(*a)
 
+            grid_matrix = riesz._grid_matrix
+
+            def counted_matrix(*a, **kw):
+                riesz_builds.append(a)
+                return grid_matrix(*a, **kw)
+
             monkeypatch.setattr(campaigns, "bmo_norm", counted_norm)
             monkeypatch.setattr(campaigns, "riesz_apply", counted_apply)
+            monkeypatch.setattr(riesz, "_grid_matrix", counted_matrix)
             got = bmo_spot_check(nu, **args)
         assert got == ref
         assert len(ref["ratios"]) == 5
-        # Two passes per sampler; each nonzero function transformed once.
+        # Two passes per sampler; the whole corpus transformed by one call,
+        # which builds one Riesz matrix (none at order 0).
         assert [len(stack) for stack in norm_calls] == [6, 5, 2, 1]
-        assert len(transforms) == 5
+        assert len(transforms) == 1
+        assert len(riesz_builds) == (1 if sum(k) else 0)
 
     @pytest.mark.parametrize("k", [(1, 1), (3,), (-1,)])
     def test_refuses_k_before_drawing_the_corpus(self, monkeypatch, k):
@@ -380,9 +391,6 @@ class TestHardySpotCheck:
         # One Riesz matrix, and one semigroup kernel per time of the dense
         # grid 2^(m/2), m = -20..12: the default grid's 17 for the whole
         # atom stack, the other 16 for the worst atom.
-        cache = _MatrixCache(grids.MATRIX_CACHE_BYTES)
-        monkeypatch.setattr(grids, "_MATRIX_CACHE", cache)
-        monkeypatch.setattr(riesz, "_MATRIX_CACHE", cache)
         kernel_times = []
         ladders = grids._ladders
 
@@ -407,7 +415,6 @@ class TestHardySpotCheck:
         dense = tuple(2.0 ** (m / 2.0) for m in range(-20, 13))
         assert Counter(kernel_times) == Counter(dense)
         assert len(riesz_builds) == 1
-        assert [key[0] for key in cache._store] == ["riesz"]
 
     @pytest.mark.parametrize("nodes", [16, 64])
     def test_refuses_more_than_one_dimension_before_building_a_grid(self, monkeypatch, nodes):

@@ -191,6 +191,27 @@ class TestMiscCommands:
         oracle = (1.0 / 4.0 - 1.0 / (-2.0)) / math.pi - K / 1.0
         assert out["value"] == pytest.approx(oracle, rel=1e-8)
 
+    def test_riesz_apply_command(self, tmp_path, capsys):
+        from besselops.grids import GridFunction, default_grid, gridfunction_from_csv
+        from besselops.riesz import SubordinationPlan, riesz_matrix
+
+        g = default_grid(1, nodes_per_axis=64)
+        x = g.axes[0].nodes
+        f = GridFunction(g, x**1.3 * np.exp(-((x - 3.0) ** 2)))
+        path = tmp_path / "f.csv"
+        gridfunction_to_csv(f, path)
+        rc = main(
+            [
+                "--out", str(tmp_path), "riesz", "apply", "--nu", "0.8", "--k", "1",
+                "--input", str(path), "--plan-nodes", "8",
+            ]
+        )
+        assert rc == 0
+        # Floats are written with repr, so the CSV holds the transform exactly.
+        out = gridfunction_from_csv(tmp_path / "riesz_apply.csv", g)
+        plan = SubordinationPlan(1e-6, 1e4, 8)
+        assert np.array_equal(out.values, riesz_matrix(0.8, (1,), g, plan) @ f.values)
+
     def test_console_entrypoint(self):
         proc = subprocess.run(
             [sys.executable, "-m", "besselops.cli", "--help"],

@@ -12,7 +12,6 @@ import besselops.grids as grids
 import besselops.heat as heat
 from besselops.errors import DomainError, GridError, UnderResolvedError
 from besselops.grids import (
-    MATRIX_CACHE_BYTES,
     EigenfunctionSpec,
     Grid,
     GridFunction,
@@ -33,7 +32,6 @@ from besselops.grids import (
     uniform_axis,
     _kernel_matrices,
     _maximal_values,
-    _MatrixCache,
     _semigroup_values,
 )
 from besselops.heat import NuVector, _p1d, eval_delta_heat_1d, heat_kernel_1d
@@ -307,51 +305,6 @@ class TestSemigroup:
             bessel_calls.assert_blocks(nodes)
             assert len(bessel_calls) > (block == 1500)
             assert all(orders == [0.6] for orders, _ in bessel_calls)
-
-
-class TestMatrixCache:
-    def test_evicts_least_recently_used_within_the_bound(self):
-        block = np.zeros(16).nbytes
-        cache = _MatrixCache(3 * block)
-        builds = []
-
-        def build(key):
-            def make():
-                builds.append(key)
-                return np.full(16, float(key))
-
-            return make
-
-        first = cache.get(0, build(0))
-        cache.get(1, build(1))
-        cache.get(2, build(2))
-        # A hit returns the stored, read-only object and marks it recent.
-        assert cache.get(0, build(0)) is first
-        assert not first.flags.writeable
-        cache.get(3, build(3))  # evicts 1, the least recently used
-        assert cache.nbytes <= 3 * block
-        cache.get(0, build(0))
-        cache.get(2, build(2))
-        cache.get(1, build(1))  # rebuilt
-        assert builds == [0, 1, 2, 3, 1]
-        assert cache.nbytes <= 3 * block
-
-    def test_bytes_never_exceed_the_bound(self):
-        cache = _MatrixCache(1000)
-        rng = np.random.default_rng(5)
-        for key, size in enumerate(rng.integers(1, 60, 200)):
-            arr = cache.get(key, lambda: np.zeros(size))
-            assert arr.size == size
-            assert cache.nbytes <= 1000
-        # An array larger than the bound is returned but not kept.
-        assert cache.get("big", lambda: np.zeros(200)).size == 200
-        assert cache.nbytes <= 1000
-
-    def test_bound_holds_the_thm1_6i_working_set(self):
-        # Sized for one 512^2 Riesz matrix and the 33 semigroup kernel
-        # matrices of the dense time grid.  Semigroup kernels are no longer
-        # cached (thm1_6i keeps only its Riesz matrix), so the bound is slack.
-        assert MATRIX_CACHE_BYTES >= 34 * 512 * 512 * 8
 
 
 class TestMaximalFunction:

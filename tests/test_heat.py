@@ -25,7 +25,6 @@ from besselops.heat import (
     bound_rhs,
     critical_function,
     delta_dt_heat_1d,
-    delta_dt_heat_nd,
     delta_dt_heat_nd_arrays,
     delta_expansion,
     delta_heat_difference_1d,
@@ -274,7 +273,8 @@ class TestTimeDerivatives:
         nu = NuVector((0.5, 1.1))
         q = KernelPoint(0.7, (1.0, 1.5), (1.8, 0.9))
         # M=1: Delta p = (L_1 p1) p2 + p1 (L_2 p2).
-        direct = delta_dt_heat_nd(nu, (0, 0), 1, q)
+        x, y = np.asarray(q.x)[:, None], np.asarray(q.y)[:, None]
+        direct = float(delta_dt_heat_nd_arrays(nu, (0, 0), 1, np.asarray([q.t]), x, y)[0])
         part1 = float(delta_dt_heat_1d(0.5, 0, 1, q.t, q.x[0], q.y[0])) * heat_kernel_1d(
             1.1, q.t, q.x[1], q.y[1]
         )

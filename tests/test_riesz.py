@@ -17,12 +17,11 @@ import pytest
 
 import besselops.heat as heat
 import besselops.riesz as riesz
-from besselops.errors import DomainError
+from besselops.errors import DomainError, GridError
 from besselops.grids import (
     EigenfunctionSpec,
     Grid,
     GridFunction,
-    _MatrixCache,
     default_grid,
     eigenfunction_gridfn,
     log_axis,
@@ -44,7 +43,6 @@ from besselops.riesz import (
     fractional_inverse_apply,
     riesz_apply,
     riesz_difference_batch,
-    riesz_difference_kernel,
     riesz_difference_matrix,
     riesz_kernel,
     riesz_kernel_1d,
@@ -141,7 +139,6 @@ class TestRieszKernel:
         calls = (
             lambda: riesz_kernel(0.7, 2, x, y),
             lambda: riesz_kernel_batch(0.7, 2, [[x]], [[y]]),
-            lambda: riesz_difference_kernel(0.7, (1,), 0, x, y),
             lambda: riesz_difference_batch(0.7, (1,), 0, [[x]], [[y]]),
             lambda: riesz_kernel_1d(0.7, 2, [x], [y]),
         )
@@ -313,12 +310,10 @@ class TestRieszApply:
         for npts in (256, 512):
             g = default_grid(1, nodes_per_axis=npts)
             x = g.axes[0].nodes
-            worst = 0.0
-            for c, s in zip(centers, widths):
-                f = GridFunction(g, np.exp(-((x - c) ** 2) / s))
-                rf = riesz_apply(nu, (1,), f)
-                worst = max(worst, lp_norm(rf, 2.0) / lp_norm(f, 2.0))
-            ratios[npts] = worst
+            fs = [GridFunction(g, np.exp(-((x - c) ** 2) / s)) for c, s in zip(centers, widths)]
+            ratios[npts] = max(
+                lp_norm(rf, 2.0) / lp_norm(f, 2.0) for f, rf in zip(fs, riesz_apply(nu, (1,), fs))
+            )
         assert ratios[512] < 5.0
         assert abs(ratios[512] - ratios[256]) / ratios[256] < 0.1
 
@@ -348,6 +343,46 @@ class TestRieszApply:
         b = riesz_apply(nu, (1, 1), f2, plan).values
         combo = riesz_apply(nu, (1, 1), GridFunction(g, f1.values + 2 * f2.values), plan)
         assert np.allclose(combo.values, a + 2 * b, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "nu, k, nodes",
+        [((0.8,), (1,), 96), ((0.8,), (2,), 64), ((0.6, 1.1), (1, 1), 24), ((0.6, 1.1), (0, 0), 24)],
+        ids=["1d", "1d-k2", "2d", "order0"],
+    )
+    def test_sequence_is_the_one_function_calls(self, nu, k, nodes):
+        g = default_grid(len(nu), nodes_per_axis=nodes)
+        rng = np.random.default_rng(4)
+        fs = tuple(GridFunction(g, rng.standard_normal(g.shape)) for _ in range(3))
+        plan = SubordinationPlan(1e-4, 1e3, 4)
+        got = riesz_apply(nu, k, fs, plan)
+        assert isinstance(got, list) and len(got) == len(fs)
+        for f, rf in zip(fs, got):
+            assert rf.grid is g
+            assert np.array_equal(rf.values, riesz_apply(nu, k, f, plan).values)
+        assert riesz_apply(nu, k, [], plan) == []
+
+    def test_sequence_builds_one_matrix_and_refuses_mixed_grids(self, monkeypatch):
+        builds = []
+        grid_matrix = riesz._grid_matrix
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return grid_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(riesz, "_grid_matrix", counted)
+        plan = SubordinationPlan(1e-4, 1e3, 4)
+        g = Grid((log_axis(1e-2, 20.0, 64),))
+        fs = [GridFunction(g, np.sin(m * g.axes[0].nodes)) for m in (1, 2, 3)]
+        riesz_apply(0.6, (1,), fs, plan)
+        assert len(builds) == 1
+        riesz_apply(0.6, (1,), [], plan)
+        assert len(builds) == 1
+        # Same size, other nodes; and another size.
+        for other in (Grid((uniform_axis(1e-2, 20.0, 64),)), default_grid(1, nodes_per_axis=65)):
+            f = GridFunction(other, np.ones(other.shape))
+            with pytest.raises(GridError, match="one grid"):
+                riesz_apply(0.6, (1,), [*fs, f], plan)
+        assert len(builds) == 1
 
 
 # The mpmath oracle for the assembled 1-D matrices: the same discretized sum
@@ -543,7 +578,6 @@ class TestGridMatrices:
         assert sum(z.size for z in nodes) == 13337
         for block, calls in ((heat._BESSEL_BLOCK, 1), (2000, 6)):
             monkeypatch.setattr(heat, "_BESSEL_BLOCK", block)
-            monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 20))
             bessel_calls.clear()
             riesz_matrix(1.0, (1,), g, plan)
             assert [orders for orders, _ in bessel_calls] == [[1.0, 2.0]] * calls
@@ -582,7 +616,7 @@ class TestGridMatrices:
         "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 64)], ids=["log", "uniform"]
     )
     @pytest.mark.parametrize("k, difference", [(1, False), (2, False), (1, True)])
-    def test_distinct_products_match_the_per_pair_build(self, monkeypatch, axis, k, difference):
+    def test_distinct_products_match_the_per_pair_build(self, axis, k, difference):
         # The grid words evaluate their Bessel functions once per distinct
         # node product, on the live prefix of the distance-sorted pairs; the
         # reference evaluates them on every pair of the triangle.  The plan's
@@ -590,7 +624,6 @@ class TestGridMatrices:
         g = Grid((axis,))
         plan = SubordinationPlan(1e-6, 1e4, 8)
         assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
-        monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 24))
         if difference:
             grid_build = riesz_difference_matrix(0.6, (k,), 0, g, plan)
         else:
@@ -601,11 +634,10 @@ class TestGridMatrices:
     @pytest.mark.parametrize(
         "axis", [log_axis(1e-2, 20.0, 48), uniform_axis(0.05, 10.0, 40)], ids=["log", "uniform"]
     )
-    def test_matrices_match_the_per_pair_build_at_other_orders(self, monkeypatch, axis, nu):
+    def test_matrices_match_the_per_pair_build_at_other_orders(self, axis, nu):
         g = Grid((axis,))
         plan = SubordinationPlan(1e-5, 1e3, 6)
         assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
-        monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 24))
         for k in (1, 2):
             assert np.array_equal(riesz_matrix(nu, (k,), g, plan), all_pairs_matrix(nu, k, axis, plan))
         diff = riesz_difference_matrix(nu, (1,), 0, g, plan)
@@ -637,7 +669,6 @@ class TestGridMatrices:
                 yield ladder
 
         monkeypatch.setattr(heat, "_ladders", recorded)
-        monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 24))
         plan = SubordinationPlan(1e-5, 1e3, 4)
         g1 = default_grid(1, nodes_per_axis=64)
         g2 = Grid((log_axis(1e-2, 20.0, 24), uniform_axis(0.05, 10.0, 20)))
@@ -652,7 +683,7 @@ class TestGridMatrices:
             assert np.all(np.exp(-d2[cut:] / (4.0 * t)) == 0.0)
         assert min(cut / d2.size for _, d2, cut in calls) < 0.5
 
-    def test_bessel_points_per_node_are_the_distinct_products(self, monkeypatch, bessel_calls):
+    def test_bessel_points_per_node_are_the_distinct_products(self, bessel_calls):
         # The Bessel calls run on the distinct node products of the pairs
         # i <= j with d2 < 746 * 4t, the prefix each ladder covers, node after
         # node: fewer at the early nodes, where the Gaussian factor underflows
@@ -666,7 +697,6 @@ class TestGridMatrices:
         times = plan.nodes()[0]
         expected = [np.unique(xy[d2 < 746.0 * 4.0 * t]).size for t in times]
         assert expected[0] < 611 == expected[-1]
-        monkeypatch.setattr(riesz, "_MATRIX_CACHE", _MatrixCache(1 << 20))
         riesz_matrix(1.0, (1,), g, plan)
         distinct = g.axes[0].pairs[2]
         bessel_calls.assert_blocks([distinct[:u] / (2.0 * t) for u, t in zip(expected, times)])
@@ -711,13 +741,6 @@ class TestGridMatrices:
             points = riesz_kernel_batch(0.6, (k,), x[i][None], x[j][None], plan)
         kernel = mat / w[None, :]
         assert np.max(np.abs(kernel[i, j] - points)) <= 1e-14 * np.max(np.abs(kernel))
-
-    def test_matrix_cache_returns_the_same_read_only_array(self):
-        g = default_grid(1, nodes_per_axis=64)
-        plan = SubordinationPlan(1e-4, 1e2, 4)
-        first = riesz_matrix(0.6, (1,), g, plan)
-        assert riesz_matrix(NuVector((0.6,)), 1, g, plan) is first
-        assert not first.flags.writeable
 
 
 class TestFractionalInverse:
@@ -828,10 +851,6 @@ class TestRieszDifference:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             riesz_difference_batch(nu, (1,), 0, [[1.0, 1.7, 0.5]], [[2.0, 0.9, 3.0]], WIDE_PLAN)
-
-    def test_scalar_wrapper(self):
-        v = riesz_difference_kernel(NuVector((0.6,)), (2,), 0, 1.0, 2.0, WIDE_PLAN)
-        assert math.isfinite(v)
 
     def test_zero_shift_vanishes(self):
         # difference of identical operators is exactly zero

@@ -13,7 +13,7 @@ from besselops.fixtures import (
     bundled_line_atoms,
     decomposition_fixture,
 )
-from besselops.grids import Grid, GridFunction, default_grid, uniform_axis
+from besselops.grids import Grid, GridFunction, default_grid, log_axis, uniform_axis
 from besselops.heat import critical_function
 from besselops.spaces import (
     AtomCandidate,
@@ -313,10 +313,14 @@ class TestBmoNorm:
 
     def test_stack_of_nothing_and_mixed_grids(self):
         g = default_grid(1, nodes_per_axis=64)
-        other = default_grid(1, nodes_per_axis=65)
         assert bmo_norm([], 0.0, 0) == []
-        with pytest.raises(GridError):
-            bmo_norm([GridFunction(g, np.ones(64)), GridFunction(other, np.ones(65))], 0.0, 0)
+        # Another size; and the same size on other nodes.
+        for a, b in (
+            (g, default_grid(1, nodes_per_axis=65)),
+            (Grid((log_axis(1e-2, 20.0, 64),)), Grid((uniform_axis(1e-2, 20.0, 64),))),
+        ):
+            with pytest.raises(GridError):
+                bmo_norm([GridFunction(a, np.ones(a.shape)), GridFunction(b, np.ones(b.shape))], 0.0, 0)
         with pytest.raises(DomainError):
             bmo_norm([], -1.0, 0)
 
