@@ -40,7 +40,6 @@ import numpy as np
 
 from .errors import DomainError, GridError, UnderResolvedError
 from .heat import NuVector, as_nu_vector, _ladders, eval_delta_heat_1d
-from .special import gamma
 
 __all__ = [
     "Axis",
@@ -395,7 +394,7 @@ def besselj(alpha: float, z):
     pos = ~zero
     if np.any(pos):
         zz = z[pos]
-        term = np.exp(alpha * np.log(0.5 * zz)) / gamma(alpha + 1.0)
+        term = np.exp(alpha * np.log(0.5 * zz)) / math.gamma(alpha + 1.0)
         total = term.copy()
         q = 0.25 * zz * zz
         for k in range(400):

@@ -65,7 +65,6 @@ from .grids import (
 )
 from .heat import NuVector, _check_positive, _pair_word, _word_products, as_nu_vector, delta_expansion
 from .sampling import make_rng, sample_smooth_triples
-from .special import gamma
 
 __all__ = [
     "SubordinationPlan",
@@ -179,7 +178,7 @@ def _riesz_quadrature(
             RuntimeWarning,
             stacklevel=3,
         )
-    return total / gamma(half)
+    return total / math.gamma(half)
 
 
 def riesz_kernel_batch(nu, k, x, y, plan: SubordinationPlan = DEFAULT_PLAN):
@@ -422,7 +421,7 @@ def _grid_matrix(nu: float, k: int, axis, plan: SubordinationPlan, difference: b
         rows *= wi * t**half
         total[:, : rows.shape[-1]] += rows
     out = _weighted_matrix(np.zeros((axis.size, axis.size)), axis, total[0], total[1])
-    out /= gamma(half)
+    out /= math.gamma(half)
     return out
 
 
@@ -518,7 +517,7 @@ def _nd_apply(nu: NuVector, k, grid: Grid, functions, plan: SubordinationPlan):
             for j, mat in enumerate(mats):
                 vals = np.moveaxis(np.tensordot(mat, vals, axes=(1, j)), 0, j)
             acc += wi * t**half * vals
-    return [acc / gamma(half) for acc in accs]
+    return [acc / math.gamma(half) for acc in accs]
 
 
 def fractional_inverse_apply(
@@ -541,8 +540,8 @@ def fractional_inverse_apply(
     acc = np.zeros(f.grid.shape)
     for u, wi, vals in zip(u_nodes, w, _semigroup_values(nu, u_nodes, f.grid, f.values)):
         acc += wi * u**s * vals
-    acc /= gamma(s)
-    acc += f.values * plan.t_min**s / gamma(s + 1.0)
+    acc /= math.gamma(s)
+    acc += f.values * plan.t_min**s / math.gamma(s + 1.0)
     return GridFunction(f.grid, acc)
 
 

@@ -1,4 +1,4 @@
-"""Modified Bessel functions of the first kind and the gamma function.
+"""Modified Bessel functions of the first kind.
 
 Everything here is a pure function of its arguments.  The three Bessel
 entry points cover the forms needed elsewhere in the package:
@@ -14,9 +14,11 @@ rejected: the defining power series
 
     I_alpha(z) = sum_k (z/2)^{alpha+2k} / (k! Gamma(alpha+k+1))
 
-requires alpha > -1.  The series has positive terms (no cancellation), so
-it is used for moderate z; beyond the switch point the Hankel large-z
-expansion of e^{-z} I_alpha(z) is summed to its optimally small term.
+requires alpha > -1, so Gamma (``math.gamma``) is only ever taken at
+alpha + 1 > 0, away from its poles.  The series has positive terms (no
+cancellation), so it is used for moderate z; beyond the switch point the
+Hankel large-z expansion of e^{-z} I_alpha(z) is summed to its optimally
+small term.
 
 ``besseli_scaled`` also takes a sequence of orders and returns one row per
 order, bit for bit the one-order values: a heat-kernel ladder p_t^{nu+m}
@@ -46,7 +48,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "gamma",
     "besseli",
     "besseli_scaled",
     "besseli_ratio",
@@ -62,40 +63,6 @@ _ASYMP_MAX_TERMS = 30
 # Lower edges of the series bins; the last bin ends at the switch point.
 # Most heat-kernel arguments lie below 1, so the bins there are fine.
 _SERIES_EDGES = (0.0, 1e-3, 0.03, 0.3, 1.0, 5.0, 15.0)
-
-# Lanczos g=7, n=9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(x: float) -> float:
-    """Gamma function via the Lanczos approximation (relative error < 1e-13).
-
-    Uses reflection for x < 0.5; poles at nonpositive integers raise
-    ``DomainError``.
-    """
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise DomainError(f"gamma pole at x={x}")
-    if x < 0.5:
-        # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x).
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
 
 
 def _order(alpha) -> float:
@@ -188,13 +155,13 @@ def _first_term(alpha: float, log_half: np.ndarray, bounds) -> tuple[np.ndarray,
     overflowed entries are zeroed in the term, so the series never meets
     inf * 0 = nan, and the caller writes inf."""
     if max(alpha * bounds[0], alpha * bounds[1]) <= 700.0:
-        return np.exp(alpha * log_half) / gamma(alpha + 1.0), slice(0)
+        return np.exp(alpha * log_half) / math.gamma(alpha + 1.0), slice(0)
     with np.errstate(over="ignore"):
-        term = np.exp(alpha * log_half) / gamma(alpha + 1.0)
+        term = np.exp(alpha * log_half) / math.gamma(alpha + 1.0)
         over = np.isinf(term)
         # (z/2)^alpha alone may overflow while the term does not.
         half = np.exp(0.5 * alpha * log_half[over])
-        term[over] = half * (half / gamma(alpha + 1.0))
+        term[over] = half * (half / math.gamma(alpha + 1.0))
     over = np.isinf(term)
     term[over] = 0.0
     return term, over
@@ -289,7 +256,7 @@ def besseli_ratio(alpha, z):
     _check_nonneg(arr)
     out = np.empty_like(arr)
     zs = _switch_point(a)
-    limit = 1.0 / (2.0**a * gamma(a + 1.0))
+    limit = 1.0 / (2.0**a * math.gamma(a + 1.0))
 
     small = arr <= zs
     if np.any(small):

@@ -8,6 +8,7 @@ import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -158,29 +159,40 @@ def test_criterion_04_eigen_relation():
 
 
 def test_criterion_05_delta_expansion_vs_finite_differences():
+    # Nested differences amplify the rounding of the kernel values by about
+    # h^-ell: in double precision that is ~1e-9 absolute at ell = 3 and
+    # h = 2e-3, up to 1.6e-5 of the smallest oracle values here.  So the
+    # kernel (by mpmath's Bessel I) and the differences are taken to 30
+    # digits, and the oracle's error is its O(h^4) truncation alone.
+    def kernel(nu, t, x, y):
+        gauss = mpmath.exp(-(x * x + y * y) / (4 * t))
+        return mpmath.sqrt(x * y) / (2 * t) * gauss * mpmath.besseli(nu, x * y / (2 * t))
+
     def fd_delta(gfun, nu, h):
         return lambda xx: (gfun(xx + h) - gfun(xx - h)) / (2 * h) - (nu + 0.5) / xx * gfun(xx)
 
     def nested(nu, ell, t, x, y, h):
-        g = lambda xx: heat_kernel_1d(nu, t, xx, y)
+        g = lambda xx: kernel(nu, t, xx, y)
         for _ in range(ell):
             g = fd_delta(g, nu, h)
         return g(x)
 
     rng = make_rng(105)
     worst = 0.0
-    for nu in (-0.3, 0.5, 2.0):
-        for ell in (1, 2, 3):
-            t = np.exp(rng.uniform(np.log(0.5), np.log(3.0), 100))
-            x = rng.uniform(0.8, 4.0, 100)
-            y = rng.uniform(0.8, 4.0, 100)
-            for ti, xi, yi in zip(t, x, y):
-                exact = float(eval_delta_heat_1d(nu, ell, ti, xi, yi))
-                v1 = nested(nu, ell, ti, xi, yi, 4e-3)
-                v2 = nested(nu, ell, ti, xi, yi, 2e-3)
-                oracle = (4.0 * v2 - v1) / 3.0
-                denom = max(abs(oracle), 1e-12)
-                worst = max(worst, abs(exact - oracle) / denom)
+    with mpmath.workdps(30):
+        for nu in (-0.3, 0.5, 2.0):
+            for ell in (1, 2, 3):
+                t = np.exp(rng.uniform(np.log(0.5), np.log(3.0), 100))
+                x = rng.uniform(0.8, 4.0, 100)
+                y = rng.uniform(0.8, 4.0, 100)
+                for ti, xi, yi in zip(t, x, y):
+                    exact = float(eval_delta_heat_1d(nu, ell, ti, xi, yi))
+                    mp_args = [mpmath.mpf(float(v)) for v in (nu, ti, xi, yi)]
+                    v1 = nested(*mp_args[:1], ell, *mp_args[1:], mpmath.mpf(4e-3))
+                    v2 = nested(*mp_args[:1], ell, *mp_args[1:], mpmath.mpf(2e-3))
+                    oracle = float((4 * v2 - v1) / 3)
+                    denom = max(abs(oracle), 1e-12)
+                    worst = max(worst, abs(exact - oracle) / denom)
     report(5, "delta expansion vs nested differences", worst <= 1e-5, f"rel={worst:.2e}")
 
 

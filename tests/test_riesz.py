@@ -29,7 +29,6 @@ from besselops.grids import (
     uniform_axis,
 )
 from besselops.heat import NuVector
-from besselops.special import gamma
 from besselops.riesz import (
     SCHLAFLI_NODES,
     CzSamplePlan,
@@ -484,7 +483,7 @@ def all_pairs_matrix(nu, k, axis, plan, difference=False):
     for t, wi, rows in _all_pairs_rows(nu, k, axis, plan, difference):
         rows *= wi * t ** (k / 2.0)
         total = total + rows
-    return _all_pairs_dense(axis, total) / gamma(k / 2.0)
+    return _all_pairs_dense(axis, total) / math.gamma(k / 2.0)
 
 
 def all_pairs_apply(nu, k, f, plan):
@@ -498,7 +497,7 @@ def all_pairs_apply(nu, k, f, plan):
         for j, ((t, wi, rows), axis) in enumerate(zip(nodes, axes)):
             vals = np.moveaxis(np.tensordot(_all_pairs_dense(axis, rows), vals, axes=(1, j)), 0, j)
         acc += wi * t**half * vals
-    return acc / gamma(half)
+    return acc / math.gamma(half)
 
 
 def live_regimes(axis, times) -> set:

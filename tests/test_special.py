@@ -1,4 +1,4 @@
-"""Tests for the modified Bessel / gamma evaluators.
+"""Tests for the modified Bessel evaluators.
 
 scipy, mpmath and the standard library act as independent oracles; the closed
 half-integer forms give exact cross-checks.
@@ -19,7 +19,6 @@ from besselops.special import (
     besseli,
     besseli_ratio,
     besseli_scaled,
-    gamma,
 )
 
 
@@ -32,35 +31,8 @@ def series_oracle(alpha, z, terms=60):
     """Direct truncated power series, summed in mpfloat-free plain python."""
     total = 0.0
     for k in range(terms):
-        total += (0.5 * z) ** (alpha + 2 * k) / (math.factorial(k) * gamma(alpha + k + 1))
+        total += (0.5 * z) ** (alpha + 2 * k) / (math.factorial(k) * math.gamma(alpha + k + 1))
     return total
-
-
-class TestGamma:
-    @pytest.mark.parametrize("n,expected", [(1, 1.0), (2, 1.0), (3, 2.0), (5, 24.0), (8, 5040.0)])
-    def test_integers(self, n, expected):
-        assert gamma(n) == pytest.approx(expected, rel=1e-13)
-
-    @pytest.mark.parametrize(
-        "x,expected",
-        [
-            (0.5, math.sqrt(math.pi)),
-            (1.5, 0.5 * math.sqrt(math.pi)),
-            (2.5, 0.75 * math.sqrt(math.pi)),
-            (-0.5, -2.0 * math.sqrt(math.pi)),
-        ],
-    )
-    def test_half_integers(self, x, expected):
-        assert gamma(x) == pytest.approx(expected, rel=1e-13)
-
-    def test_against_stdlib(self):
-        for x in np.linspace(0.05, 30.0, 271):
-            assert gamma(float(x)) == pytest.approx(math.gamma(x), rel=1e-13)
-
-    def test_poles_raise(self):
-        for x in (0.0, -1.0, -2.0):
-            with pytest.raises(DomainError):
-                gamma(x)
 
 
 class TestBesselI:
@@ -113,7 +85,7 @@ class TestBesselI:
         for a in (0.0, 0.5, 1.7, 3.0, 6.0):
             zs = _switch_point(a)
             z = np.linspace(zs * 0.98, zs * 1.25, 25)
-            first = np.exp(a * np.log(0.5 * z)) / gamma(a + 1.0)
+            first = np.exp(a * np.log(0.5 * z)) / math.gamma(a + 1.0)
             series = np.exp(-z) * _series(a, first, 0.25 * z * z, z.size - 1)
             asym = _asymptotic_scaled(a, z)
             assert np.max(np.abs(series / asym - 1.0)) < 1e-10
@@ -304,7 +276,7 @@ class TestIdentities:
         # For 0 < z <= 1, I_a(z)/z^a stays in [c (1-eps), c e^{z^2}] with
         # c = 1/(2^a Gamma(a+1)).
         for a in (-0.3, 0.0, 0.5, 1.0, 2.0):
-            c = 1.0 / (2.0**a * gamma(a + 1.0))
+            c = 1.0 / (2.0**a * math.gamma(a + 1.0))
             z = np.linspace(1e-4, 1.0, 200)
             ratio = besseli_ratio(a, z)
             assert np.all(ratio >= c * (1.0 - 1e-12))
