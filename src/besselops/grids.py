@@ -11,14 +11,15 @@ nonuniform nodes, so the weights sum exactly to the box measure.  Functions
 are sampled on the tensor grid and treated as immutable after construction.
 
 Each axis keeps one pair geometry (``Axis.pairs``): the node pairs i <= j
-sorted by (x_i - x_j)^2, with x_i x_j, the distinct products (numbered by
-first use in that order) and the inverse index.  On a log axis the products
-repeat exactly as floats (7,074 distinct among 131,328 pairs at n = 512),
-so the dense kernel matrices here and in ``riesz`` evaluate their Bessel
-functions once per distinct product (``heat._ladders``).  At time t the
-pairs whose Gaussian factor exp(-(x_i - x_j)^2/4t) is not exactly 0 are a
-prefix of the sorted order, and the products they use a prefix of the
-distinct ones; the ladders and the sums over them run on those prefixes,
+sorted by (x_i - x_j)^2, with x_i x_j, the classes of those products that
+agree to within 2^-44 relative (numbered by first use in that order) and
+the class of each pair.  On a log axis x_i x_j depends on i + j alone, so
+the 131,328 pairs at n = 512 hold 1,023 classes (``_product_classes``),
+and the dense kernel matrices here and in ``riesz`` evaluate their Bessel
+functions once per class, at its representative (``heat._ladders``).  At
+time t the pairs whose Gaussian factor exp(-(x_i - x_j)^2/4t) is not
+exactly 0 are a prefix of the sorted order, and the classes they use a
+prefix of the classes; the ladders and the sums over them run on those prefixes,
 and the matrices hold exact zeros past them.  The semigroup at many times
 (``maximal_function``, and ``riesz.fractional_inverse_apply``) draws its
 kernels from one ladder stream per axis, which evaluates the Bessel
@@ -39,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, GridError, UnderResolvedError
-from .heat import NuVector, as_nu_vector, _ladders, eval_delta_heat_1d
+from .heat import NuVector, as_nu_vector, _ladders
 
 __all__ = [
     "Axis",
@@ -120,11 +121,12 @@ class Axis:
     def pairs(self) -> tuple[np.ndarray, ...]:
         """(xy, d2, distinct, inverse, i, j) on the node pairs i <= j, sorted
         by d2 = (x_i - x_j)**2, ties in the order of ``np.triu_indices``:
-        xy = x_i x_j, d2, the distinct values of xy numbered by their first
-        use in this order, the int32 index of each pair's product among
-        them, so xy == distinct[inverse], and the int32 node indices.  At
-        time t the pairs whose Gaussian factor exp(-d2/4t) is not exactly 0
-        are a prefix of this order, the products they use are a prefix of
+        xy = x_i x_j, d2, the representatives of the product classes
+        numbered by their first use in this order, the int32 class of each
+        pair, so xy is within 2^-44 relative of distinct[inverse]
+        (``_product_classes``), and the int32 node indices.  At time t the
+        pairs whose Gaussian factor exp(-d2/4t) is not exactly 0 are a
+        prefix of this order, the classes they use are a prefix of
         ``distinct``, and a grid ladder works on those prefixes only
         (``heat._ladders``).  Every grid matrix reads its pairs here; kept as
         long as the axis."""
@@ -137,14 +139,47 @@ class Axis:
         j = j[order].astype(np.int32)
         del order
         xy = x[i] * x[j]
-        distinct, first, inverse = np.unique(xy, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty(order.size, dtype=np.int32)
-        rank[order] = np.arange(order.size, dtype=np.int32)
-        out = (xy, d2, distinct[order], rank[inverse], i, j)
+        out = (xy, d2, *_product_classes(xy), i, j)
         for arr in out:
             arr.setflags(write=False)
         return out
+
+
+# Node products this close share one Bessel evaluation.  On a log axis
+# x_i x_j depends on i + j alone in exact arithmetic, and rounding spreads
+# the products of one i + j by at most 2.0e-15 relative at n = 512, while
+# neighbouring sums lie 1.5% apart.
+_CLASS_TOL = 2.0**-44
+
+
+def _product_classes(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, inverse) of the products ``xy``: their sorted values split
+    into classes greedily from the smallest, each class taking the values
+    within ``_CLASS_TOL`` relative of its smallest, so no class chains and
+    every value is within ``_CLASS_TOL`` of its class's representative, the
+    product of the class's first element in ``xy``.  Classes are numbered
+    by first use in ``xy``, so any prefix of ``xy`` uses a prefix of them;
+    ``inverse`` is the int32 class of each element."""
+    vals, first, inverse = np.unique(xy, return_index=True, return_inverse=True)
+    start = np.empty(vals.size, dtype=bool)
+    start[0] = True
+    start[1:] = vals[1:] - vals[:-1] > vals[:-1] * _CLASS_TOL
+    heads = np.flatnonzero(start)
+    stops = np.append(heads[1:], vals.size)
+    # A run of close values wider than one class is split from its smallest.
+    wide = vals[stops - 1] - vals[heads] > vals[heads] * _CLASS_TOL
+    for a, stop in zip(heads[wide].tolist(), stops[wide].tolist()):
+        while True:
+            a += int(np.searchsorted(vals[a:stop] - vals[a], vals[a] * _CLASS_TOL, "right"))
+            if a >= stop:
+                break
+            start[a] = True
+    heads = np.flatnonzero(start)
+    first = np.minimum.reduceat(first, heads)
+    order = np.argsort(first)
+    rank = np.empty(order.size, dtype=np.int32)
+    rank[order] = np.arange(order.size, dtype=np.int32)
+    return xy[first[order]], rank[np.cumsum(start)[inverse] - 1]
 
 
 def log_axis(lo: float, hi: float, n: int) -> Axis:
@@ -268,7 +303,8 @@ def _kernel_matrices(nu_j: float, times, axis: Axis):
 
     p_t^{nu_j} is symmetric bit for bit, so it is evaluated on the pairs
     i <= i' whose Gaussian factor does not underflow and mirrored, with the
-    Bessel function on the axis's distinct node products only
+    Bessel function once per product class of the axis, at its
+    representative, and the prefactor on each pair's own product
     (``Axis.pairs``).  Each output is allocated before its ladder is drawn,
     which keeps the process's peak memory lower, and is held by its caller
     alone.

@@ -41,8 +41,9 @@ time nodes in one call per block of at least ``_BESSEL_BLOCK`` arguments;
 ``_word_products`` yields its product over the axes at each time node.  On
 a grid axis the ladders cover only the prefix of the distance-sorted node
 pairs on which the Gaussian factor is not exactly 0, evaluate the Bessel
-functions once per distinct node product of that prefix, and the
-monomials are summed on that prefix.  Finite differences are test oracles.
+functions once per product class of that prefix (node products equal to
+within 2^-44 relative), and the monomials are summed on that prefix.
+Finite differences are test oracles.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -185,24 +186,30 @@ def _ladders(nu: float, shifts, times, xy, d2, unique=None):
     the others are +0; the polynomial coefficients downstream can never
     amplify them back above the underflow threshold.
 
-    ``unique = (distinct, inverse)`` with xy == distinct[inverse], as a grid
-    axis keeps it (``grids.Axis.pairs``, with d2 ascending and the distinct
-    products numbered by first use).  Past the prefix cut =
+    ``unique = (distinct, inverse)`` are the product classes of a grid axis
+    (``grids.Axis.pairs``, with d2 ascending and the classes numbered by
+    first use): xy is within 2^-44 relative of distinct[inverse], and the
+    Bessel functions run on the representatives ``distinct`` while the
+    prefactor takes each pair's own xy.  Past the prefix cut =
     searchsorted(d2, 746 * 4t) the Gaussian factor is exactly 0.0, so the
     prefactor is formed, and the rows are gathered and scaled, on the first
     cut pairs only; a caller reads the entries past them as +0, which is
-    what the full rows hold there.  Those pairs use the first
-    u = max(inverse[:cut]) + 1 distinct products, and the Bessel functions
+    what the full rows hold there.  Those pairs use the first u classes, u
+    read from the running maximum of ``inverse``, and the Bessel functions
     run once on each of them, so a pending node keeps only its u arguments.
-    On the sampled batches (``unique`` None, t a scalar or an array that
+    sqrt(xy) and that running maximum are formed once per stream.  On the
+    sampled batches (``unique`` None, t a scalar or an array that
     broadcasts with xy) the dead entries take no Bessel arithmetic and are
     scattered back as +0, so a pending node keeps its live entries only.
     """
     orders = [nu + m for m in shifts]
-    node = _sampled_node if unique is None else _grid_node
+    if unique is None:
+        node = partial(_sampled_node, xy=xy, d2=d2)
+    else:
+        node = _grid_nodes(xy, d2, *unique)
     args, finishes, size = [], [], 0
     for t in times:
-        z, finish = node(t, xy, d2, unique)
+        z, finish = node(t)
         args.append(z)
         finishes.append(finish)
         size += z.size
@@ -210,7 +217,7 @@ def _ladders(nu: float, shifts, times, xy, d2, unique=None):
             yield from _finish_block(orders, shifts, args, finishes)
             args, finishes, size = [], [], 0
     if args:
-        del xy, d2  # batch-sized temporaries of the pointwise callers
+        del node, xy, d2  # batch-sized temporaries of the pointwise callers
         yield from _finish_block(orders, shifts, args, finishes)
 
 
@@ -234,30 +241,38 @@ def _finish_block(orders, shifts, args, finishes):
         yield dict(zip(shifts, finish(part)))
 
 
-def _grid_node(t, xy, d2, unique):
-    """(z, finish) of a grid ladder at time t; ``finish(rows)`` takes the
-    Bessel rows on z and returns the ladder's rows on the live prefix."""
-    distinct, inverse = unique
-    cut = int(np.searchsorted(d2, _EXP_ZERO * 4.0 * t))
-    prefix = inverse[:cut]  # the diagonal pairs come first (d2 = 0), so cut >= 1
-    z = distinct[: int(prefix.max()) + 1] / (2.0 * t)
+def _grid_nodes(xy, d2, distinct, inverse):
+    """``node(t)`` = (z, finish) of a grid ladder at time t; ``finish(rows)``
+    takes the Bessel rows on z and returns the ladder's rows on the live
+    prefix.  The per-pair geometry the nodes share is formed here, once."""
+    root = np.sqrt(xy)
+    reach = np.maximum.accumulate(inverse)
+    size = xy.size
 
-    def finish(rows):
-        common = np.sqrt(xy[:cut]) / (2.0 * t) * np.exp(-d2[:cut] / (4.0 * t))
-        if xy.size > 512:
-            live = common > 1e-280
-            if float(np.count_nonzero(live)) / xy.size < 0.85:
-                common[~live] = 0.0
-        out = np.take(rows, prefix, axis=1)
-        out *= common
-        return out
+    def node(t):
+        cut = int(np.searchsorted(d2, _EXP_ZERO * 4.0 * t))
+        # The diagonal pairs come first (d2 = 0), so cut >= 1.
+        z = distinct[: int(reach[cut - 1]) + 1] / (2.0 * t)
 
-    return z, finish
+        def finish(rows):
+            common = root[:cut] / (2.0 * t)
+            common *= np.exp(d2[:cut] / (-4.0 * t))
+            if size > 512:
+                live = common > 1e-280
+                if float(np.count_nonzero(live)) / size < 0.85:
+                    common[~live] = 0.0
+            out = np.take(rows, inverse[:cut], axis=1)
+            out *= common
+            return out
+
+        return z, finish
+
+    return node
 
 
-def _sampled_node(t, xy, d2, unique=None):
+def _sampled_node(t, xy, d2):
     """(z, finish) of a ladder on a batch of pairs at time t (see
-    ``_grid_node``); z holds the live entries only when there are few."""
+    ``_grid_nodes``); z holds the live entries only when there are few."""
     common = np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t))
     z = xy / (2.0 * t)
     if common.ndim > 0 and common.size > 512:
@@ -394,7 +409,7 @@ def _stepped(shifts) -> list[int]:
 class _PairWord:
     """A word summed at many times, on a batch of pairs: its monomials
     (``_monomials``, kept) and its ladder geometry x*y and (x-y)**2, formed
-    once, or taken with the distinct products from a grid axis
+    once, or taken with the product classes from a grid axis
     (``unique``, see ``_ladders``), whose ladders cover only the prefix of
     pairs where the Gaussian factor is not 0.  The coefficients do not
     depend on nu.

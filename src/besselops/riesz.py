@@ -29,8 +29,8 @@ triangles) and the n-D ``riesz_apply``.  The grid words take their ladder
 geometry from the axis (``grids.Axis.pairs``, the node pairs sorted by
 distance), so at each time node the ladder, the word and the time sum
 cover only the prefix of pairs whose Gaussian factor is not exactly 0,
-with the Bessel functions run once per distinct node product of that
-prefix; the matrices hold +0 past it.  They refuse k_j >= 3, whose
+with the Bessel functions run once per product class of that prefix;
+the matrices hold +0 past it.  They refuse k_j >= 3, whose
 diagonal is rounding noise.
 No matrix is kept between calls: ``riesz_matrix`` builds on every call, and
 a caller with many functions builds it once and applies it to each of them
@@ -398,7 +398,7 @@ def _axis_word(k_j: int, axis):
     sorted by distance), for both triangles: row 0 is (x, y) = (x_i, x_j),
     row 1 is (x_j, x_i).  The ladder geometry is the axis's own, so each
     time node works on the prefix of pairs its Gaussian factor reaches, and
-    the Bessel functions run on the distinct node products of that prefix."""
+    the Bessel functions run on the product classes of that prefix."""
     i, j = axis.pairs[4:]
     x = axis.nodes
     return _pair_word(delta_expansion(0.0, k_j), x[i], x[j], both=True, pairs=axis.pairs)

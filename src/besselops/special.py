@@ -35,8 +35,9 @@ leaves the total unchanged.  An asymptotic element freezes once its terms
 stop shrinking, and while they shrink past 1e-17 of its sum they leave it
 unchanged too.  Everything else (the domain check, the zero and overflow
 entries, the first term, log(z/2)) is elementwise.  The heat kernels rely
-on it twice: a grid axis evaluates each distinct node product once, and a
-time loop evaluates a block of consecutive time nodes in one call.
+on it twice: a grid axis evaluates each class of its node products once,
+at the class's representative (``grids.Axis.pairs``), and a time loop
+evaluates a block of consecutive time nodes in one call.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import besselops.heat as heat
+from besselops.special import besseli_scaled
 
 
 class BesselCalls(list):
@@ -39,3 +40,27 @@ def bessel_calls(monkeypatch) -> BesselCalls:
 
     monkeypatch.setattr(heat, "besseli_scaled", recorded)
     return calls
+
+
+def class_products(axis) -> np.ndarray:
+    """The n x n matrix of the product-class representatives of an axis:
+    entry (i, j) is distinct[inverse] of the pair {i, j} (``Axis.pairs``)."""
+    _, _, distinct, inverse, i, j = axis.pairs
+    out = np.empty((axis.size, axis.size))
+    out[i, j] = distinct[inverse]
+    out[j, i] = distinct[inverse]
+    return out
+
+
+def class_ladder(nu, shifts, t, x, y, bessel_xy) -> dict:
+    """{m: p_t^{nu+m}(x, y)} on every pair of a batch, written out: the
+    Bessel functions at bessel_xy / 2t, the prefactor
+    sqrt(xy)/2t exp(-(x-y)^2/4t) at each pair's own product xy = x*y, and
+    the prefactors at most 1e-280 set to 0 when fewer than 85% of more than
+    512 exceed it.  With bessel_xy = x*y this is the pointwise kernel."""
+    xy, d2 = x * y, (x - y) ** 2
+    common = np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t))
+    if common.size > 512 and np.count_nonzero(common > 1e-280) / common.size < 0.85:
+        common[common <= 1e-280] = 0.0
+    rows = besseli_scaled([nu + m for m in shifts], np.broadcast_to(bessel_xy / (2.0 * t), xy.shape))
+    return {m: row * common for m, row in zip(shifts, rows)}

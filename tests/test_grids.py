@@ -35,6 +35,7 @@ from besselops.grids import (
     _semigroup_values,
 )
 from besselops.heat import NuVector, _p1d, eval_delta_heat_1d, heat_kernel_1d
+from conftest import class_ladder, class_products
 
 
 def live_regime(axis, t) -> str:
@@ -63,12 +64,17 @@ def kernel_matrix(nu, t, axis):
     return next(_kernel_matrices(nu, (t,), axis))
 
 
-def all_pairs_kernel_matrix(nu, t, axis):
+def all_pairs_kernel_matrix(nu, t, axis, own_products=False):
     """The semigroup kernel matrix from every pair of the triangle, in the
-    order of ``np.triu_indices``, mirrored and weighted."""
+    order of ``np.triu_indices``, mirrored and weighted: the Bessel function
+    at the pair's class representative (``class_ladder``), or with
+    ``own_products`` the pointwise kernel at the pair's own product."""
     x = axis.nodes
     iu = np.triu_indices(x.size)
-    vals = _p1d(nu, t, x[iu[0]], x[iu[1]])
+    if own_products:
+        vals = _p1d(nu, t, x[iu[0]], x[iu[1]])
+    else:
+        vals = class_ladder(nu, (0,), t, x[iu[0]], x[iu[1]], class_products(axis)[iu])[0]
     out = np.empty((x.size, x.size))
     out[iu] = vals
     out.T[iu] = vals
@@ -94,13 +100,22 @@ class TestGridConstruction:
         assert np.all(np.diff(d2) >= 0.0)
         assert np.array_equal(d2, (x[i] - x[j]) ** 2)
         assert np.array_equal(xy, x[i] * x[j])
-        assert np.array_equal(xy, distinct[inverse])
-        assert np.array_equal(np.sort(distinct), np.unique(xy))
-        # The distinct products are numbered by first use in the sorted
-        # order, so the pairs of any prefix use a prefix of them.
+        # The product classes are numbered by first use in the sorted
+        # order, so the pairs of any prefix use a prefix of them, and each
+        # class's representative is the product of its first pair.
         ids, first = np.unique(inverse, return_index=True)
         assert np.array_equal(ids, np.arange(distinct.size))
         assert np.all(np.diff(first) > 0)
+        assert np.array_equal(distinct, xy[first])
+        if axis.scheme == "logarithmic":
+            # x_i x_j depends on i + j alone: one class per index sum.
+            assert distinct.size == 2 * axis.size - 1
+            sums = np.empty(distinct.size, dtype=np.int64)
+            sums[inverse] = i + j
+            assert np.array_equal(sums[inverse], i + j)
+        else:
+            assert np.array_equal(xy, distinct[inverse])
+            assert np.array_equal(np.sort(distinct), np.unique(xy))
         # (i, j) is a permutation of the triangle i <= j.
         iu = np.triu_indices(axis.size)
         assert np.array_equal(np.sort(i.astype(np.int64) * axis.size + j), iu[0] * axis.size + iu[1])
@@ -121,6 +136,51 @@ class TestGridConstruction:
         f = GridFunction(g, np.zeros(16))
         with pytest.raises(ValueError):
             f.values[0] = 1.0
+
+
+class TestProductClasses:
+    def test_default_log_axis_has_one_class_per_index_sum(self):
+        axis = default_grid(1, nodes_per_axis=512).axes[0]
+        xy, _, distinct, inverse, i, j = axis.pairs
+        assert distinct.size == 2 * 512 - 1 < np.unique(xy).size
+        sums = np.empty(distinct.size, dtype=np.int64)
+        sums[inverse] = i + j
+        assert np.array_equal(sums[inverse], i + j)
+
+    def test_uniform_axis_merges_nothing(self):
+        axis = uniform_axis(1e-2, 20.0, 512)
+        xy, _, distinct, inverse, _, _ = axis.pairs
+        assert distinct.size == np.unique(xy).size == 512 * 513 // 2
+        assert np.array_equal(xy, distinct[inverse])
+
+    @pytest.mark.parametrize(
+        "axis",
+        [log_axis(1e-2, 20.0, 512), log_axis(1e-2, 20.0, 384), uniform_axis(0.05, 10.0, 512)],
+        ids=["log512", "log384", "uniform512"],
+    )
+    def test_every_pair_is_near_its_representative(self, axis):
+        xy, _, distinct, inverse, _, _ = axis.pairs
+        rep = distinct[inverse]
+        assert np.all(np.abs(xy - rep) <= 2.0**-44 * rep)
+        # Numbered by first use, the representative the first pair's product.
+        ids, first = np.unique(inverse, return_index=True)
+        assert np.array_equal(ids, np.arange(distinct.size))
+        assert np.all(np.diff(first) > 0)
+        assert np.array_equal(distinct, xy[first])
+
+    def test_classes_do_not_chain(self):
+        # Five values 0.6 * 2^-44 apart, each within the tolerance of the
+        # next: a chaining rule would make them one class spanning 2.4 times
+        # the tolerance.  Split from the smallest they make three.
+        eps = 2.0**-44
+        chain = 1.0 + 0.6 * eps * np.arange(5)
+        xy = chain[[3, 0, 4, 2, 1]]
+        distinct, inverse = grids._product_classes(xy)
+        assert inverse.dtype == np.int32
+        assert np.array_equal(distinct, chain[[3, 0, 4]])
+        assert np.array_equal(inverse, [0, 1, 2, 0, 1])
+        rep = distinct[inverse]
+        assert np.all(np.abs(xy - rep) <= eps * rep)
 
 
 class TestSemigroup:
@@ -227,8 +287,8 @@ class TestSemigroup:
         # bit for bit, so nothing moves against evaluating every entry.
         ax = default_grid(1, nodes_per_axis=512).axes[0]
         x = ax.nodes
-        full = _p1d(nu, t, x[:, None], x[None, :]) * ax.weights[None, :]
-        assert np.array_equal(kernel_matrix(nu, t, ax), full)
+        full = class_ladder(nu, (0,), t, x[:, None], x[None, :], class_products(ax))[0]
+        assert np.array_equal(kernel_matrix(nu, t, ax), full * ax.weights[None, :])
 
 
     @pytest.mark.parametrize(
@@ -236,9 +296,9 @@ class TestSemigroup:
     )
     @pytest.mark.parametrize("nu, t", [(2.0, 2.0**-10), (0.6, 3.0)])
     def test_kernel_matrix_matches_the_per_pair_build(self, axis, nu, t):
-        # Bessel functions once per distinct node product on the live prefix
-        # of the distance-sorted pairs, against the kernel evaluated on every
-        # pair of the triangle.
+        # Bessel functions once per product class on the live prefix of the
+        # distance-sorted pairs, against the kernel evaluated on every pair
+        # of the triangle at its class's representative.
         assert np.array_equal(kernel_matrix(nu, t, axis), all_pairs_kernel_matrix(nu, t, axis))
 
     @pytest.mark.parametrize(
@@ -250,6 +310,18 @@ class TestSemigroup:
             assert np.array_equal(
                 kernel_matrix(nu, t, axis), all_pairs_kernel_matrix(nu, t, axis)
             ), t
+
+    @pytest.mark.parametrize(
+        "axis", [log_axis(1e-2, 20.0, 64), log_axis(1e-2, 20.0, 512)], ids=["log64", "log512"]
+    )
+    @pytest.mark.parametrize("nu", [1.0, 0.3, -0.2])
+    def test_kernel_matrix_is_near_the_own_product_build_in_every_live_regime(self, axis, nu):
+        # Against the kernel on each pair's own product x_i x_j, the class
+        # representatives move every entry by rounding only.
+        for t in regime_times(axis).values():
+            own = all_pairs_kernel_matrix(nu, t, axis, own_products=True)
+            err = np.max(np.abs(kernel_matrix(nu, t, axis) - own))
+            assert err <= 1e-13 * np.max(np.abs(own)), t
 
     @pytest.mark.parametrize(
         "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 64)], ids=["log", "uniform"]
@@ -285,18 +357,18 @@ class TestSemigroup:
         self, monkeypatch, bessel_calls, axis
     ):
         # The maximal function draws its kernels from one ladder stream: the
-        # Bessel calls run on the distinct node products of the pairs i <= j
-        # with d2 < 746 * 4t, the prefix each ladder covers, node after node,
-        # in blocks of at least _BESSEL_BLOCK arguments (a small block forms
+        # Bessel calls run on the product classes of the pairs i <= j with
+        # d2 < 746 * 4t, the prefix each ladder covers, node after node, in
+        # blocks of at least _BESSEL_BLOCK arguments (a small block forms
         # several of them).
         g = Grid((axis,))
         f = GridFunction(g, np.ones(g.shape))
-        x = axis.nodes
-        iu = np.triu_indices(axis.size)
-        xy, d2 = x[iu[0]] * x[iu[1]], (x[iu[0]] - x[iu[1]]) ** 2
-        expected = [np.unique(xy[d2 < 746.0 * 4.0 * t]).size for t in T_GRID_DEFAULT]
-        distinct = axis.pairs[2]
-        assert min(expected) < distinct.size == max(expected)
+        _, d2, distinct, inverse, _, _ = axis.pairs
+        expected = [np.unique(inverse[d2 < 746.0 * 4.0 * t]).size for t in T_GRID_DEFAULT]
+        # Every class of a log axis holds a pair next to the diagonal, live at
+        # every default time; the early nodes of a uniform axis use fewer.
+        assert max(expected) == distinct.size
+        assert (min(expected) < distinct.size) == (axis.scheme == "uniform")
         nodes = [distinct[:u] / (2.0 * t) for u, t in zip(expected, T_GRID_DEFAULT)]
         for block in (heat._BESSEL_BLOCK, 1500):
             monkeypatch.setattr(heat, "_BESSEL_BLOCK", block)

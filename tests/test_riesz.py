@@ -29,6 +29,7 @@ from besselops.grids import (
     uniform_axis,
 )
 from besselops.heat import NuVector
+from conftest import class_ladder, class_products
 from besselops.riesz import (
     SCHLAFLI_NODES,
     CzSamplePlan,
@@ -448,25 +449,31 @@ def _mp_entry(name, k, ladder, xa, xb, wb):
 
 def prefix_arguments(axis, times) -> list:
     """Per time node t, the Bessel arguments of a grid ladder: the first u
-    distinct node products of the axis over 2t, u counted independently as
-    the distinct products of the pairs i <= j with d2 < 746 * 4t."""
-    x = axis.nodes
-    iu = np.triu_indices(axis.size)
-    xy, d2 = x[iu[0]] * x[iu[1]], (x[iu[0]] - x[iu[1]]) ** 2
-    distinct = axis.pairs[2]
-    return [distinct[: np.unique(xy[d2 < 746.0 * 4.0 * t]).size] / (2.0 * t) for t in times]
+    product-class representatives of the axis over 2t, u counted as the
+    classes of the pairs i <= j with d2 < 746 * 4t."""
+    _, d2, distinct, inverse, _, _ = axis.pairs
+    return [distinct[: np.unique(inverse[d2 < 746.0 * 4.0 * t]).size] / (2.0 * t) for t in times]
 
 
-def _all_pairs_rows(nu, k, axis, plan, difference=False):
+def _all_pairs_rows(nu, k, axis, plan, difference=False, own_products=False):
     """Per time node t, the word rows on every pair of the triangle, in the
-    order of ``np.triu_indices``, with the Bessel functions evaluated on
-    every pair: the sampled path's geometry, no distinct products, no prefix."""
+    order of ``np.triu_indices``, each ladder written out on every pair
+    (``class_ladder``): the Bessel functions at the pair's class
+    representative, or with ``own_products`` at its own product x_i x_j,
+    no prefix and no Bessel call across nodes."""
     iu = np.triu_indices(axis.size)
     x = axis.nodes
-    word = heat._pair_word(heat.delta_expansion(0.0, k), x[iu[0]], x[iu[1]], both=True)
+    a, b = x[iu[0]], x[iu[1]]
+    bessel_xy = a * b if own_products else class_products(axis)[iu]
+    expansion = heat.delta_expansion(0.0, k)
+    monomials = tuple(heat._monomials(expansion.terms, a, b, both=True))
+    shifts = heat._stepped(expansion.shifts) if difference else expansion.shifts
     for t, wi in zip(*plan.nodes()):
-        # One stream per node: the reference takes no Bessel call across nodes.
-        yield t, wi, next(heat._word_products((nu,), (word,), (t,), 0 if difference else None))
+        ladder = class_ladder(nu, shifts, t, a, b, bessel_xy)
+        rows = heat._combine(monomials, t, ladder)
+        if difference:
+            rows -= heat._combine(monomials, t, ladder, 1)
+        yield t, wi, rows
 
 
 def _all_pairs_dense(axis, rows):
@@ -477,19 +484,22 @@ def _all_pairs_dense(axis, rows):
     return out * axis.weights[None, :]
 
 
-def all_pairs_matrix(nu, k, axis, plan, difference=False):
+def all_pairs_matrix(nu, k, axis, plan, difference=False, own_products=False):
     """``riesz_matrix`` (or ``riesz_difference_matrix``) from all the pairs."""
     total = 0.0
-    for t, wi, rows in _all_pairs_rows(nu, k, axis, plan, difference):
+    for t, wi, rows in _all_pairs_rows(nu, k, axis, plan, difference, own_products):
         rows *= wi * t ** (k / 2.0)
         total = total + rows
     return _all_pairs_dense(axis, total) / math.gamma(k / 2.0)
 
 
-def all_pairs_apply(nu, k, f, plan):
+def all_pairs_apply(nu, k, f, plan, own_products=False):
     """The n-D ``riesz_apply`` from all the pairs of every axis."""
     axes = f.grid.axes
-    per_axis = [_all_pairs_rows(nu_j, k_j, ax, plan) for nu_j, k_j, ax in zip(nu, k, axes)]
+    per_axis = [
+        _all_pairs_rows(nu_j, k_j, ax, plan, own_products=own_products)
+        for nu_j, k_j, ax in zip(nu, k, axes)
+    ]
     half = sum(k) / 2.0
     acc = np.zeros(f.grid.shape)
     for nodes in zip(*per_axis):
@@ -561,7 +571,7 @@ class TestGridMatrices:
         g = default_grid(1, nodes_per_axis=n)
         riesz_difference_matrix(0.6, (1,), 0, g, plan)
         # Shifts 0, 1 and 2 in one call per block of time nodes, on each
-        # node's prefix of the triangle's distinct products, once.
+        # node's prefix of the triangle's product classes, once.
         assert all(orders == [0.6, 0.6 + 1, 0.6 + 2] for orders, _ in bessel_calls)
         nodes = prefix_arguments(g.axes[0], plan.nodes()[0])
         assert max(z.size for z in nodes) <= n * (n + 1) // 2
@@ -569,13 +579,13 @@ class TestGridMatrices:
 
     def test_one_bessel_call_per_block_of_time_nodes(self, monkeypatch, bessel_calls):
         # The time nodes' arguments are evaluated together, a block of at
-        # least _BESSEL_BLOCK of them per call: the 25 nodes here hold 13,337
-        # arguments, one call at the module's block and six at 2000.
+        # least _BESSEL_BLOCK of them per call: the 25 nodes here hold 3,137
+        # arguments, one call at the module's block and six at 500.
         plan = SubordinationPlan(1e-4, 1e2, 4)
         g = default_grid(1, nodes_per_axis=64)
         nodes = prefix_arguments(g.axes[0], plan.nodes()[0])
-        assert sum(z.size for z in nodes) == 13337
-        for block, calls in ((heat._BESSEL_BLOCK, 1), (2000, 6)):
+        assert sum(z.size for z in nodes) == 3137
+        for block, calls in ((heat._BESSEL_BLOCK, 1), (500, 6)):
             monkeypatch.setattr(heat, "_BESSEL_BLOCK", block)
             bessel_calls.clear()
             riesz_matrix(1.0, (1,), g, plan)
@@ -616,10 +626,11 @@ class TestGridMatrices:
     )
     @pytest.mark.parametrize("k, difference", [(1, False), (2, False), (1, True)])
     def test_distinct_products_match_the_per_pair_build(self, axis, k, difference):
-        # The grid words evaluate their Bessel functions once per distinct
-        # node product, on the live prefix of the distance-sorted pairs; the
-        # reference evaluates them on every pair of the triangle.  The plan's
-        # time nodes take every branch of the ladder's live rule.
+        # The grid words evaluate their Bessel functions once per product
+        # class, on the live prefix of the distance-sorted pairs; the
+        # reference evaluates them on every pair of the triangle, at its
+        # class's representative.  The plan's time nodes take every branch
+        # of the ladder's live rule.
         g = Grid((axis,))
         plan = SubordinationPlan(1e-6, 1e4, 8)
         assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
@@ -652,6 +663,37 @@ class TestGridMatrices:
         grid_apply = riesz_apply(NuVector((0.6, 1.1)), (1, 2), f, plan).values
         assert np.array_equal(grid_apply, all_pairs_apply((0.6, 1.1), (1, 2), f, plan))
 
+    @pytest.mark.parametrize(
+        "axis", [log_axis(1e-2, 20.0, 64), log_axis(1e-2, 20.0, 256)], ids=["log64", "log256"]
+    )
+    @pytest.mark.parametrize("nu", [0.6, -0.2])
+    def test_matrices_are_near_the_own_product_build(self, axis, nu):
+        # Against the build with the Bessel functions on each pair's own
+        # product x_i x_j, the class representatives move every entry by
+        # rounding only, in every branch of the ladder's live rule.
+        g = Grid((axis,))
+        plan = SubordinationPlan(1e-6, 1e4, 8)
+        assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
+        builds = [
+            (riesz_matrix(nu, (1,), g, plan), (1, False)),
+            (riesz_matrix(nu, (2,), g, plan), (2, False)),
+            (riesz_difference_matrix(nu, (1,), 0, g, plan), (1, True)),
+        ]
+        for mat, (k, difference) in builds:
+            own = all_pairs_matrix(nu, k, axis, plan, difference, own_products=True)
+            assert np.max(np.abs(mat - own)) <= 1e-13 * np.max(np.abs(own)), (k, difference)
+
+    @pytest.mark.filterwarnings("ignore:subordination tail indicator")
+    def test_nd_apply_is_near_the_own_product_build(self):
+        g = Grid((log_axis(1e-2, 20.0, 40), log_axis(0.05, 10.0, 36)))
+        f = GridFunction.from_callable(g, lambda x, y: np.exp(-((x - 2.0) ** 2) - y))
+        plan = SubordinationPlan(1e-5, 1e3, 4)
+        for axis in g.axes:
+            assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
+        grid_apply = riesz_apply(NuVector((0.6, 1.1)), (1, 2), f, plan).values
+        own = all_pairs_apply((0.6, 1.1), (1, 2), f, plan, own_products=True)
+        assert np.max(np.abs(grid_apply - own)) <= 1e-13 * np.max(np.abs(own))
+
     @pytest.mark.filterwarnings("ignore:subordination tail indicator")
     def test_grid_ladders_cover_the_live_prefix(self, monkeypatch):
         # Each grid ladder a stream yields has rows on the first cut pairs,
@@ -683,33 +725,30 @@ class TestGridMatrices:
         assert min(cut / d2.size for _, d2, cut in calls) < 0.5
 
     def test_bessel_points_per_node_are_the_distinct_products(self, bessel_calls):
-        # The Bessel calls run on the distinct node products of the pairs
-        # i <= j with d2 < 746 * 4t, the prefix each ladder covers, node after
-        # node: fewer at the early nodes, where the Gaussian factor underflows
-        # on some pairs.
+        # The Bessel calls run on the product classes of the pairs i <= j
+        # with d2 < 746 * 4t, the prefix each ladder covers, node after node:
+        # fewer at the early nodes, where the Gaussian factor underflows on
+        # the pairs far from the diagonal.
         plan = SubordinationPlan(1e-4, 1e2, 4)
         g = default_grid(1, nodes_per_axis=64)
-        assert g.axes[0].pairs[2].size == 611
-        x = g.axes[0].nodes
-        iu = np.triu_indices(x.size)
-        xy, d2 = x[iu[0]] * x[iu[1]], (x[iu[0]] - x[iu[1]]) ** 2
+        _, d2, distinct, inverse, _, _ = g.axes[0].pairs
+        assert distinct.size == 127
         times = plan.nodes()[0]
-        expected = [np.unique(xy[d2 < 746.0 * 4.0 * t]).size for t in times]
-        assert expected[0] < 611 == expected[-1]
+        expected = [np.unique(inverse[d2 < 746.0 * 4.0 * t]).size for t in times]
+        assert expected[0] < 127 == expected[-1]
         riesz_matrix(1.0, (1,), g, plan)
-        distinct = g.axes[0].pairs[2]
         bessel_calls.assert_blocks([distinct[:u] / (2.0 * t) for u, t in zip(expected, times)])
 
     def test_nd_apply_bessel_points_are_the_distinct_products(self, monkeypatch, bessel_calls):
         # One ladder stream per axis; every pair is live from t = 1 on, so
-        # each node evaluates all of its axis's distinct products.  A small
+        # each node evaluates all of its axis's product classes.  A small
         # block interleaves the two streams' calls.
         plan = SubordinationPlan(1.0, 1e2, 4)
         g = Grid((log_axis(1e-2, 20.0, 40), uniform_axis(0.05, 10.0, 12)))
         f = GridFunction(g, np.ones(g.shape))
         assert g.axes[0].pairs[2].size < 40 * 41 // 2
         times = plan.nodes()[0]
-        for block, calls in ((heat._BESSEL_BLOCK, 2), (500, 7)):
+        for block, calls in ((heat._BESSEL_BLOCK, 2), (200, 6)):
             monkeypatch.setattr(heat, "_BESSEL_BLOCK", block)
             bessel_calls.clear()
             riesz_apply((0.6, 1.1), (1, 1), f, plan)
