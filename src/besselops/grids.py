@@ -19,12 +19,12 @@ and the dense kernel matrices here and in ``riesz`` evaluate their Bessel
 functions once per class, at its representative (``heat._ladders``).  At
 time t the pairs whose Gaussian factor exp(-(x_i - x_j)^2/4t) is not
 exactly 0 are a prefix of the sorted order, and the classes they use a
-prefix of the classes; the ladders and the sums over them run on those prefixes,
-and the matrices hold exact zeros past them.  The semigroup at many times
-(``maximal_function``, and ``riesz.fractional_inverse_apply``) draws its
-kernels from one ladder stream per axis, which evaluates the Bessel
-functions of consecutive times in one call per block (``heat._ladders``);
-``apply_semigroup`` is the stream of one time.  No matrix is kept between
+prefix of the classes; the ladders and the sums over them run on those
+prefixes, and the matrices hold exact zeros past them.  The semigroup at
+many times (``maximal_function``, and ``riesz.fractional_inverse_apply``)
+draws its kernels from one ladder stream per axis, which evaluates the
+Bessel functions of consecutive times in one call per block
+(``heat._ladders``); ``apply_semigroup`` is the stream of one time.  No matrix is kept between
 calls: each is built by the call that applies it.
 """
 
@@ -179,7 +179,7 @@ def _product_classes(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(first)
     rank = np.empty(order.size, dtype=np.int32)
     rank[order] = np.arange(order.size, dtype=np.int32)
-    return xy[first[order]], rank[np.cumsum(start)[inverse] - 1]
+    return xy[first[order]], rank[np.cumsum(start) - 1][inverse]
 
 
 def log_axis(lo: float, hi: float, n: int) -> Axis:

@@ -195,9 +195,9 @@ def _ladders(nu: float, shifts, times, xy, d2, unique=None):
     prefactor is formed, and the rows are gathered and scaled, on the first
     cut pairs only; a caller reads the entries past them as +0, which is
     what the full rows hold there.  Those pairs use the first u classes, u
-    read from the running maximum of ``inverse``, and the Bessel functions
-    run once on each of them, so a pending node keeps only its u arguments.
-    sqrt(xy) and that running maximum are formed once per stream.  On the
+    counted from the first pair of each class, and the Bessel functions run
+    once on each of them, so a pending node keeps only its u arguments.
+    sqrt(xy) and those first pairs are formed once per stream.  On the
     sampled batches (``unique`` None, t a scalar or an array that
     broadcasts with xy) the dead entries take no Bessel arithmetic and are
     scattered back as +0, so a pending node keeps its live entries only.
@@ -246,13 +246,16 @@ def _grid_nodes(xy, d2, distinct, inverse):
     takes the Bessel rows on z and returns the ladder's rows on the live
     prefix.  The per-pair geometry the nodes share is formed here, once."""
     root = np.sqrt(xy)
-    reach = np.maximum.accumulate(inverse)
+    # The position of each class's first pair (classes are numbered by
+    # first use): the pairs before cut use the classes whose first pair is
+    # before it.  Kept in place of the running maximum of ``inverse``, which
+    # would hold 4 bytes per pair for the life of the stream.
+    firsts = np.searchsorted(np.maximum.accumulate(inverse), np.arange(distinct.size))
     size = xy.size
 
     def node(t):
         cut = int(np.searchsorted(d2, _EXP_ZERO * 4.0 * t))
-        # The diagonal pairs come first (d2 = 0), so cut >= 1.
-        z = distinct[: int(reach[cut - 1]) + 1] / (2.0 * t)
+        z = distinct[: int(np.searchsorted(firsts, cut))] / (2.0 * t)
 
         def finish(rows):
             common = root[:cut] / (2.0 * t)

@@ -62,5 +62,5 @@ def class_ladder(nu, shifts, t, x, y, bessel_xy) -> dict:
     common = np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t))
     if common.size > 512 and np.count_nonzero(common > 1e-280) / common.size < 0.85:
         common[common <= 1e-280] = 0.0
-    rows = besseli_scaled([nu + m for m in shifts], np.broadcast_to(bessel_xy / (2.0 * t), xy.shape))
+    rows = besseli_scaled([nu + m for m in shifts], bessel_xy / (2.0 * t))
     return {m: row * common for m, row in zip(shifts, rows)}
