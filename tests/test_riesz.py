@@ -29,7 +29,6 @@ from besselops.grids import (
     uniform_axis,
 )
 from besselops.heat import NuVector
-from conftest import class_ladder, class_products
 from besselops.riesz import (
     SCHLAFLI_NODES,
     CzSamplePlan,
@@ -49,6 +48,7 @@ from besselops.riesz import (
     riesz_kernel_batch,
     riesz_matrix,
 )
+from conftest import class_ladder, class_products
 
 WIDE_PLAN = SubordinationPlan(t_min=1e-6, t_max=1e8, nodes_per_decade=24)
 
