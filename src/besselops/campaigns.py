@@ -3,12 +3,13 @@
 Every campaign evaluates one inequality family over a deterministic,
 seeded, nested sample plan and fits the existential constants: for each
 candidate exponential rate c in the config grid, C(c) is the maximum of
-lhs/rhs(c) over the samples; the reported rate minimizes C(c) times a
-stability penalty, and the verdict applies the < 5% drift rule to the
-per-refinement constants (each refinement doubles the nested sample
-count).  Inequalities whose right-hand side carries no exponential rate
-(the integrated difference bound, the transform size/smoothness bounds,
-and the operator spot checks) ignore the c grid.
+lhs/rhs(c) over the samples (``_ratios``); the reported rate minimizes C(c)
+times a stability penalty, and the verdict follows the refinement ladder
+and drift gate of ``sampling``.  ``_report`` builds the report of every
+runner whose constant is its last level maximum; thm1_6ii builds its own.
+Inequalities whose right-hand side carries no exponential rate (the
+integrated difference bound, the transform size/smoothness bounds, and the
+operator spot checks) ignore the c grid.
 
 Each inequality id is declared once, as an entry of ``SPECS``; its default
 config is the bundled ``configs/<id>.json``.
@@ -55,16 +56,22 @@ from .heat import (
 from .riesz import (
     CzSamplePlan,
     SubordinationPlan,
-    _drift,
-    _grid_multi,
-    _level_maxima,
     cz_size_sweep,
     cz_smooth_sweep,
+    grid_multi_index,
     riesz_apply,
     riesz_difference_matrix,
     riesz_matrix,
 )
-from .sampling import loguniform, make_rng, sample_kernel_points
+from .sampling import (
+    UNIFORMITY_GATE,
+    _drift,
+    _level_maxima,
+    _verdict,
+    loguniform,
+    make_rng,
+    sample_kernel_points,
+)
 from .spaces import (
     AtomCandidate,
     Ball,
@@ -176,27 +183,14 @@ class BoundReport:
     verdict: str
     notes: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "inequality": self.inequality,
-            "params": self.params,
-            "C_hat": self.C_hat,
-            "c_hat": self.c_hat,
-            "worst_sample": self.worst_sample,
-            "per_refinement_C": self.per_refinement_C,
-            "refinement_delta": self.refinement_delta,
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
-
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def _selection_levels(ratios: np.ndarray, config) -> list[float]:
     """Finer internal refinement ladder used only to pick c.
 
-    Slowly divergent suprema can sneak under the 5% rule on three coarse
+    Slowly divergent suprema can sneak under the drift gate on three coarse
     levels; starting the ladder at a quarter of the base count exposes
     them without changing the constants reported on the coarse ladder.
     """
@@ -211,6 +205,12 @@ def _selection_levels(ratios: np.ndarray, config) -> list[float]:
     return [float(np.max(ratios[:c])) for c in counts]
 
 
+def _ratios(lhs, rhs) -> np.ndarray:
+    """lhs/rhs per sample, where x/0 scores inf and 0/0 scores 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
+
+
 def _fit_c(lhs, rhs_by_c, config):
     """Smallest c in the grid with a refinement-stable C(c).
 
@@ -220,17 +220,12 @@ def _fit_c(lhs, rhs_by_c, config):
     results = {}
     selection_drift = {}
     for c, rhs in rhs_by_c.items():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(
-                rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0)
-            )
+        ratios = _ratios(lhs, rhs)
         levels = _level_maxima(ratios, config.samples, config.refine_levels)
         results[c] = (levels, _drift(levels), ratios)
         selection_drift[c] = _drift(_selection_levels(ratios, config))
     stable = [
-        c
-        for c in config.c_grid
-        if all(map(math.isfinite, results[c][0])) and selection_drift[c] < 0.05
+        c for c in config.c_grid if _verdict(results[c][0], selection_drift[c]) == "stable"
     ]
     if stable:
         c_hat = min(stable)
@@ -241,14 +236,25 @@ def _fit_c(lhs, rhs_by_c, config):
             top = levels[-1]
             scores.append(top * (1.0 + drift) if math.isfinite(top) else math.inf)
         c_hat = config.c_grid[int(np.argmin(scores))]
-    levels, drift, ratios = results[c_hat]
-    return c_hat, levels, drift, ratios
+    levels, _, ratios = results[c_hat]
+    return c_hat, levels, ratios
 
 
-def _verdict(levels, drift) -> str:
-    if not all(map(math.isfinite, levels)):
-        return "violated"
-    return "stable" if drift < 0.05 else "unstable"
+def _report(config, levels, worst_sample, params, notes=(), c_hat=0.0, verdict=None):
+    """The report of a campaign whose constant is its last level maximum;
+    the verdict is ``_verdict`` of the levels unless one is passed in."""
+    drift = _drift(levels)
+    return BoundReport(
+        inequality=config.inequality,
+        params=_params_dict(config, **params),
+        C_hat=levels[-1],
+        c_hat=c_hat,
+        worst_sample=worst_sample,
+        per_refinement_C=levels,
+        refinement_delta=drift,
+        verdict=verdict or _verdict(levels, drift),
+        notes=list(notes),
+    )
 
 
 def _params_dict(config: CampaignConfig, **extra) -> dict:
@@ -294,35 +300,22 @@ def _pointwise_campaign(config: CampaignConfig, collect: bool):
         c: _bound_rhs_arrays(config.inequality, nu, k_slot, ell_slot, t, x, y, c)
         for c in config.c_grid
     }
-    c_hat, levels, drift, ratios = _fit_c(lhs, rhs_by_c, config)
+    c_hat, levels, ratios = _fit_c(lhs, rhs_by_c, config)
     worst = int(np.argmax(ratios))
-    report = BoundReport(
-        inequality=config.inequality,
-        params=_params_dict(config, t_range=list(config.t_range), box=list(config.box)),
-        C_hat=levels[-1],
-        c_hat=c_hat,
-        worst_sample={
-            "t": float(t[worst]),
-            "x": x[:, worst].tolist(),
-            "y": y[:, worst].tolist(),
-            "lhs": float(lhs[worst]),
-            "rhs": float(rhs_by_c[c_hat][worst]),
-            "ratio": float(ratios[worst]),
-        },
-        per_refinement_C=levels,
-        refinement_delta=drift,
-        verdict=_verdict(levels, drift),
-    )
+    worst_sample = {
+        "t": float(t[worst]),
+        "x": x[:, worst].tolist(),
+        "y": y[:, worst].tolist(),
+        "lhs": float(lhs[worst]),
+        "rhs": float(rhs_by_c[c_hat][worst]),
+        "ratio": float(ratios[worst]),
+    }
+    params = {"t_range": list(config.t_range), "box": list(config.box)}
+    report = _report(config, levels, worst_sample, params, c_hat=c_hat)
     samples = None
     if collect:
         samples = _sample_rows(t, x, y, lhs, rhs_by_c[c_hat], ratios)
     return report, samples
-
-
-def _prop2_9_campaign(config: CampaignConfig, collect: bool):
-    if len(config.ell) != config.nu_vector.n:
-        raise ConfigError("ell multi-index must match dimension")
-    return _pointwise_campaign(config, collect)
 
 
 def _sample_rows(t, x, y, lhs, rhs, ratios):
@@ -370,27 +363,22 @@ def _prop2_8_campaign(config: CampaignConfig, collect: bool):
         (1.0 + (x / np.abs(x - y)) ** eps) / x,
         np.where(upper, 1.0 / x, 1.0 / y),
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(rhs > 0, lhs / rhs, np.where(lhs > 0, np.inf, 0.0))
+    ratios = _ratios(lhs, rhs)
     levels = _level_maxima(ratios, config.samples, config.refine_levels)
-    drift = _drift(levels)
     worst = int(np.argmax(ratios))
-    report = BoundReport(
-        inequality="prop2_8",
-        params=_params_dict(config, epsilon=eps, box=list(config.box)),
-        C_hat=levels[-1],
-        c_hat=0.0,
-        worst_sample={
-            "x": [float(x[worst])],
-            "y": [float(y[worst])],
-            "lhs": float(lhs[worst]),
-            "rhs": float(rhs[worst]),
-            "ratio": float(ratios[worst]),
-        },
-        per_refinement_C=levels,
-        refinement_delta=drift,
-        verdict=_verdict(levels, drift),
-        notes=["rhs carries no exponential rate; c grid unused"],
+    worst_sample = {
+        "x": [float(x[worst])],
+        "y": [float(y[worst])],
+        "lhs": float(lhs[worst]),
+        "rhs": float(rhs[worst]),
+        "ratio": float(ratios[worst]),
+    }
+    report = _report(
+        config,
+        levels,
+        worst_sample,
+        {"epsilon": eps, "box": list(config.box)},
+        ["rhs carries no exponential rate; c grid unused"],
     )
     samples = None
     if collect:
@@ -421,8 +409,6 @@ def _thm1_5_campaign(config: CampaignConfig, collect: bool):
         config.plan,
     )
     side = sweep if size else sweep["smooth"]
-    levels = side["per_refinement_C"]
-    drift = side["drift"]
     notes = ["rhs carries no exponential rate; c grid unused"]
     if not size:
         notes.append(
@@ -436,16 +422,8 @@ def _thm1_5_campaign(config: CampaignConfig, collect: bool):
         if config.nu_vector.n == 1
         else "kernel: subordination quadrature on the plan's time grid"
     )
-    report = BoundReport(
-        inequality=config.inequality,
-        params=_params_dict(config, box=list(sweep_box)),
-        C_hat=side["C_hat"],
-        c_hat=0.0,
-        worst_sample=side["worst_sample"],
-        per_refinement_C=levels,
-        refinement_delta=drift,
-        verdict=_verdict(levels, drift),
-        notes=notes,
+    report = _report(
+        config, side["per_refinement_C"], side["worst_sample"], {"box": list(sweep_box)}, notes
     )
     return report, None
 
@@ -516,10 +494,10 @@ def hardy_spot_check(
 
     For each atom a: apply the order-k transform, then the maximal
     function at the shifted order nu + k + 2M, and take the L^p quasi-norm.
-    Reports max, median, their ratio (uniform iff <= 10), nested-prefix
-    maxima across refinement levels, and the sensitivity of the worst
-    quasi-norm to doubling the time-grid density (the finite time grid
-    undershoots the true supremum).
+    Reports max, median, their ratio (uniform iff <= ``UNIFORMITY_GATE``),
+    nested-prefix maxima across refinement levels, and the sensitivity of
+    the worst quasi-norm to doubling the time-grid density (the finite time
+    grid undershoots the true supremum).
 
     The atoms and the Riesz matrix are 1-D, so n >= 2 is refused.  All
     atoms are drawn first and stacked as the columns of one array, so the
@@ -535,7 +513,7 @@ def hardy_spot_check(
         raise DomainError(
             f"hardy_spot_check draws 1-D atoms and applies the 1-D Riesz matrix; got n = {nu.n}"
         )
-    k = _grid_multi(k, 1)
+    k = grid_multi_index(k, 1)
     plan = plan or SubordinationPlan(1e-6, 1e4, 12)
     grid = default_grid(1, nodes_per_axis=grid_nodes)
     shift = tuple(kj + 2 * big_m for kj in k)
@@ -551,13 +529,8 @@ def hardy_spot_check(
     # the last atom that reaches the maximum
     worst = norms_arr.size - 1 - int(np.argmax(norms_arr[::-1]))
     level_max = _level_maxima(norms_arr, atom_count, levels)
-    level_ratio = [
-        float(
-            np.max(norms_arr[: atom_count * 2**lev])
-            / np.median(norms_arr[: atom_count * 2**lev])
-        )
-        for lev in range(levels)
-    ]
+    prefixes = (norms_arr[: atom_count * 2**lev] for lev in range(levels))
+    level_ratio = [float(np.max(p) / np.median(p)) for p in prefixes]
     med = float(np.median(norms_arr))
     mx = float(np.max(norms_arr))
     # time-grid sensitivity on the worst atom: T_GRID_DEFAULT is the even-m
@@ -571,7 +544,7 @@ def hardy_spot_check(
         "max": mx,
         "median": med,
         "max_over_median": mx / med if med > 0 else math.inf,
-        "uniform": bool(med > 0 and mx / med <= 10.0),
+        "uniform": bool(med > 0 and mx / med <= UNIFORMITY_GATE),
         "per_refinement_max": level_max,
         "per_refinement_ratio": level_ratio,
         "drift": _drift(level_max),
@@ -624,7 +597,7 @@ def bmo_spot_check(
     transform serves both samplers.
     """
     nu = as_nu_vector(nu)
-    k = _grid_multi(k, nu.n)
+    k = grid_multi_index(k, nu.n)
     plan = plan or SubordinationPlan(1e-6, 1e4, 12)
     grid = default_grid(nu.n, nodes_per_axis=grid_nodes)
     max_degree = max(0, math.floor(s))
@@ -664,30 +637,23 @@ def _thm1_6i_campaign(config: CampaignConfig, collect: bool):
         levels=config.refine_levels,
     )
     levels = result["per_refinement_ratio"]
-    drift = _drift(levels)
-    # The certified quantity for this id is uniform boundedness over the
-    # atom family: the verdict is the uniformity criterion max/median <= 10
-    # at every refinement level (the max itself keeps exploring atom space,
-    # so the generic drift rule does not apply here).
-    if all(map(math.isfinite, levels)) and all(r <= 10.0 for r in levels):
-        verdict = "stable"
-    else:
-        verdict = "violated"
-    report = BoundReport(
-        inequality="thm1_6i",
-        params=_params_dict(config, p=config.p, atom_count=config.atom_count),
-        C_hat=result["max_over_median"],
-        c_hat=0.0,
-        worst_sample=result["worst_atom"],
-        per_refinement_C=levels,
-        refinement_delta=drift,
-        verdict=verdict,
-        notes=[
-            "C_hat is the uniformity ratio max/median (gate: <= 10)",
-            "max quasi-norm: " + repr(result["max"]),
-            "per-refinement max quasi-norms: " + repr(result["per_refinement_max"]),
-            "time-grid density sensitivity: " + repr(result["t_grid_refinement_delta"]),
-        ],
+    # The certified quantity is uniform boundedness over the atom family;
+    # the max itself keeps exploring atom space, so no drift gate applies.
+    # A ratio that is not finite fails the gate.
+    uniform = all(r <= UNIFORMITY_GATE for r in levels)
+    notes = [
+        f"C_hat is the uniformity ratio max/median (gate: <= {UNIFORMITY_GATE:g})",
+        "max quasi-norm: " + repr(result["max"]),
+        "per-refinement max quasi-norms: " + repr(result["per_refinement_max"]),
+        "time-grid density sensitivity: " + repr(result["t_grid_refinement_delta"]),
+    ]
+    report = _report(
+        config,
+        levels,
+        result["worst_atom"],
+        {"p": config.p, "atom_count": config.atom_count},
+        notes,
+        verdict="stable" if uniform else "violated",
     )
     return report, None
 
@@ -733,18 +699,13 @@ def _thm4_1_campaign(config: CampaignConfig, collect: bool):
         ratios.append(lp_norm(df, 2.0) / denom if denom > 0 else 0.0)
     ratios_arr = np.asarray(ratios)
     levels = _level_maxima(ratios_arr, config.corpus_size, config.refine_levels)
-    drift = _drift(levels)
     worst = int(np.argmax(ratios_arr))
-    report = BoundReport(
-        inequality="thm4_1",
-        params=_params_dict(config, corpus_size=config.corpus_size),
-        C_hat=levels[-1],
-        c_hat=0.0,
-        worst_sample={"corpus_index": worst, "ratio": float(ratios_arr[worst])},
-        per_refinement_C=levels,
-        refinement_delta=drift,
-        verdict=_verdict(levels, drift),
-        notes=["L^2 operator-norm sweep of the order-shift difference"],
+    report = _report(
+        config,
+        levels,
+        {"corpus_index": worst, "ratio": float(ratios_arr[worst])},
+        {"corpus_size": config.corpus_size},
+        ["L^2 operator-norm sweep of the order-shift difference"],
     )
     return report, None
 
@@ -761,13 +722,16 @@ class Spec:
     The pointwise kernel estimates share ``_pointwise_campaign``: it draws
     points with ``sampler(config, count)``, takes the signed left-hand side
     from ``lhs(config, t, x, y)`` and the (k, ell) arguments of
-    ``heat._bound_rhs_arrays`` from ``rhs(config)``.
+    ``heat._bound_rhs_arrays`` from ``rhs(config)``.  ``per_axis`` names
+    the config's multi-indices that carry one entry per axis of ``nu``;
+    ``run_campaign`` refuses a config whose lengths differ.
     """
 
     lhs: Callable | None = None
     rhs: Callable | None = None
     sampler: Callable = _sample_box
     runner: Callable = _pointwise_campaign
+    per_axis: tuple[str, ...] = ()
 
 
 # The lambdas look up heat functions by module-global name at call time, so
@@ -804,7 +768,7 @@ SPECS: dict[str, Spec] = {
             eval_delta_heat_1d(c.nu[j], c.ell[j], t, x[j], y[j]) for j in range(len(c.nu))
         ),
         rhs=lambda c: (0, c.ell),
-        runner=_prop2_9_campaign,
+        per_axis=("ell",),
     ),
     "prop2_10": Spec(
         lhs=lambda c, t, x, y: math.prod(
@@ -812,10 +776,12 @@ SPECS: dict[str, Spec] = {
             for j in range(len(c.nu))
         ),
         rhs=lambda c: (c.k, c.ell),
+        per_axis=("k", "ell"),
     ),
     "cor2_11": Spec(
         lhs=lambda c, t, x, y: delta_dt_heat_nd_arrays(c.nu_vector, c.k, c.big_m, t, x, y),
         rhs=lambda c: (c.k, c.big_m),
+        per_axis=("k",),
     ),
     "thm1_5_size": Spec(runner=_thm1_5_campaign),
     "thm1_5_smooth": Spec(runner=_thm1_5_campaign),
@@ -831,9 +797,14 @@ def run_campaign(config: CampaignConfig, collect_samples: bool = False):
     """Run one campaign; returns (BoundReport, sample rows or None).
 
     Deterministic for fixed (config, seed): identical inputs produce byte
-    identical canonical reports.
+    identical canonical reports.  Refuses a per-axis multi-index whose
+    length is not the dimension of ``nu`` (``ConfigError``) before sampling.
     """
-    return SPECS[config.inequality].runner(config, collect_samples)
+    spec = SPECS[config.inequality]
+    for name in spec.per_axis:
+        if len(getattr(config, name)) != len(config.nu):
+            raise ConfigError(f"{name} multi-index must match dimension")
+    return spec.runner(config, collect_samples)
 
 
 def default_config(inequality: str) -> CampaignConfig:

@@ -74,6 +74,13 @@ def _exit_for(verdict: str) -> int:
     return 0 if verdict in PASS_VERDICTS else 1
 
 
+def _given(args, refine_field: str) -> dict:
+    """The global --seed and --refine flags that were given, under the
+    command's field names; an unset flag leaves the command's default."""
+    flags = {"seed": args.seed, refine_field: args.refine}
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 # ---------------------------------------------------------------------------
 # kernel
 
@@ -106,7 +113,7 @@ def cmd_kernel_verify(args) -> int:
     from .special import besseli, besseli_ratio, besseli_scaled
     from .heat import heat_kernel_1d
 
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(0 if args.seed is None else args.seed)
     worst = {"difference_identity": 0.0, "interlacing": 0.0, "ratio_derivative": 0.0,
              "kernel_difference": 0.0, "dirichlet": 0.0}
     for _ in range(200):
@@ -183,7 +190,7 @@ def cmd_riesz_verify(args) -> int:
     report = cz_bound_check(
         nu,
         _ints(args.k),
-        CzSamplePlan(count=max(100, args.samples), seed=args.seed, levels=args.refine),
+        CzSamplePlan(count=max(100, args.samples), **_given(args, "levels")),
         _plan_from_args(args),
     )
     report["_file"] = "riesz_verify.json"
@@ -301,11 +308,7 @@ def cmd_campaign_run(args) -> int:
     if source in INEQUALITY_IDS:
         source = str(bundled_config_path(source))
     config = CampaignConfig.from_json(source)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.refine is not None:
-        overrides["refine_levels"] = args.refine
+    overrides = _given(args, "refine_levels")
     if overrides:
         config = CampaignConfig(**{**config.__dict__, **overrides})
     started = time.time()
@@ -357,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     ke.add_argument("--ell", default=None, help="derivative multi-index")
     ke.set_defaults(func=cmd_kernel_eval)
     kv = ksub.add_parser("verify")
-    kv.set_defaults(func=cmd_kernel_verify, seed=0)
+    kv.set_defaults(func=cmd_kernel_verify)
 
     riesz = sub.add_parser("riesz", help="Riesz transforms")
     rsub = riesz.add_subparsers(dest="action", required=True)

@@ -660,77 +660,60 @@ def _weight_1d(nu: float, t, x):
     return (1.0 + np.sqrt(t) / x) ** (-(nu + 0.5))
 
 
-def _bound_rhs_arrays(kind: str, nu: NuVector, k, ell, t, x, y, c: float):
-    """Vectorized bound right-hand sides; x, y stacked on the first axis.
+def _lead(k_total: int, t, r):
+    """The lead factor t^{-|k|/2} + r^{-|k|} of the mixed-derivative bounds."""
+    return t ** (-k_total / 2.0) + r ** (-float(k_total))
 
-    ``kind`` is the id of a pointwise kernel estimate: thm2_1, thm2_4,
-    thm2_5, cor2_6a, cor2_6b, prop2_7, prop2_9, prop2_10 or cor2_11.
-    """
+
+def _total(multi) -> int:
+    """|multi|, of an integer or a multi-index."""
+    return int(np.sum(np.atleast_1d(multi).astype(int)))
+
+
+def _bound_rhs_arrays(kind: str, nu: NuVector, k, ell, t, x, y, c: float):
+    """Vectorized ``bound_rhs``; x, y stacked on the first axis.  A family
+    member without a lead factor has lead 1.0, an exact product."""
     t = np.asarray(t, dtype=float)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     d2 = np.sum((x - y) ** 2, axis=0)
     gauss = np.exp(-d2 / (c * t))
-    if kind == "thm2_1":
+    if kind in ("thm2_1", "thm2_4", "thm2_5"):
+        ell = 0 if kind == "thm2_1" else int(ell)
+        lead = _lead(int(k), t, x[0]) if kind == "thm2_5" else 1.0
         return (
-            t**-0.5 * gauss * _weight_1d(nu.nu[0], t, x[0]) * _weight_1d(nu.nu[0], t, y[0])
-        )
-    if kind == "thm2_4":
-        ell = int(ell)
-        return (
-            t ** (-(ell + 1) / 2.0)
-            * gauss
-            * _weight_1d(nu.nu[0], t, x[0])
-            * _weight_1d(nu.nu[0], t, y[0])
-        )
-    if kind == "thm2_5":
-        k = int(k)
-        ell = int(ell)
-        return (
-            (t ** (-k / 2.0) + x[0] ** (-float(k)))
+            lead
             * t ** (-(ell + 1) / 2.0)
             * gauss
             * _weight_1d(nu.nu[0], t, x[0])
             * _weight_1d(nu.nu[0], t, y[0])
         )
-    if kind in ("cor2_6a", "cor2_6b"):
-        # Shared by both displayed estimates; ell carries the power M.
-        k = int(k)
-        big_m = int(ell)
-        return t ** (-(k + 2 * big_m + 1) / 2.0) * gauss
+    if kind in ("cor2_6a", "cor2_6b", "cor2_11"):
+        n = nu.n if kind == "cor2_11" else 1
+        return t ** (-(_total(k) + 2 * int(ell) + n) / 2.0) * gauss
     if kind == "prop2_7":
-        ell = int(ell)
-        return t ** (-ell / 2.0) / x[0] * gauss
-    if kind == "prop2_9":
-        ll = np.atleast_1d(ell).astype(int)
-        n = nu.n
-        w = (1.0 + np.sqrt(t) / _rho_arr(x) + np.sqrt(t) / _rho_arr(y)) ** (
-            -nu.gamma_nu
-        )
-        return t ** (-(n + int(np.sum(ll))) / 2.0) * gauss * w
-    if kind == "prop2_10":
-        kk = np.atleast_1d(k).astype(int)
-        ll = np.atleast_1d(ell).astype(int)
-        n = nu.n
-        w = (1.0 + np.sqrt(t) / _rho_arr(x) + np.sqrt(t) / _rho_arr(y)) ** (
-            -nu.gamma_nu
-        )
-        lead = t ** (-float(np.sum(kk)) / 2.0) + _rho_arr(x) ** (-float(np.sum(kk)))
-        return lead * t ** (-(n + int(np.sum(ll))) / 2.0) * gauss * w
-    if kind == "cor2_11":
-        kk = np.atleast_1d(k).astype(int)
-        big_m = int(ell)
-        n = nu.n
-        return t ** (-(int(np.sum(kk)) + 2 * big_m + n) / 2.0) * gauss
+        return t ** (-int(ell) / 2.0) / x[0] * gauss
+    if kind in ("prop2_9", "prop2_10"):
+        w = (1.0 + np.sqrt(t) / _rho_arr(x) + np.sqrt(t) / _rho_arr(y)) ** (-nu.gamma_nu)
+        lead = _lead(_total(k), t, _rho_arr(x)) if kind == "prop2_10" else 1.0
+        return lead * t ** (-(nu.n + _total(ell)) / 2.0) * gauss * w
     raise DomainError(f"unknown bound kind {kind!r}; expected a pointwise inequality id")
 
 
 def bound_rhs(kind: str, nu, k, ell, q: KernelPoint, c: float) -> float:
     """Right-hand side of the selected kernel estimate, with constant 1.
 
-    ``kind`` is a pointwise inequality id (see ``_bound_rhs_arrays``) and
-    ``c`` the candidate exponential rate.  For the cor2_6a, cor2_6b and
-    cor2_11 kinds the ``ell`` slot carries the operator power M.
+    ``kind`` is a pointwise inequality id and ``c`` the candidate
+    exponential rate.  Each id is one of four families, each a formula
+    times exp(-|x-y|^2/(ct)):
+
+    * weighted 1-D, t^{-(l+1)/2} w(x) w(y), w = (1 + sqrt(t)/x)^{-(nu+1/2)}:
+      thm2_4; thm2_1 is thm2_4 at l = 0; thm2_5 has the lead t^{-k/2} + x^{-k};
+    * Gaussian, t^{-(|k|+2M+n)/2}: cor2_11; cor2_6a and cor2_6b are cor2_11
+      at n = 1.  The ``ell`` slot carries the operator power M;
+    * prop2_7, t^{-l/2}/x;
+    * rho-weighted, t^{-(n+|l|)/2} (1 + sqrt(t)/rho(x) + sqrt(t)/rho(y))^{-gamma_nu}:
+      prop2_9; prop2_10 has the lead t^{-|k|/2} + rho(x)^{-|k|}.
     """
     nu = as_nu_vector(nu)
     if not (c > 0.0):

@@ -64,7 +64,7 @@ from .grids import (
     _weighted_matrix,
 )
 from .heat import NuVector, _check_positive, _pair_word, _word_products, as_nu_vector, delta_expansion
-from .sampling import make_rng, sample_smooth_triples
+from .sampling import _drift, _level_maxima, _verdict, make_rng, sample_smooth_triples
 
 __all__ = [
     "SubordinationPlan",
@@ -78,6 +78,7 @@ __all__ = [
     "fractional_inverse_apply",
     "riesz_difference_batch",
     "riesz_difference_matrix",
+    "grid_multi_index",
     "CzSamplePlan",
     "cz_size_sweep",
     "cz_smooth_sweep",
@@ -431,8 +432,9 @@ def _grid_matrix(nu: float, k: int, axis, plan: SubordinationPlan, difference: b
 _GRID_K_MAX = 2
 
 
-def _grid_multi(k, n: int) -> tuple[int, ...]:
-    """``_multi``, refusing orders whose grid diagonal is rounding noise."""
+def grid_multi_index(k, n: int) -> tuple[int, ...]:
+    """The order multi-index of an n-D grid transform (``_multi``); refuses
+    orders whose grid diagonal is rounding noise (``DomainError``)."""
     k = _multi(k, n)
     if max(k) > _GRID_K_MAX:
         raise DomainError(
@@ -446,7 +448,7 @@ def _one_axis(nu, k, grid: Grid):
     nu = as_nu_vector(nu)
     if grid.ndim != 1:
         raise GridError("assembled matrices are for 1-D grids")
-    k_0 = _grid_multi(k, 1)[0]
+    k_0 = grid_multi_index(k, 1)[0]
     if k_0 < 1:
         raise DomainError("Riesz kernels need |k| >= 1")
     return nu.nu[0], k_0
@@ -463,7 +465,7 @@ def riesz_apply(nu, k, f, plan: SubordinationPlan = DEFAULT_PLAN):
     """Riesz transform of a grid function by subordination quadrature.
 
     |k| = 0 is the identity (useful as the degenerate case in spot checks);
-    any k_j >= 3 is refused (``_grid_multi``).
+    any k_j >= 3 is refused (``grid_multi_index``).
 
     ``f`` may also be a sequence of grid functions on one grid; the result
     is then a list with one transform per function, each bit for bit its
@@ -478,7 +480,7 @@ def riesz_apply(nu, k, f, plan: SubordinationPlan = DEFAULT_PLAN):
     plan.t_min around the square of the coarsest relevant spacing.
     """
     nu = as_nu_vector(nu)
-    k = _grid_multi(k, nu.n)
+    k = grid_multi_index(k, nu.n)
     single = isinstance(f, GridFunction)
     functions = [f] if single else list(f)
     if not functions:
@@ -593,23 +595,6 @@ class CzSamplePlan:
             raise DomainError("need at least 2 refinement levels")
 
 
-def _drift(values) -> float:
-    """Largest relative step between consecutive refinement levels; inf
-    once a level is not finite."""
-    worst = 0.0
-    for a, b in zip(values, values[1:]):
-        if math.isfinite(a) and a > 0:
-            worst = max(worst, abs(b - a) / a)
-        elif not math.isfinite(a) or not math.isfinite(b):
-            worst = math.inf
-    return worst
-
-
-def _level_maxima(values, base: int, levels: int) -> list[float]:
-    """Maxima over the nested prefixes of base * 2**lev entries."""
-    return [float(np.max(values[: base * 2**lev])) for lev in range(levels)]
-
-
 def _cz_triples(n: int, sample_plan: CzSamplePlan):
     """The nested (x, y, y') samples shared by the size and smoothness sweeps."""
     max_count = sample_plan.count * 2 ** (sample_plan.levels - 1)
@@ -628,70 +613,51 @@ def _sweep_kernels(nu: NuVector, k, x, y, plan: SubordinationPlan, both: bool):
     return _riesz_quadrature(nu, k, x, y, plan, both)
 
 
-def _size_side(n: int, x, y, r_xy, sample_plan: CzSamplePlan) -> dict:
+def _side(ratio, sample_plan: CzSamplePlan, points=None, **extra) -> dict:
+    """One fitted side of the sweeps: the level maxima of ``ratio``, their
+    drift, ``extra`` entries and, given ``points`` (name -> samples), the
+    coordinates of the worst sample."""
+    levels = _level_maxima(ratio, sample_plan.count, sample_plan.levels)
+    side = {"C_hat": levels[-1], "per_refinement_C": levels, "drift": _drift(levels), **extra}
+    if points:
+        worst = int(np.argmax(ratio))
+        side["worst_sample"] = {name: p[:, worst].tolist() for name, p in points.items()}
+    return side
+
+
+def _cz_sides(nu: NuVector, k, sample_plan: CzSamplePlan, plan, size: bool, smooth: bool):
+    """The requested sides of ``cz_bound_check``: the size side needs only
+    R(x, y), the smoothness sides both pair batches."""
+    n = nu.n
+    x, y, yp = _cz_triples(n, sample_plan)
+    rows = _sweep_kernels(nu, k, x, y, plan, both=smooth)
     d = np.sqrt(np.sum((x - y) ** 2, axis=0))
-    size_ratio = np.abs(r_xy) * d**n
-    levels = _level_maxima(size_ratio, sample_plan.count, sample_plan.levels)
-    worst = int(np.argmax(size_ratio))
-    return {
-        "C_hat": levels[-1],
-        "per_refinement_C": levels,
-        "drift": _drift(levels),
-        "worst_sample": {"x": x[:, worst].tolist(), "y": y[:, worst].tolist()},
-    }
+    sides = {}
+    if size:
+        sides["size"] = _side(np.abs(rows[0]) * d**n, sample_plan, {"x": x, "y": y})
+    if smooth:
+        gam = min(1.0, nu.gamma_nu)
+        gam_raw = nu.gamma_nu
+        r_xy, r_yx = rows
+        r_xyp, r_ypx = _sweep_kernels(nu, k, x, yp, plan, both=True)
+        dp = np.sqrt(np.sum((y - yp) ** 2, axis=0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            holder_rhs = (dp / d) ** gam / d**n
+            holder_rhs_raw = (dp / d) ** gam_raw / d**n
+            smooth_num = np.maximum(np.abs(r_xy - r_xyp), np.abs(r_yx - r_ypx))
+            smooth_ratio = np.where(dp > 0, smooth_num / holder_rhs, 0.0)
+            smooth_ratio_raw = np.where(dp > 0, smooth_num / holder_rhs_raw, 0.0)
+        points = {"x": x, "y": y, "y_prime": yp}
+        sides["smooth"] = _side(smooth_ratio, sample_plan, points, exponent=gam)
+        sides["smooth_raw_exponent"] = _side(smooth_ratio_raw, sample_plan, exponent=gam_raw)
+    return sides
 
 
 def cz_size_sweep(nu, k, sample_plan: CzSamplePlan, plan: SubordinationPlan) -> dict:
     """The size side of ``cz_bound_check``: sup |R(x,y)| |x-y|^n, from
     R(x, y) alone.  In 1-D R is the exact time integral
     (``riesz_kernel_1d``) and ``plan`` is unused; it governs only n >= 2."""
-    nu = as_nu_vector(nu)
-    x, y, _ = _cz_triples(nu.n, sample_plan)
-    r_xy = _sweep_kernels(nu, k, x, y, plan, both=False)[0]
-    return _size_side(nu.n, x, y, r_xy, sample_plan)
-
-
-def _smooth_sweep(nu: NuVector, k, sample_plan: CzSamplePlan, plan: SubordinationPlan):
-    """The smoothness sides, plus the samples and R(x, y) they computed."""
-    n = nu.n
-    gam = min(1.0, nu.gamma_nu)
-    gam_raw = nu.gamma_nu
-    x, y, yp = _cz_triples(n, sample_plan)
-    r_xy, r_yx = _sweep_kernels(nu, k, x, y, plan, both=True)
-    r_xyp, r_ypx = _sweep_kernels(nu, k, x, yp, plan, both=True)
-
-    d = np.sqrt(np.sum((x - y) ** 2, axis=0))
-    dp = np.sqrt(np.sum((y - yp) ** 2, axis=0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        holder_rhs = (dp / d) ** gam / d**n
-        holder_rhs_raw = (dp / d) ** gam_raw / d**n
-        smooth_num = np.maximum(np.abs(r_xy - r_xyp), np.abs(r_yx - r_ypx))
-        smooth_ratio = np.where(dp > 0, smooth_num / holder_rhs, 0.0)
-        smooth_ratio_raw = np.where(dp > 0, smooth_num / holder_rhs_raw, 0.0)
-
-    levels = _level_maxima(smooth_ratio, sample_plan.count, sample_plan.levels)
-    raw_levels = _level_maxima(smooth_ratio_raw, sample_plan.count, sample_plan.levels)
-    worst = int(np.argmax(smooth_ratio))
-    sides = {
-        "smooth": {
-            "C_hat": levels[-1],
-            "per_refinement_C": levels,
-            "drift": _drift(levels),
-            "exponent": gam,
-            "worst_sample": {
-                "x": x[:, worst].tolist(),
-                "y": y[:, worst].tolist(),
-                "y_prime": yp[:, worst].tolist(),
-            },
-        },
-        "smooth_raw_exponent": {
-            "C_hat": raw_levels[-1],
-            "per_refinement_C": raw_levels,
-            "drift": _drift(raw_levels),
-            "exponent": gam_raw,
-        },
-    }
-    return sides, x, y, r_xy
+    return _cz_sides(as_nu_vector(nu), k, sample_plan, plan, size=True, smooth=False)["size"]
 
 
 def cz_smooth_sweep(nu, k, sample_plan: CzSamplePlan, plan: SubordinationPlan) -> dict:
@@ -700,7 +666,7 @@ def cz_smooth_sweep(nu, k, sample_plan: CzSamplePlan, plan: SubordinationPlan) -
     In 1-D the kernels are the exact time integral (``riesz_kernel_1d``)
     and ``plan`` is unused; it governs only n >= 2.
     """
-    return _smooth_sweep(as_nu_vector(nu), k, sample_plan, plan)[0]
+    return _cz_sides(as_nu_vector(nu), k, sample_plan, plan, size=False, smooth=True)
 
 
 def cz_bound_check(
@@ -715,19 +681,16 @@ def cz_bound_check(
     first- and second-argument difference quotients against
     (|y-y'|/|x-y|)^gamma / |x-y|^n with gamma = min(1, nu_min + 1/2); the
     unclipped exponent nu_min + 1/2 is fitted alongside for comparison.
-    Refinement doubles the (nested) sample count; the verdict applies the
-    < 5% drift rule to both primary constants.  R(x, y), R(y, x), R(x, y')
-    and R(y', x) come from two kernel batches, one per sampled pair: in 1-D
-    the exact time integral (``riesz_kernel_1d``, ``plan`` unused), for
-    n >= 2 the subordination quadrature of ``plan``.
+    Refinement doubles the (nested) sample count; the verdict is
+    ``sampling._verdict`` over both primary constants' levels with the
+    larger of their drifts.  R(x, y), R(y, x), R(x, y') and R(y', x) come
+    from two kernel batches, one per sampled pair: in 1-D the exact time
+    integral (``riesz_kernel_1d``, ``plan`` unused), for n >= 2 the
+    subordination quadrature of ``plan``.
     """
-    nu = as_nu_vector(nu)
-    sides, x, y, r_xy = _smooth_sweep(nu, k, sample_plan, plan)
-    size = _size_side(nu.n, x, y, r_xy, sample_plan)
-    smooth = sides["smooth"]
-    stable = size["drift"] < 0.05 and smooth["drift"] < 0.05
-    # The last level's maximum runs over every sample, so it is finite
-    # exactly when every ratio is.
-    finite = math.isfinite(size["C_hat"]) and math.isfinite(smooth["C_hat"])
-    verdict = "stable" if (stable and finite) else ("violated" if not finite else "unstable")
-    return {"size": size, **sides, "verdict": verdict}
+    sides = _cz_sides(as_nu_vector(nu), k, sample_plan, plan, size=True, smooth=True)
+    size, smooth = sides["size"], sides["smooth"]
+    verdict = _verdict(
+        size["per_refinement_C"] + smooth["per_refinement_C"], max(size["drift"], smooth["drift"])
+    )
+    return {**sides, "verdict": verdict}

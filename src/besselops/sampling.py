@@ -10,19 +10,58 @@ streams across platforms.  Reference stream (checked in the tests):
 Sample plans are nested: a refinement level doubles the count and the
 first half of the samples reproduces the previous level, so fitted
 constants are monotone under refinement.
+
+Every campaign's verdict follows one refinement ladder: level ``lev`` is
+the prefix of ``base * 2**lev`` samples, ``_level_maxima`` takes the
+maximum on each level and ``_drift`` the largest relative step between
+levels.  ``_verdict`` is ``violated`` once a level is not finite, else
+``stable`` below the drift gate ``DRIFT_GATE`` and ``unstable`` at or above
+it.  An atom family is uniformly bounded when max/median of its
+quasi-norms is at most ``UNIFORMITY_GATE`` at every level.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
+    "DRIFT_GATE",
+    "UNIFORMITY_GATE",
     "make_rng",
     "loguniform",
     "sample_kernel_points",
     "sample_offdiag_pairs",
     "sample_smooth_triples",
 ]
+
+
+DRIFT_GATE = 0.05
+UNIFORMITY_GATE = 10.0
+
+
+def _level_maxima(values, base: int, levels: int) -> list[float]:
+    """Maxima over the nested prefixes of base * 2**lev entries."""
+    return [float(np.max(values[: base * 2**lev])) for lev in range(levels)]
+
+
+def _drift(values) -> float:
+    """Largest relative step between consecutive refinement levels; inf
+    once a level is not finite."""
+    worst = 0.0
+    for a, b in zip(values, values[1:]):
+        if math.isfinite(a) and a > 0:
+            worst = max(worst, abs(b - a) / a)
+        elif not math.isfinite(a) or not math.isfinite(b):
+            worst = math.inf
+    return worst
+
+
+def _verdict(levels, drift) -> str:
+    if not all(map(math.isfinite, levels)):
+        return "violated"
+    return "stable" if drift < DRIFT_GATE else "unstable"
 
 
 def make_rng(seed: int) -> np.random.Generator:

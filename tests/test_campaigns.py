@@ -121,9 +121,24 @@ class TestPointwiseCampaigns:
         assert len(rep.per_refinement_C) == 2
         assert {"t", "x", "y", "lhs", "rhs", "ratio"} <= set(rep.worst_sample)
 
-    def test_prop2_9_ell_must_match_dimension(self):
-        with pytest.raises(ConfigError):
-            run_campaign(small(default_config("prop2_9"), ell=(1,)))
+    @pytest.mark.parametrize(
+        "ineq, over",
+        [
+            ("prop2_9", {"ell": (1,)}),
+            ("prop2_10", {"k": (1,)}),
+            ("prop2_10", {"ell": (0, 0, 1)}),
+            ("cor2_11", {"k": (1,)}),
+            ("cor2_11", {"k": (1, 1, 5)}),
+        ],
+    )
+    def test_prop2_9_ell_must_match_dimension(self, monkeypatch, ineq, over):
+        # Each per-axis multi-index is checked before any sample is drawn.
+        def no_samples(*args):
+            raise AssertionError("samples drawn")
+
+        monkeypatch.setattr(campaigns, "sample_kernel_points", no_samples)
+        with pytest.raises(ConfigError, match="must match dimension"):
+            run_campaign(small(default_config(ineq), **over))
 
     def test_report_schema(self):
         rep, _ = run_campaign(small(default_config("thm2_1")))

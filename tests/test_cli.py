@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from besselops.campaigns import bundled_config_path
 from besselops.cli import main
 from besselops.fixtures import bundled_ball_atoms, bundled_line_atoms
 from besselops.grids import gridfunction_to_csv
@@ -150,6 +151,49 @@ class TestCampaignRun:
         lines = (tmp_path / "thm2_1.samples.csv").read_text().splitlines()
         assert lines[0] == "t,x1,y1,lhs,rhs,ratio"
         assert len(lines) == 1 + 10000 * 4
+
+
+class TestGlobalFlags:
+    def run(self, capsys, argv):
+        rc = main(argv)
+        return rc, json.loads(capsys.readouterr().out)
+
+    def test_riesz_verify_defaults_when_unset(self, capsys):
+        # The README's command: an unset --seed and --refine mean the
+        # sample plan's own seed 0 and 3 levels.
+        rc, out = self.run(capsys, ["riesz", "verify", "--nu", "0.7", "--k", "2", "--samples", "400"])
+        assert rc == 0 and out["verdict"] == "stable"
+        assert len(out["size"]["per_refinement_C"]) == 3
+        _, seeded = self.run(
+            capsys,
+            ["--seed", "0", "--refine", "3", "riesz", "verify", "--nu", "0.7", "--k", "2",
+             "--samples", "400"],
+        )
+        assert seeded == out
+
+    def test_riesz_verify_honours_given_flags(self, capsys):
+        argv = ["riesz", "verify", "--nu", "0.7", "--k", "2", "--samples", "100"]
+        _, default = self.run(capsys, argv)
+        _, given = self.run(capsys, ["--seed", "5", "--refine", "2", *argv])
+        assert len(given["size"]["per_refinement_C"]) == 2
+        assert given["size"]["worst_sample"] != default["size"]["worst_sample"]
+
+    def test_kernel_verify_honours_the_global_seed(self, capsys):
+        _, default = self.run(capsys, ["kernel", "verify"])
+        _, zero = self.run(capsys, ["--seed", "0", "kernel", "verify"])
+        _, five = self.run(capsys, ["--seed", "5", "kernel", "verify"])
+        assert zero == default
+        assert five["worst"] != default["worst"]
+
+    @pytest.mark.parametrize("ineq, k", [("cor2_11", [1]), ("cor2_11", [1, 1, 5]), ("prop2_10", [1])])
+    def test_per_axis_mismatch_is_a_configuration_error(self, tmp_path, capsys, ineq, k):
+        config = json.loads(bundled_config_path(ineq).read_text())
+        config.update(k=k, samples=100)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        rc = main(["--out", str(tmp_path), "campaign", "run", "--config", str(path)])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 class TestMiscCommands:

@@ -516,7 +516,74 @@ class TestLadderStreams:
         assert list(heat._ladders(0.6, [0], (), np.ones(3), np.zeros(3))) == []
 
 
+def branch_bound_rhs(kind, nu, k, ell, t, x, y, c):
+    """One formula per id, as each id's bound was written before the ids
+    were grouped into four families; the reference for the families."""
+
+    def weight(t, x):
+        return (1.0 + np.sqrt(t) / x) ** (-(nu.nu[0] + 0.5))
+
+    def rho(x):
+        return np.min(x, axis=0) / 16.0
+
+    gauss = np.exp(-np.sum((x - y) ** 2, axis=0) / (c * t))
+    if kind == "thm2_1":
+        return t**-0.5 * gauss * weight(t, x[0]) * weight(t, y[0])
+    if kind == "thm2_4":
+        return t ** (-(int(ell) + 1) / 2.0) * gauss * weight(t, x[0]) * weight(t, y[0])
+    if kind == "thm2_5":
+        k, ell = int(k), int(ell)
+        return (
+            (t ** (-k / 2.0) + x[0] ** (-float(k)))
+            * t ** (-(ell + 1) / 2.0)
+            * gauss
+            * weight(t, x[0])
+            * weight(t, y[0])
+        )
+    if kind in ("cor2_6a", "cor2_6b"):
+        return t ** (-(int(k) + 2 * int(ell) + 1) / 2.0) * gauss
+    if kind == "prop2_7":
+        return t ** (-int(ell) / 2.0) / x[0] * gauss
+    ll = np.atleast_1d(ell).astype(int)
+    w = (1.0 + np.sqrt(t) / rho(x) + np.sqrt(t) / rho(y)) ** (-nu.gamma_nu)
+    if kind == "prop2_9":
+        return t ** (-(nu.n + int(np.sum(ll))) / 2.0) * gauss * w
+    kk = np.atleast_1d(k).astype(int)
+    if kind == "prop2_10":
+        lead = t ** (-float(np.sum(kk)) / 2.0) + rho(x) ** (-float(np.sum(kk)))
+        return lead * t ** (-(nu.n + int(np.sum(ll))) / 2.0) * gauss * w
+    assert kind == "cor2_11"
+    return t ** (-(int(np.sum(kk)) + 2 * int(ell) + nu.n) / 2.0) * gauss
+
+
 class TestBoundRhs:
+    @pytest.mark.parametrize(
+        "kind, nu, k, ell",
+        [
+            ("thm2_1", (0.7,), 0, 0),
+            ("thm2_4", (0.7,), 0, 2),
+            ("thm2_5", (0.6,), 1, 1),
+            ("cor2_6a", (0.6,), 2, 1),
+            ("cor2_6b", (0.6,), 1, 2),
+            ("prop2_7", (0.8,), 0, 1),
+            ("prop2_9", (0.5, 1.5), 0, (1, 1)),
+            ("prop2_10", (0.5, 1.5), (1, 0), (0, 1)),
+            ("cor2_11", (0.5, 1.5), (1, 1), 1),
+        ],
+    )
+    def test_families_match_the_branch_formulas(self, kind, nu, k, ell):
+        nu = NuVector(nu)
+        rng = np.random.default_rng(3)
+        t = 10.0 ** rng.uniform(-4, 2, 400)
+        x = 10.0 ** rng.uniform(-2, 1.3, (nu.n, 400))
+        y = 10.0 ** rng.uniform(-2, 1.3, (nu.n, 400))
+        # Far pairs at small times, where the Gaussian underflows to 0.
+        t[:40], x[:, :40], y[:, :40] = 1e-4, 0.05, 15.0
+        for c in (2.0, 8.0):
+            want = branch_bound_rhs(kind, nu, k, ell, t, x, y, c)
+            assert np.all(want[:40] == 0.0) and np.count_nonzero(want) > 200
+            assert np.array_equal(heat._bound_rhs_arrays(kind, nu, k, ell, t, x, y, c), want)
+
     def test_thm21_direct_substitution(self):
         nu, x = 0.8, 1.7
         q = KernelPoint(x * x, (x,), (x,))

@@ -34,7 +34,6 @@ from besselops.riesz import (
     CzSamplePlan,
     SubordinationPlan,
     _cz_triples,
-    _drift,
     _riesz_quadrature,
     cz_bound_check,
     cz_size_sweep,
@@ -48,6 +47,7 @@ from besselops.riesz import (
     riesz_kernel_batch,
     riesz_matrix,
 )
+from besselops.sampling import _drift
 from conftest import class_ladder, class_products
 
 WIDE_PLAN = SubordinationPlan(t_min=1e-6, t_max=1e8, nodes_per_decade=24)
@@ -953,6 +953,28 @@ class TestCzBoundCheck:
             r_xy, r_yx = riesz_kernel_1d(nu, k, x, y, both=True)
             assert np.array_equal(r_xy, riesz_kernel_1d(nu, k, x, y)[0])
             assert np.array_equal(r_yx, riesz_kernel_1d(nu, k, y, x)[0])
+
+    @pytest.mark.parametrize(
+        "size, smooth, verdict",
+        [
+            ([1.0, 1.01], [2.0, 2.02], "stable"),
+            ([1.0, 1.2], [2.0, 2.02], "unstable"),
+            ([1.0, 1.01], [2.0, 2.5], "unstable"),
+            ([1.0, math.inf], [2.0, 2.02], "violated"),
+            ([1.0, 1.2], [2.0, math.nan], "violated"),
+        ],
+    )
+    def test_verdict_reads_both_sides(self, monkeypatch, size, smooth, verdict):
+        # Violated once either side's last level is not finite, else stable
+        # only when both sides drift less than the gate.
+        def sides(*args, **kwargs):
+            return {
+                name: {"per_refinement_C": levels, "drift": _drift(levels)}
+                for name, levels in (("size", size), ("smooth", smooth))
+            }
+
+        monkeypatch.setattr(riesz, "_cz_sides", sides)
+        assert cz_bound_check(NuVector((0.7,)), (1,))["verdict"] == verdict
 
     def test_drift_of_non_finite_levels_is_inf(self):
         assert _drift([math.inf, math.inf]) == math.inf
