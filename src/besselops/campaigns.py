@@ -207,37 +207,37 @@ def _selection_levels(ratios: np.ndarray, config) -> list[float]:
 
 def _ratios(lhs, rhs) -> np.ndarray:
     """lhs/rhs per sample, where x/0 scores inf and 0/0 scores 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
 
 
-def _fit_c(lhs, rhs_by_c, config):
-    """Smallest c in the grid with a refinement-stable C(c).
+def _fit_c(lhs, rhs_of_c, config):
+    """Smallest c in the grid with a refinement-stable C(c); returns
+    (c_hat, levels, ratios, rhs) of that c.
 
-    Falls back to minimizing C(c) * (1 + drift(c)) when no rate is stable,
-    so the report still names the least-bad candidate.
+    ``rhs_of_c(c)`` builds the right-hand side of one rate.  The rates are
+    tried in ascending order, each built only when reached, and the search
+    stops at the first stable one: the smallest stable c, so the result is
+    bit for bit that of building every c first.  When no rate is stable,
+    every c has been built and the fit minimizes C(c) * (1 + drift(c)) over
+    the grid in its own order, so the report still names the least-bad
+    candidate.
     """
     results = {}
-    selection_drift = {}
-    for c, rhs in rhs_by_c.items():
+    for c in sorted(set(config.c_grid)):
+        rhs = rhs_of_c(c)
         ratios = _ratios(lhs, rhs)
         levels = _level_maxima(ratios, config.samples, config.refine_levels)
-        results[c] = (levels, _drift(levels), ratios)
-        selection_drift[c] = _drift(_selection_levels(ratios, config))
-    stable = [
-        c for c in config.c_grid if _verdict(results[c][0], selection_drift[c]) == "stable"
-    ]
-    if stable:
-        c_hat = min(stable)
-    else:
-        scores = []
-        for c in config.c_grid:
-            levels, drift, _ = results[c]
-            top = levels[-1]
-            scores.append(top * (1.0 + drift) if math.isfinite(top) else math.inf)
-        c_hat = config.c_grid[int(np.argmin(scores))]
-    levels, _, ratios = results[c_hat]
-    return c_hat, levels, ratios
+        if _verdict(levels, _drift(_selection_levels(ratios, config))) == "stable":
+            return c, levels, ratios, rhs
+        results[c] = (levels, ratios, rhs)
+    scores = []
+    for c in config.c_grid:
+        levels = results[c][0]
+        top = levels[-1]
+        scores.append(top * (1.0 + _drift(levels)) if math.isfinite(top) else math.inf)
+    c_hat = config.c_grid[int(np.argmin(scores))]
+    return (c_hat, *results[c_hat])
 
 
 def _report(config, levels, worst_sample, params, notes=(), c_hat=0.0, verdict=None):
@@ -296,25 +296,22 @@ def _pointwise_campaign(config: CampaignConfig, collect: bool):
     t, x, y = spec.sampler(config, count)
     lhs = np.abs(spec.lhs(config, t, x, y))
     k_slot, ell_slot = spec.rhs(config)
-    rhs_by_c = {
-        c: _bound_rhs_arrays(config.inequality, nu, k_slot, ell_slot, t, x, y, c)
-        for c in config.c_grid
-    }
-    c_hat, levels, ratios = _fit_c(lhs, rhs_by_c, config)
+    rhs_of_c = _bound_rhs_arrays(config.inequality, nu, k_slot, ell_slot, t, x, y)
+    c_hat, levels, ratios, rhs = _fit_c(lhs, rhs_of_c, config)
     worst = int(np.argmax(ratios))
     worst_sample = {
         "t": float(t[worst]),
         "x": x[:, worst].tolist(),
         "y": y[:, worst].tolist(),
         "lhs": float(lhs[worst]),
-        "rhs": float(rhs_by_c[c_hat][worst]),
+        "rhs": float(rhs[worst]),
         "ratio": float(ratios[worst]),
     }
     params = {"t_range": list(config.t_range), "box": list(config.box)}
     report = _report(config, levels, worst_sample, params, c_hat=c_hat)
     samples = None
     if collect:
-        samples = _sample_rows(t, x, y, lhs, rhs_by_c[c_hat], ratios)
+        samples = _sample_rows(t, x, y, lhs, rhs, ratios)
     return report, samples
 
 
@@ -724,7 +721,8 @@ class Spec:
     from ``lhs(config, t, x, y)`` and the (k, ell) arguments of
     ``heat._bound_rhs_arrays`` from ``rhs(config)``.  ``per_axis`` names
     the config's multi-indices that carry one entry per axis of ``nu``;
-    ``run_campaign`` refuses a config whose lengths differ.
+    ``one_axis`` marks a runner that reads axis 0 of ``nu`` only.
+    ``run_campaign`` refuses a config whose lengths differ from these.
     """
 
     lhs: Callable | None = None
@@ -732,6 +730,7 @@ class Spec:
     sampler: Callable = _sample_box
     runner: Callable = _pointwise_campaign
     per_axis: tuple[str, ...] = ()
+    one_axis: bool = False
 
 
 # The lambdas look up heat functions by module-global name at call time, so
@@ -740,29 +739,35 @@ SPECS: dict[str, Spec] = {
     "thm2_1": Spec(
         lhs=lambda c, t, x, y: eval_delta_heat_1d(c.nu[0], 0, t, x[0], y[0]),
         rhs=lambda c: (0, 0),
+        one_axis=True,
     ),
     "thm2_4": Spec(
         lhs=lambda c, t, x, y: eval_delta_heat_1d(c.nu[0], c.ell[0], t, x[0], y[0]),
         rhs=lambda c: (0, c.ell[0]),
+        one_axis=True,
     ),
     "thm2_5": Spec(
         lhs=lambda c, t, x, y: mixed_partial_delta(c.nu[0], c.k[0], c.ell[0], t, x[0], y[0]),
         rhs=lambda c: (c.k[0], c.ell[0]),
+        one_axis=True,
     ),
     "cor2_6a": Spec(
         lhs=lambda c, t, x, y: delta_dt_heat_1d(c.nu[0], c.k[0], c.big_m, t, x[0], y[0]),
         rhs=lambda c: (c.k[0], c.big_m),
+        one_axis=True,
     ),
     "cor2_6b": Spec(
         lhs=lambda c, t, x, y: adjoint_power_heat_1d(c.nu[0], c.k[0], c.big_m, t, x[0], y[0]),
         rhs=lambda c: (c.k[0], c.big_m),
+        one_axis=True,
     ),
     "prop2_7": Spec(
         lhs=lambda c, t, x, y: delta_heat_difference_1d(c.nu[0], c.ell[0], t, x[0], y[0]),
         rhs=lambda c: (0, c.ell[0]),
         sampler=_sample_prop2_7,
+        one_axis=True,
     ),
-    "prop2_8": Spec(runner=_prop2_8_campaign),
+    "prop2_8": Spec(runner=_prop2_8_campaign, one_axis=True),
     "prop2_9": Spec(
         lhs=lambda c, t, x, y: math.prod(
             eval_delta_heat_1d(c.nu[j], c.ell[j], t, x[j], y[j]) for j in range(len(c.nu))
@@ -785,9 +790,9 @@ SPECS: dict[str, Spec] = {
     ),
     "thm1_5_size": Spec(runner=_thm1_5_campaign),
     "thm1_5_smooth": Spec(runner=_thm1_5_campaign),
-    "thm1_6i": Spec(runner=_thm1_6i_campaign),
+    "thm1_6i": Spec(runner=_thm1_6i_campaign, one_axis=True),
     "thm1_6ii": Spec(runner=_thm1_6ii_campaign),
-    "thm4_1": Spec(runner=_thm4_1_campaign),
+    "thm4_1": Spec(runner=_thm4_1_campaign, one_axis=True),
 }
 
 INEQUALITY_IDS = tuple(SPECS)
@@ -797,10 +802,13 @@ def run_campaign(config: CampaignConfig, collect_samples: bool = False):
     """Run one campaign; returns (BoundReport, sample rows or None).
 
     Deterministic for fixed (config, seed): identical inputs produce byte
-    identical canonical reports.  Refuses a per-axis multi-index whose
-    length is not the dimension of ``nu`` (``ConfigError``) before sampling.
+    identical canonical reports.  Refuses, before sampling
+    (``ConfigError``), a per-axis multi-index whose length is not the
+    dimension of ``nu``, and an ``nu`` of more than one axis for a 1-D id.
     """
     spec = SPECS[config.inequality]
+    if spec.one_axis and len(config.nu) != 1:
+        raise ConfigError(f"{config.inequality} runs in one dimension; nu must have one entry")
     for name in spec.per_axis:
         if len(getattr(config, name)) != len(config.nu):
             raise ConfigError(f"{name} multi-index must match dimension")

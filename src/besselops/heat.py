@@ -670,34 +670,47 @@ def _total(multi) -> int:
     return int(np.sum(np.atleast_1d(multi).astype(int)))
 
 
-def _bound_rhs_arrays(kind: str, nu: NuVector, k, ell, t, x, y, c: float):
-    """Vectorized ``bound_rhs``; x, y stacked on the first axis.  A family
-    member without a lead factor has lead 1.0, an exact product."""
+def _bound_rhs_arrays(kind: str, nu: NuVector, k, ell, t, x, y):
+    """Vectorized ``bound_rhs`` as a function of the rate c; x, y stacked
+    on the first axis.
+
+    Every factor that does not depend on c (the lead, the power of t, the
+    weights and |x-y|^2) is formed once here, and the returned ``rhs(c)``
+    forms only exp(-|x-y|^2/(ct)).  It multiplies in the order of the
+    written-out product, ``pre`` (lead times the power of t) times the
+    Gaussian, then each weight, so every array is bit for bit the product
+    formed whole for that c.  A family member without a lead factor has
+    lead 1.0, an exact product."""
     t = np.asarray(t, dtype=float)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    d2 = np.sum((x - y) ** 2, axis=0)
-    gauss = np.exp(-d2 / (c * t))
+    neg_d2 = -np.sum((x - y) ** 2, axis=0)
     if kind in ("thm2_1", "thm2_4", "thm2_5"):
         ell = 0 if kind == "thm2_1" else int(ell)
         lead = _lead(int(k), t, x[0]) if kind == "thm2_5" else 1.0
-        return (
-            lead
-            * t ** (-(ell + 1) / 2.0)
-            * gauss
-            * _weight_1d(nu.nu[0], t, x[0])
-            * _weight_1d(nu.nu[0], t, y[0])
-        )
-    if kind in ("cor2_6a", "cor2_6b", "cor2_11"):
+        pre = lead * t ** (-(ell + 1) / 2.0)
+        weights = (_weight_1d(nu.nu[0], t, x[0]), _weight_1d(nu.nu[0], t, y[0]))
+    elif kind in ("cor2_6a", "cor2_6b", "cor2_11"):
         n = nu.n if kind == "cor2_11" else 1
-        return t ** (-(_total(k) + 2 * int(ell) + n) / 2.0) * gauss
-    if kind == "prop2_7":
-        return t ** (-int(ell) / 2.0) / x[0] * gauss
-    if kind in ("prop2_9", "prop2_10"):
-        w = (1.0 + np.sqrt(t) / _rho_arr(x) + np.sqrt(t) / _rho_arr(y)) ** (-nu.gamma_nu)
+        pre = t ** (-(_total(k) + 2 * int(ell) + n) / 2.0)
+        weights = ()
+    elif kind == "prop2_7":
+        pre = t ** (-int(ell) / 2.0) / x[0]
+        weights = ()
+    elif kind in ("prop2_9", "prop2_10"):
         lead = _lead(_total(k), t, _rho_arr(x)) if kind == "prop2_10" else 1.0
-        return lead * t ** (-(nu.n + _total(ell)) / 2.0) * gauss * w
-    raise DomainError(f"unknown bound kind {kind!r}; expected a pointwise inequality id")
+        pre = lead * t ** (-(nu.n + _total(ell)) / 2.0)
+        weights = ((1.0 + np.sqrt(t) / _rho_arr(x) + np.sqrt(t) / _rho_arr(y)) ** (-nu.gamma_nu),)
+    else:
+        raise DomainError(f"unknown bound kind {kind!r}; expected a pointwise inequality id")
+
+    def rhs(c: float):
+        out = pre * np.exp(neg_d2 / (c * t))
+        for w in weights:
+            out = out * w
+        return out
+
+    return rhs
 
 
 def bound_rhs(kind: str, nu, k, ell, q: KernelPoint, c: float) -> float:
@@ -720,5 +733,5 @@ def bound_rhs(kind: str, nu, k, ell, q: KernelPoint, c: float) -> float:
         raise DomainError("rate constant c must be positive")
     x = np.asarray(q.x, dtype=float)[:, None]
     y = np.asarray(q.y, dtype=float)[:, None]
-    out = _bound_rhs_arrays(kind, nu, k, ell, np.asarray([q.t]), x, y, float(c))
+    out = _bound_rhs_arrays(kind, nu, k, ell, np.asarray([q.t]), x, y)(float(c))
     return float(out[0])

@@ -77,11 +77,12 @@ def sample_kernel_points(
 ):
     """(t, x, y) samples: t log-uniform, coordinates log-uniform on the box.
 
-    Every fourth sample is near-diagonal (y = x e^{0.25 Z} componentwise):
-    plain independent sampling starves the x ~ y regime in product
-    dimension, where several bounds attain their suprema.  Interleaving
-    keeps nested prefixes homogeneous so refinement maxima are monotone
-    and comparable.
+    Every fourth sample, from the first on, is near-diagonal: plain
+    independent sampling starves the x ~ y regime in product dimension,
+    where several bounds attain their suprema.  Interleaving keeps nested
+    prefixes homogeneous so refinement maxima are monotone and comparable.
+    That quarter is written through the stride ``[::4]``, the same elements
+    in the same order as the mask ``arange(count) % 4 == 0``.
 
     Returns t of shape (count,) and x, y of shape (n, count).
     """
@@ -95,12 +96,11 @@ def sample_kernel_points(
     scales = loguniform(rng, 3e-2, 3e1, (n, count))
     eta = loguniform(rng, 1e-1, 3e1, count)
     u = _unit_vectors(rng, n, count)
-    near = np.arange(count) % 4 == 0
-    rt = np.sqrt(t[near])
-    y[:, near] = rt * scales[:, near]
-    step = rt * eta[near] * u[:, near]
-    cand = y[:, near] + step
-    x[:, near] = np.where(cand > 0.0, cand, y[:, near] + np.abs(step))
+    rt = np.sqrt(t[::4])
+    y[:, ::4] = rt * scales[:, ::4]
+    step = rt * eta[::4] * u[:, ::4]
+    cand = y[:, ::4] + step
+    x[:, ::4] = np.where(cand > 0.0, cand, y[:, ::4] + np.abs(step))
     return t, x, y
 
 

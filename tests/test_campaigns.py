@@ -32,7 +32,7 @@ from besselops.grids import (
 )
 from besselops.heat import NuVector
 from besselops.riesz import SubordinationPlan, riesz_apply
-from besselops.sampling import make_rng
+from besselops.sampling import _drift, _level_maxima, _verdict, make_rng
 from besselops.spaces import BallSampler, bmo_norm
 
 
@@ -140,6 +140,22 @@ class TestPointwiseCampaigns:
         with pytest.raises(ConfigError, match="must match dimension"):
             run_campaign(small(default_config(ineq), **over))
 
+    ONE_AXIS_IDS = ["thm2_1", "thm2_4", "thm2_5", "cor2_6a", "cor2_6b", "prop2_7", "prop2_8", "thm1_6i", "thm4_1"]
+
+    def test_one_axis_ids_are_the_registry_entries_so_marked(self):
+        assert sorted(self.ONE_AXIS_IDS) == sorted(i for i, spec in SPECS.items() if spec.one_axis)
+
+    @pytest.mark.parametrize("ineq", ONE_AXIS_IDS)
+    def test_one_axis_ids_refuse_an_nd_nu(self, monkeypatch, ineq):
+        # Refused before any sample, atom or corpus is drawn.
+        def no_samples(*args, **kwargs):
+            raise AssertionError("samples drawn")
+
+        for name in ("make_rng", "sample_kernel_points", "loguniform"):
+            monkeypatch.setattr(campaigns, name, no_samples)
+        with pytest.raises(ConfigError, match="nu must have one entry"):
+            run_campaign(small(default_config(ineq), nu=(0.6, 1.5)))
+
     def test_report_schema(self):
         rep, _ = run_campaign(small(default_config("thm2_1")))
         payload = json.loads(rep.canonical_json())
@@ -160,6 +176,118 @@ class TestPointwiseCampaigns:
         cfg = small(default_config("thm2_1"), box=(1e-2, 20.0), t_range=(1e-4, 1e-3))
         rep, _ = run_campaign(cfg)
         assert np.isfinite(rep.C_hat)
+
+
+def eager_fit(lhs, rhs_of_c, config):
+    """The rate fit that builds every c of the grid first, as a reference."""
+    rhs_by_c = {c: rhs_of_c(c) for c in config.c_grid}
+    results = {}
+    selection_drift = {}
+    for c, rhs in rhs_by_c.items():
+        ratios = campaigns._ratios(lhs, rhs)
+        levels = _level_maxima(ratios, config.samples, config.refine_levels)
+        results[c] = (levels, _drift(levels), ratios)
+        selection_drift[c] = _drift(campaigns._selection_levels(ratios, config))
+    stable = [
+        c for c in config.c_grid if _verdict(results[c][0], selection_drift[c]) == "stable"
+    ]
+    if stable:
+        c_hat = min(stable)
+    else:
+        scores = []
+        for c in config.c_grid:
+            levels, drift, _ = results[c]
+            top = levels[-1]
+            scores.append(top * (1.0 + drift) if math.isfinite(top) else math.inf)
+        c_hat = config.c_grid[int(np.argmin(scores))]
+    levels, _, ratios = results[c_hat]
+    return c_hat, levels, ratios, rhs_by_c[c_hat]
+
+
+SESSION_IDS = ("thm2_1", "thm2_4", "thm2_5", "cor2_6a", "cor2_6b", "prop2_7")
+
+
+class TestFitC:
+    def pointwise_inputs(self, ineq, **over):
+        config = small(default_config(ineq), **over)
+        spec = SPECS[ineq]
+        count = config.samples * 2 ** (config.refine_levels - 1)
+        t, x, y = spec.sampler(config, count)
+        lhs = np.abs(spec.lhs(config, t, x, y))
+        k_slot, ell_slot = spec.rhs(config)
+        rhs_of_c = heat._bound_rhs_arrays(ineq, config.nu_vector, k_slot, ell_slot, t, x, y)
+        return lhs, rhs_of_c, config
+
+    def assert_same_fit(self, lhs, rhs_of_c, config):
+        built = []
+
+        def counted(c):
+            built.append(c)
+            return rhs_of_c(c)
+
+        c_hat, levels, ratios, rhs = campaigns._fit_c(lhs, counted, config)
+        want_c, want_levels, want_ratios, want_rhs = eager_fit(lhs, rhs_of_c, config)
+        assert c_hat == want_c and levels == want_levels
+        assert np.array_equal(ratios, want_ratios) and np.array_equal(rhs, want_rhs)
+        return c_hat, built
+
+    @pytest.mark.parametrize(
+        "c_grid",
+        [(2.0, 4.0, 8.0, 16.0, 32.0), (32.0, 8.0, 2.0, 16.0, 4.0), (8.0, 2.0, 8.0, 4.0, 2.0)],
+    )
+    @pytest.mark.parametrize("ineq, stable", [("thm2_1", True), ("prop2_7", True), ("prop2_9", False)])
+    def test_fit_matches_the_eager_fit(self, ineq, stable, c_grid):
+        lhs, rhs_of_c, config = self.pointwise_inputs(ineq, c_grid=c_grid)
+        c_hat, built = self.assert_same_fit(lhs, rhs_of_c, config)
+        # Ascending, each distinct c once, up to the first stable one; all
+        # of them when none is stable (prop2_9 at 400 samples).
+        assert built == sorted(c for c in set(c_grid) if c <= c_hat or not stable)
+
+    @pytest.mark.parametrize(
+        "c_grid, want",
+        [((2.0, 4.0, 8.0), 8.0), ((16.0, 2.0, 8.0), 16.0), ((4.0, 2.0, 4.0, 32.0), 32.0)],
+    )
+    def test_no_stable_fallback_matches_the_eager_fit(self, c_grid, want):
+        # lhs grows along the samples, so every level doubles its maximum
+        # and no c is stable; C(c) = count / c, so the largest c scores best.
+        config = small(default_config("thm2_1"), c_grid=c_grid)
+        lhs = np.arange(1.0, 801.0)
+        c_hat, built = self.assert_same_fit(lhs, lambda c: np.full(800, c), config)
+        assert c_hat == want and built == sorted(set(c_grid))
+
+    @pytest.mark.parametrize("c_grid", [(16.0, 2.0, 8.0), (8.0, 2.0, 8.0, 16.0)])
+    def test_fallback_ties_keep_the_first_c_of_the_grid(self, c_grid):
+        config = small(default_config("thm2_1"), c_grid=c_grid)
+        lhs = np.arange(1.0, 801.0)
+        c_hat, _ = self.assert_same_fit(lhs, lambda c: np.ones(800), config)
+        assert c_hat == c_grid[0]
+
+    def test_one_session_pass_builds_the_rhs_up_to_each_c_hat(self, monkeypatch):
+        # One pass of the six pointwise session ids at the bundled seed 0
+        # builds 15 of the 30 right-hand sides an eager fit builds.
+        built = []
+        real = campaigns._bound_rhs_arrays
+
+        def counting(kind, *args):
+            rhs = real(kind, *args)
+
+            def counted(c):
+                built.append((kind, c))
+                return rhs(c)
+
+            return counted
+
+        monkeypatch.setattr(campaigns, "_bound_rhs_arrays", counting)
+        c_hats = {ineq: run_campaign(default_config(ineq))[0].c_hat for ineq in SESSION_IDS}
+        grid = sorted(default_config("thm2_1").c_grid)
+        assert built == [(i, c) for i in SESSION_IDS for c in grid if c <= c_hats[i]]
+        assert (len(built), len(SESSION_IDS) * len(grid)) == (15, 30)
+
+    def test_ratios_of_a_subnormal_rhs_are_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = campaigns._ratios(np.array([1.0, 0.0, 2.0]), np.array([1e-320, 0.0, 0.0]))
+        assert got[0] == math.inf and got[1] == 0.0 and got[2] == math.inf
 
 
 class TestProp28:

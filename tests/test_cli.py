@@ -196,6 +196,17 @@ class TestGlobalFlags:
         assert "configuration error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("ineq", ["thm2_1", "cor2_6a", "prop2_7", "prop2_8"])
+    def test_one_axis_id_with_an_nd_nu_is_a_configuration_error(self, tmp_path, capsys, ineq):
+        config = json.loads(bundled_config_path(ineq).read_text())
+        config.update(nu=[0.6, 1.5], samples=100)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        rc = main(["--out", str(tmp_path), "campaign", "run", "--config", str(path)])
+        assert rc == 2
+        assert "nu must have one entry" in capsys.readouterr().err
+
+
 class TestMiscCommands:
     def test_kernel_verify(self, capsys):
         rc = main(["kernel", "verify"])

@@ -582,7 +582,7 @@ class TestBoundRhs:
         for c in (2.0, 8.0):
             want = branch_bound_rhs(kind, nu, k, ell, t, x, y, c)
             assert np.all(want[:40] == 0.0) and np.count_nonzero(want) > 200
-            assert np.array_equal(heat._bound_rhs_arrays(kind, nu, k, ell, t, x, y, c), want)
+            assert np.array_equal(heat._bound_rhs_arrays(kind, nu, k, ell, t, x, y)(c), want)
 
     def test_thm21_direct_substitution(self):
         nu, x = 0.8, 1.7

@@ -1,6 +1,7 @@
 """Deterministic sampling tests, including the generator reference stream."""
 
 import numpy as np
+import pytest
 
 from besselops.sampling import (
     loguniform,
@@ -34,6 +35,32 @@ def test_kernel_points_domain():
     near = np.arange(4000) % 4 == 0
     ratios = np.max(np.abs(np.log(y[:, near] / np.sqrt(t[near]))), axis=0)
     assert np.all(ratios <= -np.log(3e-2) + 1e-9)
+
+
+def mask_kernel_points(rng, count, n, t_range=(1e-4, 1e2), box=(1e-2, 20.0)):
+    """sample_kernel_points with its near-diagonal quarter picked by a mask."""
+    t = loguniform(rng, t_range[0], t_range[1], count)
+    x = loguniform(rng, box[0], box[1], (n, count))
+    y = loguniform(rng, box[0], box[1], (n, count))
+    scales = loguniform(rng, 3e-2, 3e1, (n, count))
+    eta = loguniform(rng, 1e-1, 3e1, count)
+    v = rng.normal(size=(n, count))
+    u = v / np.sqrt(np.sum(v * v, axis=0))
+    near = np.arange(count) % 4 == 0
+    rt = np.sqrt(t[near])
+    y[:, near] = rt * scales[:, near]
+    step = rt * eta[near] * u[:, near]
+    cand = y[:, near] + step
+    x[:, near] = np.where(cand > 0.0, cand, y[:, near] + np.abs(step))
+    return t, x, y
+
+
+@pytest.mark.parametrize("n, count", [(1, 1000), (2, 1000), (1, 1003), (2, 2)])
+def test_kernel_points_stride_matches_the_mask(n, count):
+    got = sample_kernel_points(make_rng(11), count, n)
+    want = mask_kernel_points(make_rng(11), count, n)
+    for u, v in zip(got, want):
+        assert np.array_equal(u, v)
 
 
 def test_offdiag_pairs():
