@@ -1,11 +1,13 @@
 """Configuration-driven verification campaigns.
 
 Every campaign evaluates one inequality family over a deterministic,
-seeded, nested sample plan and fits the existential constants: for each
+seeded, nested sample plan and fits the existential constants: for a
 candidate exponential rate c in the config grid, C(c) is the maximum of
-lhs/rhs(c) over the samples (``_ratios``); the reported rate minimizes C(c)
-times a stability penalty, and the verdict follows the refinement ladder
-and drift gate of ``sampling``.  ``_report`` builds the report of every
+lhs/rhs(c) over the samples (``_ratios``); the reported rate is the
+smallest c whose C(c) is refinement-stable, found by trying the grid in
+ascending order (``_fit_c``), or, when none is, the c minimizing C(c) times
+a stability penalty.  The verdict follows the refinement ladder and drift
+gate of ``sampling``.  ``_report`` builds the report of every
 runner whose constant is its last level maximum; thm1_6ii builds its own.
 Inequalities whose right-hand side carries no exponential rate (the
 integrated difference bound, the transform size/smoothness bounds, and the

@@ -77,12 +77,11 @@ def sample_kernel_points(
 ):
     """(t, x, y) samples: t log-uniform, coordinates log-uniform on the box.
 
-    Every fourth sample, from the first on, is near-diagonal: plain
-    independent sampling starves the x ~ y regime in product dimension,
-    where several bounds attain their suprema.  Interleaving keeps nested
-    prefixes homogeneous so refinement maxima are monotone and comparable.
-    That quarter is written through the stride ``[::4]``, the same elements
-    in the same order as the mask ``arange(count) % 4 == 0``.
+    Every fourth sample from index 0 (the stride ``[::4]``) is
+    near-diagonal: plain independent sampling starves the x ~ y regime in
+    product dimension, where several bounds attain their suprema.
+    Interleaving keeps nested prefixes homogeneous so refinement maxima are
+    monotone and comparable.
 
     Returns t of shape (count,) and x, y of shape (n, count).
     """

@@ -140,7 +140,9 @@ class TestPointwiseCampaigns:
         with pytest.raises(ConfigError, match="must match dimension"):
             run_campaign(small(default_config(ineq), **over))
 
-    ONE_AXIS_IDS = ["thm2_1", "thm2_4", "thm2_5", "cor2_6a", "cor2_6b", "prop2_7", "prop2_8", "thm1_6i", "thm4_1"]
+    ONE_AXIS_IDS = [
+        "thm2_1", "thm2_4", "thm2_5", "cor2_6a", "cor2_6b", "prop2_7", "prop2_8", "thm1_6i", "thm4_1"
+    ]
 
     def test_one_axis_ids_are_the_registry_entries_so_marked(self):
         assert sorted(self.ONE_AXIS_IDS) == sorted(i for i, spec in SPECS.items() if spec.one_axis)
