@@ -135,8 +135,8 @@ class CampaignConfig:
             raise ConfigError("sample count must be at least 100")
         if self.refine_levels < 2:
             raise ConfigError("need at least 2 refinement levels")
-        if not self.c_grid:
-            raise ConfigError("c grid must be nonempty")
+        if not self.c_grid or not all(0.0 < c < math.inf for c in self.c_grid):
+            raise ConfigError("c grid must be a nonempty list of finite rates > 0")
 
     @property
     def nu_vector(self) -> NuVector:
@@ -806,11 +806,15 @@ def run_campaign(config: CampaignConfig, collect_samples: bool = False):
     Deterministic for fixed (config, seed): identical inputs produce byte
     identical canonical reports.  Refuses, before sampling
     (``ConfigError``), a per-axis multi-index whose length is not the
-    dimension of ``nu``, and an ``nu`` of more than one axis for a 1-D id.
+    dimension of ``nu``, and for a 1-D id an ``nu``, ``k`` or ``ell`` of
+    more than one entry.
     """
     spec = SPECS[config.inequality]
-    if spec.one_axis and len(config.nu) != 1:
-        raise ConfigError(f"{config.inequality} runs in one dimension; nu must have one entry")
+    for name in ("nu", "k", "ell") if spec.one_axis else ():
+        if len(getattr(config, name)) != 1:
+            raise ConfigError(
+                f"{config.inequality} runs in one dimension; {name} must have one entry"
+            )
     for name in spec.per_axis:
         if len(getattr(config, name)) != len(config.nu):
             raise ConfigError(f"{name} multi-index must match dimension")

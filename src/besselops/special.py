@@ -10,39 +10,33 @@ entry points cover the forms needed elsewhere in the package:
   positive at z = 0.
 
 All three accept scalars or numpy arrays for ``z``.  Orders below -1 are
-rejected: the defining power series
+rejected: the defining power series (DLMF 10.25.2)
 
     I_alpha(z) = sum_k (z/2)^{alpha+2k} / (k! Gamma(alpha+k+1))
 
 requires alpha > -1, so Gamma (``math.gamma``) is only ever taken at
-alpha + 1 > 0, away from its poles.  The series has positive terms (no
-cancellation), so it is used for moderate z; beyond the switch point the
-Hankel large-z expansion of e^{-z} I_alpha(z) is summed to its optimally
-small term.
+alpha + 1 > 0, away from its poles.  Its terms are positive (no
+cancellation), so it serves up to the order's switch point; the Hankel
+large-z expansion of e^{-z} I_alpha(z) (DLMF 10.40.1) serves past it.
 
-``besseli_scaled`` also takes a sequence of orders and returns one row per
-order, bit for bit the one-order values: a heat-kernel ladder p_t^{nu+m}
-needs several orders on one z, so the checks, the series/asymptotic split,
-the magnitude bins, log(z/2), (z/2)^2 and e^{-z} are computed once.
-
-Each element of a call is independent of the batch it is in, so a call on
-concatenated arguments is bit for bit the calls on the parts, and neither
-the bin edges nor the batch's composition move a bit.  The series runs in
-bins of z, each as long as its largest element needs: an element is done
-once its term is <= 1e-17 of its total, below half an ulp of the total
-(> 5.5e-17 of it), and its later terms are smaller still, so running on
-leaves the total unchanged.  An asymptotic element freezes once its terms
-stop shrinking, and while they shrink past 1e-17 of its sum they leave it
-unchanged too.  Everything else (the domain check, the zero and overflow
-entries, the first term, log(z/2)) is elementwise.  The heat kernels rely
-on it twice: a grid axis evaluates each class of its node products once,
-at the class's representative (``grids.Axis.pairs``), and a time loop
-evaluates a block of consecutive time nodes in one call.
+Each order and bin of z has one fixed polynomial, evaluated by Horner's
+rule: the series over its first term in (z/2)^2, its degree set at the
+bin's upper edge, and the Hankel sum in 1/z, its degree set at the lower
+edge.  As the degrees depend on the order and the bin alone, each element
+of a call is independent of its batch: a call on concatenated arguments is
+bit for bit the calls on the parts.  The heat kernels rely on it twice: a
+grid axis evaluates each class of its node products once, at the class's
+representative (``grids.Axis.pairs``), and a time loop evaluates a block
+of consecutive time nodes in one call.  ``besseli_scaled`` also takes a
+sequence of orders, as a heat-kernel ladder p_t^{nu+m} needs, and does the
+work of a bin that does not depend on the order once.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -57,13 +51,14 @@ __all__ = [
 # Unscaled I overflows float64 around z ~ 709; refuse a little earlier.
 _OVERFLOW_Z = 705.0
 
-_SERIES_TOL = 1e-17
-_SERIES_MAX_TERMS = 500
-_ASYMP_MAX_TERMS = 30
+_TOL = 1e-17
 
 # Lower edges of the series bins; the last bin ends at the switch point.
 # Most heat-kernel arguments lie below 1, so the bins there are fine.
 _SERIES_EDGES = (0.0, 1e-3, 0.03, 0.3, 1.0, 5.0, 15.0)
+# Lower edges of the asymptotic bins above the switch point; the first bin
+# starts at the switch point and the last has no upper edge.
+_ASYMP_EDGES = (30.0, 60.0, 150.0, 1e3, 1e4)
 
 
 def _order(alpha) -> float:
@@ -84,59 +79,79 @@ def _switch_point(alpha: float) -> float:
     return min(600.0, max(20.0, 2.0 * alpha * alpha))
 
 
-def _series(alpha: float, term: np.ndarray, q: np.ndarray, probe: int) -> np.ndarray:
-    """sum_k term_k from term_0 = ``term`` (overwritten) and
-    term_{k+1} = term_k q / ((k+1)(alpha+k+1)), with q = (z/2)^2."""
-    total = term.copy()
-    for k in range(_SERIES_MAX_TERMS):
-        term *= q
-        term /= (k + 1.0) * (alpha + k + 1.0)
+def _binned(orders: list[float], z: np.ndarray):
+    """(lo, hi, is_series, rows, idx) for each bin (lo, hi] of the orders
+    that holds arguments: ``rows`` are the orders with that bin, ``idx`` the
+    positions of its arguments in z."""
+    bins: dict[tuple[float, float, bool], list[int]] = {}
+    for i, a in enumerate(orders):
+        zs = _switch_point(a)
+        asymp = (zs, *(e for e in _ASYMP_EDGES if e > zs), math.inf)
+        for edges, is_series in (((*_SERIES_EDGES, zs), True), (asymp, False)):
+            for lo, hi in zip(edges, edges[1:]):
+                bins.setdefault((lo, hi, is_series), []).append(i)
+    for (lo, hi, is_series), rows in bins.items():
+        idx = np.flatnonzero((z > lo) & (z <= hi))
+        if idx.size:
+            yield lo, hi, is_series, rows, idx
+
+
+def _series_unit(hi: float) -> float:
+    """2^-e / 4 with 2^e <= (hi/2)^2 < 2^(e+1): the series variable of the
+    bin ending at ``hi``, u = z^2 2^-e / 4 exactly, stays below 2 across the
+    bin, so its coefficients neither overflow nor underflow."""
+    return math.ldexp(0.25, 1 - math.frexp(0.25 * hi * hi)[1])
+
+
+@lru_cache(maxsize=1024)
+def _series_coeffs(alpha: float, hi: float) -> tuple[float, ...]:
+    """d_k with sum_k d_k u^k = sum_k q^k Gamma(alpha+1) / (k! Gamma(alpha+k+1))
+    over its first term, q = (z/2)^2 = u 2^e.
+
+    The terms grow relative to the sum with q, so the degree is set at the
+    upper edge: the last kept term is there <= 1e-17 of the sum, below half
+    an ulp of it, and smaller still below the edge.  The coefficients come
+    from the term ratio, never from a power of q, which overflows."""
+    q, unit = 0.25 * hi * hi, 4.0 * _series_unit(hi)
+    coeffs, term, total = [1.0], 1.0, 1.0
+    for k in count():
+        ratio = (k + 1.0) * (alpha + k + 1.0)
+        coeffs.append(coeffs[-1] / (unit * ratio))
+        term = term * q / ratio
         total += term
-        # The full check cannot pass while one element fails it, so the
-        # element that converges last, the largest argument, is tested first.
-        if (
-            k & 1
-            and term[probe] <= _SERIES_TOL * total[probe]
-            and np.all(term <= _SERIES_TOL * total)
-        ):
-            break
-    return total
+        if term <= _TOL * total:
+            return tuple(coeffs)
 
 
-def _asymptotic_scaled(alpha: float, z: np.ndarray) -> np.ndarray:
-    """e^{-z} I_alpha(z) from the large-argument expansion, z well above 1.
+@lru_cache(maxsize=1024)
+def _hankel_coeffs(alpha: float, lo: float) -> tuple[float, ...]:
+    """b_k with sqrt(2 pi z) e^{-z} I_alpha(z) ~ sum_k b_k z^{-k} for z >
+    ``lo``; the e^{-2z} companion, below 5e-18 for z >= 20, is dropped.
 
-    Sums 1/sqrt(2 pi z) * sum_k (-1)^k a_k(alpha) / z^k adaptively, stopping
-    at the smallest term.  The e^{-2z} companion term is below 1e-26 for
-    z >= 30 and is dropped.
-    """
+    The terms shrink relative to the sum as z grows, so the degree is set at
+    the lower edge: up to the first term there <= 1e-17 of the sum, or up
+    to the last one before the terms from b_1 on stop shrinking."""
     mu = 4.0 * alpha * alpha
-    s = np.ones_like(z)
-    term = np.ones_like(z)
-    mag = np.empty_like(z)
-    prev_mag = np.full_like(z, np.inf)
-    active = np.ones(z.shape, dtype=bool)
-    # The full check cannot pass while one element fails it, so the
-    # element that converges last, the smallest argument, is tested first.
-    probe = int(np.argmin(z))
-    for k in range(1, _ASYMP_MAX_TERMS + 1):
-        factor = (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
-        term *= -factor
-        term /= z
-        np.abs(term, out=mag)
-        # Freeze elements past their smallest term; add the rest.
-        active &= mag < prev_mag
-        np.add(s, term, out=s, where=active)
-        mag, prev_mag = prev_mag, mag
-        if active[probe] and prev_mag[probe] > _SERIES_TOL * abs(s[probe]):
-            continue
-        if not np.any(active & (prev_mag > _SERIES_TOL * np.abs(s))):
-            break
-    del term, mag, prev_mag, active
-    root = 2.0 * math.pi * z
-    np.sqrt(root, out=root)
-    s /= root
-    return s
+    coeffs, term, total = [1.0], 1.0, 1.0
+    for k in count(1):
+        factor = -(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
+        if k > 1 and abs(factor) >= lo:  # the terms stop shrinking at lo
+            return tuple(coeffs)
+        coeffs.append(coeffs[-1] * factor)
+        term = term * factor / lo
+        total += term
+        if abs(term) <= _TOL * abs(total):
+            return tuple(coeffs)
+
+
+def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] x^k, with at least two coefficients."""
+    out = x * coeffs[-1]
+    out += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        out *= x
+        out += c
+    return out
 
 
 def _log_half(z: np.ndarray) -> np.ndarray:
@@ -148,61 +163,46 @@ def _log_half(z: np.ndarray) -> np.ndarray:
     return np.log(0.5 * z)
 
 
-def _first_term(alpha: float, log_half: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
-    """The series' first term (z/2)^alpha / Gamma(alpha + 1), and where it
-    overflows (an empty slice where nothing does).  ``bounds`` holds the
-    least and the largest log(z/2); while alpha times each is <= 700,
-    nothing overflows.  Past that (orders near -1 at subnormal z) the
-    overflowed entries are zeroed in the term, so the series never meets
-    inf * 0 = nan, and the caller writes inf."""
+def _first_term(alpha: float, log_half: np.ndarray, bounds) -> np.ndarray:
+    """The series' first term (z/2)^alpha / Gamma(alpha + 1), inf where it
+    overflows (orders near -1 at subnormal z, where u = 0: the polynomial is
+    1, so the value is inf, never nan).  ``bounds`` holds the least and the
+    largest log(z/2); while alpha times each is <= 700, nothing overflows."""
     if max(alpha * bounds[0], alpha * bounds[1]) <= 700.0:
-        return np.exp(alpha * log_half) / math.gamma(alpha + 1.0), slice(0)
+        return np.exp(alpha * log_half) / math.gamma(alpha + 1.0)
     with np.errstate(over="ignore"):
         term = np.exp(alpha * log_half) / math.gamma(alpha + 1.0)
         over = np.isinf(term)
         # (z/2)^alpha alone may overflow while the term does not.
         half = np.exp(0.5 * alpha * log_half[over])
         term[over] = half * (half / math.gamma(alpha + 1.0))
-    over = np.isinf(term)
-    term[over] = 0.0
-    return term, over
+    return term
 
 
 def _scaled_rows(orders: list[float], z: np.ndarray) -> np.ndarray:
-    """Row i is e^{-z} I_{orders[i]}(z) over the checked 1-D array z; orders
-    with one switch point share the split, and all orders share the bins."""
+    """Row i is e^{-z} I_{orders[i]}(z) over the checked 1-D array z; the
+    orders that share a bin share its per-argument work."""
     out = np.empty((len(orders), z.size))
     zero = np.flatnonzero(z == 0.0)
     for row, a in zip(out, orders):
         row[zero] = 1.0 if a == 0.0 else (0.0 if a > 0.0 else np.inf)
-    groups: dict[float, list[int]] = {}
-    for i, a in enumerate(orders):
-        groups.setdefault(_switch_point(a), []).append(i)
-    bins = [(lo, hi, range(len(orders))) for lo, hi in zip(_SERIES_EDGES, _SERIES_EDGES[1:])]
-    bins += [(_SERIES_EDGES[-1], zs, rows) for zs, rows in groups.items()]
     # The per-argument temporaries of a bin set the call's peak memory, so a
     # bin drops each of them once it is done with it.
-    for lo, hi, rows in bins:
-        idx = np.flatnonzero((z > lo) & (z <= hi))
-        if idx.size:
-            zz = z[idx]
-            log_half, q, scale = _log_half(zz), 0.25 * zz * zz, np.exp(-zz)
-            probe = int(np.argmax(zz))
-            del zz
-            bounds = (np.min(log_half), np.max(log_half))
+    for lo, hi, is_series, rows, idx in _binned(orders, z):
+        zz = z[idx]
+        if not is_series:
+            w, root = 1.0 / zz, np.sqrt(2.0 * math.pi * zz)
             for i in rows:
-                term, over = _first_term(orders[i], log_half, bounds)
-                total = _series(orders[i], term, q, probe)
-                del term
-                total *= scale
-                total[over] = np.inf
-                out[i, idx] = total
-    for zs, rows in groups.items():
-        idx = np.flatnonzero(z > zs)
-        if idx.size:
-            zz = z[idx]
-            for i in rows:
-                out[i, idx] = _asymptotic_scaled(orders[i], zz)
+                out[i, idx] = _horner(_hankel_coeffs(orders[i], lo), w) / root
+            continue
+        log_half, u, scale = _log_half(zz), zz * zz * _series_unit(hi), np.exp(-zz)
+        del zz
+        bounds = (np.min(log_half), np.max(log_half))
+        for i in rows:
+            total = _horner(_series_coeffs(orders[i], hi), u)
+            total *= _first_term(orders[i], log_half, bounds)
+            total *= scale
+            out[i, idx] = total
     return out
 
 
@@ -255,17 +255,16 @@ def besseli_ratio(alpha, z):
     a = _order(alpha)
     arr, scalar = _as_array(z)
     _check_nonneg(arr)
-    out = np.empty_like(arr)
-    zs = _switch_point(a)
+    flat = arr.ravel()
+    # The series' k = 0 term of z^{-alpha} I_alpha is its z -> 0 limit.
     limit = 1.0 / (2.0**a * math.gamma(a + 1.0))
-
-    small = arr <= zs
-    if np.any(small):
-        zz = arr[small]
-        # Series for z^{-alpha} I_alpha: k=0 term is the z->0 limit.
-        out[small] = _series(a, np.full_like(zz, limit), 0.25 * zz * zz, int(np.argmax(zz)))
-    if np.any(~small):
-        zz = arr[~small]
-        with np.errstate(over="ignore"):
-            out[~small] = np.exp(zz - a * np.log(zz)) * _asymptotic_scaled(a, zz)
+    out = np.full(flat.shape, limit)
+    for lo, hi, is_series, _, idx in _binned([a], flat):
+        zz = flat[idx]
+        if is_series:
+            out[idx] = limit * _horner(_series_coeffs(a, hi), zz * zz * _series_unit(hi))
+        else:
+            with np.errstate(over="ignore"):
+                growth = np.exp(zz - a * np.log(zz)) / np.sqrt(2.0 * math.pi * zz)
+            out[idx] = growth * _horner(_hankel_coeffs(a, lo), 1.0 / zz)
     return float(out[0]) if scalar else out.reshape(np.shape(z))

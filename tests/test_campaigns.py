@@ -59,6 +59,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CampaignConfig.from_json('{"inequality": "thm2_1", "bogus": 1}')
 
+    @pytest.mark.parametrize("c_grid", [[-1.0], [0.0], [math.nan], [math.inf], [2.0, -1.0]])
+    def test_c_grid_rates_must_be_finite_and_positive(self, c_grid):
+        with pytest.raises(ConfigError, match="finite rates > 0"):
+            CampaignConfig(inequality="thm2_1", c_grid=c_grid)
+
     def test_bundled_configs_exist_and_parse(self):
         for ineq in INEQUALITY_IDS:
             path = bundled_config_path(ineq)
@@ -157,6 +162,18 @@ class TestPointwiseCampaigns:
             monkeypatch.setattr(campaigns, name, no_samples)
         with pytest.raises(ConfigError, match="nu must have one entry"):
             run_campaign(small(default_config(ineq), nu=(0.6, 1.5)))
+
+    @pytest.mark.parametrize("over", [{"k": (1, 2)}, {"ell": (2, 5)}])
+    @pytest.mark.parametrize("ineq", ONE_AXIS_IDS)
+    def test_one_axis_ids_refuse_a_multi_entry_k_or_ell(self, monkeypatch, ineq, over):
+        # A 1-D runner reads entry 0 only; the rest would be echoed unused.
+        def no_samples(*args, **kwargs):
+            raise AssertionError("samples drawn")
+
+        for name in ("make_rng", "sample_kernel_points", "loguniform"):
+            monkeypatch.setattr(campaigns, name, no_samples)
+        with pytest.raises(ConfigError, match=f"{next(iter(over))} must have one entry"):
+            run_campaign(small(default_config(ineq), **over))
 
     def test_report_schema(self):
         rep, _ = run_campaign(small(default_config("thm2_1")))

@@ -206,6 +206,16 @@ class TestGlobalFlags:
         assert rc == 2
         assert "nu must have one entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c_grid", ["[-1.0]", "[0.0]", "[NaN]", "[Infinity]", "[2.0, -1.0]"])
+    def test_c_grid_rate_not_finite_and_positive_is_a_configuration_error(
+        self, tmp_path, capsys, c_grid
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"inequality": "thm2_1", "samples": 100, "c_grid": {c_grid}}}')
+        rc = main(["--out", str(tmp_path), "campaign", "run", "--config", str(path)])
+        assert rc == 2
+        assert "finite rates > 0" in capsys.readouterr().err
+
 
 class TestMiscCommands:
     def test_kernel_verify(self, capsys):

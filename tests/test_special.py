@@ -35,6 +35,19 @@ def series_oracle(alpha, z, terms=60):
     return total
 
 
+def ive_reference(alpha, z):
+    """e^{-z} I_alpha(z) from scipy, or from mpmath where scipy's reflection
+    formula for negative orders fails: within 1e-3 of order -1 it loses
+    digits (3e-11 relative at 1e-6), and at subnormal orders it gives nan."""
+    ref = sps.ive(alpha, z)
+    if alpha + 1.0 >= 1e-3 and not np.isnan(ref).any():
+        return ref
+    with mpmath.workdps(30):
+        return np.array(
+            [float(mpmath.besseli(alpha, v) * mpmath.exp(-v)) for v in map(mpmath.mpf, z)]
+        )
+
+
 class TestBesselI:
     def test_at_zero(self):
         assert besseli(0.0, 0.0) == 1.0  # leading series term 1/Gamma(1)
@@ -78,16 +91,41 @@ class TestBesselI:
             ref = sps.ive(a, zs)
             assert np.allclose(ours, ref, rtol=5e-13, atol=0), f"alpha={a}"
 
+    @given(
+        alpha=st.floats(min_value=-1.0, max_value=12.0, exclude_min=True),
+        logs=st.lists(st.floats(min_value=-300.0, max_value=6.0), max_size=20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_against_reference_at_every_bin_edge(self, alpha, logs):
+        # Each bin's polynomial at both of its edges and just past them, and
+        # log-uniform draws on [1e-300, 1e6].
+        from besselops.special import _ASYMP_EDGES, _SERIES_EDGES, _switch_point
+
+        edges = np.array([*_SERIES_EDGES[1:], _switch_point(alpha), *_ASYMP_EDGES])
+        z = np.concatenate(
+            [edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), 10.0 ** np.array(logs)]
+        )
+        ref = ive_reference(alpha, z)
+        resolved = ref > 1e-300  # scipy flushes values below about 1e-304 to 0
+        ours = besseli_scaled(alpha, z)
+        np.testing.assert_allclose(ours[resolved], ref[resolved], rtol=5e-13, atol=0.0)
+        assert np.all(ours[~resolved] < 2e-300)
+
     def test_cross_regime_continuity(self):
-        # Series and asymptotic agree near the switch point.
-        from besselops.special import _asymptotic_scaled, _series, _switch_point
+        # Series and asymptotic agree near the switch point, each with its
+        # polynomial for the whole range: the series' degree set at the
+        # upper end, the asymptotic one's at the lower end.
+        from besselops.special import (
+            _hankel_coeffs, _horner, _series_coeffs, _series_unit, _switch_point,
+        )
 
         for a in (0.0, 0.5, 1.7, 3.0, 6.0):
             zs = _switch_point(a)
             z = np.linspace(zs * 0.98, zs * 1.25, 25)
             first = np.exp(a * np.log(0.5 * z)) / math.gamma(a + 1.0)
-            series = np.exp(-z) * _series(a, first, 0.25 * z * z, z.size - 1)
-            asym = _asymptotic_scaled(a, z)
+            poly = _horner(_series_coeffs(a, z[-1]), z * z * _series_unit(z[-1]))
+            series = np.exp(-z) * first * poly
+            asym = _horner(_hankel_coeffs(a, z[0]), 1.0 / z) / np.sqrt(2.0 * math.pi * z)
             assert np.max(np.abs(series / asym - 1.0)) < 1e-10
 
     @pytest.mark.parametrize("alpha", [0.0, -0.9, -0.5, 0.6])
@@ -117,6 +155,15 @@ class TestBesselI:
                 np.testing.assert_allclose(row[~over], expect, rtol=5e-13, atol=0.0)
         assert np.isinf(rows).sum() == 5  # -0.999 at the first three z, -0.96 at two
         assert_rows_match_single_orders(alphas, z)
+
+    @pytest.mark.parametrize("alpha", [36.0, 40.0, 45.0])
+    def test_orders_past_the_capped_switch_point_against_mpmath(self, alpha):
+        # The switch point stops at 600 < alpha^2 / 2, so the first Hankel
+        # term exceeds 1 just above it; the terms from b_1 on still shrink.
+        z = np.array([600.0001, 601.0, 700.0, 999.0, 1001.0, 2e4])
+        with mpmath.workdps(30):
+            ref = [float(mpmath.besseli(alpha, v) * mpmath.exp(-v)) for v in map(mpmath.mpf, z)]
+        np.testing.assert_allclose(besseli_scaled(alpha, z), ref, rtol=5e-13, atol=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -156,6 +203,41 @@ class TestMultiOrder:
         )
         assert_rows_match_single_orders(self.ALPHAS, z)
         assert_rows_match_single_orders(self.ALPHAS[::-1], z[::-1])
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_polynomial_degrees_cover_their_bins(self, alpha):
+        # Terms from the definitions in mpmath: the series' first dropped
+        # term at a bin's upper edge is <= 1e-17 of the kept sum, and the
+        # Hankel sum's kept terms shrink at a bin's lower edge down to a
+        # first dropped term <= 1e-17 of their sum.
+        from besselops.special import (
+            _ASYMP_EDGES, _SERIES_EDGES, _hankel_coeffs, _series_coeffs, _series_unit,
+            _switch_point,
+        )
+
+        zs = _switch_point(alpha)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            for hi in [*_SERIES_EDGES[1:], zs]:
+                coeffs = _series_coeffs(alpha, hi)
+                q, u = mpmath.mpf(hi) ** 2 / 4, mpmath.mpf(hi) ** 2 * _series_unit(hi)
+                terms = [
+                    q**k * mpmath.gamma(a + 1) / (mpmath.factorial(k) * mpmath.gamma(a + k + 1))
+                    for k in range(len(coeffs) + 1)
+                ]
+                assert terms[-1] <= 1e-17 * mpmath.fsum(terms[:-1]), (alpha, hi)
+                for k, c in enumerate(coeffs):
+                    assert mpmath.almosteq(c * u**k, terms[k], rel_eps=1e-13), (alpha, hi, k)
+            for lo in [zs, *(e for e in _ASYMP_EDGES if e > zs)]:
+                coeffs = _hankel_coeffs(alpha, lo)
+                terms = [mpmath.mpf(1)]
+                for k in range(1, len(coeffs) + 1):
+                    terms.append(-terms[-1] * (4 * a**2 - (2 * k - 1) ** 2) / (8 * k * lo))
+                kept = [abs(t) for t in terms[:-1]]
+                assert all(b < c for c, b in zip(kept, kept[1:])), (alpha, lo)
+                assert abs(terms[-1]) <= 1e-17 * abs(mpmath.fsum(terms[:-1])), (alpha, lo)
+                for k, c in enumerate(coeffs):
+                    assert mpmath.almosteq(c / mpmath.mpf(lo) ** k, terms[k], rel_eps=1e-13)
 
     @pytest.mark.parametrize(
         "z", [0.0, 0.7, 300.0, np.array([[0.0, 0.2], [16.0, 50.0], [1e3, 1e-4]]), np.array([])]
