@@ -2,8 +2,9 @@
 
 Tensor-product quadrature grids over a truncated box, semigroup application
 by kernel quadrature, the heat maximal function, L^p (quasi-)norms, the
-oscillatory eigenfunctions, and a finite-difference version of the
-first-order operator delta used as a cross-check oracle.
+oscillatory eigenfunctions (whose Bessel factors come from
+``special.besselj``), and a finite-difference version of the first-order
+operator delta used as a cross-check oracle.
 
 Grids are log-spaced by default (dense near the boundary where the critical
 radius and the kernel weights vary fastest) with trapezoid weights for
@@ -39,8 +40,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, GridError, UnderResolvedError
+from .errors import DomainError, GridError
 from .heat import NuVector, as_nu_vector, _ladders
+from .special import besselj
 
 __all__ = [
     "Axis",
@@ -55,7 +57,6 @@ __all__ = [
     "apply_semigroup",
     "maximal_function",
     "lp_norm",
-    "besselj",
     "eigenfunction",
     "eigenfunction_gridfn",
     "apply_delta_fd",
@@ -400,46 +401,6 @@ class EigenfunctionSpec:
     @property
     def norm2(self) -> float:
         return float(sum(v * v for v in self.lam))
-
-
-# Past this argument the alternating series loses more than 1e-7 relative
-# (plus 5e-9 absolute) to cancellation; scipy.special.jv is the oracle.
-_BESSELJ_Z_MAX = 21.0
-
-
-def besselj(alpha: float, z):
-    """First-kind Bessel J_alpha via its alternating power series.
-
-    Raises ``UnderResolvedError`` for arguments above ``_BESSELJ_Z_MAX``,
-    where cancellation in the series would return a wrong value.
-    """
-    alpha = float(alpha)
-    if alpha <= -1.0:
-        raise DomainError("order must exceed -1")
-    z = np.asarray(z, dtype=float)
-    if np.any(z > _BESSELJ_Z_MAX):
-        raise UnderResolvedError(
-            f"besselj series is accurate only for z <= {_BESSELJ_Z_MAX}, got {np.max(z)}"
-        )
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    zero = z == 0.0
-    if np.any(zero):
-        out[zero] = 1.0 if alpha == 0.0 else (0.0 if alpha > 0.0 else np.inf)
-    pos = ~zero
-    if np.any(pos):
-        zz = z[pos]
-        term = np.exp(alpha * np.log(0.5 * zz)) / math.gamma(alpha + 1.0)
-        total = term.copy()
-        q = 0.25 * zz * zz
-        for k in range(400):
-            term = term * (-q) / ((k + 1.0) * (alpha + k + 1.0))
-            total += term
-            if np.all(np.abs(term) <= 1e-17 * np.maximum(np.abs(total), 1e-300)):
-                break
-        out[pos] = total
-    return float(out[0]) if scalar else out
 
 
 def eigenfunction(nu, spec: EigenfunctionSpec, x) -> float:

@@ -163,9 +163,9 @@ _EXP_ZERO = 746.0
 
 # A ladder stream evaluates its Bessel functions in one call per block of
 # consecutive time nodes holding at least this many arguments.  Below it the
-# evaluator's fixed work per call (its bins, masks and convergence probes)
-# outweighs its arithmetic; above it the per-argument temporaries, about
-# 100 bytes each, only raise the peak memory.
+# evaluator's fixed work per call (a mask and a gather per bin of z, and
+# each bin's table lookups) outweighs its arithmetic; above it the
+# per-argument temporaries, about 100 bytes each, only raise the peak memory.
 _BESSEL_BLOCK = 2**14
 
 

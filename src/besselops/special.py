@@ -1,16 +1,18 @@
-"""Modified Bessel functions of the first kind.
+"""Bessel functions of the first kind.
 
-Everything here is a pure function of its arguments.  The three Bessel
-entry points cover the forms needed elsewhere in the package:
+Everything here is a pure function of its arguments.  The four entry points
+cover the forms needed elsewhere in the package:
 
 * ``besseli(alpha, z)``          -- I_alpha(z) itself,
 * ``besseli_scaled(alpha, z)``   -- e^{-z} I_alpha(z), finite for all
   representable z (the form heat kernels are assembled from),
 * ``besseli_ratio(alpha, z)``    -- z^{-alpha} I_alpha(z), finite and
-  positive at z = 0.
+  positive at z = 0,
+* ``besselj(alpha, z)``          -- J_alpha(z) for z <= 21, I's series
+  polynomial at -(z/2)^2 (DLMF 10.2.2), for the eigenfunctions of ``grids``.
 
-All three accept scalars or numpy arrays for ``z``.  Orders below -1 are
-rejected: the defining power series (DLMF 10.25.2)
+All four take scalars or numpy arrays of finite z >= 0, for I up to the
+largest float.  Orders below -1 are rejected: the power series (DLMF 10.25.2)
 
     I_alpha(z) = sum_k (z/2)^{alpha+2k} / (k! Gamma(alpha+k+1))
 
@@ -18,6 +20,7 @@ requires alpha > -1, so Gamma (``math.gamma``) is only ever taken at
 alpha + 1 > 0, away from its poles.  Its terms are positive (no
 cancellation), so it serves up to the order's switch point; the Hankel
 large-z expansion of e^{-z} I_alpha(z) (DLMF 10.40.1) serves past it.
+Orders are refused where its terms cannot reach 1e-17 (past 600, above 49).
 
 Each order and bin of z has one fixed polynomial, evaluated by Horner's
 rule: the series over its first term in (z/2)^2, its degree set at the
@@ -40,16 +43,20 @@ from itertools import count
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UnderResolvedError
 
 __all__ = [
     "besseli",
     "besseli_scaled",
     "besseli_ratio",
+    "besselj",
 ]
 
 # Unscaled I overflows float64 around z ~ 709; refuse a little earlier.
 _OVERFLOW_Z = 705.0
+
+# J's domain edge: past it cancellation costs the series more than 1e-7.
+_J_Z_MAX = 21.0
 
 _TOL = 1e-17
 
@@ -129,19 +136,29 @@ def _hankel_coeffs(alpha: float, lo: float) -> tuple[float, ...]:
     ``lo``; the e^{-2z} companion, below 5e-18 for z >= 20, is dropped.
 
     The terms shrink relative to the sum as z grows, so the degree is set at
-    the lower edge: up to the first term there <= 1e-17 of the sum, or up
-    to the last one before the terms from b_1 on stop shrinking."""
+    the lower edge: up to the first term there <= 1e-17 of the sum.  The
+    order is refused if the terms from b_1 on stop shrinking before that."""
     mu = 4.0 * alpha * alpha
     coeffs, term, total = [1.0], 1.0, 1.0
     for k in count(1):
         factor = -(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
         if k > 1 and abs(factor) >= lo:  # the terms stop shrinking at lo
-            return tuple(coeffs)
+            raise DomainError(f"Bessel order {alpha} is too large for z > {lo}")
         coeffs.append(coeffs[-1] * factor)
         term = term * factor / lo
         total += term
         if abs(term) <= _TOL * abs(total):
             return tuple(coeffs)
+
+
+def _hankel_root(z: np.ndarray, hi: float) -> np.ndarray:
+    """sqrt(2 pi z); in the last bin sqrt(2 pi) sqrt(z) where 2 pi z
+    overflows (z > 2.86e307), so every smaller z keeps its rounding."""
+    if hi < math.inf:
+        return np.sqrt(2.0 * math.pi * z)
+    with np.errstate(over="ignore"):
+        root = np.sqrt(2.0 * math.pi * z)
+    return np.where(np.isinf(root), math.sqrt(2.0 * math.pi) * np.sqrt(z), root)
 
 
 def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
@@ -191,7 +208,7 @@ def _scaled_rows(orders: list[float], z: np.ndarray) -> np.ndarray:
     for lo, hi, is_series, rows, idx in _binned(orders, z):
         zz = z[idx]
         if not is_series:
-            w, root = 1.0 / zz, np.sqrt(2.0 * math.pi * zz)
+            w, root = 1.0 / zz, _hankel_root(zz, hi)
             for i in rows:
                 out[i, idx] = _horner(_hankel_coeffs(orders[i], lo), w) / root
             continue
@@ -265,6 +282,27 @@ def besseli_ratio(alpha, z):
             out[idx] = limit * _horner(_series_coeffs(a, hi), zz * zz * _series_unit(hi))
         else:
             with np.errstate(over="ignore"):
-                growth = np.exp(zz - a * np.log(zz)) / np.sqrt(2.0 * math.pi * zz)
+                growth = np.exp(zz - a * np.log(zz)) / _hankel_root(zz, hi)
             out[idx] = growth * _horner(_hankel_coeffs(a, lo), 1.0 / zz)
+    return float(out[0]) if scalar else out.reshape(np.shape(z))
+
+
+def besselj(alpha, z):
+    """J_alpha(z) for 0 <= z <= 21; ``UnderResolvedError`` above, where the
+    cancellation of the alternating series would return a wrong value."""
+    a = _order(alpha)
+    arr, scalar = _as_array(z)
+    _check_nonneg(arr)
+    if np.any(arr > _J_Z_MAX):
+        raise UnderResolvedError(f"besselj is accurate only for z <= {_J_Z_MAX}")
+    flat = arr.ravel()
+    out = np.full(flat.shape, 1.0 if a == 0.0 else (0.0 if a > 0.0 else np.inf))
+    edges = (*_SERIES_EDGES, _J_Z_MAX)
+    for lo, hi in zip(edges, edges[1:]):
+        idx = np.flatnonzero((flat > lo) & (flat <= hi))
+        if idx.size:
+            zz = flat[idx]
+            log_half = _log_half(zz)
+            out[idx] = _horner(_series_coeffs(a, hi), -(zz * zz * _series_unit(hi)))
+            out[idx] *= _first_term(a, log_half, (np.min(log_half), np.max(log_half)))
     return float(out[0]) if scalar else out.reshape(np.shape(z))

@@ -60,6 +60,13 @@ class TestExitCodes:
         assert rc == 2
         assert "strictly positive" in capsys.readouterr().err
 
+    def test_kernel_eval_at_a_refused_bessel_order_is_2(self, capsys):
+        # z = xy/2t = 700 lies in the first asymptotic bin (600, 1000],
+        # where order 60's Hankel terms stop shrinking above 1e-17.
+        rc = main(["kernel", "eval", "--nu", "60", "--t", "1e-3", "--x", "1", "--y", "1.4"])
+        assert rc == 2
+        assert "too large" in capsys.readouterr().err
+
     def test_kernel_eval_ok(self, capsys):
         rc = main(["kernel", "eval", "--nu", "0.5", "--t", "1.0", "--x", "1.0", "--y", "2.0"])
         assert rc == 0

@@ -18,7 +18,6 @@ from besselops.grids import (
     T_GRID_DEFAULT,
     apply_delta_fd,
     apply_semigroup,
-    besselj,
     default_grid,
     eigenfunction,
     eigenfunction_gridfn,
@@ -35,6 +34,7 @@ from besselops.grids import (
     _semigroup_values,
 )
 from besselops.heat import NuVector, _p1d, eval_delta_heat_1d, heat_kernel_1d
+from besselops.special import _SERIES_EDGES, besselj
 from conftest import class_ladder, class_products
 
 
@@ -448,8 +448,13 @@ class TestEigenfunctions:
         assert np.allclose(ours, closed, rtol=1e-8, atol=2e-9)
 
     def test_besselj_against_scipy(self):
-        z = np.linspace(0.0, 20.0, 200)
-        for a in (-0.3, 0.0, 0.5, 1.0, 2.7):
+        # J's bins end at each series edge and at its domain edge 21.
+        edges = np.array([*_SERIES_EDGES[1:], 21.0])
+        z = np.concatenate(
+            [np.linspace(0.0, 20.0, 200), edges, np.nextafter(edges, 0.0),
+             np.nextafter(edges[:-1], np.inf)]
+        )
+        for a in (-0.3, 0.0, 0.5, 1.0, 2.7, 5.5, 7.5):
             ours, ref = besselj(a, z), sps.jv(a, z)
             both_inf = np.isinf(ours) & np.isinf(ref)
             assert np.allclose(ours[~both_inf], ref[~both_inf], rtol=1e-7, atol=5e-9)
@@ -463,6 +468,8 @@ class TestEigenfunctions:
             besselj(1.0, np.array([1.0, 30.0]))
         z = np.linspace(0.0, 21.0, 211)
         assert np.allclose(besselj(0.0, z), sps.jv(0.0, z), rtol=1e-7, atol=5e-9)
+        with pytest.raises(DomainError):
+            besselj(0.5, np.array([1.0, -1.0]))
 
     def test_vanishing_at_origin(self):
         nu = NuVector((0.7, 1.2))

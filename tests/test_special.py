@@ -156,7 +156,7 @@ class TestBesselI:
         assert np.isinf(rows).sum() == 5  # -0.999 at the first three z, -0.96 at two
         assert_rows_match_single_orders(alphas, z)
 
-    @pytest.mark.parametrize("alpha", [36.0, 40.0, 45.0])
+    @pytest.mark.parametrize("alpha", [36.0, 40.0, 45.0, 49.0])
     def test_orders_past_the_capped_switch_point_against_mpmath(self, alpha):
         # The switch point stops at 600 < alpha^2 / 2, so the first Hankel
         # term exceeds 1 just above it; the terms from b_1 on still shrink.
@@ -164,6 +164,42 @@ class TestBesselI:
         with mpmath.workdps(30):
             ref = [float(mpmath.besseli(alpha, v) * mpmath.exp(-v)) for v in map(mpmath.mpf, z)]
         np.testing.assert_allclose(besseli_scaled(alpha, z), ref, rtol=5e-13, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [49.05, 50.0, 60.0])
+    def test_orders_whose_hankel_terms_stop_shrinking_are_refused(self, alpha):
+        # Just above the capped switch point 600 the terms from b_1 on stop
+        # shrinking above 1e-17 of the sum; the sum stopped there was wrong
+        # (-0.0176 for 0.00203 at order 50).
+        z = np.array([1.0, 600.0001])
+        with pytest.raises(DomainError):
+            besseli_scaled(alpha, z)
+        with pytest.raises(DomainError):
+            besseli_scaled([0.5, alpha], z)
+        with pytest.raises(DomainError):
+            besseli_ratio(alpha, z)
+        with pytest.raises(DomainError):
+            besseli(alpha, z)
+
+    def test_large_order_below_its_switch_point_against_mpmath(self):
+        # The refusal is per bin: order 60's series bins still evaluate.
+        with mpmath.workdps(30):
+            ref = float(mpmath.besseli(60, 100) * mpmath.exp(-100))
+        assert besseli_scaled(60.0, 100.0) == pytest.approx(ref, rel=5e-13)
+
+    def test_huge_arguments_against_mpmath(self):
+        # 2 pi z overflows above 2.86e307; the last bin forms sqrt(2 pi z)
+        # from sqrt(z) there, and z^{-alpha} I_alpha(z) overflows to inf.
+        z = np.array([1e4 + 1.0, 2.8e307, 2.9e307, 1e308, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = besseli_scaled(0.5, z)
+            ratio = besseli_ratio(0.5, z)
+        with mpmath.workdps(30):
+            ref = [
+                float(mpmath.besseli(0.5, v) * mpmath.exp(-v)) for v in map(mpmath.mpf, z)
+            ]
+        np.testing.assert_allclose(ours, ref, rtol=5e-13, atol=0.0)
+        assert np.all(np.isposinf(ratio))  # ~ e^z / (z sqrt(2 pi)) overflows
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
