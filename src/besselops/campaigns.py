@@ -9,9 +9,9 @@ ascending order (``_fit_c``), or, when none is, the c minimizing C(c) times
 a stability penalty.  The verdict follows the refinement ladder and drift
 gate of ``sampling``.  ``_report`` builds the report of every
 runner whose constant is its last level maximum; thm1_6ii builds its own.
-Inequalities whose right-hand side carries no exponential rate (the
-integrated difference bound, the transform size/smoothness bounds, and the
-operator spot checks) ignore the c grid.
+Inequalities whose right-hand side carries no exponential rate (prop2_8,
+thm1_5_size, thm1_5_smooth and the operator campaigns, whose runners call
+``riesz``, ``grids`` and ``spaces`` themselves) ignore the c grid.
 
 Each inequality id is declared once, as an entry of ``SPECS``; its default
 config is the bundled ``configs/<id>.json``.
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, UnderResolvedError
+from .errors import ConfigError, UnderResolvedError
 from .grids import (
     GridFunction,
     T_GRID_DEFAULT,
@@ -42,7 +42,6 @@ from .grids import (
 )
 from .heat import (
     NuVector,
-    as_nu_vector,
     _bound_rhs_arrays,
     _pair_word,
     _word_products,
@@ -58,8 +57,7 @@ from .heat import (
 from .riesz import (
     CzSamplePlan,
     SubordinationPlan,
-    cz_size_sweep,
-    cz_smooth_sweep,
+    _cz_sides,
     grid_multi_index,
     riesz_apply,
     riesz_difference_matrix,
@@ -90,8 +88,6 @@ __all__ = [
     "CampaignConfig",
     "BoundReport",
     "run_campaign",
-    "hardy_spot_check",
-    "bmo_spot_check",
     "default_config",
     "bundled_config_path",
 ]
@@ -395,7 +391,7 @@ def _thm1_5_campaign(config: CampaignConfig, collect: bool):
     the two pair batches for the smoothness bound."""
     size = config.inequality == "thm1_5_size"
     sweep_box = (max(config.box[0], 0.05), min(config.box[1], 10.0))
-    sweep = (cz_size_sweep if size else cz_smooth_sweep)(
+    sides = _cz_sides(
         config.nu_vector,
         config.k,
         CzSamplePlan(
@@ -406,15 +402,17 @@ def _thm1_5_campaign(config: CampaignConfig, collect: bool):
             min_separation=config.min_separation,
         ),
         config.plan,
+        size=size,
+        smooth=not size,
     )
-    side = sweep if size else sweep["smooth"]
+    side = sides["size" if size else "smooth"]
     notes = ["rhs carries no exponential rate; c grid unused"]
     if not size:
         notes.append(
             "holder exponent min(1, nu_min + 1/2) = "
             + repr(side["exponent"])
             + "; unclipped-exponent fit: C_hat = "
-            + repr(sweep["smooth_raw_exponent"]["C_hat"])
+            + repr(sides["smooth_raw_exponent"]["C_hat"])
         )
     notes.append(
         "kernel: exact time integral from Schlafli's integral; the plan is unused in 1-D"
@@ -428,7 +426,7 @@ def _thm1_5_campaign(config: CampaignConfig, collect: bool):
 
 
 # ---------------------------------------------------------------------------
-# Operator spot checks
+# Operator bound campaigns: atoms (thm1_6i) and oscillation norms (thm1_6ii)
 
 
 def _project_moments(values, grid, mask, omega, center, radius):
@@ -478,84 +476,6 @@ def _random_atom(rng, grid, p: float, center_range=(0.7, 7.0)):
     return AtomCandidate(GridFunction(grid, vals), ball, p)
 
 
-def hardy_spot_check(
-    nu,
-    k,
-    p: float,
-    atom_count: int = 50,
-    seed: int = 0,
-    grid_nodes: int = 512,
-    plan: SubordinationPlan | None = None,
-    big_m: int = 0,
-    levels: int = 2,
-) -> dict:
-    """Uniform-boundedness check of the transform on random atoms.
-
-    For each atom a: apply the order-k transform, then the maximal
-    function at the shifted order nu + k + 2M, and take the L^p quasi-norm.
-    Reports max, median, their ratio (uniform iff <= ``UNIFORMITY_GATE``),
-    nested-prefix maxima across refinement levels, and the sensitivity of
-    the worst quasi-norm to doubling the time-grid density (the finite time
-    grid undershoots the true supremum).
-
-    The atoms and the Riesz matrix are 1-D, so n >= 2 is refused.  All
-    atoms are drawn first and stacked as the columns of one array, so the
-    transform and each semigroup kernel act on every atom in one matrix
-    product; each kernel is built once per call.  The Riesz matrix stays
-    referenced until the call returns.  thm1_6i's peak RSS is bimodal,
-    about 1.2 MB apart, by the lengths of the process's paths; kept, the
-    matrix gave the lower mode at 7 of 8 directory-name lengths tried, and
-    freed right after its product at 4 of 8.
-    """
-    nu = as_nu_vector(nu)
-    if nu.n != 1:
-        raise DomainError(
-            f"hardy_spot_check draws 1-D atoms and applies the 1-D Riesz matrix; got n = {nu.n}"
-        )
-    k = grid_multi_index(k, 1)
-    plan = plan or SubordinationPlan(1e-6, 1e4, 12)
-    grid = default_grid(1, nodes_per_axis=grid_nodes)
-    shift = tuple(kj + 2 * big_m for kj in k)
-    nu_shifted = nu.shifted(shift)
-    rng = make_rng(seed)
-    atoms = [_random_atom(rng, grid, p) for _ in range(atom_count * 2 ** (levels - 1))]
-    stack = np.stack([atom.f.values for atom in atoms], axis=-1)
-    if sum(k):
-        mat = riesz_matrix(nu, k, grid, plan)
-        stack = mat @ stack
-    maxed = _maximal_values(nu_shifted, T_GRID_DEFAULT, grid, stack)
-    norms_arr = np.array([lp_norm(GridFunction(grid, col), p) for col in maxed.T])
-    # the last atom that reaches the maximum
-    worst = norms_arr.size - 1 - int(np.argmax(norms_arr[::-1]))
-    level_max = _level_maxima(norms_arr, atom_count, levels)
-    prefixes = (norms_arr[: atom_count * 2**lev] for lev in range(levels))
-    level_ratio = [float(np.max(p) / np.median(p)) for p in prefixes]
-    med = float(np.median(norms_arr))
-    mx = float(np.max(norms_arr))
-    # time-grid sensitivity on the worst atom: T_GRID_DEFAULT is the even-m
-    # half of the dense grid, whose maximum the stack already holds
-    dense = tuple(2.0 ** (m / 2.0) for m in range(-20, 13))
-    rest = tuple(t for t in dense if t not in T_GRID_DEFAULT)
-    base = float(norms_arr[worst])
-    fine_max = np.maximum(maxed[:, worst], _maximal_values(nu_shifted, rest, grid, stack[:, worst]))
-    fine = lp_norm(GridFunction(grid, fine_max), p)
-    return {
-        "max": mx,
-        "median": med,
-        "max_over_median": mx / med if med > 0 else math.inf,
-        "uniform": bool(med > 0 and mx / med <= UNIFORMITY_GATE),
-        "per_refinement_max": level_max,
-        "per_refinement_ratio": level_ratio,
-        "drift": _drift(level_max),
-        "worst_atom": {
-            "center": list(atoms[worst].ball.center),
-            "radius": atoms[worst].ball.radius,
-            "norm": mx,
-        },
-        "t_grid_refinement_delta": abs(fine - base) / base if base > 0 else 0.0,
-    }
-
-
 def _random_corpus(rng, grid, count: int):
     """``count`` sums of three random Gaussian bumps on the grid, each with a
     centre drawn per coordinate, cut to 0 wherever a coordinate is more
@@ -576,15 +496,78 @@ def _random_corpus(rng, grid, count: int):
     return out
 
 
-def bmo_spot_check(
-    nu,
-    k,
-    s: float = 0.0,
-    corpus_size: int = 10,
-    seed: int = 0,
-    grid_nodes: int = 384,
-    plan: SubordinationPlan | None = None,
-) -> dict:
+def _thm1_6i_campaign(config: CampaignConfig, collect: bool):
+    """Uniform-boundedness check of the transform on random atoms.
+
+    For each atom a: apply the order-k transform, then the maximal
+    function at the shifted order nu + k + 2M, and take the L^p quasi-norm.
+    Reports the ratio max/median on each nested prefix of atoms (uniform
+    iff <= ``UNIFORMITY_GATE``) and notes the max, the nested-prefix
+    maxima, and the sensitivity of the worst quasi-norm to doubling the
+    time-grid density (the finite time grid undershoots the true
+    supremum).
+
+    The atoms and the Riesz matrix are 1-D; the registry's ``one_axis``
+    refuses n >= 2.  All atoms are drawn first and stacked as the columns
+    of one array, so the transform and each semigroup kernel act on every
+    atom in one matrix product; each kernel is built once per call.  The
+    Riesz matrix stays referenced until the call returns.  thm1_6i's peak
+    RSS is bimodal, about 1.2 MB apart, by the lengths of the process's
+    paths; kept, the matrix gave the lower mode at 7 of 8 directory-name
+    lengths tried, and freed right after its product at 4 of 8.
+    """
+    nu = config.nu_vector
+    k = grid_multi_index(config.k, 1)
+    p, atom_count, levels = config.p, config.atom_count, config.refine_levels
+    grid = default_grid(1, nodes_per_axis=config.grid_nodes)
+    nu_shifted = nu.shifted(tuple(kj + 2 * config.big_m for kj in k))
+    rng = make_rng(config.seed)
+    atoms = [_random_atom(rng, grid, p) for _ in range(atom_count * 2 ** (levels - 1))]
+    stack = np.stack([atom.f.values for atom in atoms], axis=-1)
+    if sum(k):
+        mat = riesz_matrix(nu, k, grid, config.plan)
+        stack = mat @ stack
+    maxed = _maximal_values(nu_shifted, T_GRID_DEFAULT, grid, stack)
+    norms = np.array([lp_norm(GridFunction(grid, col), p) for col in maxed.T])
+    # the last atom that reaches the maximum
+    worst = norms.size - 1 - int(np.argmax(norms[::-1]))
+    prefixes = (norms[: atom_count * 2**lev] for lev in range(levels))
+    ratios = [float(np.max(prefix) / np.median(prefix)) for prefix in prefixes]
+    # time-grid sensitivity on the worst atom: T_GRID_DEFAULT is the even-m
+    # half of the dense grid, whose maximum the stack already holds
+    dense = tuple(2.0 ** (m / 2.0) for m in range(-20, 13))
+    rest = tuple(t for t in dense if t not in T_GRID_DEFAULT)
+    base = float(norms[worst])
+    fine_max = np.maximum(maxed[:, worst], _maximal_values(nu_shifted, rest, grid, stack[:, worst]))
+    fine = lp_norm(GridFunction(grid, fine_max), p)
+    mx = float(np.max(norms))
+    # The certified quantity is uniform boundedness over the atom family;
+    # the max itself keeps exploring atom space, so no drift gate applies.
+    # A ratio that is not finite fails the gate.
+    uniform = all(r <= UNIFORMITY_GATE for r in ratios)
+    notes = [
+        f"C_hat is the uniformity ratio max/median (gate: <= {UNIFORMITY_GATE:g})",
+        "max quasi-norm: " + repr(mx),
+        "per-refinement max quasi-norms: " + repr(_level_maxima(norms, atom_count, levels)),
+        "time-grid density sensitivity: " + repr(abs(fine - base) / base if base > 0 else 0.0),
+    ]
+    worst_atom = {
+        "center": list(atoms[worst].ball.center),
+        "radius": atoms[worst].ball.radius,
+        "norm": mx,
+    }
+    report = _report(
+        config,
+        ratios,
+        worst_atom,
+        {"p": p, "atom_count": atom_count},
+        notes,
+        verdict="stable" if uniform else "violated",
+    )
+    return report, None
+
+
+def _thm1_6ii_campaign(config: CampaignConfig, collect: bool):
     """Advisory ratio table for the transform on the oscillation norm.
 
     The sampled-supremum norm proxy is sampler dependent, so this check
@@ -595,13 +578,12 @@ def bmo_spot_check(
     by one ``riesz_apply`` call, which builds the transform once, and each
     transform serves both samplers.
     """
-    nu = as_nu_vector(nu)
-    k = grid_multi_index(k, nu.n)
-    plan = plan or SubordinationPlan(1e-6, 1e4, 12)
-    grid = default_grid(nu.n, nodes_per_axis=grid_nodes)
+    nu = config.nu_vector
+    k = grid_multi_index(config.k, nu.n)
+    s = config.s
+    grid = default_grid(nu.n, nodes_per_axis=config.grid_nodes)
     max_degree = max(0, math.floor(s))
-    rng = make_rng(seed)
-    corpus = _random_corpus(rng, grid, corpus_size)
+    corpus = _random_corpus(make_rng(config.seed), grid, config.corpus_size)
 
     def sampled_ratios(functions, sampler):
         denoms = bmo_norm(functions, s, max_degree, sampler)
@@ -611,69 +593,17 @@ def bmo_spot_check(
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        transforms = riesz_apply(nu, k, corpus, plan)
+        transforms = riesz_apply(nu, k, corpus, config.plan)
         ratios = sampled_ratios(corpus, BallSampler(grid, 16, 8))
-        fine_ratios = sampled_ratios(corpus[: max(2, corpus_size // 3)], BallSampler(grid, 32, 16))
-    coarse = max(ratios) if ratios else 0.0
-    return {
-        "ratios": ratios,
-        "max_ratio": coarse,
-        "sampler_refined_max": max(fine_ratios) if fine_ratios else 0.0,
-        "advisory": True,
-    }
-
-
-def _thm1_6i_campaign(config: CampaignConfig, collect: bool):
-    result = hardy_spot_check(
-        config.nu_vector,
-        config.k,
-        config.p,
-        atom_count=config.atom_count,
-        seed=config.seed,
-        grid_nodes=config.grid_nodes,
-        plan=config.plan,
-        big_m=config.big_m,
-        levels=config.refine_levels,
-    )
-    levels = result["per_refinement_ratio"]
-    # The certified quantity is uniform boundedness over the atom family;
-    # the max itself keeps exploring atom space, so no drift gate applies.
-    # A ratio that is not finite fails the gate.
-    uniform = all(r <= UNIFORMITY_GATE for r in levels)
-    notes = [
-        f"C_hat is the uniformity ratio max/median (gate: <= {UNIFORMITY_GATE:g})",
-        "max quasi-norm: " + repr(result["max"]),
-        "per-refinement max quasi-norms: " + repr(result["per_refinement_max"]),
-        "time-grid density sensitivity: " + repr(result["t_grid_refinement_delta"]),
-    ]
-    report = _report(
-        config,
-        levels,
-        result["worst_atom"],
-        {"p": config.p, "atom_count": config.atom_count},
-        notes,
-        verdict="stable" if uniform else "violated",
-    )
-    return report, None
-
-
-def _thm1_6ii_campaign(config: CampaignConfig, collect: bool):
-    result = bmo_spot_check(
-        config.nu_vector,
-        config.k,
-        s=config.s,
-        corpus_size=config.corpus_size,
-        seed=config.seed,
-        grid_nodes=config.grid_nodes,
-        plan=config.plan,
-    )
-    ratios = result["ratios"]
-    levels = [result["max_ratio"], result["sampler_refined_max"]]
+        fine_ratios = sampled_ratios(
+            corpus[: max(2, config.corpus_size // 3)], BallSampler(grid, 32, 16)
+        )
+    levels = [max(ratios, default=0.0), max(fine_ratios, default=0.0)]
     drift = _drift([v for v in levels if v > 0] or [0.0])
     report = BoundReport(
         inequality="thm1_6ii",
-        params=_params_dict(config, s=config.s, corpus_size=config.corpus_size),
-        C_hat=result["max_ratio"],
+        params=_params_dict(config, s=s, corpus_size=config.corpus_size),
+        C_hat=levels[0],
         c_hat=0.0,
         worst_sample={"ratios": ratios},
         per_refinement_C=levels,

@@ -12,6 +12,7 @@ enters the report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -216,7 +217,7 @@ def cmd_atoms_check(args) -> int:
             raise ConfigError("--ball 'c1,...,cn;r' is required unless --f-atom")
         atom = AtomCandidate(f, _parse_ball(args.ball), args.p)
         verdict = validate_p_rho_atom(atom, restrict_radius=args.restrict_radius)
-    payload = verdict.to_dict()
+    payload = dataclasses.asdict(verdict)
     payload["verdict"] = "valid" if verdict.valid else "invalid"
     payload["_file"] = "atom_check.json"
     _emit(payload, args)

@@ -39,8 +39,9 @@ a caller with many functions builds it once and applies it to each of them
 In 1-D the time integral of each term of the word has a closed form once
 the Bessel function is written by Schlafli's integral, which leaves a
 smooth angular integral and no Bessel call (``riesz_kernel_1d``).  The
-Calderon-Zygmund sweeps use it for n = 1; their subordination plan governs
-only n >= 2.
+Calderon-Zygmund sweeps (``cz_bound_check`` and the thm1_5_size and
+thm1_5_smooth campaigns, through ``_cz_sides``) use it for n = 1; their
+subordination plan governs only n >= 2.
 """
 
 from __future__ import annotations
@@ -80,8 +81,6 @@ __all__ = [
     "riesz_difference_matrix",
     "grid_multi_index",
     "CzSamplePlan",
-    "cz_size_sweep",
-    "cz_smooth_sweep",
     "cz_bound_check",
 ]
 
@@ -627,7 +626,8 @@ def _side(ratio, sample_plan: CzSamplePlan, points=None, **extra) -> dict:
 
 def _cz_sides(nu: NuVector, k, sample_plan: CzSamplePlan, plan, size: bool, smooth: bool):
     """The requested sides of ``cz_bound_check``: the size side needs only
-    R(x, y), the smoothness sides both pair batches."""
+    R(x, y), the smoothness sides both pair batches.  The thm1_5_size and
+    thm1_5_smooth campaigns each ask for their own side only."""
     n = nu.n
     x, y, yp = _cz_triples(n, sample_plan)
     rows = _sweep_kernels(nu, k, x, y, plan, both=smooth)
@@ -651,22 +651,6 @@ def _cz_sides(nu: NuVector, k, sample_plan: CzSamplePlan, plan, size: bool, smoo
         sides["smooth"] = _side(smooth_ratio, sample_plan, points, exponent=gam)
         sides["smooth_raw_exponent"] = _side(smooth_ratio_raw, sample_plan, exponent=gam_raw)
     return sides
-
-
-def cz_size_sweep(nu, k, sample_plan: CzSamplePlan, plan: SubordinationPlan) -> dict:
-    """The size side of ``cz_bound_check``: sup |R(x,y)| |x-y|^n, from
-    R(x, y) alone.  In 1-D R is the exact time integral
-    (``riesz_kernel_1d``) and ``plan`` is unused; it governs only n >= 2."""
-    return _cz_sides(as_nu_vector(nu), k, sample_plan, plan, size=True, smooth=False)["size"]
-
-
-def cz_smooth_sweep(nu, k, sample_plan: CzSamplePlan, plan: SubordinationPlan) -> dict:
-    """The "smooth" and "smooth_raw_exponent" entries of ``cz_bound_check``.
-
-    In 1-D the kernels are the exact time integral (``riesz_kernel_1d``)
-    and ``plan`` is unused; it governs only n >= 2.
-    """
-    return _cz_sides(as_nu_vector(nu), k, sample_plan, plan, size=False, smooth=True)
 
 
 def cz_bound_check(

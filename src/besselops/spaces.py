@@ -142,17 +142,6 @@ class AtomVerdict:
     kind: str = ""
     diagnostics: dict = field(default_factory=dict, compare=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "support_ok": self.support_ok,
-            "size_ok": self.size_ok,
-            "cancellation_ok": self.cancellation_ok,
-            "cancellation_required": self.cancellation_required,
-            "kind": self.kind,
-            "diagnostics": self.diagnostics,
-        }
-
 
 def validate_p_rho_atom(
     a: AtomCandidate,

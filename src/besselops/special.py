@@ -17,10 +17,12 @@ largest float.  Orders below -1 are rejected: the power series (DLMF 10.25.2)
     I_alpha(z) = sum_k (z/2)^{alpha+2k} / (k! Gamma(alpha+k+1))
 
 requires alpha > -1, so Gamma (``math.gamma``) is only ever taken at
-alpha + 1 > 0, away from its poles.  Its terms are positive (no
-cancellation), so it serves up to the order's switch point; the Hankel
-large-z expansion of e^{-z} I_alpha(z) (DLMF 10.40.1) serves past it.
-Orders are refused where its terms cannot reach 1e-17 (past 600, above 49).
+alpha + 1 > 0, away from its poles; above order 170.6, where it overflows,
+the first term is formed from ``math.lgamma``.  The series terms are
+positive (no cancellation), so it serves up to the order's switch point;
+the Hankel large-z expansion of e^{-z} I_alpha(z) (DLMF 10.40.1) serves
+past it.  Orders are refused where its terms cannot reach 1e-17 (past 600,
+above 49).
 
 Each order and bin of z has one fixed polynomial, evaluated by Horner's
 rule: the series over its first term in (z/2)^2, its degree set at the
@@ -184,15 +186,22 @@ def _first_term(alpha: float, log_half: np.ndarray, bounds) -> np.ndarray:
     """The series' first term (z/2)^alpha / Gamma(alpha + 1), inf where it
     overflows (orders near -1 at subnormal z, where u = 0: the polynomial is
     1, so the value is inf, never nan).  ``bounds`` holds the least and the
-    largest log(z/2); while alpha times each is <= 700, nothing overflows."""
+    largest log(z/2); while alpha times each is <= 700, nothing overflows.
+    Above order 170.6, where Gamma(alpha + 1) itself overflows, the term is
+    exp(alpha log(z/2) - lgamma(alpha + 1)), which stays below e^300 for
+    every z below the switch point."""
+    try:
+        gamma = math.gamma(alpha + 1.0)
+    except OverflowError:
+        return np.exp(alpha * log_half - math.lgamma(alpha + 1.0))
     if max(alpha * bounds[0], alpha * bounds[1]) <= 700.0:
-        return np.exp(alpha * log_half) / math.gamma(alpha + 1.0)
+        return np.exp(alpha * log_half) / gamma
     with np.errstate(over="ignore"):
-        term = np.exp(alpha * log_half) / math.gamma(alpha + 1.0)
+        term = np.exp(alpha * log_half) / gamma
         over = np.isinf(term)
         # (z/2)^alpha alone may overflow while the term does not.
         half = np.exp(0.5 * alpha * log_half[over])
-        term[over] = half * (half / math.gamma(alpha + 1.0))
+        term[over] = half * (half / gamma)
     return term
 
 
@@ -273,8 +282,12 @@ def besseli_ratio(alpha, z):
     arr, scalar = _as_array(z)
     _check_nonneg(arr)
     flat = arr.ravel()
-    # The series' k = 0 term of z^{-alpha} I_alpha is its z -> 0 limit.
-    limit = 1.0 / (2.0**a * math.gamma(a + 1.0))
+    # The series' k = 0 term of z^{-alpha} I_alpha is its z -> 0 limit; in
+    # logs where 2^alpha or Gamma(alpha + 1) overflows (alpha > 170.6).
+    try:
+        limit = 1.0 / (2.0**a * math.gamma(a + 1.0))
+    except OverflowError:
+        limit = math.exp(-a * math.log(2.0) - math.lgamma(a + 1.0))
     out = np.full(flat.shape, limit)
     for lo, hi, is_series, _, idx in _binned([a], flat):
         zz = flat[idx]

@@ -21,9 +21,9 @@ import math
 
 import numpy as np
 
-from .grids import Grid, GridFunction, default_grid, uniform_axis
-from .heat import critical_function
-from .spaces import AtomCandidate, Ball
+from besselops.grids import Grid, GridFunction, default_grid, uniform_axis
+from besselops.heat import critical_function
+from besselops.spaces import AtomCandidate, Ball
 
 __all__ = [
     "bundled_ball_atoms",

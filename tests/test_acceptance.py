@@ -13,11 +13,6 @@ import numpy as np
 import pytest
 
 from besselops.campaigns import CampaignConfig, default_config, run_campaign
-from besselops.fixtures import (
-    bundled_ball_atoms,
-    bundled_line_atoms,
-    decomposition_fixture,
-)
 from besselops.grids import (
     EigenfunctionSpec,
     GridFunction,
@@ -43,6 +38,12 @@ from besselops.spaces import (
     vitali_covering,
 )
 from besselops.special import besseli, besseli_ratio, besseli_scaled
+
+from atom_fixtures import (
+    bundled_ball_atoms,
+    bundled_line_atoms,
+    decomposition_fixture,
+)
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):

@@ -2,6 +2,7 @@
 smoke runs of each inequality family (the heavy acceptance-tolerance runs
 live in the acceptance suite)."""
 
+import ast
 import json
 import math
 import warnings
@@ -18,8 +19,6 @@ from besselops.campaigns import (
     CampaignConfig,
     bundled_config_path,
     default_config,
-    hardy_spot_check,
-    bmo_spot_check,
     run_campaign,
 )
 from besselops.errors import ConfigError, DomainError
@@ -30,8 +29,7 @@ from besselops.grids import (
     lp_norm,
     maximal_function,
 )
-from besselops.heat import NuVector
-from besselops.riesz import SubordinationPlan, riesz_apply
+from besselops.riesz import riesz_apply
 from besselops.sampling import _drift, _level_maxima, _verdict, make_rng
 from besselops.spaces import BallSampler, bmo_norm
 
@@ -355,21 +353,21 @@ class TestOperatorCampaigns:
         assert calls == []
         assert len(exact_batches) == batches
 
-    def test_hardy_spot_check_k0_reduces_to_maximal(self):
+    def test_thm1_6i_k0_reduces_to_maximal(self):
+        cfg = small(default_config("thm1_6i"), k=(0,), atom_count=8, seed=2, grid_nodes=256)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            r = hardy_spot_check(
-                NuVector((1.0,)), (0,), 1.0, atom_count=8, seed=2, grid_nodes=256, levels=2
-            )
-        assert r["max"] > 0 and r["uniform"]
+            rep, _ = run_campaign(cfg)
+        assert _note_value(rep, "max quasi-norm: ") > 0 and rep.verdict == "stable"
 
-    def test_bmo_spot_check_runs(self):
+    def test_thm1_6ii_runs(self):
+        cfg = small(default_config("thm1_6ii"), k=(1,), corpus_size=3, seed=4, grid_nodes=192)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            r = bmo_spot_check(NuVector((1.0,)), (1,), corpus_size=3, seed=4, grid_nodes=192)
-        assert r["advisory"] is True
-        assert len(r["ratios"]) >= 1
-        assert all(np.isfinite(v) for v in r["ratios"])
+            rep, _ = run_campaign(cfg)
+        assert rep.notes[0].startswith("advisory only")
+        assert len(rep.worst_sample["ratios"]) >= 1
+        assert all(np.isfinite(v) for v in rep.worst_sample["ratios"])
 
     def test_thm4_1_smoke(self):
         cfg = small(default_config("thm4_1"), corpus_size=6, grid_nodes=192)
@@ -378,17 +376,25 @@ class TestOperatorCampaigns:
         assert rep.C_hat < 10.0
 
 
-def per_atom_hardy(nu, k, p, atom_count, seed, grid_nodes, levels):
-    """hardy_spot_check one atom at a time: the maximal function and the
+def _note_value(report, prefix):
+    """The Python literal that follows ``prefix`` in one of the report's notes."""
+    (note,) = [n for n in report.notes if n.startswith(prefix)]
+    return ast.literal_eval(note[len(prefix):])
+
+
+def per_atom_hardy(cfg):
+    """The thm1_6i campaign one atom at a time: the maximal function and the
     quasi-norm per atom, the worst atom picked inside the loop, and both
     time grids applied to its transform afresh.  The transforms come from
-    one ``riesz_apply`` call, bit for bit the one-atom calls."""
-    plan = SubordinationPlan(1e-6, 1e4, 12)
-    grid = default_grid(1, nodes_per_axis=grid_nodes)
+    one ``riesz_apply`` call, bit for bit the one-atom calls.  The config's
+    big_m is 0, so the maximal function runs at order nu + k."""
+    assert cfg.big_m == 0
+    nu, k, p, atom_count, levels = cfg.nu_vector, cfg.k, cfg.p, cfg.atom_count, cfg.refine_levels
+    grid = default_grid(1, nodes_per_axis=cfg.grid_nodes)
     nu_shifted = nu.shifted(k)
-    rng = make_rng(seed)
+    rng = make_rng(cfg.seed)
     atoms = [campaigns._random_atom(rng, grid, p) for _ in range(atom_count * 2 ** (levels - 1))]
-    transforms = riesz_apply(nu, k, [atom.f for atom in atoms], plan)
+    transforms = riesz_apply(nu, k, [atom.f for atom in atoms], cfg.plan)
     norms = []
     worst = None
     for i, ra in enumerate(transforms):
@@ -411,16 +417,16 @@ def per_atom_hardy(nu, k, p, atom_count, seed, grid_nodes, levels):
     }
 
 
-def per_function_bmo(nu, k, s, corpus_size, seed, grid_nodes):
-    """bmo_spot_check one function at a time: a denominator, and the norm
-    of the transform where the denominator is not 0, per function and per
-    sampler.  The transforms come from one ``riesz_apply`` call, bit for
-    bit the one-function calls."""
-    plan = SubordinationPlan(1e-6, 1e4, 12)
-    grid = default_grid(nu.n, nodes_per_axis=grid_nodes)
+def per_function_bmo(cfg):
+    """The thm1_6ii campaign one function at a time: a denominator, and the
+    norm of the transform where the denominator is not 0, per function and
+    per sampler.  The transforms come from one ``riesz_apply`` call, bit
+    for bit the one-function calls."""
+    nu, k, s, corpus_size = cfg.nu_vector, cfg.k, cfg.s, cfg.corpus_size
+    grid = default_grid(nu.n, nodes_per_axis=cfg.grid_nodes)
     max_degree = max(0, math.floor(s))
-    corpus = campaigns._random_corpus(make_rng(seed), grid, corpus_size)
-    transforms = riesz_apply(nu, k, corpus, plan)
+    corpus = campaigns._random_corpus(make_rng(cfg.seed), grid, corpus_size)
+    transforms = riesz_apply(nu, k, corpus, cfg.plan)
     passes = []
     for count, sampler in (
         (corpus_size, BallSampler(grid, 16, 8)),
@@ -437,7 +443,6 @@ def per_function_bmo(nu, k, s, corpus_size, seed, grid_nodes):
         "ratios": passes[0],
         "max_ratio": max(passes[0]) if passes[0] else 0.0,
         "sampler_refined_max": max(passes[1]) if passes[1] else 0.0,
-        "advisory": True,
     }
 
 
@@ -453,11 +458,10 @@ class TestBmoSpotCheck:
             return corpus
 
         monkeypatch.setattr(campaigns, "_random_corpus", with_zero)
-        nu = NuVector((1.0,))
-        args = dict(k=k, s=s, corpus_size=6, seed=3, grid_nodes=160)
+        cfg = small(default_config("thm1_6ii"), k=k, s=s, corpus_size=6, seed=3, grid_nodes=160)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ref = per_function_bmo(nu, **args)
+            ref = per_function_bmo(cfg)
             norm_calls = []
             transforms = []
             riesz_builds = []
@@ -479,8 +483,11 @@ class TestBmoSpotCheck:
             monkeypatch.setattr(campaigns, "bmo_norm", counted_norm)
             monkeypatch.setattr(campaigns, "riesz_apply", counted_apply)
             monkeypatch.setattr(riesz, "_grid_matrix", counted_matrix)
-            got = bmo_spot_check(nu, **args)
-        assert got == ref
+            got, _ = run_campaign(cfg)
+        assert got.worst_sample == {"ratios": ref["ratios"]}
+        assert got.per_refinement_C == [ref["max_ratio"], ref["sampler_refined_max"]]
+        assert got.C_hat == ref["max_ratio"]
+        assert got.notes[0].startswith("advisory only")
         assert len(ref["ratios"]) == 5
         # Two passes per sampler; the whole corpus transformed by one call,
         # which builds one Riesz matrix (none at order 0).
@@ -494,8 +501,9 @@ class TestBmoSpotCheck:
             raise AssertionError("corpus drawn")
 
         monkeypatch.setattr(campaigns, "_random_corpus", no_corpus)
+        cfg = small(default_config("thm1_6ii"), k=k, corpus_size=3, grid_nodes=64)
         with pytest.raises(DomainError):
-            bmo_spot_check(NuVector((1.0,)), k, corpus_size=3, grid_nodes=64)
+            run_campaign(cfg)
 
 
 class TestRandomCorpus:
@@ -533,21 +541,27 @@ class TestRandomCorpus:
 class TestHardySpotCheck:
     @pytest.mark.parametrize("k", [(1,), (0,)])
     def test_atom_stack_matches_the_per_atom_loop(self, k):
-        nu = NuVector((1.0,))
-        args = dict(atom_count=8, seed=3, grid_nodes=128, levels=2)
+        cfg = small(default_config("thm1_6i"), k=k, atom_count=8, seed=3, grid_nodes=128)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = hardy_spot_check(nu, k, 1.0, **args)
-            ref = per_atom_hardy(nu, k, 1.0, **args)
+            got, _ = run_campaign(cfg)
+            ref = per_atom_hardy(cfg)
+        mx = _note_value(got, "max quasi-norm: ")
         # gemm and gemv sum in different orders: rounding only
-        for key in ("max", "median", "per_refinement_max", "per_refinement_ratio"):
-            assert got[key] == pytest.approx(ref[key], rel=1e-12, abs=0.0), key
-        assert got["t_grid_refinement_delta"] == pytest.approx(
+        close = dict(rel=1e-12, abs=0.0)
+        assert mx == pytest.approx(ref["max"], **close)
+        assert mx / got.C_hat == pytest.approx(ref["median"], **close)
+        assert got.per_refinement_C == pytest.approx(ref["per_refinement_ratio"], **close)
+        assert got.C_hat == got.per_refinement_C[-1]
+        assert _note_value(got, "per-refinement max quasi-norms: ") == pytest.approx(
+            ref["per_refinement_max"], **close
+        )
+        assert _note_value(got, "time-grid density sensitivity: ") == pytest.approx(
             ref["t_grid_refinement_delta"], rel=0.0, abs=1e-10
         )
-        assert got["worst_atom"]["center"] == ref["worst_atom"]["center"]
-        assert got["worst_atom"]["radius"] == ref["worst_atom"]["radius"]
-        assert got["worst_atom"]["norm"] == got["max"]
+        assert got.worst_sample["center"] == ref["worst_atom"]["center"]
+        assert got.worst_sample["radius"] == ref["worst_atom"]["radius"]
+        assert got.worst_sample["norm"] == mx
 
     def test_builds_each_matrix_once(self, monkeypatch):
         # One Riesz matrix, and one semigroup kernel per time of the dense
@@ -571,9 +585,10 @@ class TestHardySpotCheck:
 
         monkeypatch.setattr(grids, "_ladders", counted_ladders)
         monkeypatch.setattr(riesz, "_grid_matrix", counted_matrix)
+        cfg = small(default_config("thm1_6i"), k=(1,), atom_count=4, grid_nodes=96)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            hardy_spot_check(NuVector((1.0,)), (1,), 1.0, atom_count=4, grid_nodes=96, levels=2)
+            run_campaign(cfg)
         dense = tuple(2.0 ** (m / 2.0) for m in range(-20, 13))
         assert Counter(kernel_times) == Counter(dense)
         assert len(riesz_builds) == 1
@@ -584,5 +599,8 @@ class TestHardySpotCheck:
             raise AssertionError("grid built")
 
         monkeypatch.setattr(campaigns, "default_grid", no_grid)
-        with pytest.raises(DomainError, match="1-D"):
-            hardy_spot_check(NuVector((1.0, 1.0)), (1, 0), 1.0, atom_count=2, grid_nodes=nodes)
+        cfg = small(
+            default_config("thm1_6i"), nu=(1.0, 1.0), k=(1, 0), atom_count=2, grid_nodes=nodes
+        )
+        with pytest.raises(ConfigError, match="one dimension"):
+            run_campaign(cfg)

@@ -10,8 +10,9 @@ import pytest
 
 from besselops.campaigns import bundled_config_path
 from besselops.cli import main
-from besselops.fixtures import bundled_ball_atoms, bundled_line_atoms
 from besselops.grids import gridfunction_to_csv
+
+from atom_fixtures import bundled_ball_atoms, bundled_line_atoms
 
 
 @pytest.fixture()

@@ -33,11 +33,10 @@ from besselops.riesz import (
     SCHLAFLI_NODES,
     CzSamplePlan,
     SubordinationPlan,
+    _cz_sides,
     _cz_triples,
     _riesz_quadrature,
     cz_bound_check,
-    cz_size_sweep,
-    cz_smooth_sweep,
     fractional_inverse_apply,
     riesz_apply,
     riesz_difference_batch,
@@ -930,8 +929,8 @@ class TestCzBoundCheck:
             SubordinationPlan(t_min=1e-6, t_max=1e8, nodes_per_decade=4),
         )
         full = cz_bound_check(*args)
-        assert cz_size_sweep(*args) == full["size"]
-        smooth = cz_smooth_sweep(*args)
+        assert _cz_sides(*args, size=True, smooth=False) == {"size": full["size"]}
+        smooth = _cz_sides(*args, size=False, smooth=True)
         assert smooth == {key: full[key] for key in ("smooth", "smooth_raw_exponent")}
 
     @pytest.mark.filterwarnings("ignore:subordination tail indicator")

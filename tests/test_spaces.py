@@ -8,11 +8,6 @@ import numpy as np
 import pytest
 
 from besselops.errors import DomainError, GridError, UnderResolvedError
-from besselops.fixtures import (
-    bundled_ball_atoms,
-    bundled_line_atoms,
-    decomposition_fixture,
-)
 from besselops.grids import Grid, GridFunction, default_grid, log_axis, uniform_axis
 from besselops.heat import critical_function
 from besselops.spaces import (
@@ -28,6 +23,12 @@ from besselops.spaces import (
     validate_f_atom,
     validate_p_rho_atom,
     vitali_covering,
+)
+
+from atom_fixtures import (
+    bundled_ball_atoms,
+    bundled_line_atoms,
+    decomposition_fixture,
 )
 
 

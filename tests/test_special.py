@@ -186,6 +186,25 @@ class TestBesselI:
             ref = float(mpmath.besseli(60, 100) * mpmath.exp(-100))
         assert besseli_scaled(60.0, 100.0) == pytest.approx(ref, rel=5e-13)
 
+    @pytest.mark.parametrize("alpha, z", [(200.0, 300.0), (400.0, 599.9)])
+    def test_orders_whose_gamma_overflows_against_mpmath(self, alpha, z):
+        # Gamma(alpha + 1) leaves float64 range above order 170.6, while
+        # the values are normal floats (2.10e-30 and 1.45e-58).
+        with mpmath.workdps(30):
+            ref = float(mpmath.besseli(alpha, z) * mpmath.exp(-z))
+        assert besseli_scaled(alpha, z) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_ratio_at_an_order_whose_gamma_overflows_against_mpmath(self):
+        # The value, about 8e-436, underflows to 0.0, as its float does.
+        with mpmath.workdps(30):
+            ref = float(mpmath.besseli(200, 3) * mpmath.mpf(3) ** -200)
+        assert besseli_ratio(200.0, 3.0) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert besseli_ratio(200.0, 0.0) == 0.0
+
+    def test_order_200_is_refused_past_the_switch_point(self):
+        with pytest.raises(DomainError):
+            besseli_scaled(200.0, 600.5)
+
     def test_huge_arguments_against_mpmath(self):
         # 2 pi z overflows above 2.86e307; the last bin forms sqrt(2 pi z)
         # from sqrt(z) there, and z^{-alpha} I_alpha(z) overflows to inf.
