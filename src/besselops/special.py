@@ -187,9 +187,8 @@ def _first_term(alpha: float, log_half: np.ndarray, bounds) -> np.ndarray:
     overflows (orders near -1 at subnormal z, where u = 0: the polynomial is
     1, so the value is inf, never nan).  ``bounds`` holds the least and the
     largest log(z/2); while alpha times each is <= 700, nothing overflows.
-    Above order 170.6, where Gamma(alpha + 1) itself overflows, the term is
-    exp(alpha log(z/2) - lgamma(alpha + 1)), which stays below e^300 for
-    every z below the switch point."""
+    Above order 170.6, where Gamma(alpha + 1) overflows, it is formed as
+    exp(alpha log(z/2) - lgamma(alpha + 1)), below e^300 up to z = 600."""
     try:
         gamma = math.gamma(alpha + 1.0)
     except OverflowError:
@@ -282,17 +281,20 @@ def besseli_ratio(alpha, z):
     arr, scalar = _as_array(z)
     _check_nonneg(arr)
     flat = arr.ravel()
-    # The series' k = 0 term of z^{-alpha} I_alpha is its z -> 0 limit; in
-    # logs where 2^alpha or Gamma(alpha + 1) overflows (alpha > 170.6).
+    # The series' k = 0 term of z^{-alpha} I_alpha is its z -> 0 limit.  From
+    # order about 150.2 on it rounds to 0 (then Gamma overflows) while the
+    # values may be normal floats: there the series bins add logs.
     try:
         limit = 1.0 / (2.0**a * math.gamma(a + 1.0))
     except OverflowError:
-        limit = math.exp(-a * math.log(2.0) - math.lgamma(a + 1.0))
-    out = np.full(flat.shape, limit)
+        limit = 0.0
+    log_limit = -a * math.log(2.0) - math.lgamma(a + 1.0) if limit == 0.0 else None
+    out = np.full(flat.shape, limit if log_limit is None else math.exp(log_limit))
     for lo, hi, is_series, _, idx in _binned([a], flat):
         zz = flat[idx]
         if is_series:
-            out[idx] = limit * _horner(_series_coeffs(a, hi), zz * zz * _series_unit(hi))
+            poly = _horner(_series_coeffs(a, hi), zz * zz * _series_unit(hi))
+            out[idx] = limit * poly if log_limit is None else np.exp(np.log(poly) + log_limit)
         else:
             with np.errstate(over="ignore"):
                 growth = np.exp(zz - a * np.log(zz)) / _hankel_root(zz, hi)

@@ -194,11 +194,18 @@ class TestBesselI:
             ref = float(mpmath.besseli(alpha, z) * mpmath.exp(-z))
         assert besseli_scaled(alpha, z) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    def test_ratio_at_an_order_whose_gamma_overflows_against_mpmath(self):
-        # The value, about 8e-436, underflows to 0.0, as its float does.
+    @pytest.mark.parametrize(
+        "alpha, z", [(152.0, 590.0), (180.0, 590.0), (180.0, 450.0), (200.0, 3.0)]
+    )
+    def test_ratio_at_orders_whose_limit_underflows_against_mpmath(self, alpha, z):
+        # 1/(2^alpha Gamma(alpha + 1)) rounds to 0 from order 150.2 on, while
+        # the first three values are normal floats (6.54e-176, 7.11e-257 and
+        # 4.75e-300); the last, about 8e-436, underflows to 0.0 as its float does.
         with mpmath.workdps(30):
-            ref = float(mpmath.besseli(200, 3) * mpmath.mpf(3) ** -200)
-        assert besseli_ratio(200.0, 3.0) == pytest.approx(ref, rel=1e-12, abs=0.0)
+            ref = float(mpmath.besseli(alpha, z) * mpmath.mpf(z) ** -alpha)
+        assert besseli_ratio(alpha, z) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_ratio_limit_at_an_order_whose_gamma_overflows(self):
         assert besseli_ratio(200.0, 0.0) == 0.0
 
     def test_order_200_is_refused_past_the_switch_point(self):
