@@ -511,10 +511,10 @@ def _thm1_6i_campaign(config: CampaignConfig, collect: bool):
     refuses n >= 2.  All atoms are drawn first and stacked as the columns
     of one array, so the transform and each semigroup kernel act on every
     atom in one matrix product; each kernel is built once per call.  The
-    Riesz matrix stays referenced until the call returns.  thm1_6i's peak
-    RSS is bimodal, about 1.2 MB apart, by the lengths of the process's
-    paths; kept, the matrix gave the lower mode at 7 of 8 directory-name
-    lengths tried, and freed right after its product at 4 of 8.
+    Riesz matrix is built only on the node pairs an atom touches
+    (``support``): the entries left out would multiply exact zeros.  It is
+    dropped after its product; over 8 path lengths that gave the lower
+    peak RSS (about 55 MB) at 4, and keeping it to the end at 1.
     """
     nu = config.nu_vector
     k = grid_multi_index(config.k, 1)
@@ -525,8 +525,8 @@ def _thm1_6i_campaign(config: CampaignConfig, collect: bool):
     atoms = [_random_atom(rng, grid, p) for _ in range(atom_count * 2 ** (levels - 1))]
     stack = np.stack([atom.f.values for atom in atoms], axis=-1)
     if sum(k):
-        mat = riesz_matrix(nu, k, grid, config.plan)
-        stack = mat @ stack
+        support = np.any(stack != 0.0, axis=1)
+        stack = riesz_matrix(nu, k, grid, config.plan, support=support) @ stack
     maxed = _maximal_values(nu_shifted, T_GRID_DEFAULT, grid, stack)
     norms = np.array([lp_norm(GridFunction(grid, col), p) for col in maxed.T])
     # the last atom that reaches the maximum

@@ -285,12 +285,39 @@ def _one_grid(functions) -> Grid:
 # Semigroup application and the maximal function
 
 
-def _weighted_matrix(out: np.ndarray, axis: Axis, upper, lower=None) -> np.ndarray:
-    """Writes upper on the first len(upper) pairs (i, j) of ``Axis.pairs``
-    and lower (by default upper) on their mirror images (j, i), then scales
+def _pairs_touching(axis: Axis, support) -> tuple[np.ndarray, ...]:
+    """``Axis.pairs`` restricted to the pairs (i, j) with node i or node j in
+    ``support``, a boolean mask over the axis's nodes; None keeps every pair.
+
+    The kept pairs stay in distance order, so at each time the live ones
+    are again a prefix.  ``distinct`` and the class numbers in ``inverse``
+    are the axis's own, so each kept pair reads the same representative.
+    They need no renumbering: the ladder's prefix rule (``heat._grid_nodes``)
+    evaluates every class up to the running maximum of ``inverse`` over the
+    live prefix, which holds each class the prefix's kept pairs use, and
+    possibly classes they skip.  Refuses (``GridError``) a mask that is not
+    a boolean array of the axis's length.
+    """
+    if support is None:
+        return axis.pairs
+    support = np.asarray(support)
+    if support.dtype != bool or support.shape != (axis.size,):
+        raise GridError(
+            f"support must be a boolean mask of shape ({axis.size},), "
+            f"got {support.dtype} of shape {support.shape}"
+        )
+    xy, d2, distinct, inverse, i, j = axis.pairs
+    keep = np.flatnonzero(support[i] | support[j])
+    return xy[keep], d2[keep], distinct, inverse[keep], i[keep], j[keep]
+
+
+def _weighted_matrix(out: np.ndarray, axis: Axis, pairs, upper, lower=None) -> np.ndarray:
+    """Writes upper on the first len(upper) pairs (i, j) of ``pairs`` (the
+    axis's ``Axis.pairs`` or a restriction of them, ``_pairs_touching``) and
+    lower (by default upper) on their mirror images (j, i), then scales
     column j by w_j.  ``out`` is the zeroed n x n matrix; the pairs past the
-    prefix stay 0."""
-    i, j = axis.pairs[4:]
+    prefix, and those left out of ``pairs``, stay 0."""
+    i, j = pairs[4:]
     cut = upper.shape[-1]
     out[i[:cut], j[:cut]] = upper
     out[j[:cut], i[:cut]] = upper if lower is None else lower
@@ -313,7 +340,9 @@ def _kernel_matrices(nu_j: float, times, axis: Axis):
     xy, d2, distinct, inverse, _, _ = axis.pairs
     ladders = _ladders(nu_j, (0,), times, xy, d2, (distinct, inverse))
     for _ in times:
-        yield _weighted_matrix(np.zeros((axis.size, axis.size)), axis, next(ladders)[0])
+        yield _weighted_matrix(
+            np.zeros((axis.size, axis.size)), axis, axis.pairs, next(ladders)[0]
+        )
 
 
 def _semigroup_values(nu: NuVector, times, grid: Grid, values: np.ndarray):

@@ -30,8 +30,12 @@ geometry from the axis (``grids.Axis.pairs``, the node pairs sorted by
 distance), so at each time node the ladder, the word and the time sum
 cover only the prefix of pairs whose Gaussian factor is not exactly 0,
 with the Bessel functions run once per product class of that prefix;
-the matrices hold +0 past it.  They refuse k_j >= 3, whose
-diagonal is rounding noise.
+the matrices hold +0 past it.  A caller whose functions vanish off a few
+nodes passes them as ``riesz_matrix``'s ``support``, and the build runs on
+the pairs that touch them only (``grids._pairs_touching``).  The public
+grid transforms refuse any k_j >= 2, whose diagonal the grid does not
+resolve, and in n-D a k_j = 0 axis beside a k_j > 0 one
+(``grid_multi_index``).
 No matrix is kept between calls: ``riesz_matrix`` builds on every call, and
 a caller with many functions builds it once and applies it to each of them
 (``riesz_apply`` on a sequence) or to their stack.
@@ -61,6 +65,7 @@ from .grids import (
     GridFunction,
     _check_semigroup,
     _one_grid,
+    _pairs_touching,
     _semigroup_values,
     _weighted_matrix,
 )
@@ -393,52 +398,73 @@ def riesz_kernel_1d(nu, k, x, y, both: bool = False) -> np.ndarray:
     return total * (np.sqrt(xy) / (2.0 * math.gamma(0.5 * k)))
 
 
-def _axis_word(k_j: int, axis):
-    """The pair word on the node pairs i <= j of one axis (``grids.Axis.pairs``,
-    sorted by distance), for both triangles: row 0 is (x, y) = (x_i, x_j),
-    row 1 is (x_j, x_i).  The ladder geometry is the axis's own, so each
-    time node works on the prefix of pairs its Gaussian factor reaches, and
-    the Bessel functions run on the product classes of that prefix."""
-    i, j = axis.pairs[4:]
+def _axis_word(k_j: int, axis, pairs):
+    """The pair word on the node pairs i <= j of ``pairs`` (one axis's
+    ``grids.Axis.pairs``, sorted by distance, or a restriction of them), for
+    both triangles: row 0 is (x, y) = (x_i, x_j), row 1 is (x_j, x_i).  The
+    ladder geometry is the axis's own, so each time node works on the prefix
+    of pairs its Gaussian factor reaches, and the Bessel functions run on
+    the product classes of that prefix."""
+    i, j = pairs[4:]
     x = axis.nodes
-    return _pair_word(delta_expansion(0.0, k_j), x[i], x[j], both=True, pairs=axis.pairs)
+    return _pair_word(delta_expansion(0.0, k_j), x[i], x[j], both=True, pairs=pairs)
 
 
-def _grid_matrix(nu: float, k: int, axis, plan: SubordinationPlan, difference: bool):
+def _grid_matrix(
+    nu: float, k: int, axis, plan: SubordinationPlan, difference: bool, support=None
+):
     """A[i, j] ~ R_nu(x_i, x_j) w_j on a 1-D axis, or the kernel of
     R_nu - R_{nu+1} when ``difference``.
 
     Per time node one ladder on the triangle i <= j serves both triangles,
     and only its prefix of pairs with a nonzero Gaussian factor is summed;
-    the dense matrix is written once, after the loop.
+    the dense matrix is written once, after the loop.  Given a boolean node
+    mask ``support``, only the pairs with i or j in it are built
+    (``grids._pairs_touching``): the rows and columns of the masked nodes
+    are bit for bit those of the whole matrix, and every other entry is +0.
     """
-    word = _axis_word(k, axis)
+    pairs = _pairs_touching(axis, support)
+    word = _axis_word(k, axis, pairs)
     t_nodes, w = plan.nodes()
     half = k / 2.0
-    total = np.zeros((2, axis.pairs[0].size))
+    total = np.zeros((2, pairs[0].size))
     products = _word_products((nu,), (word,), t_nodes, 0 if difference else None)
     for t, wi, rows in zip(t_nodes, w, products):
         rows *= wi * t**half
         total[:, : rows.shape[-1]] += rows
-    out = _weighted_matrix(np.zeros((axis.size, axis.size)), axis, total[0], total[1])
+    out = _weighted_matrix(np.zeros((axis.size, axis.size)), axis, pairs, total[0], total[1])
     out /= math.gamma(half)
     return out
 
 
 # On a grid the diagonal i = j is evaluated too, and for k_j >= 3 the terms
 # of delta^k cancel there to rounding noise: at n = 128 it reaches 0.13 of
-# the matrix's largest entry.  k_j <= 2 is the most any campaign uses.
-_GRID_K_MAX = 2
+# the matrix's largest entry.  k_j = 2 is refused too: the time nodes below
+# the grid's resolution leave unresolved spikes on the diagonal, and on a
+# decaying function with an exact transform (nu = 0.6) the 1-D k = 2 error
+# is 30, 14 and 6.1 times the exact maximum at n = 192, 384 and 768.
+# k_j = 1 is what every bundled campaign uses; the private assembly
+# ``_grid_matrix`` takes any k.
+_GRID_K_MAX = 1
 
 
 def grid_multi_index(k, n: int) -> tuple[int, ...]:
     """The order multi-index of an n-D grid transform (``_multi``); refuses
-    orders whose grid diagonal is rounding noise (``DomainError``)."""
+    (``DomainError``) the orders the grid does not resolve: any k_j above
+    ``_GRID_K_MAX``, and for n >= 2 an axis with k_j = 0 beside one with
+    k_j > 0.  On a decaying function with an exact transform, the 2-D
+    transforms with k = (1, 0) and (2, 0) are off by 0.43 to 1.4e3 times
+    the exact maximum at 96^2 and 192^2 nodes."""
     k = _multi(k, n)
     if max(k) > _GRID_K_MAX:
         raise DomainError(
             f"grid Riesz transforms need every k_j <= {_GRID_K_MAX}, got {k}: "
-            "the diagonal entries of higher orders are rounding noise"
+            "the diagonal entries of higher orders are unresolved on a grid"
+        )
+    if sum(k) and 0 in k:
+        raise DomainError(
+            f"grid Riesz transforms need k_j >= 1 on every axis once |k| >= 1, got {k}: "
+            "the grid does not resolve an axis with k_j = 0"
         )
     return k
 
@@ -453,18 +479,29 @@ def _one_axis(nu, k, grid: Grid):
     return nu.nu[0], k_0
 
 
-def riesz_matrix(nu, k, grid: Grid, plan: SubordinationPlan = DEFAULT_PLAN) -> np.ndarray:
+def riesz_matrix(
+    nu, k, grid: Grid, plan: SubordinationPlan = DEFAULT_PLAN, *, support=None
+) -> np.ndarray:
     """Assembled 1-D transform matrix A[i, j] ~ R(x_i, x_j) w_j, built on
-    every call."""
+    every call.
+
+    ``support`` is a boolean mask over the grid's nodes (default: every
+    node).  With a mask, only the entries in a row or column of a masked
+    node are built, each bit for bit its value in the whole matrix, and the
+    others are +0; so ``A @ F`` is the whole matrix's product, bit for bit,
+    for any F that vanishes off the mask.  A mask that is not a boolean
+    array of the grid's length is refused (``GridError``).
+    """
     nu_0, k_0 = _one_axis(nu, k, grid)
-    return _grid_matrix(nu_0, k_0, grid.axes[0], plan, difference=False)
+    return _grid_matrix(nu_0, k_0, grid.axes[0], plan, difference=False, support=support)
 
 
 def riesz_apply(nu, k, f, plan: SubordinationPlan = DEFAULT_PLAN):
     """Riesz transform of a grid function by subordination quadrature.
 
     |k| = 0 is the identity (useful as the degenerate case in spot checks);
-    any k_j >= 3 is refused (``grid_multi_index``).
+    any k_j >= 2, and in n-D a k_j = 0 axis beside a k_j > 0 one, is
+    refused (``grid_multi_index``).
 
     ``f`` may also be a sequence of grid functions on one grid; the result
     is then a list with one transform per function, each bit for bit its
@@ -503,14 +540,14 @@ def _nd_apply(nu: NuVector, k, grid: Grid, functions, plan: SubordinationPlan):
     axes = grid.axes
     t_nodes, w = plan.nodes()
     streams = [
-        _word_products((nu_j,), (_axis_word(k_j, axis),), t_nodes)
+        _word_products((nu_j,), (_axis_word(k_j, axis, axis.pairs),), t_nodes)
         for nu_j, k_j, axis in zip(nu.nu, k, axes)
     ]
     half = sum(k) / 2.0
     accs = [np.zeros(grid.shape) for _ in functions]
     for t, wi, *axis_rows in zip(t_nodes, w, *streams):
         mats = [
-            _weighted_matrix(np.zeros((axis.size, axis.size)), axis, rows[0], rows[1])
+            _weighted_matrix(np.zeros((axis.size, axis.size)), axis, axis.pairs, rows[0], rows[1])
             for rows, axis in zip(axis_rows, axes)
         ]
         for g, acc in zip(functions, accs):

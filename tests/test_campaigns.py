@@ -447,7 +447,7 @@ def per_function_bmo(cfg):
 
 
 class TestBmoSpotCheck:
-    @pytest.mark.parametrize("k, s", [((1,), 0.0), ((2,), 1.5), ((0,), 0.5)])
+    @pytest.mark.parametrize("k, s", [((1,), 0.0), ((1,), 1.5), ((0,), 0.5)])
     def test_stacks_match_the_per_function_loop(self, monkeypatch, k, s):
         # Corpus function 1 is 0, so both samplers take the 0/0 skip.
         draw = campaigns._random_corpus
@@ -495,13 +495,19 @@ class TestBmoSpotCheck:
         assert len(transforms) == 1
         assert len(riesz_builds) == (1 if sum(k) else 0)
 
-    @pytest.mark.parametrize("k", [(1, 1), (3,), (-1,)])
-    def test_refuses_k_before_drawing_the_corpus(self, monkeypatch, k):
+    @pytest.mark.parametrize(
+        "nu, k",
+        [((1.0,), (1, 1)), ((1.0,), (3,)), ((1.0,), (-1,)), ((1.0,), (2,)), ((1.0, 1.0), (1, 0))],
+        ids=["k0", "k1", "k2", "order-two", "2d-axis-of-order-zero"],
+    )
+    def test_refuses_k_before_drawing_the_corpus(self, monkeypatch, nu, k):
+        # k = 2, and in 2-D a k_j = 0 axis, are orders the grid transform
+        # does not resolve (``riesz.grid_multi_index``).
         def no_corpus(*args, **kwargs):
             raise AssertionError("corpus drawn")
 
         monkeypatch.setattr(campaigns, "_random_corpus", no_corpus)
-        cfg = small(default_config("thm1_6ii"), k=k, corpus_size=3, grid_nodes=64)
+        cfg = small(default_config("thm1_6ii"), nu=nu, k=k, corpus_size=3, grid_nodes=64)
         with pytest.raises(DomainError):
             run_campaign(cfg)
 
@@ -580,11 +586,19 @@ class TestHardySpotCheck:
         grid_matrix = riesz._grid_matrix
 
         def counted_matrix(*args, **kwargs):
-            riesz_builds.append(args)
+            riesz_builds.append(kwargs)
             return grid_matrix(*args, **kwargs)
+
+        atoms = []
+        draw = campaigns._random_atom
+
+        def recorded_atom(*args):
+            atoms.append(draw(*args))
+            return atoms[-1]
 
         monkeypatch.setattr(grids, "_ladders", counted_ladders)
         monkeypatch.setattr(riesz, "_grid_matrix", counted_matrix)
+        monkeypatch.setattr(campaigns, "_random_atom", recorded_atom)
         cfg = small(default_config("thm1_6i"), k=(1,), atom_count=4, grid_nodes=96)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -592,6 +606,31 @@ class TestHardySpotCheck:
         dense = tuple(2.0 ** (m / 2.0) for m in range(-20, 13))
         assert Counter(kernel_times) == Counter(dense)
         assert len(riesz_builds) == 1
+        # The one build covers the nodes where some atom is not 0.
+        stack = np.stack([atom.f.values for atom in atoms], axis=-1)
+        support = riesz_builds[0]["support"]
+        assert np.array_equal(support, np.any(stack != 0.0, axis=1))
+        assert 0 < np.count_nonzero(support) < support.size
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_report_is_the_whole_matrix_report(self, monkeypatch, seed):
+        # The matrix built on the pairs the atoms touch gives the report of
+        # the whole matrix, byte for byte.
+        cfg = small(default_config("thm1_6i"), atom_count=8, seed=seed, grid_nodes=128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got, _ = run_campaign(cfg)
+            whole = riesz.riesz_matrix
+            supports = []
+
+            def whole_matrix(*args, support=None):
+                supports.append(support)
+                return whole(*args)
+
+            monkeypatch.setattr(campaigns, "riesz_matrix", whole_matrix)
+            ref, _ = run_campaign(cfg)
+        assert len(supports) == 1 and 0 < np.count_nonzero(supports[0]) < supports[0].size
+        assert got.canonical_json() == ref.canonical_json()
 
     @pytest.mark.parametrize("nodes", [16, 64])
     def test_refuses_more_than_one_dimension_before_building_a_grid(self, monkeypatch, nodes):

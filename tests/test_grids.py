@@ -183,6 +183,55 @@ class TestProductClasses:
         assert np.all(np.abs(xy - rep) <= eps * rep)
 
 
+class TestPairsTouching:
+    MASKS = {
+        "empty": np.zeros(64, dtype=bool),
+        "one": np.arange(64) == 21,
+        "random": np.random.default_rng(0).random(64) < 0.3,
+        "all": np.ones(64, dtype=bool),
+    }
+
+    @pytest.mark.parametrize("mask", list(MASKS))
+    @pytest.mark.parametrize(
+        "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 64)], ids=["log", "uniform"]
+    )
+    def test_kept_pairs_are_the_axis_pairs_that_touch_the_mask(self, axis, mask):
+        support = self.MASKS[mask]
+        full = axis.pairs
+        kept = grids._pairs_touching(axis, support)
+        i, j = full[4:]
+        keep = [p for p in range(i.size) if support[i[p]] or support[j[p]]]
+        # xy, d2, inverse, i and j at the kept positions, in order; the one
+        # distinct array, so every kept pair reads the same representative.
+        for n in (0, 1, 3, 4, 5):
+            assert kept[n].dtype == full[n].dtype
+            assert np.array_equal(kept[n], full[n][keep])
+        assert kept[2] is full[2]
+        assert grids._pairs_touching(axis, None) is full
+
+    @pytest.mark.parametrize("mask", list(MASKS))
+    def test_every_prefix_evaluates_the_classes_it_uses(self, mask):
+        # For each cut the ladder's prefix rule can make, the classes of the
+        # first cut kept pairs are among those ``heat._grid_nodes`` evaluates.
+        axis = log_axis(1e-2, 20.0, 64)
+        xy, d2, distinct, inverse, _, _ = grids._pairs_touching(axis, self.MASKS[mask])
+        node = heat._grid_nodes(xy, d2, distinct, inverse)
+        # Just below and just above each distance, every cut a time can make.
+        levels = np.unique(d2[d2 > 0.0]) / (4.0 * 746.0)
+        times = [*(levels * (1 - 1e-9)), *(levels * (1 + 1e-9)), 1.0]
+        cuts = set()
+        for t in times:
+            cut = int(np.searchsorted(d2, 746.0 * 4.0 * t))
+            cuts.add(cut)
+            z, finish = node(t)
+            assert np.array_equal(z, distinct[: z.size] / (2.0 * t))
+            if cut:
+                assert int(np.max(inverse[:cut])) < z.size
+            assert finish(np.ones((1, z.size))).shape == (1, cut)
+        reachable = {int(np.searchsorted(d2, v, side)) for v in d2 for side in ("left", "right")}
+        assert cuts == reachable - {0} if d2.size else cuts == {0}
+
+
 class TestSemigroup:
     def test_zero_and_linearity(self):
         g = default_grid(1, nodes_per_axis=128)

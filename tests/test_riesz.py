@@ -345,8 +345,8 @@ class TestRieszApply:
 
     @pytest.mark.parametrize(
         "nu, k, nodes",
-        [((0.8,), (1,), 96), ((0.8,), (2,), 64), ((0.6, 1.1), (1, 1), 24), ((0.6, 1.1), (0, 0), 24)],
-        ids=["1d", "1d-k2", "2d", "order0"],
+        [((0.8,), (1,), 96), ((0.6, 1.1), (1, 1), 24), ((0.6, 1.1), (0, 0), 24)],
+        ids=["1d", "2d", "order0"],
     )
     def test_sequence_is_the_one_function_calls(self, nu, k, nodes):
         g = default_grid(len(nu), nodes_per_axis=nodes)
@@ -509,6 +509,33 @@ def all_pairs_apply(nu, k, f, plan, own_products=False):
     return acc / math.gamma(half)
 
 
+def grid_matrix(nu, k, g, plan, difference=False, support=None):
+    """The 1-D grid matrix of order k: the public builds for the orders they
+    accept, and the private assembly they call for k = 2, which they refuse."""
+    if k > riesz._GRID_K_MAX:
+        return riesz._grid_matrix(nu, k, g.axes[0], plan, difference, support)
+    if difference:
+        return riesz_difference_matrix(nu, (k,), 0, g, plan)
+    return riesz_matrix(nu, (k,), g, plan, support=support)
+
+
+def node_mask(name, n, seed=0):
+    """An empty mask, one node, a random 30% of the nodes, or every node."""
+    if name == "empty":
+        return np.zeros(n, dtype=bool)
+    if name == "one":
+        return np.arange(n) == n // 3
+    if name == "random":
+        return np.random.default_rng(seed).random(n) < 0.3
+    return np.ones(n, dtype=bool)
+
+
+def nd_apply(nu, k, f, plan):
+    """The n-D transform of one function by the private loop ``riesz_apply``
+    calls, which also takes the orders it refuses (any k_j = 2)."""
+    return riesz._nd_apply(NuVector(nu), k, f.grid, [f], plan)[0]
+
+
 def live_regimes(axis, times) -> set:
     """The branches of the ladder's live rule that the axis's pairs take at
     the given times: fewer than 85% of the prefactors above 1e-280, 85-100%,
@@ -527,10 +554,7 @@ class TestGridMatrices:
     @pytest.mark.parametrize("name, k", [("k1", 1), ("k2", 2), ("diff", 1)])
     def test_against_mpmath(self, mp_ladders, name, k):
         g = ORACLE_GRID
-        if name == "diff":
-            mat = riesz_difference_matrix(ORACLE_NU, (k,), 0, g, ORACLE_PLAN)
-        else:
-            mat = riesz_matrix(ORACLE_NU, (k,), g, ORACLE_PLAN)
+        mat = grid_matrix(ORACLE_NU, k, g, ORACLE_PLAN, difference=name == "diff")
         x, w = g.axes[0].nodes, g.axes[0].weights
         scale = np.max(np.abs(mat))
         worst_diag = worst_off = 0.0
@@ -603,21 +627,41 @@ class TestGridMatrices:
                 riesz_matrix(0.6, (0,), g)
         assert calls == []
 
-    def test_orders_above_two_refused_before_any_ladder(self, monkeypatch):
+    def test_orders_above_one_refused_before_any_ladder(self, monkeypatch):
         calls = []
         monkeypatch.setattr(heat, "besseli_scaled", lambda alpha, z: calls.append(alpha))
         g1, g2 = default_grid(1, nodes_per_axis=32), default_grid(2, nodes_per_axis=8)
         f1, f2 = GridFunction(g1, np.ones(g1.shape)), GridFunction(g2, np.ones(g2.shape))
         refused = (
-            lambda: riesz_matrix(0.6, (3,), g1),
+            lambda: riesz_matrix(0.6, (2,), g1),
+            lambda: riesz_matrix(0.6, (3,), g1, support=np.ones(32, dtype=bool)),
+            lambda: riesz_difference_matrix(0.6, (2,), 0, g1),
             lambda: riesz_difference_matrix(0.6, (3,), 0, g1),
+            lambda: riesz_apply(0.6, (2,), f1),
+            lambda: riesz_apply(0.6, (2,), [f1, f1]),
             lambda: riesz_apply(0.6, (4,), f1),
+            lambda: riesz_apply((0.6, 0.7), (1, 2), f2),
             lambda: riesz_apply((0.6, 0.7), (1, 3), f2),
-            lambda: riesz_apply((0.6, 0.7), (3, 0), f2),
+            lambda: riesz_apply((0.6, 0.7), (2, 0), f2),
         )
         for call in refused:
-            with pytest.raises(DomainError, match="k_j <= 2"):
+            with pytest.raises(DomainError, match="k_j <= 1"):
                 call()
+        assert calls == []
+
+    def test_nd_axis_of_order_zero_refused_before_any_ladder(self, monkeypatch):
+        # An n-D transform with a k_j = 0 axis beside a k_j > 0 one is
+        # refused; |k| = 0 stays the identity.
+        calls = []
+        monkeypatch.setattr(heat, "besseli_scaled", lambda alpha, z: calls.append(alpha))
+        g = default_grid(2, nodes_per_axis=8)
+        f = GridFunction(g, np.ones(g.shape))
+        for k in ((1, 0), (0, 1)):
+            with pytest.raises(DomainError, match="k_j >= 1 on every axis"):
+                riesz_apply((0.6, 0.7), k, f)
+            with pytest.raises(DomainError, match="k_j >= 1 on every axis"):
+                riesz_apply((0.6, 0.7), k, [f, f])
+        assert riesz_apply((0.6, 0.7), (0, 0), f) is f
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -633,10 +677,7 @@ class TestGridMatrices:
         g = Grid((axis,))
         plan = SubordinationPlan(1e-6, 1e4, 8)
         assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
-        if difference:
-            grid_build = riesz_difference_matrix(0.6, (k,), 0, g, plan)
-        else:
-            grid_build = riesz_matrix(0.6, (k,), g, plan)
+        grid_build = grid_matrix(0.6, k, g, plan, difference)
         assert np.array_equal(grid_build, all_pairs_matrix(0.6, k, axis, plan, difference))
 
     @pytest.mark.parametrize("nu", [1.0, -0.2])
@@ -648,7 +689,7 @@ class TestGridMatrices:
         plan = SubordinationPlan(1e-5, 1e3, 6)
         assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
         for k in (1, 2):
-            assert np.array_equal(riesz_matrix(nu, (k,), g, plan), all_pairs_matrix(nu, k, axis, plan))
+            assert np.array_equal(grid_matrix(nu, k, g, plan), all_pairs_matrix(nu, k, axis, plan))
         diff = riesz_difference_matrix(nu, (1,), 0, g, plan)
         assert np.array_equal(diff, all_pairs_matrix(nu, 1, axis, plan, difference=True))
 
@@ -659,7 +700,7 @@ class TestGridMatrices:
         plan = SubordinationPlan(1e-5, 1e3, 4)
         for axis in g.axes:
             assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
-        grid_apply = riesz_apply(NuVector((0.6, 1.1)), (1, 2), f, plan).values
+        grid_apply = nd_apply((0.6, 1.1), (1, 2), f, plan)
         assert np.array_equal(grid_apply, all_pairs_apply((0.6, 1.1), (1, 2), f, plan))
 
     @pytest.mark.parametrize(
@@ -675,7 +716,7 @@ class TestGridMatrices:
         assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
         builds = [
             (riesz_matrix(nu, (1,), g, plan), (1, False)),
-            (riesz_matrix(nu, (2,), g, plan), (2, False)),
+            (grid_matrix(nu, 2, g, plan), (2, False)),
             (riesz_difference_matrix(nu, (1,), 0, g, plan), (1, True)),
         ]
         for mat, (k, difference) in builds:
@@ -689,7 +730,7 @@ class TestGridMatrices:
         plan = SubordinationPlan(1e-5, 1e3, 4)
         for axis in g.axes:
             assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
-        grid_apply = riesz_apply(NuVector((0.6, 1.1)), (1, 2), f, plan).values
+        grid_apply = nd_apply((0.6, 1.1), (1, 2), f, plan)
         own = all_pairs_apply((0.6, 1.1), (1, 2), f, plan, own_products=True)
         assert np.max(np.abs(grid_apply - own)) <= 1e-13 * np.max(np.abs(own))
 
@@ -713,8 +754,8 @@ class TestGridMatrices:
         g1 = default_grid(1, nodes_per_axis=64)
         g2 = Grid((log_axis(1e-2, 20.0, 24), uniform_axis(0.05, 10.0, 20)))
         riesz_matrix(0.6, (1,), g1, plan)
-        riesz_difference_matrix(0.6, (2,), 0, g1, plan)
-        riesz_apply((0.6, 1.1), (1, 2), GridFunction(g2, np.ones(g2.shape)), plan)
+        grid_matrix(0.6, 2, g1, plan, difference=True)
+        nd_apply((0.6, 1.1), (1, 2), GridFunction(g2, np.ones(g2.shape)), plan)
         axes = (*g1.axes, *g2.axes)
         assert len(calls) == 4 * plan.nodes()[0].size
         for t, d2, cut in calls:
@@ -756,6 +797,52 @@ class TestGridMatrices:
                 axis_calls = type(bessel_calls)(c for c in bessel_calls if c[0] == [nu, nu + 1])
                 axis_calls.assert_blocks([axis.pairs[2] / (2.0 * t) for t in times])
 
+    @pytest.mark.parametrize("mask", ["empty", "one", "random", "all"])
+    @pytest.mark.parametrize("nu, k", [(1.0, 1), (0.7, 2)])
+    def test_support_builds_the_masked_rows_and_columns(self, nu, k, mask):
+        # Built on the pairs that touch the mask, the rows and columns of the
+        # masked nodes are those of the whole matrix and the rest is +0, so
+        # the product with a stack that vanishes off the mask is the whole
+        # matrix's, bit for bit.  The plan's time nodes take every branch of
+        # the ladder's live rule.
+        n = 96
+        g = default_grid(1, nodes_per_axis=n)
+        plan = SubordinationPlan(1e-6, 1e4, 8)
+        assert live_regimes(g.axes[0], plan.nodes()[0]) == {"few", "most", "all"}
+        support = node_mask(mask, n)
+        whole = grid_matrix(nu, k, g, plan)
+        built = grid_matrix(nu, k, g, plan, support=support)
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.int64)
+
+        assert np.array_equal(bits(built[:, support]), bits(whole[:, support]))
+        assert np.array_equal(bits(built[support]), bits(whole[support]))
+        assert np.all(bits(built[np.ix_(~support, ~support)]) == 0)
+        stack = np.random.default_rng(1).standard_normal((n, 5))
+        stack[~support] = 0.0
+        assert np.array_equal(bits(built @ stack), bits(whole @ stack))
+        if mask == "all":
+            assert np.array_equal(bits(built), bits(whole))
+        if mask == "empty":
+            assert np.all(bits(built) == 0)
+
+    def test_support_refuses_what_is_not_a_boolean_node_mask(self, monkeypatch):
+        # An integer array would index the pairs, not mask the nodes.
+        calls = []
+        monkeypatch.setattr(heat, "besseli_scaled", lambda alpha, z: calls.append(alpha))
+        g = default_grid(1, nodes_per_axis=32)
+        bad = (
+            np.ones(32, dtype=int),
+            np.arange(8),
+            np.ones(31, dtype=bool),
+            np.ones((32, 1), dtype=bool),
+        )
+        for support in bad:
+            with pytest.raises(GridError, match="boolean mask of shape"):
+                riesz_matrix(1.0, (1,), g, support=support)
+        assert calls == []
+
     def test_difference_matrix_refuses_other_axes(self):
         g = default_grid(1, nodes_per_axis=32)
         for axis in (7, 1, -1):
@@ -770,11 +857,10 @@ class TestGridMatrices:
         plan = SubordinationPlan(1e-4, 1e4, 8)
         x, w = g.axes[0].nodes, g.axes[0].weights
         i, j = np.nonzero(~np.eye(n, dtype=bool))
+        mat = grid_matrix(0.6, k, g, plan, difference)
         if difference:
-            mat = riesz_difference_matrix(0.6, (k,), 0, g, plan)
             points = riesz_difference_batch(0.6, (k,), 0, x[i][None], x[j][None], plan)
         else:
-            mat = riesz_matrix(0.6, (k,), g, plan)
             points = riesz_kernel_batch(0.6, (k,), x[i][None], x[j][None], plan)
         kernel = mat / w[None, :]
         assert np.max(np.abs(kernel[i, j] - points)) <= 1e-14 * np.max(np.abs(kernel))
