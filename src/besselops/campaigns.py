@@ -519,7 +519,7 @@ def _thm1_6i_campaign(config: CampaignConfig, collect: bool):
     nu = config.nu_vector
     k = grid_multi_index(config.k, 1)
     p, atom_count, levels = config.p, config.atom_count, config.refine_levels
-    grid = default_grid(1, nodes_per_axis=config.grid_nodes)
+    grid = default_grid(1, nodes_per_axis=config.grid_nodes, box=config.box)
     nu_shifted = nu.shifted(tuple(kj + 2 * config.big_m for kj in k))
     rng = make_rng(config.seed)
     atoms = [_random_atom(rng, grid, p) for _ in range(atom_count * 2 ** (levels - 1))]
@@ -581,7 +581,7 @@ def _thm1_6ii_campaign(config: CampaignConfig, collect: bool):
     nu = config.nu_vector
     k = grid_multi_index(config.k, nu.n)
     s = config.s
-    grid = default_grid(nu.n, nodes_per_axis=config.grid_nodes)
+    grid = default_grid(nu.n, nodes_per_axis=config.grid_nodes, box=config.box)
     max_degree = max(0, math.floor(s))
     corpus = _random_corpus(make_rng(config.seed), grid, config.corpus_size)
 
@@ -616,7 +616,7 @@ def _thm1_6ii_campaign(config: CampaignConfig, collect: bool):
 
 def _thm4_1_campaign(config: CampaignConfig, collect: bool):
     nu = config.nu_vector
-    grid = default_grid(1, nodes_per_axis=config.grid_nodes)
+    grid = default_grid(1, nodes_per_axis=config.grid_nodes, box=config.box)
     mat = riesz_difference_matrix(nu, config.k, 0, grid, config.plan)
     rng = make_rng(config.seed)
     total = config.corpus_size * 2 ** (config.refine_levels - 1)

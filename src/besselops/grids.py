@@ -6,10 +6,13 @@ oscillatory eigenfunctions (whose Bessel factors come from
 ``special.besselj``), and a finite-difference version of the first-order
 operator delta used as a cross-check oracle.
 
-Grids are log-spaced by default (dense near the boundary where the critical
-radius and the kernel weights vary fastest) with trapezoid weights for
-nonuniform nodes, so the weights sum exactly to the box measure.  Functions
-are sampled on the tensor grid and treated as immutable after construction.
+An axis is its nodes: it spans [first node, last node], and its weights
+are the trapezoid weights of the nodes, which sum to the axis's length, so
+the grid's weights sum to the box measure.  Grids are log-spaced by
+default (dense near the boundary where the critical radius and the kernel
+weights vary fastest).  Functions are sampled on the tensor grid and
+treated as immutable after construction; a grid-function CSV carries its
+grid in its node columns.
 
 Each axis keeps one pair geometry (``Axis.pairs``): the node pairs i <= j
 sorted by (x_i - x_j)^2, with x_i x_j, the classes of those products that
@@ -33,9 +36,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -62,8 +64,6 @@ __all__ = [
     "apply_delta_fd",
     "gridfunction_to_csv",
     "gridfunction_from_csv",
-    "grid_to_json",
-    "grid_from_json",
 ]
 
 DEFAULT_BOX = (1e-2, 20.0)
@@ -80,35 +80,35 @@ def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class Axis:
-    """One grid axis: strictly increasing positive nodes plus weights."""
+    """One grid axis: at least 3 finite, positive, strictly increasing nodes.
+
+    The axis spans [lo, hi] = [nodes[0], nodes[-1]], and its quadrature
+    weights are the trapezoid weights of its nodes, which sum to hi - lo.
+    Nodes and weights are read-only.
+    """
 
     nodes: np.ndarray
-    weights: np.ndarray
-    scheme: str
-    lo: float
-    hi: float
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
         if self.nodes.ndim != 1 or self.nodes.size < 3:
             raise GridError("axis needs at least 3 nodes")
-        if not (
-            np.all(np.isfinite(self.nodes))
-            and np.all(np.isfinite(self.weights))
-            and math.isfinite(self.lo)
-            and math.isfinite(self.hi)
-        ):
-            raise GridError("axis nodes, weights and bounds must be finite")
+        if not np.all(np.isfinite(self.nodes)):
+            raise GridError("axis nodes must be finite")
         if np.any(self.nodes <= 0.0) or np.any(np.diff(self.nodes) <= 0.0):
             raise GridError("axis nodes must be positive and strictly increasing")
-        if np.any(self.weights <= 0.0):
-            raise GridError("axis weights must be positive")
-        measure = self.hi - self.lo
-        if abs(float(np.sum(self.weights)) - measure) > 1e-12 * max(1.0, measure):
-            raise GridError("axis weights must sum to the interval length")
+        self.weights = _trapezoid_weights(self.nodes)
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
+
+    @property
+    def lo(self) -> float:
+        return float(self.nodes[0])
+
+    @property
+    def hi(self) -> float:
+        return float(self.nodes[-1])
 
     @property
     def size(self) -> int:
@@ -188,14 +188,14 @@ def log_axis(lo: float, hi: float, n: int) -> Axis:
         raise GridError("need 0 < lo < hi")
     nodes = np.geomspace(lo, hi, int(n))
     nodes[0], nodes[-1] = lo, hi
-    return Axis(nodes, _trapezoid_weights(nodes), "logarithmic", float(lo), float(hi))
+    return Axis(nodes)
 
 
 def uniform_axis(lo: float, hi: float, n: int) -> Axis:
     if not 0.0 < lo < hi:
         raise GridError("need 0 < lo < hi")
     nodes = np.linspace(lo, hi, int(n))
-    return Axis(nodes, _trapezoid_weights(nodes), "uniform", float(lo), float(hi))
+    return Axis(nodes)
 
 
 @dataclass(eq=False)
@@ -264,9 +264,6 @@ class GridFunction:
     @classmethod
     def from_callable(cls, grid: Grid, fn) -> "GridFunction":
         return cls(grid, np.asarray(fn(*grid.node_mesh), dtype=float))
-
-    def integral(self) -> float:
-        return float(np.sum(self.grid.weight_array * self.values))
 
 
 def _one_grid(functions) -> Grid:
@@ -508,12 +505,14 @@ def gridfunction_to_csv(f: GridFunction, path=None) -> str:
     return text
 
 
-def gridfunction_from_csv(source, grid: Grid | None = None) -> GridFunction:
+def gridfunction_from_csv(source) -> GridFunction:
     """Rebuild a grid function written by gridfunction_to_csv.
 
-    If ``grid`` is omitted the axes are inferred from the node coordinates
-    (trapezoid weights, scheme tag "custom"); the file must cover the full
-    tensor grid in C order.
+    Axis j holds the distinct values of column j, so the file carries the
+    whole grid; its rows must cover that tensor grid in C order.  Refuses
+    (``GridError``) a file with no header or no rows, a row whose width is
+    not the header's, a non-finite entry, and rows that miss or reorder a
+    node.
     """
     if isinstance(source, str) and "\n" in source:
         fh = io.StringIO(source)
@@ -521,58 +520,21 @@ def gridfunction_from_csv(source, grid: Grid | None = None) -> GridFunction:
         fh = open(source, newline="")
     with fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        ndim = len(header) - 1
+        header = next(reader, None)
         rows = [[float(c) for c in row] for row in reader if row]
+    if not header:
+        raise GridError("csv has no header")
+    if not rows:
+        raise GridError("csv has no rows")
+    if any(len(row) != len(header) for row in rows):
+        raise GridError(f"every csv row must have the header's {len(header)} fields")
     data = np.asarray(rows)
     if not np.all(np.isfinite(data)):
         raise GridError("csv holds a non-finite node or value")
-    if grid is None:
-        axes = []
-        for j in range(ndim):
-            nodes = np.unique(data[:, j])
-            axes.append(
-                Axis(nodes, _trapezoid_weights(nodes), "custom", nodes[0], nodes[-1])
-            )
-        grid = Grid(tuple(axes))
-    shape = grid.shape
-    if data.shape[0] != int(np.prod(shape)):
+    ndim = len(header) - 1
+    grid = Grid(tuple(Axis(np.unique(data[:, j])) for j in range(ndim)))
+    if data.shape[0] != int(np.prod(grid.shape)):
         raise GridError("csv does not cover the full tensor grid")
-    expected = grid.points()
-    if not np.allclose(expected, data[:, :ndim], rtol=0, atol=1e-12):
+    if not np.array_equal(grid.points(), data[:, :ndim]):
         raise GridError("csv node ordering does not match the grid")
-    return GridFunction(grid, data[:, -1].reshape(shape))
-
-
-def grid_to_json(grid: Grid, path=None) -> str:
-    payload = {
-        "axes": [
-            {
-                "nodes": [repr(v) for v in ax.nodes.tolist()],
-                "weights": [repr(v) for v in ax.weights.tolist()],
-                "scheme": ax.scheme,
-                "lo": ax.lo,
-                "hi": ax.hi,
-            }
-            for ax in grid.axes
-        ]
-    }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
-
-
-def grid_from_json(source) -> Grid:
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        payload = json.loads(source)
-    else:
-        with open(source) as fh:
-            payload = json.load(fh)
-    axes = []
-    for ax in payload["axes"]:
-        nodes = np.asarray([float(v) for v in ax["nodes"]])
-        weights = np.asarray([float(v) for v in ax["weights"]])
-        axes.append(Axis(nodes, weights, ax["scheme"], float(ax["lo"]), float(ax["hi"])))
-    return Grid(tuple(axes))
+    return GridFunction(grid, data[:, -1].reshape(grid.shape))

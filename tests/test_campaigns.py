@@ -375,6 +375,27 @@ class TestOperatorCampaigns:
         assert np.isfinite(rep.C_hat)
         assert rep.C_hat < 10.0
 
+    @pytest.mark.parametrize(
+        "ineq,nu,k",
+        [("thm1_6i", (0.6,), (1,)), ("thm1_6ii", (0.6, 0.8), (1, 1)), ("thm4_1", (0.6,), (1,))],
+        ids=["thm1_6i", "thm1_6ii", "thm4_1"],
+    )
+    def test_grid_spans_the_config_box(self, monkeypatch, ineq, nu, k):
+        class Built(Exception):
+            pass
+
+        grids_built = []
+
+        def recorded_grid(*args, **kwargs):
+            grids_built.append(default_grid(*args, **kwargs))
+            raise Built
+
+        monkeypatch.setattr(campaigns, "default_grid", recorded_grid)
+        cfg = small(default_config(ineq), nu=nu, k=k, box=(0.5, 10.0), grid_nodes=16)
+        with pytest.raises(Built):
+            run_campaign(cfg)
+        assert [g.box for g in grids_built] == [((0.5, 10.0),) * len(nu)]
+
 
 def _note_value(report, prefix):
     """The Python literal that follows ``prefix`` in one of the report's notes."""

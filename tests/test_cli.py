@@ -45,6 +45,27 @@ class TestExitCodes:
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["bmo", "norm"],
+            ["riesz", "apply", "--nu", "0.8", "--k", "1"],
+            ["atoms", "check"],
+            ["atoms", "decompose", "--ball", "1.0;0.5"],
+        ],
+        ids=["bmo_norm", "riesz_apply", "atoms_check", "atoms_decompose"],
+    )
+    @pytest.mark.parametrize(
+        "text,message", [("", "csv has no header"), ("x1,value\n", "csv has no rows")],
+        ids=["empty", "header_only"],
+    )
+    def test_empty_csv_is_2(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        rc = main(["--out", str(tmp_path), *command, "--input", str(path)])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_bessel_overflow_is_2(self, monkeypatch, capsys):
         import besselops.cli as cli
 
@@ -281,7 +302,7 @@ class TestMiscCommands:
         )
         assert rc == 0
         # Floats are written with repr, so the CSV holds the transform exactly.
-        out = gridfunction_from_csv(tmp_path / "riesz_apply.csv", g)
+        out = gridfunction_from_csv(tmp_path / "riesz_apply.csv")
         plan = SubordinationPlan(1e-6, 1e4, 8)
         assert np.array_equal(out.values, riesz_matrix(0.8, (1,), g, plan) @ f.values)
 

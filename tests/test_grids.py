@@ -1,7 +1,6 @@
 """Grid calculus tests: quadrature semantics, semigroup action, maximal
 function, norms, eigenfunctions, finite-difference delta, serialization."""
 
-import json
 import math
 
 import numpy as np
@@ -12,6 +11,7 @@ import besselops.grids as grids
 import besselops.heat as heat
 from besselops.errors import DomainError, GridError, UnderResolvedError
 from besselops.grids import (
+    Axis,
     EigenfunctionSpec,
     Grid,
     GridFunction,
@@ -21,8 +21,6 @@ from besselops.grids import (
     default_grid,
     eigenfunction,
     eigenfunction_gridfn,
-    grid_from_json,
-    grid_to_json,
     gridfunction_from_csv,
     gridfunction_to_csv,
     log_axis,
@@ -32,6 +30,7 @@ from besselops.grids import (
     _kernel_matrices,
     _maximal_values,
     _semigroup_values,
+    _trapezoid_weights,
 )
 from besselops.heat import NuVector, _p1d, eval_delta_heat_1d, heat_kernel_1d
 from besselops.special import _SERIES_EDGES, besselj
@@ -91,9 +90,11 @@ class TestGridConstruction:
         assert float(np.sum(g.weight_array)) == pytest.approx(measure, rel=1e-13)
 
     @pytest.mark.parametrize(
-        "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 33)], ids=["log", "uniform"]
+        "kind,axis",
+        [("log", log_axis(1e-2, 20.0, 64)), ("uniform", uniform_axis(0.05, 10.0, 33))],
+        ids=["log", "uniform"],
     )
-    def test_pairs_are_the_triangle_sorted_by_distance(self, axis):
+    def test_pairs_are_the_triangle_sorted_by_distance(self, kind, axis):
         xy, d2, distinct, inverse, i, j = axis.pairs
         x = axis.nodes
         assert i.dtype == j.dtype == inverse.dtype == np.int32
@@ -107,7 +108,7 @@ class TestGridConstruction:
         assert np.array_equal(ids, np.arange(distinct.size))
         assert np.all(np.diff(first) > 0)
         assert np.array_equal(distinct, xy[first])
-        if axis.scheme == "logarithmic":
+        if kind == "log":
             # x_i x_j depends on i + j alone: one class per index sum.
             assert distinct.size == 2 * axis.size - 1
             sums = np.empty(distinct.size, dtype=np.int64)
@@ -125,6 +126,44 @@ class TestGridConstruction:
             log_axis(0.0, 1.0, 32)
         with pytest.raises(GridError):
             uniform_axis(2.0, 1.0, 32)
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            [1.0, math.nan, 3.0],
+            [1.0, 2.0, math.inf],
+            [0.0, 1.0, 2.0],
+            [-1.0, 1.0, 2.0],
+            [1.0, 3.0, 2.0],
+            [1.0, 2.0, 2.0, 3.0],
+            [1.0, 2.0],
+            [[1.0, 2.0, 3.0]],
+        ],
+        ids=["nan", "inf", "zero", "negative", "decreasing", "repeated", "two_nodes", "2d"],
+    )
+    def test_axis_refuses_bad_nodes(self, nodes):
+        with pytest.raises(GridError):
+            Axis(nodes)
+
+    @pytest.mark.parametrize(
+        "axis,ends",
+        [
+            (log_axis(1e-2, 20.0, 64), (1e-2, 20.0)),
+            (uniform_axis(0.05, 10.0, 33), (0.05, 10.0)),
+            (Axis([0.3, 0.5, 2.0, 2.25]), (0.3, 2.25)),
+        ],
+        ids=["log", "uniform", "irregular"],
+    )
+    def test_axis_is_its_nodes(self, axis, ends):
+        nodes = np.array(axis.nodes)
+        assert np.array_equal(axis.weights, _trapezoid_weights(nodes))
+        assert (axis.lo, axis.hi) == ends == (nodes[0], nodes[-1])
+        assert type(axis.lo) is type(axis.hi) is float
+        assert Grid((axis, axis)).box == (ends, ends)
+        assert float(np.sum(axis.weights)) == pytest.approx(axis.hi - axis.lo, rel=1e-14)
+        assert not axis.nodes.flags.writeable and not axis.weights.flags.writeable
+        with pytest.raises(TypeError):
+            Axis(nodes, axis.weights)
 
     def test_gridfunction_shape_check(self):
         g = default_grid(2, nodes_per_axis=16)
@@ -400,10 +439,12 @@ class TestSemigroup:
         assert calls[0][2] < axis.pairs[0].size
 
     @pytest.mark.parametrize(
-        "axis", [log_axis(1e-2, 20.0, 96), uniform_axis(0.05, 10.0, 96)], ids=["log", "uniform"]
+        "kind,axis",
+        [("log", log_axis(1e-2, 20.0, 96)), ("uniform", uniform_axis(0.05, 10.0, 96))],
+        ids=["log", "uniform"],
     )
     def test_bessel_points_per_time_node_are_the_distinct_products(
-        self, monkeypatch, bessel_calls, axis
+        self, monkeypatch, bessel_calls, kind, axis
     ):
         # The maximal function draws its kernels from one ladder stream: the
         # Bessel calls run on the product classes of the pairs i <= j with
@@ -417,7 +458,7 @@ class TestSemigroup:
         # Every class of a log axis holds a pair next to the diagonal, live at
         # every default time; the early nodes of a uniform axis use fewer.
         assert max(expected) == distinct.size
-        assert (min(expected) < distinct.size) == (axis.scheme == "uniform")
+        assert (min(expected) < distinct.size) == (kind == "uniform")
         nodes = [distinct[:u] / (2.0 * t) for u, t in zip(expected, T_GRID_DEFAULT)]
         for block in (heat._BESSEL_BLOCK, 1500):
             monkeypatch.setattr(heat, "_BESSEL_BLOCK", block)
@@ -598,29 +639,45 @@ class TestSerialization:
         with pytest.raises(GridError):
             gridfunction_from_csv("\n".join(lines) + "\n")
 
-    def test_grid_json_roundtrip(self):
-        g = default_grid(2, nodes_per_axis=9)
-        back = grid_from_json(grid_to_json(g))
-        for ax0, ax1 in zip(g.axes, back.axes):
-            assert np.array_equal(ax0.nodes, ax1.nodes)
-            assert np.array_equal(ax0.weights, ax1.weights)
-            assert ax0.scheme == ax1.scheme
-
-    @pytest.mark.parametrize("field,index", [("nodes", 1), ("weights", 2), ("hi", None)])
-    def test_grid_json_rejects_non_finite(self, field, index):
-        payload = json.loads(grid_to_json(default_grid(1, nodes_per_axis=9)))
-        axis = payload["axes"][0]
-        if index is None:
-            axis[field] = "nan"
-        else:
-            axis[field][index] = "nan"
-        with pytest.raises(GridError):
-            grid_from_json(json.dumps(payload))
-
     def test_csv_file_io(self, tmp_path):
         g = default_grid(1, nodes_per_axis=17)
         f = GridFunction.from_callable(g, lambda x: x**2)
         path = tmp_path / "f.csv"
         gridfunction_to_csv(f, path)
-        back = gridfunction_from_csv(path, grid=g)
+        back = gridfunction_from_csv(path)
         assert np.array_equal(back.values, f.values)
+        assert np.array_equal(back.grid.axes[0].nodes, g.axes[0].nodes)
+        assert np.array_equal(back.grid.axes[0].weights, g.axes[0].weights)
+        assert back.grid.box == g.box
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("", "no header"),
+            ("x1,value\n", "no rows"),
+            ("x1,x2,value\n\n", "no rows"),
+            ("x1,value\n0.1,1.0\n0.2,2.0,3.0\n0.3,3.0\n", "header's 2 fields"),
+            ("x1,x2,value\n0.1,1.0\n0.2,2.0\n0.3,3.0\n", "header's 3 fields"),
+        ],
+        ids=["empty", "header_only", "blank_rows", "long_row", "short_rows"],
+    )
+    def test_csv_refuses_missing_header_rows_or_fields(self, tmp_path, text, match):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(GridError, match=match):
+            gridfunction_from_csv(path)
+
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            (lambda lines: lines.insert(2, lines.pop(3)), "ordering"),
+            (lambda lines: lines.pop(6), "full tensor grid"),
+        ],
+        ids=["permuted_rows", "missing_row"],
+    )
+    def test_csv_refuses_rows_off_the_tensor_grid(self, edit, match):
+        g = default_grid(2, nodes_per_axis=4)
+        lines = gridfunction_to_csv(GridFunction.from_callable(g, lambda x, y: x * y)).splitlines()
+        edit(lines)
+        with pytest.raises(GridError, match=match):
+            gridfunction_from_csv("\n".join(lines) + "\n")
