@@ -76,9 +76,7 @@ from .spaces import (
     AtomCandidate,
     Ball,
     BallSampler,
-    _node_stack,
-    _scaled_basis,
-    _weighted_gram,
+    _moment_fit,
     bmo_norm,
     multi_indices,
 )
@@ -429,23 +427,6 @@ def _thm1_5_campaign(config: CampaignConfig, collect: bool):
 # Operator bound campaigns: atoms (thm1_6i) and oscillation norms (thm1_6ii)
 
 
-def _project_moments(values, grid, mask, omega, center, radius):
-    """Remove monomial moments up to omega on the support, keeping support."""
-    indices = multi_indices(grid.ndim, omega)
-    pts = _node_stack(grid)[:, mask]
-    w = grid.weight_array[mask]
-    cols = _scaled_basis(pts, center, radius, indices)
-    gram = _weighted_gram(cols, w)
-    rhs = np.array([float(np.sum(w * ca * values[mask])) for ca in cols])
-    coef = np.linalg.solve(gram, rhs)
-    out = values.copy()
-    correction = np.zeros(pts.shape[1:])
-    for c, col in zip(coef, cols):
-        correction += c * col
-    out[mask] = values[mask] - correction
-    return out
-
-
 def _random_atom(rng, grid, p: float, center_range=(0.7, 7.0)):
     """One random subcritical atom: supported in B(c, r), r <= rho(c),
     vanishing moments up to floor(n(1/p-1)), sup at 90% of the bound."""
@@ -466,7 +447,10 @@ def _random_atom(rng, grid, p: float, center_range=(0.7, 7.0)):
     prof = np.where(mask, (0.95 - u) * (shape1 + 0.5 * shape2), 0.0)
     omega = math.floor(grid.ndim * (1.0 / p - 1.0))
     if r < rho:
-        prof = _project_moments(prof, grid, mask, omega, ball.center, r)
+        # Remove the moments up to omega on the support, keeping the support.
+        indices = multi_indices(grid.ndim, omega)
+        w = grid.weight_array[mask]
+        prof[mask] -= _moment_fit(prof[mask][None], x[mask][None], w, ball, indices)[0]
     sup = float(np.max(np.abs(prof)))
     if sup == 0.0:
         raise UnderResolvedError(

@@ -35,7 +35,7 @@ from .grids import (
     gridfunction_from_csv,
     gridfunction_to_csv,
 )
-from .heat import KernelPoint, NuVector, delta_heat_kernel_nd, heat_kernel_nd
+from .heat import KernelPoint, NuVector, delta_heat_kernel_nd
 from .riesz import CzSamplePlan, SubordinationPlan, cz_bound_check, riesz_apply, riesz_kernel
 from .spaces import (
     AtomCandidate,
@@ -89,12 +89,8 @@ def _given(args, refine_field: str) -> dict:
 def cmd_kernel_eval(args) -> int:
     nu = NuVector(_floats(args.nu))
     q = KernelPoint(args.t, _floats(args.x), _floats(args.y))
-    if args.ell:
-        ell = _ints(args.ell)
-        value = delta_heat_kernel_nd(nu, ell, q)
-    else:
-        ell = (0,) * nu.n
-        value = heat_kernel_nd(nu, q)
+    ell = _ints(args.ell) if args.ell else (0,) * nu.n
+    value = delta_heat_kernel_nd(nu, ell, q)
     _emit(
         {
             "nu": list(nu.nu),

@@ -66,7 +66,6 @@ __all__ = [
     "ExpansionTerm",
     "critical_function",
     "heat_kernel_1d",
-    "heat_kernel_nd",
     "delta_expansion",
     "eval_delta_heat_1d",
     "delta_heat_difference_1d",
@@ -329,17 +328,6 @@ def heat_kernel_1d(nu: float, t: float, x, y):
     return float(out) if np.isscalar(x) and np.isscalar(y) and np.isscalar(t) else out
 
 
-def heat_kernel_nd(nu, q: KernelPoint) -> float:
-    """Product kernel over coordinates at one space-time point."""
-    nu = as_nu_vector(nu)
-    if len(q.x) != nu.n:
-        raise DomainError("point dimension does not match order vector")
-    out = 1.0
-    for j in range(nu.n):
-        out *= heat_kernel_1d(nu.nu[j], q.t, q.x[j], q.y[j])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Symbolic expansions: terms c * x^a * y^b * t^{-d} * p_t^{nu+m}
 
@@ -550,18 +538,16 @@ def eval_delta_heat_1d(nu: float, ell: int, t, x, y):
 
 
 def delta_heat_difference_1d(nu: float, ell: int, t, x, y):
-    """delta_nu^ell p_t^nu - delta_{nu+1}^ell p_t^{nu+1} from one Bessel ladder.
+    """delta_nu^ell p_t^nu - delta_{nu+1}^ell p_t^{nu+1}: one step of
+    ``_word_products`` with the order difference on its one axis.
 
     The coefficients of delta_beta^ell p_t^beta do not depend on beta, so
     both terms combine one ladder, the second one step up (``_combine``).
     """
-    expansion = delta_expansion(nu, ell)
-    monomials = _monomials(expansion.terms, x, y)
-    t = np.asarray(t, dtype=float)
-    ladder = _p1d_shifts(float(nu), _stepped(expansion.shifts), t, x, y)
-    return _combine(monomials, t, ladder) - _combine(
-        _monomials(expansion.terms, x, y), t, ladder, 1
-    )
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    word = _pair_word(delta_expansion(nu, ell), x, y)
+    return next(_word_products((float(nu),), (word,), (np.asarray(t, dtype=float),), 0))
 
 
 def _delta_dt_expansion(nu: float, k: int, big_m: int) -> HeatKernelExpansion:
@@ -598,8 +584,12 @@ def adjoint_power_heat_1d(nu: float, k: int, big_m: int, t, x, y):
 
 
 def delta_heat_kernel_nd(nu, k, q: KernelPoint) -> float:
-    """Mixed delta-derivative of the product kernel, one order per axis."""
+    """Mixed delta-derivative of the product kernel, one order per axis;
+    k = 0 is the product kernel itself, bit for bit the product of
+    ``heat_kernel_1d`` over the axes."""
     nu = as_nu_vector(nu)
+    if len(q.x) != nu.n:
+        raise DomainError("point dimension does not match order vector")
     k = tuple(int(v) for v in np.atleast_1d(k))
     if len(k) != nu.n or any(v < 0 for v in k):
         raise DomainError("multi-index must be componentwise >= 0 and match n")

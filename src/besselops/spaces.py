@@ -7,10 +7,14 @@ it are judged by raw size.  Everything here works on sampled functions,
 with grid quadrature standing in for integrals; integrals over balls that
 stick out of the grid box are clipped to the box with a warning.
 
+Below the critical radius one fit serves both the oscillation norm and
+the moment cancellation of drawn atoms: ``_moment_fit`` solves the moment
+equations of each function in the ball's scaled basis, on the Gram matrix
+that ``_moment_gram`` checks for node count and conditioning (the check
+``minimizing_polynomial`` makes), and evaluates the fit in that basis.
 ``bmo_norm`` also takes a stack of functions on one grid: the part of each
 ball that does not depend on the function (its mask, volume and branch,
-and below the critical radius its moment basis and Gram matrix, checked
-by ``_moment_gram`` as ``minimizing_polynomial`` checks it) is formed
+and below the critical radius its moment basis and Gram matrix) is formed
 once, and the sums over the ball run on all functions at once, bit for
 bit the one-function values.
 """
@@ -314,12 +318,16 @@ def _expand_scaled_coeffs(coeffs, center, radius, indices, n):
             expo = tuple(k for k, _ in combo)
             coef = scale
             for _, b in combo:
-                coef = coef * b  # not in place: ``coeffs`` may hold arrays
+                coef *= b
             raw[expo] = raw.get(expo, 0.0) + coef
     return raw
 
 
-def _moment_gram(pts, w, ball: Ball, indices, cond_limit: float = 1e12):
+# Largest condition number of a ball's moment Gram matrix that is solved.
+_COND_LIMIT = 1e12
+
+
+def _moment_gram(pts, w, ball: Ball, indices):
     """Scaled basis columns and their Gram matrix on the ball's nodes ``pts``
     with weights ``w``; ``UnderResolvedError`` when the ball holds too few
     nodes or the Gram matrix is numerically singular.  Neither depends on
@@ -331,14 +339,12 @@ def _moment_gram(pts, w, ball: Ball, indices, cond_limit: float = 1e12):
     cols = _scaled_basis(pts, ball.center, ball.radius, indices)
     gram = _weighted_gram(cols, w)
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise UnderResolvedError(f"moment matrix condition {cond:.2e} too large")
     return cols, gram
 
 
-def minimizing_polynomial(
-    g: GridFunction, ball: Ball, max_degree: int, cond_limit: float = 1e12
-) -> PolyND:
+def minimizing_polynomial(g: GridFunction, ball: Ball, max_degree: int) -> PolyND:
     """The unique polynomial of the given degree matching all moments of g
     on the ball: int_B (g - P) x^alpha dx = 0 for |alpha| <= max_degree.
 
@@ -356,7 +362,7 @@ def minimizing_polynomial(
         warnings.warn("ball clipped to the grid box", RuntimeWarning, stacklevel=2)
     indices = multi_indices(n, max_degree)
     w = grid.weight_array[mask]
-    cols, gram = _moment_gram(nodes[:, mask], w, ball, indices, cond_limit)
+    cols, gram = _moment_gram(nodes[:, mask], w, ball, indices)
     rhs = np.array([float(np.sum(w * ca * g.values[mask])) for ca in cols])
     sol = np.linalg.solve(gram, rhs)
     resid = gram @ sol - rhs
@@ -365,6 +371,24 @@ def minimizing_polynomial(
         _expand_scaled_coeffs(sol, ball.center, ball.radius, indices, n),
         residual=float(np.max(np.abs(resid) / scale)),
     )
+
+
+def _moment_fit(vals, pts, w, ball: Ball, indices) -> np.ndarray:
+    """The minimizing polynomial of each row of ``vals`` (functions x the
+    ball's nodes ``pts``, weights ``w``) evaluated on those nodes, in the
+    ball's scaled basis; ``UnderResolvedError`` as ``_moment_gram``.
+
+    Each moment is the row sum of ``w * col * vals``, the pairwise sum the
+    one-function ``np.sum`` takes; each function is solved on its own, since
+    a multi-right-hand-side solve need not round alike.
+    """
+    cols, gram = _moment_gram(pts, w, ball, indices)
+    rhs = np.stack([np.sum(w * ca * vals, axis=1) for ca in cols], axis=1)
+    sol = np.stack([np.linalg.solve(gram, row) for row in rhs], axis=1)
+    out = np.zeros(vals.shape)
+    for c, col in zip(sol, cols):
+        out += c[:, None] * col
+    return out
 
 
 def _clipped_to_box(grid: Grid, ball: Ball) -> bool:
@@ -444,13 +468,11 @@ def bmo_norm(
         # function's ``np.sum`` (``values[:, mask]`` comes out column-major).
         dev = np.compress(mask.ravel(), values, axis=1)
         if ball.radius < ball.critical_radius:
-            pts = nodes[:, mask]
             try:
-                cols, gram = _moment_gram(pts, w, ball, indices)
+                dev = dev - _moment_fit(dev, nodes[:, mask], w, ball, indices)
             except UnderResolvedError:
                 skipped += 1
                 continue
-            dev = dev - _fitted_polynomials(dev, pts, w, ball, indices, cols, gram)
         volume = ball.volume
         mean_sq = (w * dev**2).sum(axis=1) / volume
         val = volume ** (-s / n) * np.sqrt(np.maximum(mean_sq, 0.0))
@@ -461,24 +483,6 @@ def bmo_norm(
         )
     out = best.tolist()
     return out[0] if single else out
-
-
-def _fitted_polynomials(vals, pts, w, ball: Ball, indices, cols, gram) -> np.ndarray:
-    """The minimizing polynomial of each row of ``vals`` (functions x the
-    ball's nodes) evaluated on the ball's nodes, as ``minimizing_polynomial``
-    and ``PolyND.evaluate`` form it for one function.
-
-    Each moment is the row sum of ``w * col * vals``, the pairwise sum the
-    one-function ``np.sum`` takes; each function is solved on its own, since
-    a multi-right-hand-side solve need not round alike.
-    """
-    rhs = np.stack([np.sum(w * ca * vals, axis=1) for ca in cols], axis=1)
-    sol = np.stack([np.linalg.solve(gram, row) for row in rhs], axis=1)
-    raw = _expand_scaled_coeffs(sol, ball.center, ball.radius, indices, len(ball.center))
-    out = np.zeros(vals.shape)
-    for alpha, c in raw.items():
-        out += c[:, None] * _monomials(pts, alpha)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -565,6 +565,61 @@ class TestRandomCorpus:
             assert np.any(kept != kept[:1, :]) and np.any(kept != kept[:, :1])
 
 
+def projected_atom(rng, grid, p):
+    """A subcritical atom drawn as ``campaigns._random_atom`` draws it, with
+    the moments removed by a local moment projection: the scaled-basis Gram
+    solve, and the correction summed column by column on the support."""
+    from besselops.sampling import loguniform
+    from besselops.spaces import (
+        AtomCandidate, Ball, _node_stack, _scaled_basis, _weighted_gram, multi_indices,
+    )
+
+    x, axis = grid.axes[0].nodes, grid.axes[0]
+    c = float(loguniform(rng, 0.7, 7.0, ()))
+    rho = c / 16.0
+    spacing = c * math.log(axis.hi / axis.lo) / (axis.size - 1)
+    r = min(max(rho * (0.3 + 0.7 * float(rng.uniform())), 3.0 * spacing), rho)
+    ball = Ball((c,), r)
+    dist = np.abs(x - c)
+    mask = dist < 0.95 * r
+    if int(np.count_nonzero(mask)) < 4:
+        mask = dist < r
+    u = dist / r
+    shape1 = np.cos((1.5 + 2.0 * float(rng.uniform())) * math.pi * u)
+    shape2 = np.sin(math.pi * u + float(rng.uniform()))
+    prof = np.where(mask, (0.95 - u) * (shape1 + 0.5 * shape2), 0.0)
+    if r < rho:
+        indices = multi_indices(1, math.floor(1.0 / p - 1.0))
+        pts = _node_stack(grid)[:, mask]
+        w = grid.weight_array[mask]
+        cols = _scaled_basis(pts, ball.center, r, indices)
+        rhs = np.array([float(np.sum(w * ca * prof[mask])) for ca in cols])
+        coef = np.linalg.solve(_weighted_gram(cols, w), rhs)
+        correction = np.zeros(pts.shape[1:])
+        for cf, col in zip(coef, cols):
+            correction += cf * col
+        prof[mask] = prof[mask] - correction
+    vals = prof * (0.9 * ball.volume ** (-1.0 / p) / float(np.max(np.abs(prof))))
+    return AtomCandidate(GridFunction(grid, vals), ball, p)
+
+
+class TestRandomAtom:
+    @pytest.mark.parametrize("p", [1.0, 0.5, 0.45])
+    def test_draws_are_the_projected_atoms_and_cancel(self, p):
+        # omega = 0, 1 and 1: p = 0.5 and 0.45 take the degree-1 fit.
+        from besselops.spaces import validate_p_rho_atom
+
+        grid = default_grid(1, nodes_per_axis=512)
+        rng, ref_rng = make_rng(3), make_rng(3)
+        for _ in range(100):
+            atom = campaigns._random_atom(rng, grid, p)
+            expected = projected_atom(ref_rng, grid, p)
+            assert atom.ball == expected.ball
+            assert np.array_equal(atom.f.values, expected.f.values)
+            verdict = validate_p_rho_atom(atom, nu=1.0)
+            assert verdict.valid, verdict.diagnostics
+
+
 class TestHardySpotCheck:
     @pytest.mark.parametrize("k", [(1,), (0,)])
     def test_atom_stack_matches_the_per_atom_loop(self, k):

@@ -89,6 +89,21 @@ class TestExitCodes:
         assert rc == 2
         assert "too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            ["--nu", "0.5", "--x", "1,2", "--y", "1.5,7", "--ell", "1"],
+            ["--nu", "0.5,0.5", "--x", "1", "--y", "1.5", "--ell", "1,1"],
+            ["--nu", "0.5", "--x", "1,2", "--y", "1.5,7"],
+            ["--nu", "0.5,0.5", "--x", "1", "--y", "1.5"],
+        ],
+        ids=["ell_point_longer", "ell_point_shorter", "point_longer", "point_shorter"],
+    )
+    def test_kernel_eval_point_dimension_mismatch_is_2(self, capsys, point):
+        rc = main(["kernel", "eval", "--t", "1", *point])
+        assert rc == 2
+        assert "point dimension does not match" in capsys.readouterr().err
+
     def test_kernel_eval_ok(self, capsys):
         rc = main(["kernel", "eval", "--nu", "0.5", "--t", "1.0", "--x", "1.0", "--y", "2.0"])
         assert rc == 0

@@ -31,7 +31,6 @@ from besselops.heat import (
     delta_heat_kernel_nd,
     eval_delta_heat_1d,
     heat_kernel_1d,
-    heat_kernel_nd,
     mixed_partial_delta,
 )
 
@@ -150,25 +149,49 @@ def test_coordinates_off_the_half_line_refused(monkeypatch, x, y):
     assert ladders == []
 
 
+def kernel_nd(nu, q):
+    """The product kernel at one point: the mixed delta-derivative at k = 0."""
+    return delta_heat_kernel_nd(nu, (0,) * nu.n, q)
+
+
+def product_of_1d_kernels(nu, q):
+    """prod_j p_t^{nu_j}(x_j, y_j), multiplied up from 1.0 in axis order."""
+    out = 1.0
+    for j in range(nu.n):
+        out *= heat_kernel_1d(nu.nu[j], q.t, q.x[j], q.y[j])
+    return out
+
+
 class TestKernelND:
     def test_product_structure(self):
         q = KernelPoint(0.8, (1.0, 2.0), (1.5, 0.7))
         nu = NuVector((0.5, 0.5))
         expected = dirichlet_kernel(0.8, 1.0, 1.5) * dirichlet_kernel(0.8, 2.0, 0.7)
-        assert heat_kernel_nd(nu, q) == pytest.approx(expected, rel=1e-12)
+        assert kernel_nd(nu, q) == pytest.approx(expected, rel=1e-12)
 
     def test_reduces_to_1d(self):
         q = KernelPoint(0.8, (1.2,), (0.9,))
-        assert heat_kernel_nd(NuVector((1.1,)), q) == pytest.approx(
-            heat_kernel_1d(1.1, 0.8, 1.2, 0.9), rel=1e-15
-        )
+        assert kernel_nd(NuVector((1.1,)), q) == heat_kernel_1d(1.1, 0.8, 1.2, 0.9)
 
     def test_coordinate_permutation(self):
         nu = NuVector((0.3, 1.7))
         q = KernelPoint(0.5, (1.0, 2.0), (2.5, 0.4))
         nu_p = NuVector((1.7, 0.3))
         q_p = KernelPoint(0.5, (2.0, 1.0), (0.4, 2.5))
-        assert heat_kernel_nd(nu, q) == pytest.approx(heat_kernel_nd(nu_p, q_p), rel=1e-14)
+        assert kernel_nd(nu, q) == pytest.approx(kernel_nd(nu_p, q_p), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "nu, q",
+        [
+            (NuVector((0.5,)), KernelPoint(1.0, (1.0, 2.0), (1.5, 7.0))),
+            (NuVector((0.5, 0.5)), KernelPoint(1.0, (1.0,), (1.5,))),
+        ],
+        ids=["point_longer", "point_shorter"],
+    )
+    def test_point_dimension_must_match(self, nu, q):
+        for k in ((0,) * nu.n, (1,) * nu.n):
+            with pytest.raises(DomainError, match="point dimension"):
+                delta_heat_kernel_nd(nu, k, q)
 
     def test_nu_vector_accessors(self):
         nu = NuVector((0.5, 1.5, -0.2))
@@ -230,12 +253,17 @@ class TestDeltaExpansion:
 
 
 class TestMultiDimDelta:
-    def test_k_zero_is_kernel(self):
-        nu = NuVector((0.4, 1.2))
-        q = KernelPoint(0.6, (1.0, 0.8), (2.0, 1.1))
-        assert delta_heat_kernel_nd(nu, (0, 0), q) == pytest.approx(
-            heat_kernel_nd(nu, q), rel=1e-14
-        )
+    @pytest.mark.parametrize(
+        "nu, q",
+        [
+            (NuVector((0.4, 1.2)), KernelPoint(0.6, (1.0, 0.8), (2.0, 1.1))),
+            (NuVector((1.1,)), KernelPoint(0.8, (1.2,), (0.9,))),
+            (NuVector((-0.3, 0.5, 2.5)), KernelPoint(3e-3, (0.2, 4.0, 9.0), (0.25, 3.9, 9.1))),
+        ],
+    )
+    def test_k_zero_is_kernel(self, nu, q):
+        # Bit for bit: the k = 0 word is 1.0 * t^0 * p on each axis.
+        assert delta_heat_kernel_nd(nu, (0,) * nu.n, q) == product_of_1d_kernels(nu, q)
 
     def test_tensor_finite_difference(self):
         nu = NuVector((0.5, 1.0))
@@ -368,15 +396,15 @@ def mp_word(word, beta, t, x, y, order=6):
 
 
 def count_ladders(monkeypatch):
-    """Record the shifts of every ``heat._p1d_shifts`` call."""
+    """Record the shifts of every ``heat._ladders`` stream."""
     calls = []
-    ladder = heat._p1d_shifts
+    ladders = heat._ladders
 
     def counted(nu, shifts, *a):
         calls.append(list(shifts))
-        return ladder(nu, shifts, *a)
+        return ladders(nu, shifts, *a)
 
-    monkeypatch.setattr(heat, "_p1d_shifts", counted)
+    monkeypatch.setattr(heat, "_ladders", counted)
     return calls
 
 
