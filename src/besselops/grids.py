@@ -1,10 +1,9 @@
 """Discretized function calculus on the positive orthant.
 
 Tensor-product quadrature grids over a truncated box, semigroup application
-by kernel quadrature, the heat maximal function, L^p (quasi-)norms, the
-oscillatory eigenfunctions (whose Bessel factors come from
-``special.besselj``), and a finite-difference version of the first-order
-operator delta used as a cross-check oracle.
+by kernel quadrature, the heat maximal function, L^p (quasi-)norms, and a
+finite-difference version of the first-order operator delta used as a
+cross-check oracle.
 
 An axis is its nodes: it spans [first node, last node], and its weights
 are the trapezoid weights of the nodes, which sum to the axis's length, so
@@ -44,13 +43,11 @@ import numpy as np
 
 from .errors import DomainError, GridError
 from .heat import NuVector, as_nu_vector, _ladders
-from .special import besselj
 
 __all__ = [
     "Axis",
     "Grid",
     "GridFunction",
-    "EigenfunctionSpec",
     "log_axis",
     "uniform_axis",
     "default_grid",
@@ -59,8 +56,6 @@ __all__ = [
     "apply_semigroup",
     "maximal_function",
     "lp_norm",
-    "eigenfunction",
-    "eigenfunction_gridfn",
     "apply_delta_fd",
     "gridfunction_to_csv",
     "gridfunction_from_csv",
@@ -407,52 +402,6 @@ def lp_norm(f: GridFunction, p: float) -> float:
         raise DomainError("p must be positive or inf")
     w = f.grid.weight_array
     return float(np.sum(w * np.abs(f.values) ** p) ** (1.0 / p))
-
-
-# ---------------------------------------------------------------------------
-# Eigenfunctions
-
-
-@dataclass(frozen=True)
-class EigenfunctionSpec:
-    """Frequency vector of the oscillatory generalized eigenfunction."""
-
-    lam: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(float(v) for v in np.atleast_1d(self.lam)))
-        if any(v <= 0.0 for v in self.lam):
-            raise DomainError("frequency components must be positive")
-
-    @property
-    def norm2(self) -> float:
-        return float(sum(v * v for v in self.lam))
-
-
-def eigenfunction(nu, spec: EigenfunctionSpec, x) -> float:
-    """phi_lam(x) = prod_j (lam_j x_j)^{1/2} J_{nu_j}(lam_j x_j)."""
-    nu = as_nu_vector(nu)
-    xs = tuple(float(v) for v in np.atleast_1d(x))
-    if len(xs) != nu.n or len(spec.lam) != nu.n:
-        raise DomainError("dimension mismatch")
-    if any(v <= 0.0 for v in xs):
-        raise DomainError("coordinates must be positive")
-    out = 1.0
-    for j in range(nu.n):
-        z = spec.lam[j] * xs[j]
-        out *= math.sqrt(z) * float(besselj(nu.nu[j], z))
-    return out
-
-
-def eigenfunction_gridfn(nu, spec: EigenfunctionSpec, grid: Grid) -> GridFunction:
-    """phi_lam sampled on the tensor grid (separable, built per axis)."""
-    nu = as_nu_vector(nu)
-    vals = None
-    for j in range(grid.ndim):
-        z = spec.lam[j] * grid.axes[j].nodes
-        fj = np.sqrt(z) * besselj(nu.nu[j], z)
-        vals = fj if vals is None else np.multiply.outer(vals, fj)
-    return GridFunction(grid, vals)
 
 
 # ---------------------------------------------------------------------------

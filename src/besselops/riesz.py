@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -118,9 +118,6 @@ class SubordinationPlan:
         w[0] *= 0.5
         w[-1] *= 0.5
         return np.exp(u), w
-
-    def refined(self, factor: int = 2) -> "SubordinationPlan":
-        return replace(self, nodes_per_decade=self.nodes_per_decade * factor)
 
 
 DEFAULT_PLAN = SubordinationPlan()

@@ -1,18 +1,14 @@
-"""Bessel functions of the first kind.
+"""The scaled modified Bessel function of the first kind, e^{-z} I_alpha(z).
 
-Everything here is a pure function of its arguments.  The four entry points
-cover the forms needed elsewhere in the package:
+Everything here is a pure function of its arguments.  Every object of the
+package is built from the heat kernel
 
-* ``besseli(alpha, z)``          -- I_alpha(z) itself,
-* ``besseli_scaled(alpha, z)``   -- e^{-z} I_alpha(z), finite for all
-  representable z (the form heat kernels are assembled from),
-* ``besseli_ratio(alpha, z)``    -- z^{-alpha} I_alpha(z), finite and
-  positive at z = 0,
-* ``besselj(alpha, z)``          -- J_alpha(z) for z <= 21, I's series
-  polynomial at -(z/2)^2 (DLMF 10.2.2), for the eigenfunctions of ``grids``.
+    p_t^nu(x, y) = sqrt(xy)/(2t) e^{-(x^2+y^2)/4t} I_nu(xy/2t),
 
-All four take scalars or numpy arrays of finite z >= 0, for I up to the
-largest float.  Orders below -1 are rejected: the power series (DLMF 10.25.2)
+so the one entry point, ``besseli_scaled(alpha, z)``, gives the scaled form
+e^{-z} I_alpha(z), finite for all representable z.  It takes scalars or
+numpy arrays of finite z >= 0.  Orders below -1 are rejected: the power
+series (DLMF 10.25.2)
 
     I_alpha(z) = sum_k (z/2)^{alpha+2k} / (k! Gamma(alpha+k+1))
 
@@ -45,20 +41,9 @@ from itertools import count
 
 import numpy as np
 
-from .errors import DomainError, UnderResolvedError
+from .errors import DomainError
 
-__all__ = [
-    "besseli",
-    "besseli_scaled",
-    "besseli_ratio",
-    "besselj",
-]
-
-# Unscaled I overflows float64 around z ~ 709; refuse a little earlier.
-_OVERFLOW_Z = 705.0
-
-# J's domain edge: past it cancellation costs the series more than 1e-7.
-_J_Z_MAX = 21.0
+__all__ = ["besseli_scaled"]
 
 _TOL = 1e-17
 
@@ -252,72 +237,3 @@ def besseli_scaled(alpha, z):
     if multi:
         return rows.reshape((len(orders),) + np.shape(z))
     return float(rows[0, 0]) if scalar else rows[0].reshape(np.shape(z))
-
-
-def besseli(alpha, z):
-    """I_alpha(z) for z >= 0.
-
-    Raises ``OverflowError`` once e^z leaves float64 range; use
-    ``besseli_scaled`` there.
-    """
-    a = _order(alpha)
-    arr, scalar = _as_array(z)
-    _check_nonneg(arr)
-    if np.any(arr >= _OVERFLOW_Z):
-        raise OverflowError(
-            f"besseli overflows for z >= {_OVERFLOW_Z}; use besseli_scaled"
-        )
-    out = np.exp(arr) * besseli_scaled(a, arr)
-    return float(out[0]) if scalar else out.reshape(np.shape(z))
-
-
-def besseli_ratio(alpha, z):
-    """z^{-alpha} I_alpha(z); at z = 0 returns the limit 1/(2^alpha Gamma(alpha+1)).
-
-    Never raises beyond the domain checks; for very large z the value is
-    allowed to overflow to inf (the quantity itself is ~ e^z z^{-alpha-1/2}).
-    """
-    a = _order(alpha)
-    arr, scalar = _as_array(z)
-    _check_nonneg(arr)
-    flat = arr.ravel()
-    # The series' k = 0 term of z^{-alpha} I_alpha is its z -> 0 limit.  From
-    # order about 150.2 on it rounds to 0 (then Gamma overflows) while the
-    # values may be normal floats: there the series bins add logs.
-    try:
-        limit = 1.0 / (2.0**a * math.gamma(a + 1.0))
-    except OverflowError:
-        limit = 0.0
-    log_limit = -a * math.log(2.0) - math.lgamma(a + 1.0) if limit == 0.0 else None
-    out = np.full(flat.shape, limit if log_limit is None else math.exp(log_limit))
-    for lo, hi, is_series, _, idx in _binned([a], flat):
-        zz = flat[idx]
-        if is_series:
-            poly = _horner(_series_coeffs(a, hi), zz * zz * _series_unit(hi))
-            out[idx] = limit * poly if log_limit is None else np.exp(np.log(poly) + log_limit)
-        else:
-            with np.errstate(over="ignore"):
-                growth = np.exp(zz - a * np.log(zz)) / _hankel_root(zz, hi)
-            out[idx] = growth * _horner(_hankel_coeffs(a, lo), 1.0 / zz)
-    return float(out[0]) if scalar else out.reshape(np.shape(z))
-
-
-def besselj(alpha, z):
-    """J_alpha(z) for 0 <= z <= 21; ``UnderResolvedError`` above, where the
-    cancellation of the alternating series would return a wrong value."""
-    a = _order(alpha)
-    arr, scalar = _as_array(z)
-    _check_nonneg(arr)
-    if np.any(arr > _J_Z_MAX):
-        raise UnderResolvedError(f"besselj is accurate only for z <= {_J_Z_MAX}")
-    flat = arr.ravel()
-    out = np.full(flat.shape, 1.0 if a == 0.0 else (0.0 if a > 0.0 else np.inf))
-    edges = (*_SERIES_EDGES, _J_Z_MAX)
-    for lo, hi in zip(edges, edges[1:]):
-        idx = np.flatnonzero((flat > lo) & (flat <= hi))
-        if idx.size:
-            zz = flat[idx]
-            log_half = _log_half(zz)
-            out[idx] = _horner(_series_coeffs(a, hi), -(zz * zz * _series_unit(hi)))
-            out[idx] *= _first_term(a, log_half, (np.min(log_half), np.max(log_half)))
-    return float(out[0]) if scalar else out.reshape(np.shape(z))

@@ -5,22 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special as sps
 
 import besselops.grids as grids
 import besselops.heat as heat
-from besselops.errors import DomainError, GridError, UnderResolvedError
+from besselops.errors import DomainError, GridError
 from besselops.grids import (
     Axis,
-    EigenfunctionSpec,
     Grid,
     GridFunction,
     T_GRID_DEFAULT,
     apply_delta_fd,
     apply_semigroup,
     default_grid,
-    eigenfunction,
-    eigenfunction_gridfn,
     gridfunction_from_csv,
     gridfunction_to_csv,
     log_axis,
@@ -33,8 +29,8 @@ from besselops.grids import (
     _trapezoid_weights,
 )
 from besselops.heat import NuVector, _p1d, eval_delta_heat_1d, heat_kernel_1d
-from besselops.special import _SERIES_EDGES, besselj
 from conftest import class_ladder, class_products
+from eigenfunctions import EigenfunctionSpec, eigenfunction, eigenfunction_gridfn
 
 
 def live_regime(axis, t) -> str:
@@ -530,38 +526,8 @@ class TestLpNorm:
 
 
 class TestEigenfunctions:
-    def test_besselj_half_closed_form(self):
-        # Alternating-series cancellation costs ~7 digits by z = 20.
-        z = np.linspace(0.05, 20.0, 157)
-        ours = besselj(0.5, z)
-        closed = np.sqrt(2.0 / (math.pi * z)) * np.sin(z)
-        assert np.allclose(ours, closed, rtol=1e-8, atol=2e-9)
-
-    def test_besselj_against_scipy(self):
-        # J's bins end at each series edge and at its domain edge 21.
-        edges = np.array([*_SERIES_EDGES[1:], 21.0])
-        z = np.concatenate(
-            [np.linspace(0.0, 20.0, 200), edges, np.nextafter(edges, 0.0),
-             np.nextafter(edges[:-1], np.inf)]
-        )
-        for a in (-0.3, 0.0, 0.5, 1.0, 2.7, 5.5, 7.5):
-            ours, ref = besselj(a, z), sps.jv(a, z)
-            both_inf = np.isinf(ours) & np.isinf(ref)
-            assert np.allclose(ours[~both_inf], ref[~both_inf], rtol=1e-7, atol=5e-9)
-            assert np.array_equal(np.isinf(ours), np.isinf(ref))
-
-    def test_besselj_refuses_large_arguments(self):
-        # The series returned 7.1 for J_0(45) = 0.0903 before the guard.
-        with pytest.raises(UnderResolvedError):
-            besselj(0.0, 45.0)
-        with pytest.raises(UnderResolvedError):
-            besselj(1.0, np.array([1.0, 30.0]))
-        z = np.linspace(0.0, 21.0, 211)
-        assert np.allclose(besselj(0.0, z), sps.jv(0.0, z), rtol=1e-7, atol=5e-9)
-        with pytest.raises(DomainError):
-            besselj(0.5, np.array([1.0, -1.0]))
-
     def test_vanishing_at_origin(self):
+        # A check of the oracle: phi_lam vanishes like prod x_j^{nu_j+1/2}.
         nu = NuVector((0.7, 1.2))
         spec = EigenfunctionSpec((1.0, 1.0))
         val = eigenfunction(nu, spec, (1e-4, 1e-4))

@@ -1,4 +1,4 @@
-"""Tests for the modified Bessel evaluators.
+"""Tests for the scaled modified Bessel evaluator e^{-z} I_alpha(z).
 
 scipy, mpmath and the standard library act as independent oracles; the closed
 half-integer forms give exact cross-checks.
@@ -15,16 +15,18 @@ from hypothesis import strategies as st
 from scipy import special as sps
 
 from besselops.errors import DomainError
-from besselops.special import (
-    besseli,
-    besseli_ratio,
-    besseli_scaled,
-)
+from besselops.special import besseli_scaled
 
 
 def i_half_closed(z):
     """I_{1/2}(z) = sqrt(2/(pi z)) sinh z."""
     return math.sqrt(2.0 / (math.pi * z)) * math.sinh(z)
+
+
+def power_ratio(alpha, z, order):
+    """z^{-alpha} I_order(z) = z^{-alpha} e^z besseli_scaled(order, z), for
+    z below about 700, where e^z is finite."""
+    return z ** (-alpha) * np.exp(z) * besseli_scaled(order, z)
 
 
 def series_oracle(alpha, z, terms=60):
@@ -50,15 +52,18 @@ def ive_reference(alpha, z):
 
 class TestBesselI:
     def test_at_zero(self):
-        assert besseli(0.0, 0.0) == 1.0  # leading series term 1/Gamma(1)
-        assert besseli(1.2, 0.0) == 0.0
+        assert besseli_scaled(0.0, 0.0) == 1.0  # leading series term 1/Gamma(1)
+        assert besseli_scaled(1.2, 0.0) == 0.0
 
     def test_half_order_closed_form(self):
-        # alpha = 1/2, z = 1: both the closed form and the direct series.
-        val = besseli(0.5, 1.0)
-        assert val == pytest.approx(i_half_closed(1.0), rel=1e-12)
-        assert val == pytest.approx(series_oracle(0.5, 1.0, terms=50), rel=1e-12)
-        assert val == pytest.approx(0.937674, abs=1e-6)
+        # alpha = 1/2, z = 1: both the closed form and the direct series,
+        # times e^{-1}.
+        val = besseli_scaled(0.5, 1.0)
+        assert val == pytest.approx(i_half_closed(1.0) * math.exp(-1.0), rel=1e-12)
+        assert val == pytest.approx(
+            series_oracle(0.5, 1.0, terms=50) * math.exp(-1.0), rel=1e-12
+        )
+        assert val * math.e == pytest.approx(0.937674, abs=1e-6)
 
     def test_large_argument_leading_asymptote(self):
         # e^{-z} I_alpha(z) approaches 1/sqrt(2 pi z); within 1% at z = 40.
@@ -72,16 +77,9 @@ class TestBesselI:
         big = besseli_scaled(3.0, 1e6)
         assert math.isfinite(big) and big > 0.0
 
-    def test_overflow_raises_unscaled_only(self):
-        with pytest.raises(OverflowError):
-            besseli(1.0, 800.0)
-        assert math.isfinite(besseli_scaled(1.0, 800.0))
-
-    def test_ratio_limits(self):
-        assert besseli_ratio(0.0, 0.0) == pytest.approx(1.0, rel=1e-14)
-        assert besseli_ratio(1.0, 0.0) == pytest.approx(0.5, rel=1e-14)
-        assert besseli_ratio(0.7, 2.3) == pytest.approx(
-            series_oracle(0.7, 2.3, terms=60) / 2.3**0.7, rel=1e-12
+    def test_against_direct_series(self):
+        assert besseli_scaled(0.7, 2.3) == pytest.approx(
+            series_oracle(0.7, 2.3, terms=60) * math.exp(-2.3), rel=1e-12
         )
 
     def test_against_scipy_broad(self):
@@ -175,10 +173,6 @@ class TestBesselI:
             besseli_scaled(alpha, z)
         with pytest.raises(DomainError):
             besseli_scaled([0.5, alpha], z)
-        with pytest.raises(DomainError):
-            besseli_ratio(alpha, z)
-        with pytest.raises(DomainError):
-            besseli(alpha, z)
 
     def test_large_order_below_its_switch_point_against_mpmath(self):
         # The refusal is per bin: order 60's series bins still evaluate.
@@ -194,46 +188,30 @@ class TestBesselI:
             ref = float(mpmath.besseli(alpha, z) * mpmath.exp(-z))
         assert besseli_scaled(alpha, z) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize(
-        "alpha, z", [(152.0, 590.0), (180.0, 590.0), (180.0, 450.0), (200.0, 3.0)]
-    )
-    def test_ratio_at_orders_whose_limit_underflows_against_mpmath(self, alpha, z):
-        # 1/(2^alpha Gamma(alpha + 1)) rounds to 0 from order 150.2 on, while
-        # the first three values are normal floats (6.54e-176, 7.11e-257 and
-        # 4.75e-300); the last, about 8e-436, underflows to 0.0 as its float does.
-        with mpmath.workdps(30):
-            ref = float(mpmath.besseli(alpha, z) * mpmath.mpf(z) ** -alpha)
-        assert besseli_ratio(alpha, z) == pytest.approx(ref, rel=1e-12, abs=0.0)
-
-    def test_ratio_limit_at_an_order_whose_gamma_overflows(self):
-        assert besseli_ratio(200.0, 0.0) == 0.0
-
     def test_order_200_is_refused_past_the_switch_point(self):
         with pytest.raises(DomainError):
             besseli_scaled(200.0, 600.5)
 
     def test_huge_arguments_against_mpmath(self):
         # 2 pi z overflows above 2.86e307; the last bin forms sqrt(2 pi z)
-        # from sqrt(z) there, and z^{-alpha} I_alpha(z) overflows to inf.
+        # from sqrt(z) there.
         z = np.array([1e4 + 1.0, 2.8e307, 2.9e307, 1e308, np.finfo(float).max])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ours = besseli_scaled(0.5, z)
-            ratio = besseli_ratio(0.5, z)
         with mpmath.workdps(30):
             ref = [
                 float(mpmath.besseli(0.5, v) * mpmath.exp(-v)) for v in map(mpmath.mpf, z)
             ]
         np.testing.assert_allclose(ours, ref, rtol=5e-13, atol=0.0)
-        assert np.all(np.isposinf(ratio))  # ~ e^z / (z sqrt(2 pi)) overflows
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            besseli(-1.0, 1.0)
+            besseli_scaled(-1.0, 1.0)
         with pytest.raises(DomainError):
             besseli_scaled(-1.5, 1.0)
         with pytest.raises(DomainError):
-            besseli(0.5, -1.0)
+            besseli_scaled(0.5, -1.0)
 
     def test_array_shapes(self):
         z = np.array([[0.1, 1.0], [10.0, 50.0]])
@@ -407,8 +385,8 @@ class TestIdentities:
     def test_ratio_derivative_identity(self, alpha, z):
         # d/dz [z^{-a} I_a(z)] = z^{-a} I_{a+1}(z), via central differences.
         h = 1e-5
-        fd = (besseli_ratio(alpha, z + h) - besseli_ratio(alpha, z - h)) / (2.0 * h)
-        exact = besseli_ratio(alpha, z) / z**0.0 * 0.0 + z**(-alpha) * besseli(alpha + 1.0, z)
+        fd = (power_ratio(alpha, z + h, alpha) - power_ratio(alpha, z - h, alpha)) / (2.0 * h)
+        exact = power_ratio(alpha, z, alpha + 1.0)
         assert fd == pytest.approx(exact, rel=1e-6)
 
     def test_order_monotonicity(self):
@@ -422,6 +400,6 @@ class TestIdentities:
         for a in (-0.3, 0.0, 0.5, 1.0, 2.0):
             c = 1.0 / (2.0**a * math.gamma(a + 1.0))
             z = np.linspace(1e-4, 1.0, 200)
-            ratio = besseli_ratio(a, z)
+            ratio = power_ratio(a, z, a)
             assert np.all(ratio >= c * (1.0 - 1e-12))
             assert np.all(ratio <= c * np.exp(z * z))
