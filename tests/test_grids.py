@@ -537,6 +537,38 @@ class TestEigenfunctions:
             expect *= (1e-4) ** (nuj + 0.5) / (2.0**nuj * math.gamma(nuj + 1.0))
         assert val == pytest.approx(expect, rel=1e-3)
 
+    def test_half_order_closed_form(self):
+        # A check of the oracle: sqrt(z) J_{1/2}(z) = sqrt(2/pi) sin z.
+        x = np.linspace(0.05, 20.0, 157)
+        closed = math.sqrt(2.0 / math.pi) * np.sin(x)
+        vals = [eigenfunction(0.5, EigenfunctionSpec((1.0,)), (v,)) for v in x]
+        assert np.allclose(vals, closed, rtol=1e-12, atol=1e-14)
+        val = eigenfunction((0.5, 0.5), EigenfunctionSpec((0.6, 0.8)), (2.0, 3.0))
+        assert val == pytest.approx(2.0 / math.pi * math.sin(1.2) * math.sin(2.4), rel=1e-12)
+
+    def test_gridfn_is_the_pointwise_product(self):
+        # A check of the oracle: the per-axis outer product is phi_lam at
+        # each node.
+        g = default_grid(2, nodes_per_axis=9)
+        nu, spec = NuVector((0.7, 1.2)), EigenfunctionSpec((0.6, 0.8))
+        phi = eigenfunction_gridfn(nu, spec, g)
+        x, y = g.axes[0].nodes, g.axes[1].nodes
+        expect = [[eigenfunction(nu, spec, (a, b)) for b in y] for a in x]
+        assert np.allclose(phi.values, expect, rtol=1e-13, atol=1e-300)
+
+    @pytest.mark.parametrize(
+        "nu, lam, x",
+        [
+            (0.5, (0.0,), (1.0,)),  # frequency not positive
+            (0.5, (1.0,), (0.0,)),  # coordinate not positive
+            ((0.5, 0.5), (1.0,), (1.0, 1.0)),  # frequency dimension
+            ((0.5, 0.5), (1.0, 1.0), (1.0,)),  # point dimension
+        ],
+    )
+    def test_oracle_refuses_bad_input(self, nu, lam, x):
+        with pytest.raises(DomainError):
+            eigenfunction(nu, EigenfunctionSpec(lam), x)
+
     @pytest.mark.parametrize("n,lam,nu", [(1, (1.0,), (0.5,)), (2, (0.6, 0.8), (0.5, 1.5))])
     def test_eigen_relation(self, n, lam, nu):
         g = default_grid(n, nodes_per_axis=512)

@@ -77,6 +77,17 @@ class TestBesselI:
         big = besseli_scaled(3.0, 1e6)
         assert math.isfinite(big) and big > 0.0
 
+    def test_finite_where_the_unscaled_value_overflows_against_mpmath(self):
+        # I_alpha(z) leaves float64 range near z = 710; its scaled form does not.
+        z = np.array([704.0, 705.0, 710.0, 800.0, 1e3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = besseli_scaled([0.0, 1.0, 7.5], z)
+        with mpmath.workdps(30):
+            for a, row in zip((0.0, 1.0, 7.5), rows):
+                ref = [float(mpmath.besseli(a, v) * mpmath.exp(-v)) for v in map(mpmath.mpf, z)]
+                np.testing.assert_allclose(row, ref, rtol=5e-13, atol=0.0)
+
     def test_against_direct_series(self):
         assert besseli_scaled(0.7, 2.3) == pytest.approx(
             series_oracle(0.7, 2.3, terms=60) * math.exp(-2.3), rel=1e-12
@@ -187,6 +198,22 @@ class TestBesselI:
         with mpmath.workdps(30):
             ref = float(mpmath.besseli(alpha, z) * mpmath.exp(-z))
         assert besseli_scaled(alpha, z) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "alpha, z", [(152.0, 590.0), (180.0, 590.0), (180.0, 450.0), (200.0, 3.0)]
+    )
+    def test_orders_above_150_against_mpmath(self, alpha, z):
+        # (z/2)^alpha overflows at order 152 and z = 590 while the value does
+        # not; from order 170.6 on the first term comes from lgamma.  The
+        # first three values are normal floats (5.64e-11, 2.35e-14 and
+        # 6.65e-18); the last, about 1.06e-341, underflows to 0.0 as its float does.
+        with mpmath.workdps(30):
+            ref = float(mpmath.besseli(alpha, z) * mpmath.exp(-z))
+        assert besseli_scaled(alpha, z) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_order_whose_gamma_overflows_at_zero(self):
+        assert besseli_scaled(200.0, 0.0) == 0.0
+        assert np.array_equal(besseli_scaled([0.5, 200.0], np.zeros(2)), np.zeros((2, 2)))
 
     def test_order_200_is_refused_past_the_switch_point(self):
         with pytest.raises(DomainError):
