@@ -3,10 +3,15 @@ smoke runs of each inequality family (the heavy acceptance-tolerance runs
 live in the acceptance suite)."""
 
 import ast
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,6 +402,36 @@ class TestOperatorCampaigns:
         assert [g.box for g in grids_built] == [((0.5, 10.0),) * len(nu)]
 
 
+class TestPlanBudget:
+    """The bundled time-plan densities against their error budget: the grid
+    campaigns' constants move by at most 1e-4 relative, with the same
+    verdict, when the density is taken 4 times."""
+
+    @pytest.mark.parametrize(
+        "ineq, nodes",
+        [("thm1_6i", 61), ("thm1_6ii", 61), ("thm4_1", 61), ("prop2_8", 225)],
+    )
+    def test_bundled_plans_count_their_time_nodes(self, ineq, nodes):
+        # The time nodes each grid Riesz build (or prop2_8 sample batch)
+        # sums: a work count that does not vary with machine noise.
+        assert default_config(ineq).plan.nodes()[0].size == nodes
+
+    # Seeds 9 (thm1_6ii, 1.30e-5 from 48 per decade) and 10 (thm4_1,
+    # 1.29e-5) move the most of seeds 0-15.
+    @pytest.mark.parametrize("seed", [0, 9, 10])
+    @pytest.mark.parametrize("ineq", ["thm1_6i", "thm1_6ii", "thm4_1"])
+    def test_bundled_density_is_within_the_report_budget(self, ineq, seed):
+        cfg = dataclasses.replace(default_config(ineq), seed=seed)
+        fine = dataclasses.replace(cfg, plan_nodes_per_decade=4 * cfg.plan_nodes_per_decade)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got, _ = run_campaign(cfg)
+            want, _ = run_campaign(fine)
+        assert got.C_hat == pytest.approx(want.C_hat, rel=1e-4, abs=0.0)
+        assert got.per_refinement_C == pytest.approx(want.per_refinement_C, rel=1e-4, abs=0.0)
+        assert got.verdict == want.verdict
+
+
 def _note_value(report, prefix):
     """The Python literal that follows ``prefix`` in one of the report's notes."""
     (note,) = [n for n in report.notes if n.startswith(prefix)]
@@ -707,6 +742,36 @@ class TestHardySpotCheck:
             ref, _ = run_campaign(cfg)
         assert len(supports) == 1 and 0 < np.count_nonzero(supports[0]) < supports[0].size
         assert got.canonical_json() == ref.canonical_json()
+
+    def test_median_is_numpy_median(self):
+        rng = np.random.default_rng(0)
+        cases = [rng.lognormal(0.0, 2.0, size) for size in range(1, 202) for _ in range(15)]
+        cases += [
+            np.array(v)
+            for v in (
+                [np.inf], [1.0, np.inf], [-np.inf, np.inf], [np.inf, np.inf, 2.0],
+                [np.nan], [1.0, np.nan], [np.nan, 2.0, 3.0], [np.inf, np.nan],
+                [0.0, -0.0], [-0.0, -0.0, 1.0], [5e-324, 1e308, 1.7e308, 3.0],
+            )
+        ]
+        for values in cases:
+            with np.errstate(invalid="ignore"):  # -inf + inf
+                want = np.median(values)
+                got = campaigns._median(values)
+            assert repr(got) == repr(float(want)) or (math.isnan(got) and math.isnan(want))
+
+    def test_run_does_not_import_numpy_ma(self):
+        # np.median imports numpy.ma for its nan check, at 9-15 ms a process.
+        code = (
+            "import sys\n"
+            "from besselops.campaigns import default_config, run_campaign\n"
+            "run_campaign(default_config('thm1_6i'))\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        src = str(Path(campaigns.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("nodes", [16, 64])
     def test_refuses_more_than_one_dimension_before_building_a_grid(self, monkeypatch, nodes):

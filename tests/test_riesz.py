@@ -3,9 +3,11 @@
 Oracles: the closed-form order-1 and order-2 kernels at nu = 1/2 (from
 the image-kernel logarithm and from the Green's function min(x, y)); a
 30-digit mpmath evaluation of the time integral; the eigenfunction mapping
-R phi_lam^{nu} = -phi_lam^{nu+1}; the spectral identity for fractional
-inverses; plan/grid refinement.  The subordination quadrature and the exact
-1-D kernel (Schlafli's integral) are checked against the same oracles.
+R phi_lam^{nu} = -phi_lam^{nu+1}; the exact transform of
+x^(nu+1/2) exp(-x^2/2) by Weber's integral; the spectral identity for
+fractional inverses; plan/grid refinement.  The subordination quadrature
+and the exact 1-D kernel (Schlafli's integral) are checked against the
+same oracles.
 """
 
 import math
@@ -14,9 +16,11 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import besselops.heat as heat
 import besselops.riesz as riesz
+from besselops.campaigns import default_config
 from besselops.errors import DomainError, GridError
 from besselops.grids import (
     Grid,
@@ -866,6 +870,60 @@ class TestGridMatrices:
             points = riesz_kernel_batch(0.6, (k,), x[i][None], x[j][None], plan)
         kernel = mat / w[None, :]
         assert np.max(np.abs(kernel[i, j] - points)) <= 1e-14 * np.max(np.abs(kernel))
+
+
+def weber_riesz_reference(x):
+    """R f at ``x`` for f(x) = x^(3/2) exp(-x^2/2), nu = 1, k = 1.
+
+    By Weber's first exponential integral (Watson, Bessel Functions, 13.3),
+    f_a(x) = x^(nu+1/2) exp(-x^2/2a) has e^(-tL) f_a =
+    (a/b)^(nu+1) x^(nu+1/2) exp(-x^2/2b) with b = a + 2t, and delta_nu acts
+    on x^(nu+1/2) h as x^(nu+1/2) h'.  So at a = 1, R f is
+    Gamma(1/2)^-1 int t^(-1/2) b^-2 (-x^(5/2)/b) exp(-x^2/2b) dt, here by
+    the trapezoid rule in u = log t, step 0.02 on [-70, 40].
+    """
+    u = np.arange(-70.0, 40.0 + 1e-9, 0.02)
+    w = np.full(u.size, 0.02)
+    w[[0, -1]] *= 0.5
+    t = np.exp(u)[:, None]
+    b = 1.0 + 2.0 * t
+    g = np.sqrt(t) * b**-2.0 * (-(x**2.5) / b) * np.exp(-(x**2) / (2.0 * b))
+    return w @ g / math.gamma(0.5)
+
+
+class TestExactReference:
+    """The grid transform of the bundled grid campaigns against an exact
+    value, and the share of its error that the time quadrature makes."""
+
+    def test_reference_against_quad(self):
+        xs = np.array([0.01, 0.1, 1.0, 3.0, 20.0])
+        for x, got in zip(xs, weber_riesz_reference(xs)):
+            def integrand(t):
+                b = 1.0 + 2.0 * t
+                return t**-0.5 * b**-2.0 * (-(x**2.5) / b) * math.exp(-x * x / (2.0 * b))
+
+            want = sum(
+                quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                for lo, hi in ((0.0, 1.0), (1.0, math.inf))
+            ) / math.gamma(0.5)
+            assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    # The error is the spatial one: the same to four digits at 4, 6, 12, 24
+    # and 48 time nodes per decade.
+    @pytest.mark.parametrize("ineq, measured", [("thm1_6i", 8.733e-3), ("thm1_6ii", 1.470e-2)])
+    def test_bundled_plan_error_is_the_spatial_error(self, ineq, measured):
+        cfg = default_config(ineq)
+        g = default_grid(1, nodes_per_axis=cfg.grid_nodes, box=cfg.box)
+        x = g.axes[0].nodes
+        f = x**1.5 * np.exp(-(x**2) / 2.0)
+        exact = weber_riesz_reference(x)
+        plan = cfg.plan
+        fine = SubordinationPlan(plan.t_min, plan.t_max, 4 * plan.nodes_per_decade)
+        got = riesz_matrix(1.0, (1,), g, plan) @ f
+        err = np.max(np.abs(got - exact))
+        assert err <= 1.01 * measured * np.max(np.abs(exact))
+        # the time quadrature's share: 0.11% (thm1_6i) and 0.06% (thm1_6ii)
+        assert np.max(np.abs(got - riesz_matrix(1.0, (1,), g, fine) @ f)) <= 0.01 * err
 
 
 class TestFractionalInverse:
