@@ -569,11 +569,12 @@ def _thm1_6ii_campaign(config: CampaignConfig, collect: bool):
 
     The sampled-supremum norm proxy is sampler dependent, so this check
     reports ratios and their refinement behavior without any hard gate.
-    Each sampler takes two ``bmo_norm`` passes over a stack of functions:
-    the denominators, then the transforms of the functions whose
-    denominator is not 0 (0/0 is skipped).  The whole corpus is transformed
-    by one ``riesz_apply`` call, which builds the transform once, and each
-    transform serves both samplers.
+    Each sampler takes one ``bmo_norm`` pass over the stack of its
+    functions and their transforms, whose rows are independent bit for bit,
+    so each ball's mask and Gram matrix are formed once for both; a ratio
+    whose denominator is 0 is skipped (0/0).  The whole corpus is
+    transformed by one ``riesz_apply`` call, which builds the transform
+    once, and each transform serves both samplers.
     """
     nu = config.nu_vector
     k = grid_multi_index(config.k, nu.n)
@@ -583,10 +584,9 @@ def _thm1_6ii_campaign(config: CampaignConfig, collect: bool):
     corpus = _random_corpus(make_rng(config.seed), grid, config.corpus_size)
 
     def sampled_ratios(functions, sampler):
-        denoms = bmo_norm(functions, s, max_degree, sampler)
-        kept = [i for i, d in enumerate(denoms) if d != 0.0]
-        nums = bmo_norm([transforms[i] for i in kept], s, max_degree, sampler)
-        return [num / denoms[i] for i, num in zip(kept, nums)]
+        norms = bmo_norm([*functions, *transforms[: len(functions)]], s, max_degree, sampler)
+        denoms, nums = norms[: len(functions)], norms[len(functions) :]
+        return [num / d for num, d in zip(nums, denoms) if d != 0.0]
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

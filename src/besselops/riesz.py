@@ -67,7 +67,7 @@ from .grids import (
     _one_grid,
     _pairs_touching,
     _semigroup_values,
-    _weighted_matrix,
+    _weighted_matrices,
 )
 from .heat import NuVector, _check_positive, _pair_word, _word_products, as_nu_vector, delta_expansion
 from .sampling import _drift, _level_maxima, _verdict, make_rng, sample_smooth_triples
@@ -429,7 +429,10 @@ def _grid_matrix(
     for t, wi, rows in zip(t_nodes, w, products):
         rows *= wi * t**half
         total[:, : rows.shape[-1]] += rows
-    out = _weighted_matrix(np.zeros((axis.size, axis.size)), axis, pairs, total[0], total[1])
+    # The loop sets the peak memory: its stream (which zip leaves
+    # suspended), word and last rows go before the gather builds its map.
+    del products, word, rows
+    out = _weighted_matrices(axis, pairs, 2)(total)
     out /= math.gamma(half)
     return out
 
@@ -533,7 +536,8 @@ def riesz_apply(nu, k, f, plan: SubordinationPlan = DEFAULT_PLAN):
 
 def _nd_apply(nu: NuVector, k, grid: Grid, functions, plan: SubordinationPlan):
     """The n-D transforms of ``functions``: per time node, each axis matrix
-    is built once and contracted with each function's values."""
+    is written once, into that axis's one buffer (``grids._weighted_matrices``),
+    and contracted with each function's values."""
     axes = grid.axes
     t_nodes, w = plan.nodes()
     streams = [
@@ -541,12 +545,10 @@ def _nd_apply(nu: NuVector, k, grid: Grid, functions, plan: SubordinationPlan):
         for nu_j, k_j, axis in zip(nu.nu, k, axes)
     ]
     half = sum(k) / 2.0
+    writers = [_weighted_matrices(axis, axis.pairs, 2) for axis in axes]
     accs = [np.zeros(grid.shape) for _ in functions]
     for t, wi, *axis_rows in zip(t_nodes, w, *streams):
-        mats = [
-            _weighted_matrix(np.zeros((axis.size, axis.size)), axis, axis.pairs, rows[0], rows[1])
-            for rows, axis in zip(axis_rows, axes)
-        ]
+        mats = [write(rows) for write, rows in zip(writers, axis_rows)]
         for g, acc in zip(functions, accs):
             vals = g.values
             for j, mat in enumerate(mats):

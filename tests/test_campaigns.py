@@ -101,6 +101,16 @@ class TestDeterminism:
         rep2, _ = run_campaign(cfg)
         assert rep1.canonical_json() == rep2.canonical_json()
 
+    @pytest.mark.parametrize("ineq", ["thm1_6i", "thm1_6ii"])
+    def test_grid_campaigns_repeat_in_one_process(self, ineq):
+        # The grid streams own their matrix buffers: no state may carry
+        # from one run into the next.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            first, _ = run_campaign(default_config(ineq))
+            second, _ = run_campaign(default_config(ineq))
+        assert first.canonical_json() == second.canonical_json()
+
     def test_seed_changes_samples(self):
         cfg = small(default_config("thm2_1"))
         cfg2 = small(default_config("thm2_1"), seed=1)
@@ -545,9 +555,10 @@ class TestBmoSpotCheck:
         assert got.C_hat == ref["max_ratio"]
         assert got.notes[0].startswith("advisory only")
         assert len(ref["ratios"]) == 5
-        # Two passes per sampler; the whole corpus transformed by one call,
-        # which builds one Riesz matrix (none at order 0).
-        assert [len(stack) for stack in norm_calls] == [6, 5, 2, 1]
+        # One pass per sampler over its functions and their transforms; the
+        # whole corpus transformed by one call, which builds one Riesz
+        # matrix (none at order 0).
+        assert [len(stack) for stack in norm_calls] == [12, 4]
         assert len(transforms) == 1
         assert len(riesz_builds) == (1 if sum(k) else 0)
 

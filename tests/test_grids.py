@@ -8,6 +8,7 @@ import pytest
 
 import besselops.grids as grids
 import besselops.heat as heat
+from besselops.campaigns import default_config as campaign_config
 from besselops.errors import DomainError, GridError
 from besselops.grids import (
     Axis,
@@ -74,6 +75,18 @@ def all_pairs_kernel_matrix(nu, t, axis, own_products=False):
     out[iu] = vals
     out.T[iu] = vals
     return out * axis.weights[None, :]
+
+
+def scatter_matrix(axis, pairs, upper, lower):
+    """upper on the first len(upper) pairs (i, j), then lower on their
+    mirror images (j, i), scattered into a zeroed matrix, columns weighted."""
+    i, j = pairs[4:]
+    cut = upper.size
+    out = np.zeros((axis.size, axis.size))
+    out[i[:cut], j[:cut]] = upper
+    out[j[:cut], i[:cut]] = lower
+    out *= axis.weights
+    return out
 
 
 class TestGridConstruction:
@@ -267,6 +280,29 @@ class TestPairsTouching:
         assert cuts == reachable - {0} if d2.size else cuts == {0}
 
 
+class TestWeightedMatrices:
+    @pytest.mark.parametrize("mask", [None, *TestPairsTouching.MASKS])
+    @pytest.mark.parametrize(
+        "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 64)], ids=["log", "uniform"]
+    )
+    def test_gather_matches_a_scatter(self, axis, mask):
+        # Each writer, bit for bit the scatter on every write: the whole
+        # prefix, a dead tail (cut < P) after it and before it again, with
+        # lower different from upper and equal to it.
+        pairs = grids._pairs_touching(axis, None if mask is None else TestPairsTouching.MASKS[mask])
+        size = pairs[0].size
+        rng = np.random.default_rng(5)
+        one_side = grids._weighted_matrices(axis, pairs, 1)
+        two_sides = grids._weighted_matrices(axis, pairs, 2)
+        for cut in (size, size // 3, 0, size // 2, size):
+            upper, lower = rng.standard_normal((2, cut))
+            want = scatter_matrix(axis, pairs, upper, lower)
+            assert two_sides(np.stack([upper, lower])).tobytes() == want.tobytes(), cut
+            want = scatter_matrix(axis, pairs, upper, upper)
+            assert two_sides(np.stack([upper, upper])).tobytes() == want.tobytes(), cut
+            assert one_side(upper).tobytes() == want.tobytes(), cut
+
+
 class TestSemigroup:
     def test_zero_and_linearity(self):
         g = default_grid(1, nodes_per_axis=128)
@@ -425,7 +461,8 @@ class TestSemigroup:
 
         monkeypatch.setattr(grids, "_ladders", recorded)
         times = tuple(regime_times(axis).values())
-        matrices = list(_kernel_matrices(0.6, times, axis))
+        # A stream writes every matrix into one buffer: keep copies.
+        matrices = [mat.copy() for mat in _kernel_matrices(0.6, times, axis)]
         assert [t for t, _, _ in calls] == list(times)
         for (t, d2, cut), mat in zip(calls, matrices):
             assert d2 is axis.pairs[1]
@@ -497,6 +534,76 @@ class TestMaximalFunction:
                 (got_max[..., b], maximal_function(nu, f, t_grid).values),
             ):
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("nu, nodes", [((0.5,), 64), ((0.6, 1.2), 24)], ids=["1d", "2d"])
+    def test_times_whose_cut_shrinks(self, nu, nodes):
+        # From t = 4 to t = 2^-10 the live prefix shrinks, so the stream's
+        # buffer must clear the pairs the earlier time wrote; its maxima are
+        # bit for bit the running maxima of the one-time semigroups.
+        nu = NuVector(nu)
+        g = default_grid(nu.n, nodes_per_axis=nodes)
+        times = (4.0, 2.0**-10, 1.0)
+        d2 = g.axes[0].pairs[1]
+        cuts = [int(np.searchsorted(d2, 746.0 * 4.0 * t)) for t in times]
+        assert cuts[1] < cuts[0]
+        stack = np.random.default_rng(11).standard_normal(g.shape + (3,))
+        want = None
+        for t in times:
+            step = np.abs(next(_semigroup_values(nu, (t,), g, stack)))
+            want = step if want is None else np.maximum(want, step)
+        assert np.array_equal(_maximal_values(nu, times, g, stack), want)
+        f = GridFunction(g, stack[..., 0])
+        want = np.abs(apply_semigroup(nu, times[0], f).values)
+        for t in times[1:]:
+            want = np.maximum(want, np.abs(apply_semigroup(nu, t, f).values))
+        assert np.array_equal(maximal_function(nu, f, times).values, want)
+        if nu.n == 1:
+            for t, mat in zip(times, _kernel_matrices(nu.nu[0], times, g.axes[0])):
+                assert np.array_equal(mat, kernel_matrix(nu.nu[0], t, g.axes[0])), t
+
+
+def weber_semigroup(nu, a, t, x):
+    """e^{-tL} f_a for f_a(x) = x^{nu+1/2} e^{-x^2/2a}, by Weber's first
+    exponential integral: (a/b)^{nu+1} x^{nu+1/2} e^{-x^2/2b}, b = a + 2t."""
+    b = a + 2.0 * t
+    return (a / b) ** (nu + 1.0) * x ** (nu + 0.5) * np.exp(-(x**2) / (2.0 * b))
+
+
+class TestExactReference:
+    """The semigroup and the maximal function on thm1_6i's grid (N = 512 on
+    [0.01, 20]) against the exact values of the Weber family, at nu = 1 and
+    at nu = 2, the order thm1_6i's maximal function runs at.
+
+    At every time of ``T_GRID_DEFAULT`` the error is 3.688e-5 of the exact
+    maximum, (log(2000)/511)^2/6 = 3.6875e-5: the trapezoid weights' error on
+    the log-spaced nodes.  Those times are resolved; below them the error
+    grows, 1.1e-4 at 2^-11, 3.5e-3 at 2^-12 and 6.0e-2 at 1e-4 (nu = 2), so
+    no smaller time is tested.  Bound: 4.0e-5, the measured error plus 8%.
+    """
+
+    BOUND = 4.0e-5
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        cfg = campaign_config("thm1_6i")
+        return default_grid(1, nodes_per_axis=cfg.grid_nodes, box=cfg.box)
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0])
+    def test_semigroup(self, grid, nu):
+        x = grid.axes[0].nodes
+        f = GridFunction(grid, weber_semigroup(nu, 1.0, 0.0, x))
+        for t in T_GRID_DEFAULT:
+            exact = weber_semigroup(nu, 1.0, t, x)
+            err = np.max(np.abs(apply_semigroup(nu, t, f).values - exact))
+            assert err <= self.BOUND * np.max(exact), t
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0])
+    def test_maximal_function(self, grid, nu):
+        x = grid.axes[0].nodes
+        f = GridFunction(grid, weber_semigroup(nu, 1.0, 0.0, x))
+        exact = np.max([weber_semigroup(nu, 1.0, t, x) for t in T_GRID_DEFAULT], axis=0)
+        err = np.max(np.abs(maximal_function(nu, f, T_GRID_DEFAULT).values - exact))
+        assert err <= self.BOUND * np.max(exact)
 
 
 class TestLpNorm:
