@@ -55,6 +55,7 @@ from .heat import (
     mixed_partial_delta,
 )
 from .riesz import (
+    DEFAULT_PLAN,
     CzSamplePlan,
     SubordinationPlan,
     _cz_sides,
@@ -67,7 +68,9 @@ from .sampling import (
     UNIFORMITY_GATE,
     _drift,
     _level_maxima,
+    _median,
     _verdict,
+    _worst,
     loguniform,
     make_rng,
     sample_kernel_points,
@@ -109,9 +112,9 @@ class CampaignConfig:
     t_range: tuple[float, float] = (1e-4, 1e2)
     box: tuple[float, float] = (1e-2, 20.0)
     grid_nodes: int = 384
-    plan_t_min: float = 1e-6
-    plan_t_max: float = 1e4
-    plan_nodes_per_decade: int = 24
+    plan_t_min: float = DEFAULT_PLAN.t_min
+    plan_t_max: float = DEFAULT_PLAN.t_max
+    plan_nodes_per_decade: int = DEFAULT_PLAN.nodes_per_decade
     atom_count: int = 50
     corpus_size: int = 10
     min_separation: float = 1e-2
@@ -294,15 +297,7 @@ def _pointwise_campaign(config: CampaignConfig, collect: bool):
     k_slot, ell_slot = spec.rhs(config)
     rhs_of_c = _bound_rhs_arrays(config.inequality, nu, k_slot, ell_slot, t, x, y)
     c_hat, levels, ratios, rhs = _fit_c(lhs, rhs_of_c, config)
-    worst = int(np.argmax(ratios))
-    worst_sample = {
-        "t": float(t[worst]),
-        "x": x[:, worst].tolist(),
-        "y": y[:, worst].tolist(),
-        "lhs": float(lhs[worst]),
-        "rhs": float(rhs[worst]),
-        "ratio": float(ratios[worst]),
-    }
+    worst_sample = _worst(ratios, t=t, x=x, y=y, lhs=lhs, rhs=rhs, ratio=ratios)
     params = {"t_range": list(config.t_range), "box": list(config.box)}
     report = _report(config, levels, worst_sample, params, c_hat=c_hat)
     samples = None
@@ -358,14 +353,7 @@ def _prop2_8_campaign(config: CampaignConfig, collect: bool):
     )
     ratios = _ratios(lhs, rhs)
     levels = _level_maxima(ratios, config.samples, config.refine_levels)
-    worst = int(np.argmax(ratios))
-    worst_sample = {
-        "x": [float(x[worst])],
-        "y": [float(y[worst])],
-        "lhs": float(lhs[worst]),
-        "rhs": float(rhs[worst]),
-        "ratio": float(ratios[worst]),
-    }
+    worst_sample = _worst(ratios, x=x[None], y=y[None], lhs=lhs, rhs=rhs, ratio=ratios)
     report = _report(
         config,
         levels,
@@ -427,11 +415,11 @@ def _thm1_5_campaign(config: CampaignConfig, collect: bool):
 # Operator bound campaigns: atoms (thm1_6i) and oscillation norms (thm1_6ii)
 
 
-def _random_atom(rng, grid, p: float, center_range=(0.7, 7.0)):
+def _random_atom(rng, grid, p: float):
     """One random subcritical atom: supported in B(c, r), r <= rho(c),
     vanishing moments up to floor(n(1/p-1)), sup at 90% of the bound."""
     x = grid.axes[0].nodes
-    c = float(loguniform(rng, center_range[0], center_range[1], ()))
+    c = float(loguniform(rng, 0.7, 7.0, ()))
     rho = critical_function((c,))
     # keep the ball resolvable: at least ~3 local spacings, never above rho
     spacing = c * math.log(grid.axes[0].hi / grid.axes[0].lo) / (grid.axes[0].size - 1)
@@ -478,19 +466,6 @@ def _random_corpus(rng, grid, count: int):
         vals[outside] = 0.0  # keep support compact
         out.append(GridFunction(grid, vals))
     return out
-
-
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a 1-D array, bit for bit, nan if it holds a nan:
-    the mean of its one or two middle values, which ``np.median`` takes
-    too.  ``np.median`` imports ``numpy.ma`` for its nan check; this does
-    not."""
-    s = np.sort(values)
-    if np.isnan(s[-1]):
-        return math.nan
-    m = s.size // 2
-    middle = s[m : m + 1] if s.size % 2 else s[m - 1 : m + 1]
-    return float(middle.sum() / middle.size)
 
 
 def _thm1_6i_campaign(config: CampaignConfig, collect: bool):
@@ -625,11 +600,10 @@ def _thm4_1_campaign(config: CampaignConfig, collect: bool):
         ratios.append(lp_norm(df, 2.0) / denom if denom > 0 else 0.0)
     ratios_arr = np.asarray(ratios)
     levels = _level_maxima(ratios_arr, config.corpus_size, config.refine_levels)
-    worst = int(np.argmax(ratios_arr))
     report = _report(
         config,
         levels,
-        {"corpus_index": worst, "ratio": float(ratios_arr[worst])},
+        _worst(ratios_arr, corpus_index=np.arange(total), ratio=ratios_arr),
         {"corpus_size": config.corpus_size},
         ["L^2 operator-norm sweep of the order-shift difference"],
     )

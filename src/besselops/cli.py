@@ -35,7 +35,9 @@ from .grids import (
     gridfunction_to_csv,
 )
 from .heat import KernelPoint, NuVector, delta_heat_kernel_nd
-from .riesz import CzSamplePlan, SubordinationPlan, cz_bound_check, riesz_apply, riesz_kernel
+from .riesz import (
+    DEFAULT_PLAN, CzSamplePlan, SubordinationPlan, cz_bound_check, riesz_apply, riesz_kernel,
+)
 from .spaces import (
     AtomCandidate,
     Ball,
@@ -57,13 +59,14 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict, args, name: str = "result.json") -> None:
+    """Prints the payload as JSON and, given --out, writes it there as ``name``."""
     text = json.dumps(payload, sort_keys=True, indent=2)
     print(text)
     if getattr(args, "out", None):
         out = pathlib.Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / payload.get("_file", "result.json").lstrip("_")).write_text(text + "\n")
+        (out / name).write_text(text + "\n")
 
 
 def _plan_from_args(args) -> SubordinationPlan:
@@ -157,7 +160,7 @@ def cmd_kernel_verify(args) -> int:
     }
     failures = [k for k, v in worst.items() if v > tolerances[k]]
     verdict = "valid" if not failures else "invalid"
-    _emit({"verdict": verdict, "worst": worst, "failures": failures, "_file": "kernel_verify.json"}, args)
+    _emit({"verdict": verdict, "worst": worst, "failures": failures}, args, "kernel_verify.json")
     return _exit_for(verdict)
 
 
@@ -192,8 +195,7 @@ def cmd_riesz_verify(args) -> int:
         CzSamplePlan(count=max(100, args.samples), **_given(args, "levels")),
         _plan_from_args(args),
     )
-    report["_file"] = "riesz_verify.json"
-    _emit(report, args)
+    _emit(report, args, "riesz_verify.json")
     return _exit_for(report["verdict"])
 
 
@@ -217,8 +219,7 @@ def cmd_atoms_check(args) -> int:
         verdict = validate_p_rho_atom(atom, restrict_radius=args.restrict_radius)
     payload = dataclasses.asdict(verdict)
     payload["verdict"] = "valid" if verdict.valid else "invalid"
-    payload["_file"] = "atom_check.json"
-    _emit(payload, args)
+    _emit(payload, args, "atom_check.json")
     return _exit_for(payload["verdict"])
 
 
@@ -243,16 +244,15 @@ def cmd_atoms_decompose(args) -> int:
         "j0": result.j0,
         "omega": result.omega,
         "certificates": result.certificates,
-        "_file": "decomposition.json",
     }
-    _emit(payload, args)
+    _emit(payload, args, "decomposition.json")
     return _exit_for(payload["verdict"])
 
 
 def cmd_bmo_norm(args) -> int:
     f = gridfunction_from_csv(args.input)
     value = bmo_norm(f, args.s, args.degree)
-    _emit({"s": args.s, "degree": args.degree, "value": value, "_file": "bmo_norm.json"}, args)
+    _emit({"s": args.s, "degree": args.degree, "value": value}, args, "bmo_norm.json")
     return 0
 
 
@@ -272,9 +272,8 @@ def cmd_cover_build(args) -> int:
         "min_fifth_ball_gap": gap,
         "centers": [list(c) for c in cov.centers],
         "radii": cov.radii,
-        "_file": "covering.json",
     }
-    _emit(payload, args)
+    _emit(payload, args, "covering.json")
     return _exit_for(payload["verdict"])
 
 
@@ -345,9 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="group", required=True)
 
     def plan_flags(p):
-        p.add_argument("--plan-t-min", type=float, default=1e-6)
-        p.add_argument("--plan-t-max", type=float, default=1e4)
-        p.add_argument("--plan-nodes", type=int, default=24, help="nodes per decade")
+        p.add_argument("--plan-t-min", type=float, default=DEFAULT_PLAN.t_min)
+        p.add_argument("--plan-t-max", type=float, default=DEFAULT_PLAN.t_max)
+        p.add_argument(
+            "--plan-nodes", type=int, default=DEFAULT_PLAN.nodes_per_decade, help="nodes per decade"
+        )
 
     kernel = sub.add_parser("kernel", help="heat kernel evaluation and verification")
     ksub = kernel.add_subparsers(dest="action", required=True)

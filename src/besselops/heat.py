@@ -36,13 +36,14 @@ argument orders can share it; ``step = 1`` reads p_t^{(beta+1)+m} =
 p_t^{beta+(m+1)}.  A time loop draws its ladders from one stream per
 axis (``_ladders``), which evaluates the Bessel functions of consecutive
 time nodes in one call per block of at least ``_BESSEL_BLOCK`` arguments;
-``_ladder`` is the stream of one node.  A word summed at many times
-(``_pair_word``, for ``riesz``) keeps its monomials, and
-``_word_products`` yields its product over the axes at each time node.  On
-a grid axis the ladders cover only the prefix of the distance-sorted node
-pairs on which the Gaussian factor is not exactly 0, evaluate the Bessel
-functions once per product class of that prefix (node products equal to
-within 2^-44 relative), and the monomials are summed on that prefix.
+a one-time evaluation (``_p1d_shifts``) draws a stream of one node.  A
+word summed at many times (``_pair_word``, for ``riesz``) keeps its
+monomials, and ``_word_products`` yields its product over the axes at
+each time node.  On a grid axis the ladders cover only the prefix of the
+distance-sorted node pairs on which the Gaussian factor is not exactly 0,
+evaluate the Bessel functions once per product class of that prefix (node
+products equal to within 2^-44 relative), and the monomials are summed on
+that prefix, every entry as computed.
 Finite differences are test oracles.
 """
 
@@ -136,13 +137,15 @@ class KernelPoint:
 
 
 def critical_function(x) -> float:
-    """Critical radius function: one sixteenth of the smallest coordinate."""
+    """Critical radius function: one sixteenth of the smallest coordinate
+    (``_rho_arr`` of the one point)."""
     _check_positive("coordinates", x)
-    return float(np.min(x)) / 16.0
+    return float(_rho_arr(np.atleast_1d(x)))
 
 
 def _rho_arr(x: np.ndarray) -> np.ndarray:
-    """Vectorized critical radius over points stacked on the first axis."""
+    """Vectorized critical radius over points stacked on the first axis:
+    one sixteenth of each point's smallest coordinate."""
     return np.min(x, axis=0) / 16.0
 
 
@@ -180,10 +183,7 @@ def _ladders(nu: float, shifts, times, xy, d2, unique=None):
     (``special``), so a ladder is bit for bit the one its node would get
     alone.  A node is finished when it is yielded: its rows are gathered
     and scaled by the prefactor in place.  Both inputs are symmetric in
-    (x, y) bit for bit, so one ladder serves both argument orders.  When
-    fewer than 85% of more than 512 entries have a prefactor above 1e-280,
-    the others are +0; the polynomial coefficients downstream can never
-    amplify them back above the underflow threshold.
+    (x, y) bit for bit, so one ladder serves both argument orders.
 
     ``unique = (distinct, inverse)`` are the product classes of a grid axis
     (``grids.Axis.pairs``, with d2 ascending and the classes numbered by
@@ -198,8 +198,11 @@ def _ladders(nu: float, shifts, times, xy, d2, unique=None):
     once on each of them, so a pending node keeps only its u arguments.
     sqrt(xy) and those first pairs are formed once per stream.  On the
     sampled batches (``unique`` None, t a scalar or an array that
-    broadcasts with xy) the dead entries take no Bessel arithmetic and are
-    scattered back as +0, so a pending node keeps its live entries only.
+    broadcasts with xy), when fewer than 85% of more than 512 entries have
+    a prefactor above 1e-280, the others are dead: they take no Bessel
+    arithmetic and are scattered back as +0, so a pending node keeps its
+    live entries only.  The polynomial coefficients downstream can never
+    amplify them back above the underflow threshold.
     """
     orders = [nu + m for m in shifts]
     if unique is None:
@@ -250,7 +253,6 @@ def _grid_nodes(xy, d2, distinct, inverse):
     # before it.  Kept in place of the running maximum of ``inverse``, which
     # would hold 4 bytes per pair for the life of the stream.
     firsts = np.searchsorted(np.maximum.accumulate(inverse), np.arange(distinct.size))
-    size = xy.size
 
     def node(t):
         cut = int(np.searchsorted(d2, _EXP_ZERO * 4.0 * t))
@@ -259,10 +261,6 @@ def _grid_nodes(xy, d2, distinct, inverse):
         def finish(rows):
             common = root[:cut] / (2.0 * t)
             common *= np.exp(d2[:cut] / (-4.0 * t))
-            if size > 512:
-                live = common > 1e-280
-                if float(np.count_nonzero(live)) / size < 0.85:
-                    common[~live] = 0.0
             out = np.take(rows, inverse[:cut], axis=1)
             out *= common
             return out
@@ -297,24 +295,13 @@ def _sampled_node(t, xy, d2):
     return z, scale
 
 
-def _ladder(nu: float, shifts, t, xy, d2, unique=None) -> dict:
-    """p_t^{nu+m} for each m in shifts at the one time t (``_ladders``)."""
-    stream = _ladders(nu, shifts, (t,), xy, d2, unique)
-    del xy, d2  # the stream drops them before its Bessel call
-    return next(stream)
-
-
 def _p1d_shifts(nu: float, shifts, t, x, y) -> dict:
-    """p_t^{nu+m}(x, y) for each m in shifts (see ``_ladder``)."""
+    """p_t^{nu+m}(x, y) for each m in shifts: the ladder stream
+    (``_ladders``) of the one time t; all arguments broadcastable arrays."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return _ladder(nu, shifts, t, x * y, (x - y) ** 2)
-
-
-def _p1d(nu: float, t, x, y):
-    """Overflow-safe 1-D kernel; all arguments broadcastable arrays."""
-    return _p1d_shifts(nu, (0,), t, x, y)[0]
+    return next(_ladders(nu, shifts, (t,), x * y, (x - y) ** 2))
 
 
 def heat_kernel_1d(nu: float, t: float, x, y):
@@ -324,7 +311,7 @@ def heat_kernel_1d(nu: float, t: float, x, y):
         raise DomainError(f"kernel order must exceed -1, got {nu}")
     _check_positive("t", t)
     _check_positive("coordinates", x, y)
-    out = _p1d(nu, t, x, y)
+    out = _p1d_shifts(nu, (0,), t, x, y)[0]
     return float(out) if np.isscalar(x) and np.isscalar(y) and np.isscalar(t) else out
 
 

@@ -70,7 +70,7 @@ from .grids import (
     _weighted_matrices,
 )
 from .heat import NuVector, _check_positive, _pair_word, _word_products, as_nu_vector, delta_expansion
-from .sampling import _drift, _level_maxima, _verdict, make_rng, sample_smooth_triples
+from .sampling import _drift, _level_maxima, _verdict, _worst, make_rng, sample_smooth_triples
 
 __all__ = [
     "SubordinationPlan",
@@ -655,8 +655,7 @@ def _side(ratio, sample_plan: CzSamplePlan, points=None, **extra) -> dict:
     levels = _level_maxima(ratio, sample_plan.count, sample_plan.levels)
     side = {"C_hat": levels[-1], "per_refinement_C": levels, "drift": _drift(levels), **extra}
     if points:
-        worst = int(np.argmax(ratio))
-        side["worst_sample"] = {name: p[:, worst].tolist() for name, p in points.items()}
+        side["worst_sample"] = _worst(ratio, **points)
     return side
 
 

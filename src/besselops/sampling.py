@@ -46,6 +46,30 @@ def _level_maxima(values, base: int, levels: int) -> list[float]:
     return [float(np.max(values[: base * 2**lev])) for lev in range(levels)]
 
 
+def _worst(ratio, /, **columns) -> dict:
+    """Each column at the first sample where ``ratio`` is largest: a 2-D
+    column (one row per coordinate) as a list, a 1-D column as a Python
+    scalar, so an int column gives an int."""
+    i = int(np.argmax(ratio))
+    return {
+        name: col[:, i].tolist() if col.ndim == 2 else col[i].item()
+        for name, col in columns.items()
+    }
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D array, bit for bit, nan if it holds a nan:
+    the mean of its one or two middle values, which ``np.median`` takes
+    too.  ``np.median`` imports ``numpy.ma`` for its nan check; this does
+    not."""
+    s = np.sort(values)
+    if np.isnan(s[-1]):
+        return math.nan
+    m = s.size // 2
+    middle = s[m : m + 1] if s.size % 2 else s[m - 1 : m + 1]
+    return float(middle.sum() / middle.size)
+
+
 def _drift(values) -> float:
     """Largest relative step between consecutive refinement levels; inf
     once a level is not finite."""

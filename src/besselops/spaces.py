@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import DomainError, GridError, UnderResolvedError
 from .grids import Grid, GridFunction, _one_grid
-from .heat import as_nu_vector, critical_function
+from .heat import _rho_arr, as_nu_vector, critical_function
+from .sampling import _median
 
 __all__ = [
     "Ball",
@@ -91,9 +92,9 @@ class Ball:
 
     @property
     def critical_radius(self) -> float:
-        """rho(center) = min_j(center_j)/16 (``critical_function``), from the
-        coordinates checked here."""
-        return min(self.center) / 16.0
+        """rho(center) = min_j(center_j)/16 (``heat._rho_arr``); the
+        coordinates were checked here, so ``critical_function`` is not called."""
+        return float(_rho_arr(np.asarray(self.center)))
 
     @property
     def volume(self) -> float:
@@ -211,7 +212,7 @@ def validate_p_rho_atom(
     )
 
 
-def validate_f_atom(f: GridFunction, tol: float = 1e-9) -> AtomVerdict:
+def validate_f_atom(f: GridFunction) -> AtomVerdict:
     """1-D two-kind atom check: normalized left indicator, or a mean-zero
     bounded bump on an interval.
 
@@ -232,7 +233,7 @@ def validate_f_atom(f: GridFunction, tol: float = 1e-9) -> AtomVerdict:
 
     # Kind (a): constant 1/delta from the left edge of the domain.
     if first == 0:
-        level = float(np.median(vals[support]))
+        level = _median(vals[support])
         if level > 0.0:
             delta = 1.0 / level
             inside = x < delta
@@ -249,7 +250,7 @@ def validate_f_atom(f: GridFunction, tol: float = 1e-9) -> AtomVerdict:
     # Kind (b): supported on an interval, mean zero, sup <= 1/|I|.
     mean = float(np.sum(w * vals))
     l1 = float(np.sum(w * np.abs(vals)))
-    mean_ok = bool(abs(mean) <= max(tol, 1e-8) * l1)
+    mean_ok = bool(abs(mean) <= 1e-8 * l1)
     length = float(x[last] - x[first])
     gap = f.grid.axes[0].spacing_max
     length_est = max(length, gap)
@@ -553,7 +554,7 @@ def vitali_covering(box, grid: Grid) -> CoveringResult:
     if idx.size == 0:
         raise GridError("no grid nodes inside the box")
     box_pts = pts[idx]
-    rho = np.min(box_pts, axis=1) / 16.0
+    rho = _rho_arr(box_pts.T)
     order = np.argsort(-rho, kind="stable")
 
     covered = np.zeros(idx.size, dtype=bool)
@@ -614,7 +615,7 @@ def _annulus_masks(grid: Grid, ball: Ball, j0: int):
     return masks
 
 
-def atom_dual_decompose(a: AtomCandidate, cond_limit: float = 1e10) -> DecompositionResult:
+def atom_dual_decompose(a: AtomCandidate) -> DecompositionResult:
     """Split an atom into a moment-free part plus dyadic-annulus pieces.
 
     With omega = floor(n(1/p-1)) and j0 the first dyadic level at which
@@ -662,7 +663,7 @@ def atom_dual_decompose(a: AtomCandidate, cond_limit: float = 1e10) -> Decomposi
         gram = _weighted_gram(cols, ww)
         cond = float(np.linalg.cond(gram))
         conds.append(cond)
-        if not np.isfinite(cond) or cond > cond_limit:
+        if not np.isfinite(cond) or cond > 1e10:
             raise UnderResolvedError(f"annulus {j} moment matrix condition {cond:.2e}")
         # Orthonormal basis via Gram-Schmidt with one re-orthogonalization
         # (certificate only; the dual basis below drives the decomposition).

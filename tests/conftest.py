@@ -53,14 +53,12 @@ def class_products(axis) -> np.ndarray:
 
 
 def class_ladder(nu, shifts, t, x, y, bessel_xy) -> dict:
-    """{m: p_t^{nu+m}(x, y)} on every pair of a batch, written out: the
-    Bessel functions at bessel_xy / 2t, the prefactor
-    sqrt(xy)/2t exp(-(x-y)^2/4t) at each pair's own product xy = x*y, and
-    the prefactors at most 1e-280 set to 0 when fewer than 85% of more than
-    512 exceed it.  With bessel_xy = x*y this is the pointwise kernel."""
+    """{m: p_t^{nu+m}(x, y)} on every pair of a batch, written out as a
+    grid ladder forms it: the Bessel functions at bessel_xy / 2t and the
+    prefactor sqrt(xy)/2t exp(-(x-y)^2/4t) at each pair's own product
+    xy = x*y, every entry as computed (+0 only where the Gaussian factor
+    underflows)."""
     xy, d2 = x * y, (x - y) ** 2
     common = np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t))
-    if common.size > 512 and np.count_nonzero(common > 1e-280) / common.size < 0.85:
-        common[common <= 1e-280] = 0.0
     rows = besseli_scaled([nu + m for m in shifts], bessel_xy / (2.0 * t))
     return {m: row * common for m, row in zip(shifts, rows)}

@@ -35,7 +35,7 @@ from besselops.grids import (
     maximal_function,
 )
 from besselops.riesz import riesz_apply
-from besselops.sampling import _drift, _level_maxima, _verdict, make_rng
+from besselops.sampling import _drift, _level_maxima, _median, _verdict, make_rng
 from besselops.spaces import BallSampler, bmo_norm
 
 
@@ -768,7 +768,7 @@ class TestHardySpotCheck:
         for values in cases:
             with np.errstate(invalid="ignore"):  # -inf + inf
                 want = np.median(values)
-                got = campaigns._median(values)
+                got = _median(values)
             assert repr(got) == repr(float(want)) or (math.isnan(got) and math.isnan(want))
 
     def test_run_does_not_import_numpy_ma(self):

@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from besselops.campaigns import bundled_config_path
-from besselops.cli import main
+from besselops.campaigns import CampaignConfig, bundled_config_path
+from besselops.cli import _plan_from_args, build_parser, main
 from besselops.grids import gridfunction_to_csv
+from besselops.riesz import DEFAULT_PLAN
 
 from atom_fixtures import bundled_ball_atoms, bundled_line_atoms
 
@@ -262,6 +263,43 @@ class TestGlobalFlags:
 
 
 class TestMiscCommands:
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            (["kernel", "verify"], "kernel_verify.json"),
+            (["riesz", "verify", "--nu", "0.7", "--k", "2", "--samples", "100"], "riesz_verify.json"),
+            (["atoms", "check", "--input", "{csv}", "--ball", "{ball}"], "atom_check.json"),
+            (["atoms", "decompose", "--input", "{csv}", "--ball", "{ball}"], "decomposition.json"),
+            (["bmo", "norm", "--input", "{csv}"], "bmo_norm.json"),
+            (["cover", "build", "--nodes", "64"], "covering.json"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "_".join(v[:2]),
+    )
+    def test_out_writes_the_named_file_and_stdout_has_no_file_key(
+        self, tmp_path, capsys, command, name
+    ):
+        _, atom, _ = bundled_ball_atoms()[1]  # a subcritical ball, so it decomposes
+        csv = tmp_path / "atom.csv"
+        gridfunction_to_csv(atom.f, csv)
+        ball = ",".join(map(str, atom.ball.center)) + ";" + str(atom.ball.radius)
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), *(a.format(csv=csv, ball=ball) for a in command)])
+        assert rc in (0, 1)
+        printed = json.loads(capsys.readouterr().out)
+        assert "_file" not in printed
+        assert [p.name for p in out.glob("*.json")] == [name]
+        assert json.loads((out / name).read_text()) == printed
+
+    def test_plan_defaults_are_the_default_plan(self):
+        parser = build_parser()
+        for argv in (
+            ["riesz", "kernel", "--nu", "1", "--k", "1", "--x", "1", "--y", "2"],
+            ["riesz", "apply", "--nu", "1", "--k", "1", "--input", "f.csv"],
+            ["riesz", "verify", "--nu", "1", "--k", "1"],
+        ):
+            assert _plan_from_args(parser.parse_args(argv)) == DEFAULT_PLAN
+        assert CampaignConfig(inequality="thm2_1").plan == DEFAULT_PLAN
+
     def test_kernel_verify(self, capsys):
         rc = main(["kernel", "verify"])
         out = json.loads(capsys.readouterr().out)

@@ -29,14 +29,15 @@ from besselops.grids import (
     _semigroup_values,
     _trapezoid_weights,
 )
-from besselops.heat import NuVector, _p1d, eval_delta_heat_1d, heat_kernel_1d
+from besselops.heat import NuVector, _p1d_shifts, eval_delta_heat_1d, heat_kernel_1d
 from conftest import class_ladder, class_products
 from eigenfunctions import EigenfunctionSpec, eigenfunction, eigenfunction_gridfn
 
 
 def live_regime(axis, t) -> str:
-    """Which branch of the ladder's live rule the axis's pairs take at time t:
-    fewer than 85% of the prefactors above 1e-280, 85-100%, or all of them."""
+    """Which branch of the sampled batches' live rule the axis's pairs would
+    take at time t: fewer than 85% of the prefactors above 1e-280, 85-100%,
+    or all of them.  A grid ladder keeps every entry of its prefix."""
     x = axis.nodes
     iu = np.triu_indices(axis.size)
     xy, d2 = x[iu[0]] * x[iu[1]], (x[iu[0]] - x[iu[1]]) ** 2
@@ -68,7 +69,7 @@ def all_pairs_kernel_matrix(nu, t, axis, own_products=False):
     x = axis.nodes
     iu = np.triu_indices(x.size)
     if own_products:
-        vals = _p1d(nu, t, x[iu[0]], x[iu[1]])
+        vals = _p1d_shifts(nu, (0,), t, x[iu[0]], x[iu[1]])[0]
     else:
         vals = class_ladder(nu, (0,), t, x[iu[0]], x[iu[1]], class_products(axis)[iu])[0]
     out = np.empty((x.size, x.size))
@@ -430,6 +431,26 @@ class TestSemigroup:
             assert np.array_equal(
                 kernel_matrix(nu, t, axis), all_pairs_kernel_matrix(nu, t, axis)
             ), t
+
+    @pytest.mark.parametrize(
+        "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 64)], ids=["log", "uniform"]
+    )
+    def test_kernel_matrix_keeps_tiny_entries_and_holds_zero_past_the_cut(self, axis):
+        # Where fewer than 85% of the pairs have a prefactor above 1e-280,
+        # the entries at or below it stay as computed; only the pairs past
+        # the cut, whose Gaussian factor underflows to 0.0, hold +0.
+        nu, t = 0.6, 2e-3
+        assert live_regime(axis, t) == "few"
+        xy, d2, _, _, i, j = axis.pairs
+        common = np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t))
+        cut = int(np.searchsorted(d2, 746.0 * 4.0 * t))
+        tiny = np.flatnonzero((common > 0.0) & (common <= 1e-280))
+        assert tiny.size and tiny.max() < cut and not np.any(common[cut:])
+        mat = kernel_matrix(nu, t, axis)
+        assert np.array_equal(mat, all_pairs_kernel_matrix(nu, t, axis))
+        assert np.count_nonzero(mat[i[tiny], j[tiny]]) > 0
+        past = np.concatenate([mat[i[cut:], j[cut:]], mat[j[cut:], i[cut:]]])
+        assert not np.any(past) and not np.any(np.signbit(past))
 
     @pytest.mark.parametrize(
         "axis", [log_axis(1e-2, 20.0, 64), log_axis(1e-2, 20.0, 512)], ids=["log64", "log512"]

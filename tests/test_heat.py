@@ -478,7 +478,7 @@ def live_regime(common) -> str:
 
 
 class TestLadderStreams:
-    """A stream's ladders are bit for bit the one-node ladders of ``_ladder``,
+    """A stream's ladders are bit for bit the ladders of one-node streams,
     whatever blocks the stream's Bessel calls gather."""
 
     @staticmethod
@@ -490,7 +490,7 @@ class TestLadderStreams:
         owners = {id(row if row.base is None else row.base) for row in rows}
         assert len(owners) == len(stream)
         for t, ladder in zip(times, stream):
-            alone = heat._ladder(nu, shifts, t, xy, d2, unique)
+            alone = next(heat._ladders(nu, shifts, (t,), xy, d2, unique))
             assert list(ladder) == list(shifts)
             for m in shifts:
                 assert ladder[m].shape == alone[m].shape

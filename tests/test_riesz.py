@@ -543,9 +543,10 @@ def nd_apply(nu, k, f, plan):
 
 
 def live_regimes(axis, times) -> set:
-    """The branches of the ladder's live rule that the axis's pairs take at
-    the given times: fewer than 85% of the prefactors above 1e-280, 85-100%,
-    or all of them."""
+    """The branches of the sampled batches' live rule that the axis's pairs
+    would take at the given times: fewer than 85% of the prefactors above
+    1e-280, 85-100%, or all of them.  A grid ladder keeps every entry of its
+    prefix."""
     iu = np.triu_indices(axis.size)
     x = axis.nodes
     xy, d2 = x[iu[0]] * x[iu[1]], (x[iu[0]] - x[iu[1]]) ** 2

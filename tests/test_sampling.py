@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from besselops.sampling import (
+    _worst,
     loguniform,
     make_rng,
     sample_kernel_points,
@@ -25,6 +26,15 @@ def test_streams_are_reproducible_and_nested():
     b = sample_kernel_points(make_rng(7), 1000, 2)
     for u, v in zip(a, b):
         assert np.array_equal(u, v)
+
+
+def test_worst_reads_every_column_at_the_first_maximum():
+    ratio = np.array([1.0, 3.0, 2.0, 3.0])
+    x = np.arange(8.0).reshape(2, 4)
+    got = _worst(ratio, x=x, lhs=ratio / 2.0, index=np.arange(4), ratio=ratio)
+    assert got == {"x": [1.0, 5.0], "lhs": 1.5, "index": 1, "ratio": 3.0}
+    assert type(got["index"]) is int and type(got["lhs"]) is float
+    assert all(type(v) is float for v in got["x"])
 
 
 def test_kernel_points_domain():

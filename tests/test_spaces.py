@@ -2,14 +2,18 @@
 localized oscillation norm, coverings, and the dyadic decomposition."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from besselops.errors import DomainError, GridError, UnderResolvedError
 from besselops.grids import Grid, GridFunction, default_grid, log_axis, uniform_axis
-from besselops.heat import critical_function
+from besselops.heat import _rho_arr, critical_function
 from besselops.spaces import (
     AtomCandidate,
     Ball,
@@ -81,6 +85,24 @@ class TestAtomValidators:
         for label, f, expected in bundled_line_atoms():
             verdict = validate_f_atom(f)
             assert verdict.valid == expected, label
+
+    def test_f_atom_check_does_not_import_numpy_ma(self):
+        # np.median imports numpy.ma for its nan check; the left-indicator
+        # branch takes its level from sampling._median instead.
+        code = (
+            "import sys\n"
+            "from atom_fixtures import bundled_line_atoms\n"
+            "from besselops.spaces import validate_f_atom\n"
+            "label, f, _ = bundled_line_atoms()[0]\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+            "assert validate_f_atom(f).kind == 'indicator', label\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        here = Path(__file__).resolve().parent
+        path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
 
     def test_failure_reasons_are_specific(self):
         atoms = {label: (a, e) for label, a, e in bundled_ball_atoms()}
@@ -379,9 +401,14 @@ class TestVitaliCovering:
         assert abs(cov1.max_overlap - cov2.max_overlap) <= 2
 
     def test_radii_match_critical_function(self):
-        cov = vitali_covering(((0.5, 8.0),), default_grid(1, nodes_per_axis=512))
-        for c, r in zip(cov.centers, cov.radii):
-            assert r == pytest.approx(critical_function(c), rel=1e-12)
+        # One critical radius: the covering radii, critical_function,
+        # _rho_arr and Ball.critical_radius agree bit for bit.
+        for box, nodes in ((((0.5, 8.0),), 512), (((0.5, 8.0), (0.7, 6.0)), 32)):
+            cov = vitali_covering(box, default_grid(len(box), nodes_per_axis=nodes))
+            rho = _rho_arr(np.array(cov.centers).T).tolist()
+            assert len(rho) == len(cov.radii) > 1
+            for c, r, rho_c in zip(cov.centers, cov.radii, rho):
+                assert r == rho_c == critical_function(c) == Ball(c, r).critical_radius
 
     def test_rejects_boundary_box(self):
         g = default_grid(1, nodes_per_axis=64)
