@@ -401,7 +401,8 @@ def _thm1_5_campaign(config: CampaignConfig, collect: bool):
             + repr(sides["smooth_raw_exponent"]["C_hat"])
         )
     notes.append(
-        "kernel: exact time integral from Schlafli's integral; the plan is unused in 1-D"
+        "kernel: exact time integral, from the Green's function of L_nu at k = 2 and "
+        "Schlafli's integral otherwise; the plan is unused in 1-D"
         if config.nu_vector.n == 1
         else "kernel: subordination quadrature on the plan's time grid"
     )

@@ -59,7 +59,7 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def _emit(payload: dict, args, name: str = "result.json") -> None:
+def _emit(payload: dict, args, name: str) -> None:
     """Prints the payload as JSON and, given --out, writes it there as ``name``."""
     text = json.dumps(payload, sort_keys=True, indent=2)
     print(text)
@@ -103,6 +103,7 @@ def cmd_kernel_eval(args) -> int:
             "value": value,
         },
         args,
+        "kernel_eval.json",
     )
     return 0
 
@@ -172,7 +173,7 @@ def cmd_riesz_kernel(args) -> int:
     nu = NuVector(_floats(args.nu))
     value = riesz_kernel(nu, _ints(args.k), _floats(args.x), _floats(args.y), _plan_from_args(args))
     _emit({"nu": list(nu.nu), "k": list(_ints(args.k)), "x": list(_floats(args.x)),
-           "y": list(_floats(args.y)), "value": value}, args)
+           "y": list(_floats(args.y)), "value": value}, args, "riesz_kernel.json")
     return 0
 
 
@@ -379,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="Calderon-Zygmund size and smoothness sweep of the kernel",
         description="Calderon-Zygmund size and smoothness sweep.  For n = 1 the kernel is "
-        "the exact time integral (Schlafli's integral) and the --plan-* flags are unused; "
+        "the exact time integral (the Green's function of L_nu at k = 2, Schlafli's "
+        "integral otherwise) and the --plan-* flags are unused; "
         "they govern the subordination quadrature for n >= 2.",
     )
     rv.add_argument("--nu", required=True)

@@ -40,12 +40,15 @@ No matrix is kept between calls: ``riesz_matrix`` builds on every call, and
 a caller with many functions builds it once and applies it to each of them
 (``riesz_apply`` on a sequence) or to their stack.
 
-In 1-D the time integral of each term of the word has a closed form once
-the Bessel function is written by Schlafli's integral, which leaves a
-smooth angular integral and no Bessel call (``riesz_kernel_1d``).  The
-Calderon-Zygmund sweeps (``cz_bound_check`` and the thm1_5_size and
-thm1_5_smooth campaigns, through ``_cz_sides``) use it for n = 1; their
-subordination plan governs only n >= 2.
+In 1-D the kernel needs no Bessel call and no time grid
+(``riesz_kernel_1d``).  At k = 2 it is delta^2 applied to the Green's
+function of L_nu, an elementary closed form.  At other orders the time
+integral of each term of the word has a closed form once the Bessel
+function is written by Schlafli's integral, which leaves a smooth angular
+integral (``_schlafli_kernel``).  The Calderon-Zygmund sweeps
+(``cz_bound_check`` and the thm1_5_size and thm1_5_smooth campaigns,
+through ``_cz_sides``) use it for n = 1; their subordination plan governs
+only n >= 2.
 """
 
 from __future__ import annotations
@@ -198,9 +201,9 @@ def riesz_kernel(nu, k, x, y, plan: SubordinationPlan = DEFAULT_PLAN) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The exact time integral in 1-D (Schlafli's integral)
+# The exact time integral in 1-D (Green's function and Schlafli's integral)
 
-# Gauss nodes of the four pieces of ``riesz_kernel_1d``: theta in [0, pi/2]
+# Gauss nodes of the four pieces of ``_schlafli_kernel``: theta in [0, pi/2]
 # (graded), theta in [pi/2, pi], and u before and after u0 = |log(x/y)|.
 SCHLAFLI_NODES = (30, 12, 24, 32)
 
@@ -302,6 +305,42 @@ def riesz_kernel_1d(nu, k, x, y, both: bool = False) -> np.ndarray:
     """Rows R(x, y) and, if ``both``, R(y, x) of the 1-D Riesz kernel, with
     the time integral done exactly: no Bessel function and no time grid.
 
+    At k = 2 the kernel is delta^2 L_nu^{-1}, and L_nu^{-1} has the Green's
+    function x_<^{nu+1/2} x_>^{1/2-nu} / (2 nu) (Muckenhoupt and Stein,
+    Trans. AMS 118, 1965).  delta annihilates x^{nu+1/2}, so
+    R(x, y) = (2 nu + 1) y^{nu+1/2} x^{-nu-3/2} for x > y and exactly 0 for
+    x < y, analytic in nu > -1/2 (at nu <= 0 the time integral of delta^2 p_t
+    still converges, though that of p_t does not).  Other orders go through
+    Schlafli's integral (``_schlafli_kernel``).  Each row is computed from
+    its own argument order alone, so it equals a one-order call bit for bit.
+    Arrays x, y of shape (count,) or (1, count); the result has shape
+    (rows, count).
+    """
+    nu = as_nu_vector(nu)
+    if nu.n != 1:
+        raise DomainError("the exact kernel is one-dimensional")
+    nu, k = nu.nu[0], _multi(k, 1)[0]
+    if k < 1:
+        raise DomainError("Riesz kernels need |k| >= 1")
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    _check_positive("coordinates", x, y)
+    if np.any(x == y):
+        raise DomainError("diagonal evaluation x == y is not defined")
+    if k != 2:
+        return _schlafli_kernel(nu, k, x, y, both)
+    pairs = ((x, y), (y, x)) if both else ((x, y),)
+    # (y/x)^{nu+1/2} / x: the ratio is at most 1 where it is kept and 0
+    # elsewhere, so no power of the discarded side can overflow.
+    return np.stack(
+        [(2.0 * nu + 1.0) * np.where(a > b, b / a, 0.0) ** (nu + 0.5) / a for a, b in pairs]
+    )
+
+
+def _schlafli_kernel(nu: float, k: int, x, y, both: bool) -> np.ndarray:
+    """``riesz_kernel_1d`` at any order k >= 1, on arguments it has checked:
+    rows R(x, y) and, if ``both``, R(y, x), by Schlafli's integral.
+
     Schlafli's integral (Watson, Bessel Functions, 6.22) writes p_t^mu as
     sqrt(xy)/(2t) [(1/pi) int_0^pi e^{-Q/4t} cos(mu theta) dtheta
     - (sin(mu pi)/pi) int_0^inf e^{-P/4t - mu u} du] with
@@ -315,20 +354,8 @@ def riesz_kernel_1d(nu, k, x, y, both: bool = False) -> np.ndarray:
     where the integrand's decay rate turns from nu to nu + 1 - s, Legendre
     before and Laguerre at the rate nu + 1 - s after.  Everything shared by
     the two argument orders is symmetric in (x, y) bit for bit, so each row
-    equals a one-order call.  Arrays x, y of shape (count,) or (1, count);
-    the result has shape (rows, count).
+    equals a one-order call.
     """
-    nu = as_nu_vector(nu)
-    if nu.n != 1:
-        raise DomainError("the exact kernel is one-dimensional")
-    nu, k = nu.nu[0], _multi(k, 1)[0]
-    if k < 1:
-        raise DomainError("Riesz kernels need |k| >= 1")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    _check_positive("coordinates", x, y)
-    if np.any(x == y):
-        raise DomainError("diagonal evaluation x == y is not defined")
     groups = _schlafli_word(k)
     nodes = SCHLAFLI_NODES
     # Under the theta integral |w|^2 = Q, so a term of the word is

@@ -35,7 +35,7 @@ from besselops.grids import (
     maximal_function,
 )
 from besselops.riesz import riesz_apply
-from besselops.sampling import _drift, _level_maxima, _median, _verdict, make_rng
+from besselops.sampling import DRIFT_GATE, _drift, _level_maxima, _median, _verdict, make_rng
 from besselops.spaces import BallSampler, bmo_norm
 
 
@@ -341,6 +341,18 @@ class TestOperatorCampaigns:
         cfg2 = small(default_config("thm1_5_smooth"), samples=200, min_separation=5e-2)
         rep2, _ = run_campaign(cfg2)
         assert "exponent" in rep2.notes[1]
+
+    def test_thm1_5_size_is_below_the_exact_supremum(self):
+        # At k = 2, |R(x, y)| |x - y| = (2 nu + 1) r^a (1 - r) with r = y/x < 1
+        # and a = nu + 1/2 (the Green's function of L_nu), whose supremum
+        # (2 nu + 1) a^a / (a + 1)^(a + 1) sits at r = a / (a + 1).
+        cfg = default_config("thm1_5_size")
+        assert cfg.k == (2,) and len(cfg.nu) == 1
+        a = cfg.nu[0] + 0.5
+        supremum = (2.0 * cfg.nu[0] + 1.0) * a**a / (a + 1.0) ** (a + 1.0)
+        rep, _ = run_campaign(cfg)
+        assert rep.C_hat <= supremum
+        assert supremum - rep.C_hat <= DRIFT_GATE * supremum
 
     @pytest.mark.parametrize("ineq,batches", [("thm1_5_size", 1), ("thm1_5_smooth", 2)])
     def test_thm1_5_bessel_work(self, monkeypatch, ineq, batches):

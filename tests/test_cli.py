@@ -1,16 +1,18 @@
 """CLI contract tests: commands, outputs, exit codes, determinism."""
 
 import json
+import os
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from besselops.campaigns import CampaignConfig, bundled_config_path
 from besselops.cli import _plan_from_args, build_parser, main
-from besselops.grids import gridfunction_to_csv
+from besselops.grids import GridFunction, default_grid, gridfunction_to_csv
 from besselops.riesz import DEFAULT_PLAN
 
 from atom_fixtures import bundled_ball_atoms, bundled_line_atoms
@@ -290,6 +292,19 @@ class TestMiscCommands:
         assert [p.name for p in out.glob("*.json")] == [name]
         assert json.loads((out / name).read_text()) == printed
 
+    def test_kernel_eval_and_riesz_kernel_keep_their_files_in_one_out(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        printed = {}
+        for name, command in (
+            ("kernel_eval.json", ["kernel", "eval", "--nu", "0.5", "--t", "1", "--x", "1", "--y", "2"]),
+            ("riesz_kernel.json", ["riesz", "kernel", "--nu", "0.5", "--k", "1", "--x", "1", "--y", "3"]),
+        ):
+            assert main(["--out", str(out), *command]) == 0
+            printed[name] = json.loads(capsys.readouterr().out)
+        assert sorted(p.name for p in out.glob("*.json")) == sorted(printed)
+        for name, payload in printed.items():
+            assert json.loads((out / name).read_text()) == payload
+
     def test_plan_defaults_are_the_default_plan(self):
         parser = build_parser()
         for argv in (
@@ -358,6 +373,29 @@ class TestMiscCommands:
         out = gridfunction_from_csv(tmp_path / "riesz_apply.csv")
         plan = SubordinationPlan(1e-6, 1e4, 8)
         assert np.array_equal(out.values, riesz_matrix(0.8, (1,), g, plan) @ f.values)
+
+    def test_riesz_apply_does_not_import_numpy_ma(self, tmp_path):
+        # The plain np.unique imports numpy.ma (numpy 2.x), at 9-15 ms a
+        # process; reading the CSV's axes must not.
+        g = default_grid(1, nodes_per_axis=64)
+        x = g.axes[0].nodes
+        gridfunction_to_csv(GridFunction(g, x**1.3 * np.exp(-((x - 3.0) ** 2))), tmp_path / "f.csv")
+        code = (
+            "import sys\n"
+            "from besselops.cli import main\n"
+            "argv = ['--out', sys.argv[1], 'riesz', 'apply', '--nu', '0.8', '--k', '1',\n"
+            "        '--input', sys.argv[2], '--plan-nodes', '8']\n"
+            "assert main(argv) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path), str(tmp_path / "f.csv")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "riesz_apply.csv").exists()
 
     def test_console_entrypoint(self):
         proc = subprocess.run(

@@ -6,8 +6,9 @@ the image-kernel logarithm and from the Green's function min(x, y)); a
 R phi_lam^{nu} = -phi_lam^{nu+1}; the exact transform of
 x^(nu+1/2) exp(-x^2/2) by Weber's integral; the spectral identity for
 fractional inverses; plan/grid refinement.  The subordination quadrature
-and the exact 1-D kernel (Schlafli's integral) are checked against the
-same oracles.
+and the exact 1-D kernel (the Green's function of L_nu at k = 2,
+Schlafli's integral otherwise) are checked against the same oracles, and
+Schlafli's integral at k = 2 against the Green's function.
 """
 
 import math
@@ -38,6 +39,7 @@ from besselops.riesz import (
     _cz_sides,
     _cz_triples,
     _riesz_quadrature,
+    _schlafli_kernel,
     cz_bound_check,
     fractional_inverse_apply,
     riesz_apply,
@@ -154,11 +156,16 @@ class TestRieszKernel:
 
 # 30-digit reference for the exact 1-D kernel: the time integral
 # (1/Gamma(k/2)) int t^{k/2} delta^k p_t dt/t by the trapezoid rule in log t
-# with step 1/4, from where the Gaussian factor is below e^-80 to 32 units
-# past log(xy/2).  The integrand is analytic in a strip about the real log t
-# axis, so the rule converges geometrically; at this step it is within
-# 4e-16 of adaptive tanh-sinh at 30 digits, in |R| |x - y|.  The pairs reach
-# eps = |x-y|/sqrt(xy) = 1e-3 and y/x from 1e-5 to 2e2.
+# with step 1/4, from where the Gaussian factor is below e^-80 to
+# max(32, 40/(nu+1)) units past log(xy/2).  The integrand is analytic in a
+# strip about the real log t axis, so the rule converges geometrically; at
+# this step it is within 4e-16 of adaptive tanh-sinh at 30 digits, in
+# |R| |x - y|.  Past log(xy/2) the k = 2 integrand falls only like
+# t^{-(nu+1)} (k = 1 and 3 like t^{-(nu+3/2)}), so the window runs until
+# (xy/2t)^{nu+1} < e^-40, which 32 units reach for nu >= 1/4.  At
+# nu = -0.3 that is 57 units: doubling them moves the oracle by 1e-15 in
+# |R| |x - y|, where stopping at 32 leaves it off by 3.8e-8.  The pairs
+# reach eps = |x-y|/sqrt(xy) = 1e-3 and y/x from 1e-5 to 2e2.
 MP_PAIRS = (
     (1.0, 1.001), (1.0, 0.999), (3.0, 3.003), (0.2, 0.2002), (1.0, 1.05), (2.0, 1.7),
     (0.5, 1.5), (1.0, 0.3), (4.0, 9.0), (10.0, 0.5), (0.05, 10.0), (0.1, 19.4),
@@ -170,7 +177,7 @@ def _mp_time_integral(nu, x, y, ks=(1, 2, 3), step=0.25):
     with mpmath.workdps(30):
         x, y, nu, step = (mpmath.mpf(v) for v in (x, y, nu, step))
         lo = mpmath.log((x - y) ** 2 / 320)
-        count = int((mpmath.log(x * y / 2) + 32 - lo) / step) + 1
+        count = int((mpmath.log(x * y / 2) + max(32, 40 / (nu + 1)) - lo) / step) + 1
         words = {}  # k: [(c x^a y^b, d, m)] for the terms c x^a y^b t^-d p^{nu+m}
         for k in ks:
             words[k] = []
@@ -198,23 +205,37 @@ def _mp_time_integral(nu, x, y, ks=(1, 2, 3), step=0.25):
 def mp_time_integrals():
     """{nu: {k: array of R_k over MP_PAIRS}}."""
     out = {}
-    for nu in (0.6, 0.7, 1.0):
+    for nu in (-0.3, 0.6, 0.7, 1.0):
         rows = [_mp_time_integral(nu, x, y) for x, y in MP_PAIRS]
         out[nu] = {k: np.array([r[k] for r in rows]) for k in (1, 2, 3)}
     return out
 
 
 class TestExactKernel1D:
-    """``riesz_kernel_1d``: the time integral in closed form (Schlafli)."""
+    """``riesz_kernel_1d``: the time integral in closed form (the Green's
+    function at k = 2, Schlafli's integral otherwise)."""
 
-    # nu = 1.0 has sin(nu pi) = 0: no u integral at all.
-    @pytest.mark.parametrize("nu", [0.6, 0.7, 1.0])
-    @pytest.mark.parametrize("k, tol", [(1, 1e-12), (2, 1e-10), (3, 1e-12)])
+    # nu = 1.0 has sin(nu pi) = 0: no u integral at all.  The k = 2 closed
+    # form measures at most 8.3e-16 at each nu, where Schlafli's integral
+    # at k = 2 measured 1.5e-14 (nu > 0) and 7.6e-11 (nu = -0.3).  At
+    # nu = -0.3, k = 1 and 3 measure 1.6e-13 and 4.3e-13.
+    @pytest.mark.parametrize("nu", [-0.3, 0.6, 0.7, 1.0])
+    @pytest.mark.parametrize("k, tol", [(1, 1e-12), (2, 1e-14), (3, 1e-12)])
     def test_against_mpmath_time_integral(self, mp_time_integrals, nu, k, tol):
         x = np.array([p[0] for p in MP_PAIRS])
         y = np.array([p[1] for p in MP_PAIRS])
         vals = riesz_kernel_1d(nu, k, x, y)[0]
         assert np.max(np.abs(vals - mp_time_integrals[nu][k]) * np.abs(x - y)) <= tol
+
+    @pytest.mark.parametrize("nu", [-0.45, 0.0, 0.7, 5.5])
+    def test_order_two_vanishes_below_the_diagonal(self, nu):
+        # delta annihilates the Green's function's x^{nu+1/2} branch.
+        x, y = off_diagonal_pairs(3, 400, 0.01)
+        r_xy, r_yx = riesz_kernel_1d(nu, 2, x, y, both=True)
+        for vals, below in ((r_xy, x < y), (r_yx, y < x)):
+            assert below.any() and (~below).any()
+            assert np.all(vals[below] == 0.0)
+            assert np.all(vals[~below] > 0.0)
 
     @pytest.mark.parametrize("k, tol", [(1, 1e-13), (2, 1e-11), (3, 2e-11)])
     def test_subordination_far_field(self, k, tol):
@@ -234,19 +255,31 @@ class TestExactKernel1D:
         vals = riesz_kernel_1d(NuVector((0.5,)), (1,), x[None, :], y[None, :])[0]
         assert np.max(np.abs(vals - dirichlet_riesz_oracle(x, y)) * np.abs(x - y)) <= 1e-12
 
-    def test_nested_rule_on_the_thm1_5_samples(self, monkeypatch):
-        # The committed node counts against doubled counts, on the samples of
-        # the bundled thm1_5 campaigns at seed 0 (nu = 0.7, k = 2).
-        x, y, yp = _cz_triples(
-            1, CzSamplePlan(count=2500, seed=0, levels=3, box=(0.1, 10.0), min_separation=0.01)
-        )
+    # The samples of the bundled thm1_5 campaigns at seed 0.
+    THM1_5_PLAN = CzSamplePlan(count=2500, seed=0, levels=3, box=(0.1, 10.0), min_separation=0.01)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_nested_rule_on_the_thm1_5_samples(self, monkeypatch, k):
+        # Schlafli's integral with the committed node counts against doubled
+        # counts (nu = 0.7).  k = 1 measures 2.3e-15.
+        x, y, yp = (v[0] for v in _cz_triples(1, self.THM1_5_PLAN))
         for b in (y, yp):
-            base = riesz_kernel_1d(0.7, 2, x, b, both=True)
+            base = _schlafli_kernel(0.7, k, x, b, True)
             with monkeypatch.context() as m:
                 m.setattr(riesz, "SCHLAFLI_NODES", tuple(2 * n for n in SCHLAFLI_NODES))
-                fine = riesz_kernel_1d(0.7, 2, x, b, both=True)
+                fine = _schlafli_kernel(0.7, k, x, b, True)
             assert not np.array_equal(fine, base)
             assert np.max(np.abs(fine - base) * np.abs(x - b)) <= 1e-13
+
+    @pytest.mark.parametrize("nu", [0.0, 0.7, 2.5])
+    def test_order_two_closed_form_is_the_schlafli_integral(self, nu):
+        # Measured 1.3e-14 on the (x, y) pairs and 1.7e-14 on the (x, y')
+        # pairs, almost all of it Schlafli's residue where the kernel is 0.
+        x, y, yp = (v[0] for v in _cz_triples(1, self.THM1_5_PLAN))
+        for b in (y, yp):
+            exact = riesz_kernel_1d(nu, 2, x, b, both=True)
+            quadrature = _schlafli_kernel(nu, 2, x, b, True)
+            assert np.max(np.abs(exact - quadrature) * np.abs(x - b)) <= 3e-14
 
     def test_no_bessel_call_and_refusals(self, monkeypatch):
         calls = []
@@ -255,8 +288,9 @@ class TestExactKernel1D:
         assert np.all(np.isfinite(riesz_kernel_1d(0.7, 2, x, y, both=True)))
         with pytest.raises(DomainError):
             riesz_kernel_1d(0.7, 0, x, y)
-        with pytest.raises(DomainError):
-            riesz_kernel_1d(0.7, 1, x, np.where(np.arange(50) == 3, x, y))
+        for k in (1, 2):
+            with pytest.raises(DomainError):
+                riesz_kernel_1d(0.7, k, x, np.where(np.arange(50) == 3, x, y))
         with pytest.raises(DomainError):
             riesz_kernel_1d(NuVector((0.5, 1.5)), (1, 1), x, y)
         with pytest.raises(DomainError):
