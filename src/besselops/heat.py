@@ -39,11 +39,13 @@ time nodes in one call per block of at least ``_BESSEL_BLOCK`` arguments;
 a one-time evaluation (``_p1d_shifts``) draws a stream of one node.  A
 word summed at many times (``_pair_word``, for ``riesz``) keeps its
 monomials, and ``_word_products`` yields its product over the axes at
-each time node.  On a grid axis the ladders cover only the prefix of the
-distance-sorted node pairs on which the Gaussian factor is not exactly 0,
-evaluate the Bessel functions once per product class of that prefix (node
-products equal to within 2^-44 relative), and the monomials are summed on
-that prefix, every entry as computed.
+each time node.  One dead-entry rule serves every ladder: an entry is +0
+where its Gaussian factor exp(-(x-y)^2/4t) underflows to 0.0, and as
+computed elsewhere.  A sampled batch evaluates every entry; on a grid axis
+the ladders cover only the prefix of the distance-sorted node pairs on
+which the Gaussian factor is not exactly 0, evaluate the Bessel functions
+once per product class of that prefix (node products equal to within 2^-44
+relative), and the monomials are summed on that prefix.
 Finite differences are test oracles.
 """
 
@@ -198,11 +200,9 @@ def _ladders(nu: float, shifts, times, xy, d2, unique=None):
     once on each of them, so a pending node keeps only its u arguments.
     sqrt(xy) and those first pairs are formed once per stream.  On the
     sampled batches (``unique`` None, t a scalar or an array that
-    broadcasts with xy), when fewer than 85% of more than 512 entries have
-    a prefactor above 1e-280, the others are dead: they take no Bessel
-    arithmetic and are scattered back as +0, so a pending node keeps its
-    live entries only.  The polynomial coefficients downstream can never
-    amplify them back above the underflow threshold.
+    broadcasts with xy) every entry is evaluated, so each is bit for bit
+    its one-pair value whatever batch it is in; as on a grid, an entry is
+    +0 where its Gaussian factor underflows to exactly 0.0.
     """
     orders = [nu + m for m in shifts]
     if unique is None:
@@ -272,21 +272,9 @@ def _grid_nodes(xy, d2, distinct, inverse):
 
 def _sampled_node(t, xy, d2):
     """(z, finish) of a ladder on a batch of pairs at time t (see
-    ``_grid_nodes``); z holds the live entries only when there are few."""
+    ``_grid_nodes``), every entry evaluated."""
     common = np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t))
     z = xy / (2.0 * t)
-    if common.ndim > 0 and common.size > 512:
-        live = common > 1e-280
-        if float(np.count_nonzero(live)) / common.size < 0.85:
-            shape, idx, z, common = common.shape, np.flatnonzero(live), z[live], common[live]
-
-            def scatter(rows):
-                rows *= common
-                vals = np.zeros((rows.shape[0],) + shape)
-                vals.reshape(rows.shape[0], -1)[:, idx] = rows
-                return vals
-
-            return z, scatter
 
     def scale(rows):
         rows *= common

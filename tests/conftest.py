@@ -62,3 +62,13 @@ def class_ladder(nu, shifts, t, x, y, bessel_xy) -> dict:
     common = np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t))
     rows = besseli_scaled([nu + m for m in shifts], bessel_xy / (2.0 * t))
     return {m: row * common for m, row in zip(shifts, rows)}
+
+
+def underflow_regime(d2, t) -> str:
+    """How many of the pairs with squared distances ``d2`` lie past the
+    exact-underflow cut at time t (an array t broadcasts with d2), where
+    the Gaussian factor exp(-d2/4t) is exactly 0.0 and every ladder holds
+    +0: none of them, some, or most (more than half)."""
+    dead = np.exp(-d2 / (4.0 * np.asarray(t, dtype=float))) == 0.0
+    count = np.count_nonzero(dead)
+    return "none" if count == 0 else "most" if 2 * count > dead.size else "some"

@@ -296,7 +296,7 @@ class TestFitC:
 
     def test_one_session_pass_builds_the_rhs_up_to_each_c_hat(self, monkeypatch):
         # One pass of the six pointwise session ids at the bundled seed 0
-        # builds 15 of the 30 right-hand sides an eager fit builds.
+        # builds 16 of the 30 right-hand sides an eager fit builds.
         built = []
         real = campaigns._bound_rhs_arrays
 
@@ -313,7 +313,16 @@ class TestFitC:
         c_hats = {ineq: run_campaign(default_config(ineq))[0].c_hat for ineq in SESSION_IDS}
         grid = sorted(default_config("thm2_1").c_grid)
         assert built == [(i, c) for i in SESSION_IDS for c in grid if c <= c_hats[i]]
-        assert (len(built), len(SESSION_IDS) * len(grid)) == (15, 30)
+        assert (len(built), len(SESSION_IDS) * len(grid)) == (16, 30)
+
+    def test_prop2_7_fits_its_rate_on_a_representable_sample(self):
+        # Every sampled kernel value is its one-pair value, so no batch-wide
+        # cutoff zeroes the samples that show the growth at c = 4: the fit
+        # stops at c = 8, on a worst sample far from the underflow range.
+        rep, _ = run_campaign(default_config("prop2_7"))
+        assert rep.params["seed"] == 0
+        assert rep.c_hat == 8.0
+        assert rep.worst_sample["lhs"] > 1e-200
 
     def test_ratios_of_a_subnormal_rhs_are_inf_without_a_warning(self):
         with warnings.catch_warnings():

@@ -30,29 +30,17 @@ from besselops.grids import (
     _trapezoid_weights,
 )
 from besselops.heat import NuVector, _p1d_shifts, eval_delta_heat_1d, heat_kernel_1d
-from conftest import class_ladder, class_products
+from conftest import class_ladder, class_products, underflow_regime
 from eigenfunctions import EigenfunctionSpec, eigenfunction, eigenfunction_gridfn
 
 
-def live_regime(axis, t) -> str:
-    """Which branch of the sampled batches' live rule the axis's pairs would
-    take at time t: fewer than 85% of the prefactors above 1e-280, 85-100%,
-    or all of them.  A grid ladder keeps every entry of its prefix."""
-    x = axis.nodes
-    iu = np.triu_indices(axis.size)
-    xy, d2 = x[iu[0]] * x[iu[1]], (x[iu[0]] - x[iu[1]]) ** 2
-    live = np.count_nonzero(np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t)) > 1e-280)
-    if live == xy.size:
-        return "all"
-    return "most" if live / xy.size >= 0.85 else "few"
-
-
 def regime_times(axis) -> dict:
-    """The first time of a log-spaced scan in each live regime."""
+    """The first time of a log-spaced scan in each underflow regime of the
+    axis's pairs (``underflow_regime``)."""
     times = {}
     for t in np.geomspace(1e-4, 10.0, 51):
-        times.setdefault(live_regime(axis, t), float(t))
-    assert sorted(times) == ["all", "few", "most"]
+        times.setdefault(underflow_regime(axis.pairs[1], t), float(t))
+    assert sorted(times) == ["most", "none", "some"]
     return times
 
 
@@ -436,11 +424,10 @@ class TestSemigroup:
         "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 64)], ids=["log", "uniform"]
     )
     def test_kernel_matrix_keeps_tiny_entries_and_holds_zero_past_the_cut(self, axis):
-        # Where fewer than 85% of the pairs have a prefactor above 1e-280,
-        # the entries at or below it stay as computed; only the pairs past
-        # the cut, whose Gaussian factor underflows to 0.0, hold +0.
+        # The entries of prefactor at most 1e-280 stay as computed; only the
+        # pairs past the cut, whose Gaussian factor underflows to 0.0, hold +0.
         nu, t = 0.6, 2e-3
-        assert live_regime(axis, t) == "few"
+        assert underflow_regime(axis.pairs[1], t) in ("some", "most")
         xy, d2, _, _, i, j = axis.pairs
         common = np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t))
         cut = int(np.searchsorted(d2, 746.0 * 4.0 * t))

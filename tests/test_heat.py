@@ -33,6 +33,7 @@ from besselops.heat import (
     heat_kernel_1d,
     mixed_partial_delta,
 )
+from conftest import underflow_regime
 
 
 def dirichlet_kernel(t, x, y):
@@ -470,13 +471,6 @@ class TestSharedLadders:
         assert calls == [[0, 1, 2, 3], [0, 1, 2, 3]]
 
 
-def live_regime(common) -> str:
-    """The branch of the ladder's live rule on the prefactors ``common``:
-    fewer than 85% above 1e-280, 85-100%, or all of them."""
-    live = np.count_nonzero(common > 1e-280)
-    return "all" if live == common.size else "most" if live / common.size >= 0.85 else "few"
-
-
 class TestLadderStreams:
     """A stream's ladders are bit for bit the ladders of one-node streams,
     whatever blocks the stream's Bessel calls gather."""
@@ -497,8 +491,10 @@ class TestLadderStreams:
                 assert np.array_equal(ladder[m], alone[m]), (t, m)
 
     @staticmethod
-    def regimes(times, xy, d2) -> set:
-        return {live_regime(np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t))) for t in times}
+    def regimes(times, d2) -> set:
+        """The underflow regimes of the pairs at each time value, one value
+        of a time array at a time."""
+        return {underflow_regime(d2, s) for t in times for s in np.ravel(t)}
 
     @pytest.mark.parametrize(
         "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 64)], ids=["log", "uniform"]
@@ -509,7 +505,7 @@ class TestLadderStreams:
             monkeypatch.setattr(heat, "_BESSEL_BLOCK", block)
         xy, d2, distinct, inverse, _, _ = axis.pairs
         times = np.geomspace(1e-5, 1e3, 33)
-        assert self.regimes(times, xy, d2) == {"few", "most", "all"}
+        assert self.regimes(times, d2) == {"none", "some", "most"}
         self.assert_stream_matches(0.6, [0, 1, 2], times, xy, d2, (distinct, inverse))
 
     @pytest.mark.parametrize("block", [None, 3000, 1])
@@ -521,14 +517,13 @@ class TestLadderStreams:
         y = rng.uniform(0.05, 10.0, 2000)
         xy, d2 = x * y, (x - y) ** 2
         times = np.geomspace(1e-4, 1e2, 25)
-        assert self.regimes(times, xy, d2) == {"few", "most", "all"}
+        assert self.regimes(times, d2) == {"none", "some", "most"}
         self.assert_stream_matches(-0.3, [0, 1], times, xy, d2)
 
     @pytest.mark.parametrize("block", [None, 1])
     def test_broadcast_time_arrays(self, monkeypatch, block):
         # Each time node is an array of shape (6, 1) against pairs of shape
-        # (1, 150): ladders of shape (6, 150), past the 512 entries at which
-        # the dead ones are dropped.
+        # (1, 150): ladders of shape (6, 150).
         if block is not None:
             monkeypatch.setattr(heat, "_BESSEL_BLOCK", block)
         rng = np.random.default_rng(12)
@@ -536,8 +531,32 @@ class TestLadderStreams:
         y = rng.uniform(0.05, 10.0, (1, 150))
         xy, d2 = x * y, (x - y) ** 2
         times = [np.geomspace(1e-4, 1e-1, 6)[:, None] * s for s in np.geomspace(1.0, 1e3, 7)]
-        assert self.regimes(times, xy, d2) == {"few", "most", "all"}
+        assert self.regimes(times, d2) == {"none", "some", "most"}
         self.assert_stream_matches(1.5, [0, 2], times, xy, d2)
+
+    def test_sampled_entries_do_not_depend_on_their_batch(self):
+        # At t = 1e-4 fewer than 85% of these 2000 prefactors exceed 1e-280,
+        # and most Gaussian factors underflow.  Every entry of the batch is
+        # its one-pair value bit for bit; an entry of prefactor in
+        # (0, 1e-280] is kept as computed, and one whose Gaussian factor is
+        # exactly 0.0 is +0.
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.05, 10.0, 2000)
+        y = rng.uniform(0.05, 10.0, 2000)
+        t, shifts = 1e-4, [0, 1]
+        gauss = np.exp(-((x - y) ** 2) / (4.0 * t))
+        common = np.sqrt(x * y) / (2.0 * t) * gauss
+        assert np.count_nonzero(common > 1e-280) < 0.85 * x.size
+        batch = heat._p1d_shifts(-0.3, shifts, t, x, y)
+        pairs = [heat._p1d_shifts(-0.3, shifts, t, a, b) for a, b in zip(x, y)]
+        tiny = (common > 0.0) & (common <= 1e-280)
+        dead = gauss == 0.0
+        assert np.any(tiny) and np.any(dead)
+        for m in shifts:
+            alone = np.array([ladder[m] for ladder in pairs])
+            assert np.array_equal(batch[m].view(np.int64), alone.view(np.int64)), m
+            assert np.count_nonzero(batch[m][tiny]) > 0
+            assert not np.any(batch[m][dead]) and not np.any(np.signbit(batch[m][dead]))
 
     def test_no_times_no_bessel_call(self, monkeypatch):
         monkeypatch.setattr(heat, "besseli_scaled", None)

@@ -51,7 +51,7 @@ from besselops.riesz import (
     riesz_matrix,
 )
 from besselops.sampling import _drift
-from conftest import class_ladder, class_products
+from conftest import class_ladder, class_products, underflow_regime
 from eigenfunctions import EigenfunctionSpec, eigenfunction_gridfn
 
 WIDE_PLAN = SubordinationPlan(t_min=1e-6, t_max=1e8, nodes_per_decade=24)
@@ -576,19 +576,10 @@ def nd_apply(nu, k, f, plan):
     return riesz._nd_apply(NuVector(nu), k, f.grid, [f], plan)[0]
 
 
-def live_regimes(axis, times) -> set:
-    """The branches of the sampled batches' live rule that the axis's pairs
-    would take at the given times: fewer than 85% of the prefactors above
-    1e-280, 85-100%, or all of them.  A grid ladder keeps every entry of its
-    prefix."""
-    iu = np.triu_indices(axis.size)
-    x = axis.nodes
-    xy, d2 = x[iu[0]] * x[iu[1]], (x[iu[0]] - x[iu[1]]) ** 2
-    out = set()
-    for t in times:
-        live = np.count_nonzero(np.sqrt(xy) / (2.0 * t) * np.exp(-d2 / (4.0 * t)) > 1e-280)
-        out.add("all" if live == xy.size else "most" if live / xy.size >= 0.85 else "few")
-    return out
+def underflow_regimes(axis, times) -> set:
+    """The underflow regimes of the axis's pairs at the given times
+    (``underflow_regime``): none, some or most of them past the cut."""
+    return {underflow_regime(axis.pairs[1], t) for t in times}
 
 
 class TestGridMatrices:
@@ -713,11 +704,11 @@ class TestGridMatrices:
         # The grid words evaluate their Bessel functions once per product
         # class, on the live prefix of the distance-sorted pairs; the
         # reference evaluates them on every pair of the triangle, at its
-        # class's representative.  The plan's time nodes take every branch
-        # of the ladder's live rule.
+        # class's representative.  The plan's time nodes take every
+        # underflow regime: none, some or most pairs past the cut.
         g = Grid((axis,))
         plan = SubordinationPlan(1e-6, 1e4, 8)
-        assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
+        assert underflow_regimes(axis, plan.nodes()[0]) == {"none", "some", "most"}
         grid_build = grid_matrix(0.6, k, g, plan, difference)
         assert np.array_equal(grid_build, all_pairs_matrix(0.6, k, axis, plan, difference))
 
@@ -728,7 +719,7 @@ class TestGridMatrices:
     def test_matrices_match_the_per_pair_build_at_other_orders(self, axis, nu):
         g = Grid((axis,))
         plan = SubordinationPlan(1e-5, 1e3, 6)
-        assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
+        assert underflow_regimes(axis, plan.nodes()[0]) == {"none", "some", "most"}
         for k in (1, 2):
             assert np.array_equal(grid_matrix(nu, k, g, plan), all_pairs_matrix(nu, k, axis, plan))
         diff = riesz_difference_matrix(nu, (1,), 0, g, plan)
@@ -740,7 +731,7 @@ class TestGridMatrices:
         f = GridFunction.from_callable(g, lambda x, y: np.exp(-((x - 2.0) ** 2) - y))
         plan = SubordinationPlan(1e-5, 1e3, 4)
         for axis in g.axes:
-            assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
+            assert underflow_regimes(axis, plan.nodes()[0]) == {"none", "some", "most"}
         grid_apply = nd_apply((0.6, 1.1), (1, 2), f, plan)
         assert np.array_equal(grid_apply, all_pairs_apply((0.6, 1.1), (1, 2), f, plan))
 
@@ -751,10 +742,10 @@ class TestGridMatrices:
     def test_matrices_are_near_the_own_product_build(self, axis, nu):
         # Against the build with the Bessel functions on each pair's own
         # product x_i x_j, the class representatives move every entry by
-        # rounding only, in every branch of the ladder's live rule.
+        # rounding only, in every underflow regime of the pairs.
         g = Grid((axis,))
         plan = SubordinationPlan(1e-6, 1e4, 8)
-        assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
+        assert underflow_regimes(axis, plan.nodes()[0]) == {"none", "some", "most"}
         builds = [
             (riesz_matrix(nu, (1,), g, plan), (1, False)),
             (grid_matrix(nu, 2, g, plan), (2, False)),
@@ -770,7 +761,7 @@ class TestGridMatrices:
         f = GridFunction.from_callable(g, lambda x, y: np.exp(-((x - 2.0) ** 2) - y))
         plan = SubordinationPlan(1e-5, 1e3, 4)
         for axis in g.axes:
-            assert live_regimes(axis, plan.nodes()[0]) == {"few", "most", "all"}
+            assert underflow_regimes(axis, plan.nodes()[0]) == {"none", "some", "most"}
         grid_apply = nd_apply((0.6, 1.1), (1, 2), f, plan)
         own = all_pairs_apply((0.6, 1.1), (1, 2), f, plan, own_products=True)
         assert np.max(np.abs(grid_apply - own)) <= 1e-13 * np.max(np.abs(own))
@@ -844,12 +835,12 @@ class TestGridMatrices:
         # Built on the pairs that touch the mask, the rows and columns of the
         # masked nodes are those of the whole matrix and the rest is +0, so
         # the product with a stack that vanishes off the mask is the whole
-        # matrix's, bit for bit.  The plan's time nodes take every branch of
-        # the ladder's live rule.
+        # matrix's, bit for bit.  The plan's time nodes take every underflow
+        # regime of the pairs.
         n = 96
         g = default_grid(1, nodes_per_axis=n)
         plan = SubordinationPlan(1e-6, 1e4, 8)
-        assert live_regimes(g.axes[0], plan.nodes()[0]) == {"few", "most", "all"}
+        assert underflow_regimes(g.axes[0], plan.nodes()[0]) == {"none", "some", "most"}
         support = node_mask(mask, n)
         whole = grid_matrix(nu, k, g, plan)
         built = grid_matrix(nu, k, g, plan, support=support)
