@@ -3,7 +3,7 @@
 Every campaign evaluates one inequality family over a deterministic,
 seeded, nested sample plan and fits the existential constants: for a
 candidate exponential rate c in the config grid, C(c) is the maximum of
-lhs/rhs(c) over the samples (``_ratios``); the reported rate is the
+lhs/rhs(c) over the samples (``sampling._ratios``); the reported rate is the
 smallest c whose C(c) is refinement-stable, found by trying the grid in
 ascending order (``_fit_c``), or, when none is, the c minimizing C(c) times
 a stability penalty.  The verdict follows the refinement ladder and drift
@@ -69,6 +69,7 @@ from .sampling import (
     _drift,
     _level_maxima,
     _median,
+    _ratios,
     _verdict,
     _worst,
     loguniform,
@@ -202,12 +203,6 @@ def _selection_levels(ratios: np.ndarray, config) -> list[float]:
         cnt *= 2
     counts.append(top)
     return [float(np.max(ratios[:c])) for c in counts]
-
-
-def _ratios(lhs, rhs) -> np.ndarray:
-    """lhs/rhs per sample, where x/0 scores inf and 0/0 scores 0."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
 
 
 def _fit_c(lhs, rhs_of_c, config):
@@ -502,8 +497,7 @@ def _thm1_6i_campaign(config: CampaignConfig, collect: bool):
         stack = riesz_matrix(nu, k, grid, config.plan, support=support) @ stack
     maxed = _maximal_values(nu_shifted, T_GRID_DEFAULT, grid, stack)
     norms = np.array([lp_norm(GridFunction(grid, col), p) for col in maxed.T])
-    # the last atom that reaches the maximum
-    worst = norms.size - 1 - int(np.argmax(norms[::-1]))
+    worst = int(np.argmax(norms))
     prefixes = (norms[: atom_count * 2**lev] for lev in range(levels))
     ratios = [float(np.max(prefix) / _median(prefix)) for prefix in prefixes]
     # time-grid sensitivity on the worst atom: T_GRID_DEFAULT is the even-m
@@ -548,7 +542,9 @@ def _thm1_6ii_campaign(config: CampaignConfig, collect: bool):
     Each sampler takes one ``bmo_norm`` pass over the stack of its
     functions and their transforms, whose rows are independent bit for bit,
     so each ball's mask and Gram matrix are formed once for both; a ratio
-    whose denominator is 0 is skipped (0/0).  The whole corpus is
+    whose denominator is 0 is skipped, not scored as ``sampling._ratios``
+    scores it (inf or 0), so a function of norm 0 leaves no entry in the
+    table.  The whole corpus is
     transformed by one ``riesz_apply`` call, which builds the transform
     once, and each transform serves both samplers.
     """
@@ -594,12 +590,8 @@ def _thm4_1_campaign(config: CampaignConfig, collect: bool):
     rng = make_rng(config.seed)
     total = config.corpus_size * 2 ** (config.refine_levels - 1)
     corpus = _random_corpus(rng, grid, total)
-    ratios = []
-    for f in corpus:
-        df = GridFunction(grid, mat @ f.values)
-        denom = lp_norm(f, 2.0)
-        ratios.append(lp_norm(df, 2.0) / denom if denom > 0 else 0.0)
-    ratios_arr = np.asarray(ratios)
+    norms = [(lp_norm(GridFunction(grid, mat @ f.values), 2.0), lp_norm(f, 2.0)) for f in corpus]
+    ratios_arr = _ratios(*np.array(norms).T)
     levels = _level_maxima(ratios_arr, config.corpus_size, config.refine_levels)
     report = _report(
         config,

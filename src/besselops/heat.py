@@ -51,6 +51,7 @@ Finite differences are test oracles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -496,6 +497,16 @@ def _check_orders(nu: float, *orders: int) -> None:
         raise DomainError("derivative orders must be >= 0")
 
 
+def _multi(k, n: int) -> tuple[int, ...]:
+    """k as a tuple of n ints >= 0; anything else is refused."""
+    k = tuple(int(v) for v in np.atleast_1d(k))
+    if len(k) == 1 and n > 1:
+        raise DomainError("multi-index length must match dimension")
+    if len(k) != n or any(v < 0 for v in k):
+        raise DomainError("multi-index must be componentwise >= 0 and match n")
+    return k
+
+
 def delta_expansion(nu: float, ell: int) -> HeatKernelExpansion:
     """Exact expansion of delta_nu^ell p_t^nu as shifted-kernel combinations.
 
@@ -513,16 +524,22 @@ def eval_delta_heat_1d(nu: float, ell: int, t, x, y):
 
 
 def delta_heat_difference_1d(nu: float, ell: int, t, x, y):
-    """delta_nu^ell p_t^nu - delta_{nu+1}^ell p_t^{nu+1}: one step of
-    ``_word_products`` with the order difference on its one axis.
+    """delta_nu^ell p_t^nu - delta_{nu+1}^ell p_t^{nu+1}.
 
     The coefficients of delta_beta^ell p_t^beta do not depend on beta, so
-    both terms combine one ladder, the second one step up (``_combine``).
+    both terms combine one ladder over the shifts m and m + 1 (``_stepped``),
+    the second one step up (``_combine``); the monomials are formed after
+    its Bessel call.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    word = _pair_word(delta_expansion(nu, ell), x, y)
-    return next(_word_products((float(nu),), (word,), (np.asarray(t, dtype=float),), 0))
+    expansion = delta_expansion(nu, ell)
+    monomials = _monomials(expansion.terms, x, y)  # checks the coordinates
+    t = np.asarray(t, dtype=float)
+    ladder = _p1d_shifts(float(nu), _stepped(expansion.shifts), t, x, y)
+    monomials = tuple(monomials)
+    shifted = _combine(monomials, t, ladder, 1)
+    out = _combine(monomials, t, ladder)
+    out -= shifted
+    return out
 
 
 def _delta_dt_expansion(nu: float, k: int, big_m: int) -> HeatKernelExpansion:
@@ -565,23 +582,11 @@ def delta_heat_kernel_nd(nu, k, q: KernelPoint) -> float:
     nu = as_nu_vector(nu)
     if len(q.x) != nu.n:
         raise DomainError("point dimension does not match order vector")
-    k = tuple(int(v) for v in np.atleast_1d(k))
-    if len(k) != nu.n or any(v < 0 for v in k):
-        raise DomainError("multi-index must be componentwise >= 0 and match n")
+    k = _multi(k, nu.n)
     out = 1.0
     for j in range(nu.n):
         out *= float(eval_delta_heat_1d(nu.nu[j], k[j], q.t, q.x[j], q.y[j]))
     return out
-
-
-def _compositions(total: int, parts: int):
-    """All nonnegative integer tuples of given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def delta_dt_heat_nd_arrays(nu, k, big_m: int, t, x, y):
@@ -591,11 +596,12 @@ def delta_dt_heat_nd_arrays(nu, k, big_m: int, t, x, y):
     expands multinomially over coordinates.
     """
     nu = as_nu_vector(nu)
-    k = tuple(int(v) for v in np.atleast_1d(k))
+    k = _multi(k, nu.n)
     t = np.asarray(t, dtype=float)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    comps = list(_compositions(int(big_m), nu.n))
+    # the compositions of M into n parts, in lexicographic order
+    comps = [c for c in itertools.product(range(int(big_m) + 1), repeat=nu.n) if sum(c) == big_m]
     # factors[j][M_j] = delta^{k_j} L^{M_j} p^{nu_j} on axis j, every power
     # combined from one ladder over the union of the words' shifts.
     factors = []

@@ -72,8 +72,8 @@ from .grids import (
     _semigroup_values,
     _weighted_matrices,
 )
-from .heat import NuVector, _check_positive, _pair_word, _word_products, as_nu_vector, delta_expansion
-from .sampling import _drift, _level_maxima, _verdict, _worst, make_rng, sample_smooth_triples
+from .heat import NuVector, _check_positive, _multi, _pair_word, _word_products, as_nu_vector, delta_expansion
+from .sampling import _drift, _level_maxima, _ratios, _verdict, _worst, make_rng, sample_smooth_triples
 
 __all__ = [
     "SubordinationPlan",
@@ -126,15 +126,6 @@ class SubordinationPlan:
 DEFAULT_PLAN = SubordinationPlan()
 
 
-def _multi(k, n: int) -> tuple[int, ...]:
-    k = tuple(int(v) for v in np.atleast_1d(k))
-    if len(k) == 1 and n > 1:
-        raise DomainError("multi-index length must match dimension")
-    if len(k) != n or any(v < 0 for v in k):
-        raise DomainError("multi-index must be componentwise >= 0 and match n")
-    return k
-
-
 def _riesz_quadrature(
     nu, k, x, y, plan: SubordinationPlan, both: bool, difference_axis=None
 ) -> np.ndarray:
@@ -170,12 +161,7 @@ def _riesz_quadrature(
         if first is None:
             first = contrib
         last = contrib
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tail = float(
-            np.max(
-                np.where(abs_total > 0, (np.abs(first) + np.abs(last)) / abs_total, 0.0)
-            )
-        )
+    tail = float(np.max(_ratios(np.abs(first) + np.abs(last), abs_total)))
     if tail > TAIL_TOLERANCE:
         warnings.warn(
             f"subordination tail indicator {tail:.2e} above "
@@ -225,44 +211,24 @@ def _orthonormal_recurrence(x, a, b, p0):
     return p, dp, norm
 
 
-def _tridiagonal_eigenvalues(a, b):
-    """Eigenvalues of the symmetric tridiagonal matrix with diagonal a and
-    off-diagonal b[:-1] to about 1e-10, by bisection on Sturm counts.
-    (``numpy.linalg.eigvalsh`` would load LAPACK, which raises a process's
-    peak memory by about 0.75 MB.)"""
-    n = a.size
-    lo = np.full(n, np.min(a) - 2.0 * np.max(b))
-    hi = np.full(n, np.max(a) + 2.0 * np.max(b))
-    rank = np.arange(n)
-    with np.errstate(divide="ignore"):
-        for _ in range(44):
-            mid = 0.5 * (lo + hi)
-            pivot, below = np.ones(n), np.zeros(n, dtype=int)
-            for m in range(n):
-                pivot = a[m] - mid - (b[m - 1] ** 2 / pivot if m else 0.0)
-                below += pivot < 0.0
-            lo, hi = np.where(below > rank, lo, mid), np.where(below > rank, mid, hi)
-    return 0.5 * (lo + hi)
-
-
 @lru_cache(maxsize=None)
 def _gauss(n: int, laguerre: bool) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Laguerre rule (weight e^{-r} on [0, inf)) or
     Gauss-Legendre rule (weight 1 on [-1, 1]).
 
-    Newton steps on the orthonormal recurrence polish the classical
-    estimate of the Legendre nodes or the Laguerre Jacobi matrix's
-    eigenvalues; the weights are the Christoffel numbers 1 / sum p_m(x)^2,
-    a sum of positive terms, accurate where the derivative formulas lose
-    digits.
+    The nodes are the eigenvalues of the Jacobi matrix of the orthonormal
+    recurrence (Golub and Welsch, Math. Comp. 23, 1969), polished by Newton
+    steps on the recurrence; the weights are the Christoffel numbers
+    1 / sum p_m(x)^2, a sum of positive terms, accurate where the derivative
+    formulas lose digits.  Each rule is built once per process, and only
+    ``_schlafli_kernel`` (k != 2) asks for one: no bundled campaign does.
     """
     m = np.arange(1.0, n + 1.0)
     if laguerre:
         a, b, p0 = 2.0 * m - 1.0, m, 1.0
-        x = _tridiagonal_eigenvalues(a, b)
     else:
         a, b, p0 = np.zeros(n), m / np.sqrt(4.0 * m * m - 1.0), math.sqrt(0.5)
-        x = -np.cos(math.pi * (m - 0.25) / (n + 0.5))
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(b[:-1], 1) + np.diag(b[:-1], -1))
     for _ in range(4):
         p, dp, _ = _orthonormal_recurrence(x, a, b, p0)
         x = x - p / dp
@@ -476,7 +442,7 @@ _GRID_K_MAX = 1
 
 
 def grid_multi_index(k, n: int) -> tuple[int, ...]:
-    """The order multi-index of an n-D grid transform (``_multi``); refuses
+    """The order multi-index of an n-D grid transform (``heat._multi``); refuses
     (``DomainError``) the orders the grid does not resolve: any k_j above
     ``_GRID_K_MAX``, and for n >= 2 an axis with k_j = 0 beside one with
     k_j > 0.  On a decaying function with an exact transform, the 2-D
@@ -698,20 +664,16 @@ def _cz_sides(nu: NuVector, k, sample_plan: CzSamplePlan, plan, size: bool, smoo
     if size:
         sides["size"] = _side(np.abs(rows[0]) * d**n, sample_plan, {"x": x, "y": y})
     if smooth:
-        gam = min(1.0, nu.gamma_nu)
-        gam_raw = nu.gamma_nu
         r_xy, r_yx = rows
         r_xyp, r_ypx = _sweep_kernels(nu, k, x, yp, plan, both=True)
         dp = np.sqrt(np.sum((y - yp) ** 2, axis=0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            holder_rhs = (dp / d) ** gam / d**n
-            holder_rhs_raw = (dp / d) ** gam_raw / d**n
-            smooth_num = np.maximum(np.abs(r_xy - r_xyp), np.abs(r_yx - r_ypx))
-            smooth_ratio = np.where(dp > 0, smooth_num / holder_rhs, 0.0)
-            smooth_ratio_raw = np.where(dp > 0, smooth_num / holder_rhs_raw, 0.0)
-        points = {"x": x, "y": y, "y_prime": yp}
-        sides["smooth"] = _side(smooth_ratio, sample_plan, points, exponent=gam)
-        sides["smooth_raw_exponent"] = _side(smooth_ratio_raw, sample_plan, exponent=gam_raw)
+        num = np.maximum(np.abs(r_xy - r_xyp), np.abs(r_yx - r_ypx))
+
+        def smooth_side(gam, points=None):
+            return _side(_ratios(num, (dp / d) ** gam / d**n), sample_plan, points, exponent=gam)
+
+        sides["smooth"] = smooth_side(min(1.0, nu.gamma_nu), {"x": x, "y": y, "y_prime": yp})
+        sides["smooth_raw_exponent"] = smooth_side(nu.gamma_nu)
     return sides
 
 
@@ -727,6 +689,7 @@ def cz_bound_check(
     first- and second-argument difference quotients against
     (|y-y'|/|x-y|)^gamma / |x-y|^n with gamma = min(1, nu_min + 1/2); the
     unclipped exponent nu_min + 1/2 is fitted alongside for comparison.
+    Each quotient is scored by ``sampling._ratios``, so y' = y scores 0.
     Refinement doubles the (nested) sample count; the verdict is
     ``sampling._verdict`` over both primary constants' levels with the
     larger of their drifts.  R(x, y), R(y, x), R(x, y') and R(y', x) come

@@ -11,13 +11,16 @@ Sample plans are nested: a refinement level doubles the count and the
 first half of the samples reproduces the previous level, so fitted
 constants are monotone under refinement.
 
-Every campaign's verdict follows one refinement ladder: level ``lev`` is
-the prefix of ``base * 2**lev`` samples, ``_level_maxima`` takes the
-maximum on each level and ``_drift`` the largest relative step between
-levels.  ``_verdict`` is ``violated`` once a level is not finite, else
-``stable`` below the drift gate ``DRIFT_GATE`` and ``unstable`` at or above
-it.  An atom family is uniformly bounded when max/median of its
-quasi-norms is at most ``UNIFORMITY_GATE`` at every level.
+Every campaign's verdict follows one refinement ladder: a sample scores
+lhs/rhs (``_ratios``, the one ratio rule, which ``riesz`` uses too),
+level ``lev`` is the prefix of ``base * 2**lev`` samples,
+``_level_maxima`` takes the maximum on each level and ``_drift`` the
+largest relative step between levels.  ``_verdict`` is ``violated`` once
+a level is not finite, else ``stable`` below the drift gate
+``DRIFT_GATE`` and ``unstable`` at or above it.  The worst sample is the
+first one where the score is largest (``_worst``).  An atom family is
+uniformly bounded when max/median of its quasi-norms is at most
+``UNIFORMITY_GATE`` at every level.
 """
 
 from __future__ import annotations
@@ -44,6 +47,12 @@ UNIFORMITY_GATE = 10.0
 def _level_maxima(values, base: int, levels: int) -> list[float]:
     """Maxima over the nested prefixes of base * 2**lev entries."""
     return [float(np.max(values[: base * 2**lev])) for lev in range(levels)]
+
+
+def _ratios(lhs, rhs) -> np.ndarray:
+    """lhs/rhs per sample, where x/0 scores inf and 0/0 scores 0."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
 
 
 def _worst(ratio, /, **columns) -> dict:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from besselops import campaigns, cli, grids, heat, riesz
+from besselops import campaigns, cli, grids, heat, riesz, sampling
 from besselops.campaigns import (
     INEQUALITY_IDS,
     SPECS,
@@ -216,7 +216,7 @@ def eager_fit(lhs, rhs_of_c, config):
     results = {}
     selection_drift = {}
     for c, rhs in rhs_by_c.items():
-        ratios = campaigns._ratios(lhs, rhs)
+        ratios = sampling._ratios(lhs, rhs)
         levels = _level_maxima(ratios, config.samples, config.refine_levels)
         results[c] = (levels, _drift(levels), ratios)
         selection_drift[c] = _drift(campaigns._selection_levels(ratios, config))
@@ -327,7 +327,7 @@ class TestFitC:
     def test_ratios_of_a_subnormal_rhs_are_inf_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = campaigns._ratios(np.array([1.0, 0.0, 2.0]), np.array([1e-320, 0.0, 0.0]))
+            got = sampling._ratios(np.array([1.0, 0.0, 2.0]), np.array([1e-320, 0.0, 0.0]))
         assert got[0] == math.inf and got[1] == 0.0 and got[2] == math.inf
 
 

@@ -450,10 +450,13 @@ class TestSharedLadders:
         t, x, y = self.T, self.X[0], self.Y[0]
         expected = eval_delta_heat_1d(0.6, ell, t, x, y) - eval_delta_heat_1d(1.6, ell, t, x, y)
         calls = count_ladders(monkeypatch)
+        one_time = []
+        p1d_shifts = heat._p1d_shifts
+        monkeypatch.setattr(heat, "_p1d_shifts", lambda *a: one_time.append(a) or p1d_shifts(*a))
         got = delta_heat_difference_1d(0.6, ell, t, x, y)
         assert np.array_equal(got, expected)
-        # One ladder over the union of the shifts m and m + 1.
-        assert calls == [list(range(ell + 2))]
+        # One one-time ladder over the union of the shifts m and m + 1.
+        assert len(one_time) == 1 and calls == [list(range(ell + 2))]
 
     def test_nd_power_builds_one_ladder_per_axis(self, monkeypatch):
         nu, k, big_m = (0.5, 1.5), (1, 1), 2

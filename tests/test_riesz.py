@@ -17,10 +17,13 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import laggauss
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 import besselops.heat as heat
 import besselops.riesz as riesz
+import besselops.sampling as sampling
 from besselops.campaigns import default_config
 from besselops.errors import DomainError, GridError
 from besselops.grids import (
@@ -296,6 +299,38 @@ class TestExactKernel1D:
         with pytest.raises(DomainError):
             riesz_kernel_1d(0.7, 1, -x, y)
         assert calls == []
+
+
+class TestGaussRules:
+    """``riesz._gauss`` at the node counts of ``SCHLAFLI_NODES``, against
+    numpy's rules (the eigenvalues of a companion matrix and one Newton
+    step, no code shared with ``riesz``) and against exact moments."""
+
+    RULES = [(n, False) for n in SCHLAFLI_NODES[:3]] + [(SCHLAFLI_NODES[3], True)]
+
+    # numpy's weights measure up to 3.7e-13 from these (Laguerre, 32 nodes),
+    # its nodes up to 9.2e-15; the moments are off by at most 4.7e-15.
+    @pytest.mark.parametrize("n, laguerre", RULES)
+    def test_against_numpy(self, n, laguerre):
+        x, w = riesz._gauss(n, laguerre)
+        want_x, want_w = (laggauss if laguerre else leggauss)(n)
+        np.testing.assert_allclose(x, want_x, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(w, want_w, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n, laguerre", RULES)
+    def test_exact_moments(self, n, laguerre):
+        # An n-point Gauss rule integrates every polynomial of degree up to
+        # 2n - 1 exactly: int_{-1}^{1} x^{2j} = 2/(2j + 1) (the odd moments
+        # vanish) and int_0^inf x^j e^{-x} = j!.
+        x, w = riesz._gauss(n, laguerre)
+        for j in range(2 * n):
+            got = float(np.sum(w * x**j))
+            if laguerre:
+                assert got == pytest.approx(math.factorial(j), rel=1e-13)
+            elif j % 2:
+                assert abs(got) <= 1e-15
+            else:
+                assert got == pytest.approx(2.0 / (j + 1), rel=1e-13)
 
 
 class TestRieszApply:
@@ -1146,6 +1181,34 @@ class TestCzBoundCheck:
 
         monkeypatch.setattr(riesz, "_cz_sides", sides)
         assert cz_bound_check(NuVector((0.7,)), (1,))["verdict"] == verdict
+
+    def test_unmoved_second_point_scores_zero(self, monkeypatch):
+        # At y' = y both sides of a smoothness quotient are 0: the sweeps
+        # score it through the campaigns' ratio rule, 0/0 as 0, silently.
+        assert riesz._ratios is sampling._ratios
+        triples = _cz_triples
+
+        def pinned(n, sample_plan):
+            x, y, yp = triples(n, sample_plan)
+            yp[:, ::2] = y[:, ::2]
+            return x, y, yp
+
+        scored = []
+
+        def spy(lhs, rhs):
+            scored.append((lhs, rhs, sampling._ratios(lhs, rhs)))
+            return scored[-1][-1]
+
+        monkeypatch.setattr(riesz, "_cz_triples", pinned)
+        monkeypatch.setattr(riesz, "_ratios", spy)
+        plan = CzSamplePlan(count=100, seed=5, levels=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _cz_sides(NuVector((0.7,)), (1,), plan, WIDE_PLAN, size=False, smooth=True)
+        assert len(scored) == 2
+        for lhs, rhs, ratios in scored:
+            assert np.all(lhs[::2] == 0.0) and np.all(rhs[::2] == 0.0)
+            assert np.all(ratios[::2] == 0.0) and np.all(ratios[1::2] > 0.0)
 
     def test_drift_of_non_finite_levels_is_inf(self):
         assert _drift([math.inf, math.inf]) == math.inf
