@@ -524,22 +524,16 @@ def eval_delta_heat_1d(nu: float, ell: int, t, x, y):
 
 
 def delta_heat_difference_1d(nu: float, ell: int, t, x, y):
-    """delta_nu^ell p_t^nu - delta_{nu+1}^ell p_t^{nu+1}.
+    """delta_nu^ell p_t^nu - delta_{nu+1}^ell p_t^{nu+1}: one step of
+    ``_word_products`` with the order difference on its one axis.
 
     The coefficients of delta_beta^ell p_t^beta do not depend on beta, so
-    both terms combine one ladder over the shifts m and m + 1 (``_stepped``),
-    the second one step up (``_combine``); the monomials are formed after
-    its Bessel call.
+    both terms combine one ladder, the second one step up (``_combine``).
     """
-    expansion = delta_expansion(nu, ell)
-    monomials = _monomials(expansion.terms, x, y)  # checks the coordinates
-    t = np.asarray(t, dtype=float)
-    ladder = _p1d_shifts(float(nu), _stepped(expansion.shifts), t, x, y)
-    monomials = tuple(monomials)
-    shifted = _combine(monomials, t, ladder, 1)
-    out = _combine(monomials, t, ladder)
-    out -= shifted
-    return out
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    word = _pair_word(delta_expansion(nu, ell), x, y)
+    return next(_word_products((float(nu),), (word,), (np.asarray(t, dtype=float),), 0))
 
 
 def _delta_dt_expansion(nu: float, k: int, big_m: int) -> HeatKernelExpansion:

@@ -689,7 +689,7 @@ def cz_bound_check(
     first- and second-argument difference quotients against
     (|y-y'|/|x-y|)^gamma / |x-y|^n with gamma = min(1, nu_min + 1/2); the
     unclipped exponent nu_min + 1/2 is fitted alongside for comparison.
-    Each quotient is scored by ``sampling._ratios``, so y' = y scores 0.
+    Each quotient is scored by ``sampling._ratios``.
     Refinement doubles the (nested) sample count; the verdict is
     ``sampling._verdict`` over both primary constants' levels with the
     larger of their drifts.  R(x, y), R(y, x), R(x, y') and R(y', x) come

@@ -1182,33 +1182,8 @@ class TestCzBoundCheck:
         monkeypatch.setattr(riesz, "_cz_sides", sides)
         assert cz_bound_check(NuVector((0.7,)), (1,))["verdict"] == verdict
 
-    def test_unmoved_second_point_scores_zero(self, monkeypatch):
-        # At y' = y both sides of a smoothness quotient are 0: the sweeps
-        # score it through the campaigns' ratio rule, 0/0 as 0, silently.
+    def test_scores_quotients_with_the_one_ratio_rule(self):
         assert riesz._ratios is sampling._ratios
-        triples = _cz_triples
-
-        def pinned(n, sample_plan):
-            x, y, yp = triples(n, sample_plan)
-            yp[:, ::2] = y[:, ::2]
-            return x, y, yp
-
-        scored = []
-
-        def spy(lhs, rhs):
-            scored.append((lhs, rhs, sampling._ratios(lhs, rhs)))
-            return scored[-1][-1]
-
-        monkeypatch.setattr(riesz, "_cz_triples", pinned)
-        monkeypatch.setattr(riesz, "_ratios", spy)
-        plan = CzSamplePlan(count=100, seed=5, levels=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _cz_sides(NuVector((0.7,)), (1,), plan, WIDE_PLAN, size=False, smooth=True)
-        assert len(scored) == 2
-        for lhs, rhs, ratios in scored:
-            assert np.all(lhs[::2] == 0.0) and np.all(rhs[::2] == 0.0)
-            assert np.all(ratios[::2] == 0.0) and np.all(ratios[1::2] > 0.0)
 
     def test_drift_of_non_finite_levels_is_inf(self):
         assert _drift([math.inf, math.inf]) == math.inf
