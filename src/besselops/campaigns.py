@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, UnderResolvedError
+from .errors import ConfigError
 from .grids import (
     GridFunction,
     T_GRID_DEFAULT,
@@ -76,14 +76,7 @@ from .sampling import (
     make_rng,
     sample_kernel_points,
 )
-from .spaces import (
-    AtomCandidate,
-    Ball,
-    BallSampler,
-    _moment_fit,
-    bmo_norm,
-    multi_indices,
-)
+from .spaces import Ball, BallSampler, _atom, _check_p_range, bmo_norm
 
 __all__ = [
     "INEQUALITY_IDS",
@@ -412,15 +405,14 @@ def _thm1_5_campaign(config: CampaignConfig, collect: bool):
 
 
 def _random_atom(rng, grid, p: float):
-    """One random subcritical atom: supported in B(c, r), r <= rho(c),
-    vanishing moments up to floor(n(1/p-1)), sup at 90% of the bound."""
+    """One random atom on B(c, r), r <= rho(c): a drawn ball and profile,
+    made an atom by ``spaces._atom``."""
     x = grid.axes[0].nodes
     c = float(loguniform(rng, 0.7, 7.0, ()))
     rho = critical_function((c,))
     # keep the ball resolvable: at least ~3 local spacings, never above rho
     spacing = c * math.log(grid.axes[0].hi / grid.axes[0].lo) / (grid.axes[0].size - 1)
     r = min(max(rho * (0.3 + 0.7 * float(rng.uniform())), 3.0 * spacing), rho)
-    ball = Ball((c,), r)
     dist = np.abs(x - c)
     mask = dist < 0.95 * r
     if int(np.count_nonzero(mask)) < 4:
@@ -429,19 +421,7 @@ def _random_atom(rng, grid, p: float):
     shape1 = np.cos((1.5 + 2.0 * float(rng.uniform())) * math.pi * u)
     shape2 = np.sin(math.pi * u + float(rng.uniform()))
     prof = np.where(mask, (0.95 - u) * (shape1 + 0.5 * shape2), 0.0)
-    omega = math.floor(grid.ndim * (1.0 / p - 1.0))
-    if r < rho:
-        # Remove the moments up to omega on the support, keeping the support.
-        indices = multi_indices(grid.ndim, omega)
-        w = grid.weight_array[mask]
-        prof[mask] -= _moment_fit(prof[mask][None], x[mask][None], w, ball, indices)[0]
-    sup = float(np.max(np.abs(prof)))
-    if sup == 0.0:
-        raise UnderResolvedError(
-            "atom support under-resolved; increase grid_nodes"
-        )
-    vals = prof * (0.9 * ball.volume ** (-1.0 / p) / sup)
-    return AtomCandidate(GridFunction(grid, vals), ball, p)
+    return _atom(grid, prof, mask, Ball((c,), r), p)
 
 
 def _random_corpus(rng, grid, count: int):
@@ -482,11 +462,14 @@ def _thm1_6i_campaign(config: CampaignConfig, collect: bool):
     Riesz matrix is built only on the node pairs an atom touches
     (``support``): the entries left out would multiply exact zeros.  It is
     dropped after its product; over 8 path lengths that gave the lower
-    peak RSS (about 55 MB) at 4, and keeping it to the end at 1.
+    peak RSS (about 55 MB) at 4, and keeping it to the end at 1.  A p at or
+    below the paper's range (``spaces._check_p_range``) is refused with
+    ``ConfigError`` before any atom is drawn.
     """
     nu = config.nu_vector
     k = grid_multi_index(config.k, 1)
     p, atom_count, levels = config.p, config.atom_count, config.refine_levels
+    _check_p_range(1, p, nu, ConfigError)
     grid = default_grid(1, nodes_per_axis=config.grid_nodes, box=config.box)
     nu_shifted = nu.shifted(tuple(kj + 2 * config.big_m for kj in k))
     rng = make_rng(config.seed)

@@ -5,13 +5,17 @@ throughout: balls below the critical radius require moment cancellation
 (atoms) or polynomial correction (oscillation norms); balls at or above
 it are judged by raw size.  Everything here works on sampled functions,
 with grid quadrature standing in for integrals; integrals over balls that
-stick out of the grid box are clipped to the box with a warning.
+stick out of the grid box are clipped to the box (``minimizing_polynomial``
+warns when it clips one).
 
-Below the critical radius one fit serves both the oscillation norm and
-the moment cancellation of drawn atoms: ``_moment_fit`` solves the moment
-equations of each function in the ball's scaled basis, on the Gram matrix
-that ``_moment_gram`` checks for node count and conditioning (the check
-``minimizing_polynomial`` makes), and evaluates the fit in that basis.
+The (p, rho)-atom rule lives here, one copy of each part: ``_moment_order``,
+``_check_p_range``, the construction ``_atom`` and the centred moment check
+``_ball_moments``.  Below the critical radius one fit serves both the
+oscillation norm and the moment cancellation of atoms: ``_moment_fit``
+solves the moment equations of each function in the ball's scaled basis,
+on the Gram matrix that ``_moment_gram`` checks for node count and
+conditioning (as for each annulus of ``atom_dual_decompose``), and
+evaluates the fit in that basis.
 ``bmo_norm`` also takes a stack of functions on one grid: the part of each
 ball that does not depend on the function (its mask, volume and branch,
 and below the critical radius its moment basis and Gram matrix) is formed
@@ -125,8 +129,20 @@ def _node_stack(grid: Grid) -> np.ndarray:
     return np.stack(grid.node_mesh, axis=0)
 
 
-def _ball_mask(grid: Grid, ball: Ball) -> np.ndarray:
-    return ball.contains(_node_stack(grid))
+def _moment_order(n: int, p: float) -> int:
+    """omega = floor(n(1/p - 1)): a (p, rho)-atom on a subcritical ball has
+    vanishing moments of every order up to omega."""
+    return math.floor(n * (1.0 / p - 1.0))
+
+
+def _check_p_range(n: int, p: float, nu, error=DomainError) -> None:
+    """Raise ``error`` unless p > n/(n + nu_min + 1/2).  The exponent is the
+    unclipped nu_min + 1/2: the transform of an atom with a nonzero moment
+    against y^(nu+1/2) decays as x^(-nu-3/2), so its L^p(0, inf) quasi-norm
+    is infinite at and below the bound."""
+    nuv = as_nu_vector(nu)
+    if not p > n / (n + nuv.gamma_nu):
+        raise error(f"p={p} below the admissible range for nu={nuv.nu}")
 
 
 def _monomials(points: np.ndarray, alpha) -> np.ndarray:
@@ -148,48 +164,67 @@ class AtomVerdict:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-def validate_p_rho_atom(
-    a: AtomCandidate,
-    nu=None,
-    restrict_radius: bool = False,
-    sup_tol: float = 1e-12,
-    moment_tol: float = 1e-10,
-) -> AtomVerdict:
+def _atom(grid: Grid, prof: np.ndarray, mask: np.ndarray, ball: Ball, p: float) -> AtomCandidate:
+    """The (p, rho)-atom of the profile ``prof`` (0 off ``mask``) on ``ball``:
+    below the critical radius ``_moment_fit`` removes the moments up to
+    ``_moment_order`` on ``mask``; the sup is scaled to 0.9 |B|^{-1/p}.
+    ``UnderResolvedError`` when nothing is left, or as ``_moment_gram``."""
+    prof = np.array(prof, dtype=float)
+    if ball.radius < ball.critical_radius:
+        indices = multi_indices(grid.ndim, _moment_order(grid.ndim, p))
+        pts, w = _node_stack(grid)[:, mask], grid.weight_array[mask]
+        prof[mask] -= _moment_fit(prof[mask][None], pts, w, ball, indices)[0]
+    sup = float(np.max(np.abs(prof)))
+    if sup == 0.0:
+        raise UnderResolvedError("atom support under-resolved; increase grid_nodes")
+    vals = prof * (0.9 * ball.volume ** (-1.0 / p) / sup)
+    return AtomCandidate(GridFunction(grid, vals), ball, p)
+
+
+def _ball_moments(vals: np.ndarray, grid: Grid, ball: Ball, indices) -> dict[str, float]:
+    """Centred moments sum(w * vals * ((x - c)/r)^alpha) over the ball's
+    nodes, in the scaled basis ``_moment_fit`` solves in, each relative to
+    the L^1 norm of ``vals`` on the ball; keyed by ``str(alpha)``."""
+    pts = _node_stack(grid)
+    mask = ball.contains(pts)
+    w, v = grid.weight_array[mask], vals[mask]
+    l1 = max(float(np.sum(w * np.abs(v))), 1e-300)
+    cols = _scaled_basis(pts[:, mask], ball.center, ball.radius, indices)
+    return {str(alpha): float(np.sum(w * v * col)) / l1 for alpha, col in zip(indices, cols)}
+
+
+# Slack of the atom sup bound, and the largest centred moment relative to
+# the atom's L^1 norm on its ball (``_ball_moments``) that counts as 0.
+_SUP_TOL = 1e-12
+_MOMENT_TOL = 1e-10
+
+
+def validate_p_rho_atom(a: AtomCandidate, nu=None, restrict_radius: bool = False) -> AtomVerdict:
     """Check the three atom conditions against the candidate's ball.
 
-    Support inside the ball; sup bound |B|^{-1/p}; vanishing moments up to
-    order floor(n(1/p-1)) required only when the radius is subcritical
-    (r < rho(center)).  ``restrict_radius`` additionally demands
-    r <= rho(center), the stricter convention.  ``nu`` (optional) enables
-    the p-range check p > n/(n + nu_min + 1/2).
+    Support inside the ball; sup bound |B|^{-1/p} up to ``_SUP_TOL``;
+    vanishing moments up to ``_moment_order`` required only when the radius
+    is subcritical (r < rho(center)): each centred moment
+    |sum w a ((x - c)/r)^alpha| / ||a||_1 on the ball (``_ball_moments``,
+    signed in ``diagnostics["moments"]``) at most ``_MOMENT_TOL``.
+    ``restrict_radius`` additionally demands r <= rho(center), the stricter
+    convention.  ``nu`` (optional) enables ``_check_p_range``.
     """
     grid = a.f.grid
     n = grid.ndim
     if nu is not None:
-        nuv = as_nu_vector(nu)
-        if not a.p > n / (n + nuv.gamma_nu):
-            raise DomainError(f"p={a.p} below the admissible range for nu={nuv.nu}")
-    mask = _ball_mask(grid, a.ball)
+        _check_p_range(n, a.p, nu)
+    mask = a.ball.contains(_node_stack(grid))
     vals = a.f.values
     support_ok = bool(np.all(vals[~mask] == 0.0))
     sup_bound = a.ball.volume ** (-1.0 / a.p)
-    size_ok = bool(np.max(np.abs(vals)) <= sup_bound * (1.0 + sup_tol))
+    size_ok = bool(np.max(np.abs(vals)) <= sup_bound * (1.0 + _SUP_TOL))
 
     rho = a.ball.critical_radius
     required = a.ball.radius < rho
-    omega = math.floor(n * (1.0 / a.p - 1.0))
-    w = grid.weight_array
-    l1 = float(np.sum(w * np.abs(vals)))
-    pts = _node_stack(grid)
-    moments = {}
-    cancellation_ok = True
-    if required:
-        for alpha in multi_indices(n, omega):
-            m = float(np.sum(w * vals * _monomials(pts, alpha)))
-            moments[str(alpha)] = m
-            scale = max(l1 * a.ball.radius ** sum(alpha), 1e-300)
-            if abs(m) > moment_tol * scale:
-                cancellation_ok = False
+    omega = _moment_order(n, a.p)
+    moments = _ball_moments(vals, grid, a.ball, multi_indices(n, omega)) if required else {}
+    cancellation_ok = all(abs(m) <= _MOMENT_TOL for m in moments.values())
     radius_ok = (not restrict_radius) or a.ball.radius <= rho
     valid = support_ok and size_ok and cancellation_ok and radius_ok
     return AtomVerdict(
@@ -207,7 +242,7 @@ def validate_p_rho_atom(
             "radius_ok": radius_ok,
             "moment_order": omega if required else None,
             "moments": moments,
-            "l1": l1,
+            "l1": float(np.sum(grid.weight_array * np.abs(vals))),
         },
     )
 
@@ -325,24 +360,24 @@ def _expand_scaled_coeffs(coeffs, center, radius, indices, n):
 
 
 # Largest condition number of a ball's moment Gram matrix that is solved.
-_COND_LIMIT = 1e12
+_COND_LIMIT = 1e10
 
 
 def _moment_gram(pts, w, ball: Ball, indices):
-    """Scaled basis columns and their Gram matrix on the ball's nodes ``pts``
-    with weights ``w``; ``UnderResolvedError`` when the ball holds too few
-    nodes or the Gram matrix is numerically singular.  Neither depends on
-    the function fitted."""
+    """Scaled basis columns, their Gram matrix and its condition on the
+    ball's nodes ``pts`` with weights ``w``; ``UnderResolvedError`` when the
+    ball holds too few nodes or the Gram matrix is numerically singular.
+    None depends on the function fitted."""
     if w.size < len(indices):
         raise UnderResolvedError(
             f"ball holds {w.size} nodes; need at least {len(indices)}"
         )
     cols = _scaled_basis(pts, ball.center, ball.radius, indices)
     gram = _weighted_gram(cols, w)
-    cond = np.linalg.cond(gram)
+    cond = float(np.linalg.cond(gram))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise UnderResolvedError(f"moment matrix condition {cond:.2e} too large")
-    return cols, gram
+    return cols, gram, cond
 
 
 def minimizing_polynomial(g: GridFunction, ball: Ball, max_degree: int) -> PolyND:
@@ -363,7 +398,7 @@ def minimizing_polynomial(g: GridFunction, ball: Ball, max_degree: int) -> PolyN
         warnings.warn("ball clipped to the grid box", RuntimeWarning, stacklevel=2)
     indices = multi_indices(n, max_degree)
     w = grid.weight_array[mask]
-    cols, gram = _moment_gram(nodes[:, mask], w, ball, indices)
+    cols, gram, _ = _moment_gram(nodes[:, mask], w, ball, indices)
     rhs = np.array([float(np.sum(w * ca * g.values[mask])) for ca in cols])
     sol = np.linalg.solve(gram, rhs)
     resid = gram @ sol - rhs
@@ -383,7 +418,7 @@ def _moment_fit(vals, pts, w, ball: Ball, indices) -> np.ndarray:
     one-function ``np.sum`` takes; each function is solved on its own, since
     a multi-right-hand-side solve need not round alike.
     """
-    cols, gram = _moment_gram(pts, w, ball, indices)
+    cols, gram, _ = _moment_gram(pts, w, ball, indices)
     rhs = np.stack([np.sum(w * ca * vals, axis=1) for ca in cols], axis=1)
     sol = np.stack([np.linalg.solve(gram, row) for row in rhs], axis=1)
     out = np.zeros(vals.shape)
@@ -602,23 +637,10 @@ class DecompositionResult:
     certificates: dict
 
 
-def _annulus_masks(grid: Grid, ball: Ball, j0: int):
-    pts = _node_stack(grid)
-    c = np.asarray(ball.center).reshape((ball.n,) + (1,) * (grid.ndim))
-    dist = np.sqrt(np.sum((pts - c) ** 2, axis=0))
-    masks = []
-    for j in range(j0):
-        if j == 0:
-            masks.append(dist <= ball.radius)
-        else:
-            masks.append((dist <= 2**j * ball.radius) & (dist > 2 ** (j - 1) * ball.radius))
-    return masks
-
-
 def atom_dual_decompose(a: AtomCandidate) -> DecompositionResult:
     """Split an atom into a moment-free part plus dyadic-annulus pieces.
 
-    With omega = floor(n(1/p-1)) and j0 the first dyadic level at which
+    With omega = ``_moment_order`` and j0 the first dyadic level at which
     2^{j0} r reaches the critical radius of the center, the projection of
     the atom onto polynomials of degree <= omega on the ball telescopes
     across annuli via the dual bases of the centered monomials under the
@@ -626,8 +648,9 @@ def atom_dual_decompose(a: AtomCandidate) -> DecompositionResult:
     grid nodes: a = a1 + sum a2_{j,alpha} + sum a3_alpha, where a1 keeps
     the support and gains vanishing moments, each a2 piece has vanishing
     moments on its annulus pair, and the a3 pieces live at the critical
-    scale.  Gram matrices are built by one orthogonalization pass with a
-    re-orthogonalization, and their condition numbers are reported.
+    scale.  Each annulus Gram matrix passes ``_moment_gram``, and its
+    condition number and a Gram-Schmidt basis (with one
+    re-orthogonalization) are reported, with a1's ``_ball_moments``.
     """
     grid = a.f.grid
     n = grid.ndim
@@ -635,16 +658,18 @@ def atom_dual_decompose(a: AtomCandidate) -> DecompositionResult:
     rho = ball.critical_radius
     if ball.radius >= rho:
         raise DomainError("decomposition needs a subcritical ball (r < rho)")
-    omega = math.floor(n * (1.0 / a.p - 1.0))
+    omega = _moment_order(n, a.p)
     indices = multi_indices(n, omega)
     j0 = max(1, math.ceil(math.log2(rho / ball.radius)))
-    masks = _annulus_masks(grid, ball, j0)
     pts = _node_stack(grid)
     w = grid.weight_array
-    c_arr = np.asarray(ball.center).reshape((n,) + (1,) * grid.ndim)
+    centered = pts - np.asarray(ball.center).reshape((n,) + (1,) * grid.ndim)
+    dist = np.sqrt(np.sum(centered**2, axis=0))
+    # annulus j holds 2^(j-1) r < |x - c| <= 2^j r; annulus 0 the whole ball
+    lows = [-1.0] + [2**j * ball.radius for j in range(j0 - 1)]
+    masks = [(dist <= 2**j * ball.radius) & (dist > lo) for j, lo in enumerate(lows)]
 
     # Raw moments of the atom against centered monomials.
-    centered = pts - c_arr
     I_alpha = {
         alpha: float(np.sum(w * a.f.values * _monomials(centered, alpha)))
         for alpha in indices
@@ -653,18 +678,12 @@ def atom_dual_decompose(a: AtomCandidate) -> DecompositionResult:
     duals = []  # per level: dict alpha -> values on the full grid (masked)
     conds = []
     gs_sup = []
+    measures = [float(np.sum(w[m])) for m in masks]
     for j, mask in enumerate(masks):
-        measure = float(np.sum(w[mask]))
-        if int(np.count_nonzero(mask)) < len(indices) or measure <= 0.0:
-            raise UnderResolvedError(f"annulus {j} under-resolved")
         radius_j = 2**j * ball.radius
-        cols = _scaled_basis(pts[:, mask], ball.center, radius_j, indices)
-        ww = w[mask] / measure  # normalized average inner product
-        gram = _weighted_gram(cols, ww)
-        cond = float(np.linalg.cond(gram))
+        ww = w[mask] / measures[j]  # normalized average inner product
+        cols, gram, cond = _moment_gram(pts[:, mask], ww, Ball(ball.center, radius_j), indices)
         conds.append(cond)
-        if not np.isfinite(cond) or cond > 1e10:
-            raise UnderResolvedError(f"annulus {j} moment matrix condition {cond:.2e}")
         # Orthonormal basis via Gram-Schmidt with one re-orthogonalization
         # (certificate only; the dual basis below drives the decomposition).
         basis = []
@@ -689,7 +708,6 @@ def atom_dual_decompose(a: AtomCandidate) -> DecompositionResult:
             level[alpha] = vals
         duals.append(level)
 
-    measures = [float(np.sum(w[m])) for m in masks]
     projection = np.zeros(grid.shape)
     for alpha in indices:
         projection += I_alpha[alpha] * duals[0][alpha] / measures[0]
@@ -721,11 +739,6 @@ def atom_dual_decompose(a: AtomCandidate) -> DecompositionResult:
                     np.sum(ww * level[alpha][mask] * _monomials(centered[:, mask], beta))
                 )
                 pairing_resid = max(pairing_resid, abs(got - (1.0 if ai == bi else 0.0)))
-    a1_moments = {}
-    l1 = float(np.sum(w * np.abs(a.f.values)))
-    for alpha in indices:
-        m = float(np.sum(w * a1.values * _monomials(centered, alpha)))
-        a1_moments[str(alpha)] = m / max(l1 * ball.radius ** sum(alpha), 1e-300)
     dual_sup = {
         (j, alpha): float(np.max(np.abs(duals[j][alpha]))) * (2**j * ball.radius) ** sum(alpha)
         for j in range(j0)
@@ -744,7 +757,7 @@ def atom_dual_decompose(a: AtomCandidate) -> DecompositionResult:
     certificates = {
         "reconstruction_residual": recon_resid,
         "dual_pairing_residual": pairing_resid,
-        "a1_moment_residuals": a1_moments,
+        "a1_moment_residuals": _ball_moments(a1.values, grid, ball, indices),
         "gram_condition_numbers": conds,
         "orthonormal_sup_norms": gs_sup,
         "dual_sup_certificates": {str(k): v for k, v in dual_sup.items()},

@@ -686,6 +686,24 @@ class TestRandomAtom:
             verdict = validate_p_rho_atom(atom, nu=1.0)
             assert verdict.valid, verdict.diagnostics
 
+    def test_small_p_draws_validate_unless_the_support_is_interpolated(self):
+        # p = 0.2 fits the 5 moments up to omega = 4.  A 5-node support is
+        # interpolated, so the fit leaves rounding noise that the sup
+        # scaling blows up to the bound, and its centred moments show it.
+        # Every larger support cancels to rounding, at c/r up to 22.4.
+        from besselops.spaces import validate_p_rho_atom
+
+        grid = default_grid(1, nodes_per_axis=512)
+        rng = make_rng(0)
+        sizes = []
+        for _ in range(40):
+            atom = campaigns._random_atom(rng, grid, 0.2)
+            verdict = validate_p_rho_atom(atom, nu=5.0)
+            sizes.append(int(np.count_nonzero(atom.f.values)))
+            assert verdict.support_ok and verdict.size_ok and verdict.cancellation_required
+            assert verdict.cancellation_ok == verdict.valid == (sizes[-1] >= 6), sizes[-1]
+        assert sizes.count(5) == 6 and min(sizes) == 5
+
 
 class TestHardySpotCheck:
     @pytest.mark.parametrize("k", [(1,), (0,)])

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from besselops import campaigns
 from besselops.campaigns import CampaignConfig, bundled_config_path
 from besselops.cli import _plan_from_args, build_parser, main
 from besselops.grids import GridFunction, default_grid, gridfunction_to_csv
@@ -106,6 +107,23 @@ class TestExitCodes:
         rc = main(["kernel", "eval", "--t", "1", *point])
         assert rc == 2
         assert "point dimension does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", [0.2, 0.4])
+    def test_thm1_6i_at_or_below_the_p_range_is_2(self, tmp_path, monkeypatch, capsys, p):
+        # At nu = 1 the range is p > 1/(1 + 3/2) = 0.4: below it the
+        # transform of an atom is not in L^p(0, inf), and only the box keeps
+        # the measured quasi-norm finite.  The run stops before any draw.
+        def no_draw(*args):
+            raise AssertionError("an atom was drawn")
+
+        monkeypatch.setattr(campaigns, "_random_atom", no_draw)
+        config = json.loads(bundled_config_path("thm1_6i").read_text())
+        config["p"] = p
+        path = tmp_path / "thm1_6i.json"
+        path.write_text(json.dumps(config))
+        rc = main(["campaign", "run", "--config", str(path)])
+        assert rc == 2
+        assert "below the admissible range" in capsys.readouterr().err
 
     def test_kernel_eval_ok(self, capsys):
         rc = main(["kernel", "eval", "--nu", "0.5", "--t", "1.0", "--x", "1.0", "--y", "2.0"])

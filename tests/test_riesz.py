@@ -1046,10 +1046,13 @@ class TestRieszDifference:
     def test_difference_smaller_than_parts_near_diagonal(self):
         # The order-shift difference loses the singular diagonal behavior:
         # it stays bounded by C/x near x ~ y while each part blows up.
+        # WIDE_PLAN's t_min = 1e-6 truncates the pair at |x - y| = 2e-3
+        # (tail indicator 1.45e-3); t_min = 1e-8 resolves every pair.
         nu = NuVector((0.6,))
         x = np.full((1, 16), 2.0)
         y = np.array([[2.0 * (1.0 + d) for d in np.geomspace(1e-3, 0.4, 16)]])
-        diff = riesz_difference_batch(nu, (1,), 0, x, y, WIDE_PLAN)
+        plan = SubordinationPlan(t_min=1e-8, t_max=1e8, nodes_per_decade=24)
+        diff = riesz_difference_batch(nu, (1,), 0, x, y, plan)
         assert np.all(np.abs(diff) * x[0] < 5.0)
 
     @pytest.mark.filterwarnings("ignore:subordination tail indicator")

@@ -133,6 +133,31 @@ class TestAtomValidators:
             l1 = float(np.sum(g.weight_array * np.abs(atom.f.values)))
             assert l1 <= atom.ball.volume ** (1.0 - 1.0 / atom.p) * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("cancelled", [True, False], ids=["cancelled", "order4_left"])
+    def test_translate_far_from_the_origin_gets_the_same_verdict(self, cancelled):
+        # One profile on 19 nodes of a uniform grid, at c/r = 17 and at
+        # c/r = 200.  Its centred moments are the same up to rounding; its
+        # moments about the origin grow as c^alpha, and at p = 0.2
+        # (omega = 4) their rounding alone exceeds 1e-10 r^4 ||a||_1 far out.
+        g = Grid((uniform_axis(1.0, 41.0, 4001),))  # spacing 0.01
+        r, p = 0.1, 0.2
+        offsets = np.arange(-9, 10)
+        u = offsets * 0.01 / r
+        prof = (0.95 - np.abs(u)) * np.cos(2.5 * math.pi * u + 0.3)
+        basis = np.vander(u, 5 if cancelled else 4, increasing=True)
+        prof = prof - basis @ np.linalg.lstsq(basis, prof, rcond=None)[0]
+        verdicts = []
+        for i0 in (70, 1900):
+            ball = Ball((g.axes[0].nodes[i0],), r)
+            vals = np.zeros(g.shape)
+            vals[i0 + offsets] = prof * (0.9 * ball.volume ** (-1.0 / p) / np.max(np.abs(prof)))
+            verdicts.append(validate_p_rho_atom(AtomCandidate(GridFunction(g, vals), ball, p)))
+        near, far = verdicts
+        for v in verdicts:
+            assert v.support_ok and v.size_ok and v.cancellation_required
+            assert v.cancellation_ok == v.valid == cancelled, v.diagnostics["moments"]
+        assert far.diagnostics["moments"] == pytest.approx(near.diagnostics["moments"], abs=1e-12)
+
     def test_p_range_check(self):
         _, atom, _ = bundled_ball_atoms()[0]
         validate_p_rho_atom(atom, nu=(0.5,))  # fine: p=1 always admissible
@@ -436,9 +461,7 @@ class TestDualDecomposition:
         atom = decomposition_fixture()
         result = atom_dual_decompose(atom)
         # a1 keeps the support ball and has vanishing moments
-        v = validate_p_rho_atom(
-            AtomCandidate(result.a1, atom.ball, atom.p), sup_tol=1e-12, moment_tol=1e-8
-        )
+        v = validate_p_rho_atom(AtomCandidate(result.a1, atom.ball, atom.p))
         assert v.support_ok and v.cancellation_ok
 
     def test_a2_pieces_have_vanishing_moments(self):
