@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -543,13 +542,11 @@ def _thm1_6ii_campaign(config: CampaignConfig, collect: bool):
         denoms, nums = norms[: len(functions)], norms[len(functions) :]
         return [num / d for num, d in zip(nums, denoms) if d != 0.0]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        transforms = riesz_apply(nu, k, corpus, config.plan)
-        ratios = sampled_ratios(corpus, BallSampler(grid, 16, 8))
-        fine_ratios = sampled_ratios(
-            corpus[: max(2, config.corpus_size // 3)], BallSampler(grid, 32, 16)
-        )
+    transforms = riesz_apply(nu, k, corpus, config.plan)
+    ratios = sampled_ratios(corpus, BallSampler(grid, 16, 8))
+    fine_ratios = sampled_ratios(
+        corpus[: max(2, config.corpus_size // 3)], BallSampler(grid, 32, 16)
+    )
     levels = [max(ratios, default=0.0), max(fine_ratios, default=0.0)]
     drift = _drift([v for v in levels if v > 0] or [0.0])
     report = BoundReport(
@@ -648,9 +645,7 @@ SPECS: dict[str, Spec] = {
     ),
     "prop2_8": Spec(runner=_prop2_8_campaign, one_axis=True),
     "prop2_9": Spec(
-        lhs=lambda c, t, x, y: math.prod(
-            eval_delta_heat_1d(c.nu[j], c.ell[j], t, x[j], y[j]) for j in range(len(c.nu))
-        ),
+        lhs=lambda c, t, x, y: delta_dt_heat_nd_arrays(c.nu_vector, c.ell, 0, t, x, y),
         rhs=lambda c: (0, c.ell),
         per_axis=("ell",),
     ),

@@ -38,6 +38,7 @@ from .heat import KernelPoint, NuVector, delta_heat_kernel_nd
 from .riesz import (
     DEFAULT_PLAN, CzSamplePlan, SubordinationPlan, cz_bound_check, riesz_apply, riesz_kernel,
 )
+from .sampling import make_rng
 from .spaces import (
     AtomCandidate,
     Ball,
@@ -117,7 +118,7 @@ def cmd_kernel_verify(args) -> int:
         """z^{-a} I_order(z); e^z is finite on the z < 50 it is used on."""
         return z ** (-a) * math.exp(z) * besseli_scaled(order, z)
 
-    rng = np.random.default_rng(0 if args.seed is None else args.seed)
+    rng = make_rng(0 if args.seed is None else args.seed)
     worst = {"difference_identity": 0.0, "interlacing": 0.0, "ratio_derivative": 0.0,
              "kernel_difference": 0.0, "dirichlet": 0.0}
     for _ in range(200):

@@ -30,7 +30,8 @@ Bessel functions of consecutive times in one call per block
 (``heat._ladders``); ``apply_semigroup`` is the stream of one time.  A
 stream writes each of its matrices into one buffer it owns, by one gather
 (``_weighted_matrices``), and drops it when it ends: no matrix is kept
-between calls.
+between calls.  Every n-D operator, here and in ``riesz``, applies one
+matrix per axis through ``_contract``.
 """
 
 from __future__ import annotations
@@ -370,10 +371,15 @@ def _semigroup_values(nu: NuVector, times, grid: Grid, values: np.ndarray):
     """
     streams = [_kernel_matrices(nu_j, times, axis) for nu_j, axis in zip(nu.nu, grid.axes)]
     for _ in times:
-        out = values
-        for j, kernels in enumerate(streams):
-            out = np.moveaxis(np.tensordot(next(kernels), out, axes=(1, j)), 0, j)
-        yield out
+        yield _contract((next(kernels) for kernels in streams), values)
+
+
+def _contract(mats, values: np.ndarray) -> np.ndarray:
+    """``values`` (grid.shape + batch) with matrix j of ``mats`` applied
+    along axis j, in axis order; the trailing batch axes are carried."""
+    for j, mat in enumerate(mats):
+        values = np.moveaxis(np.tensordot(mat, values, axes=(1, j)), 0, j)
+    return values
 
 
 def _maximal_values(nu: NuVector, t_grid, grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -570,30 +570,27 @@ def adjoint_power_heat_1d(nu: float, k: int, big_m: int, t, x, y):
 
 
 def delta_heat_kernel_nd(nu, k, q: KernelPoint) -> float:
-    """Mixed delta-derivative of the product kernel, one order per axis;
-    k = 0 is the product kernel itself, bit for bit the product of
-    ``heat_kernel_1d`` over the axes."""
-    nu = as_nu_vector(nu)
-    if len(q.x) != nu.n:
-        raise DomainError("point dimension does not match order vector")
-    k = _multi(k, nu.n)
-    out = 1.0
-    for j in range(nu.n):
-        out *= float(eval_delta_heat_1d(nu.nu[j], k[j], q.t, q.x[j], q.y[j]))
-    return out
+    """Mixed delta-derivative of the product kernel, one order per axis:
+    ``delta_dt_heat_nd_arrays`` at M = 0 on the one point.  k = 0 is the
+    product of ``heat_kernel_1d`` over the axes, bit for bit."""
+    x, y = np.array(q.x)[:, None], np.array(q.y)[:, None]
+    return float(delta_dt_heat_nd_arrays(nu, k, 0, q.t, x, y)[0])
 
 
 def delta_dt_heat_nd_arrays(nu, k, big_m: int, t, x, y):
     """Vectorized delta_nu^k (Delta_nu)^M kernel; x, y stacked on axis 0.
 
     Delta_nu is the sum of the coordinate operators, so its M-th power
-    expands multinomially over coordinates.
+    expands multinomially over coordinates.  The sum starts from its first
+    product: at M = 0 it is the product, bit for bit, the sign of a 0 too.
     """
     nu = as_nu_vector(nu)
     k = _multi(k, nu.n)
     t = np.asarray(t, dtype=float)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
+    if x.shape[0] != nu.n or y.shape[0] != nu.n:
+        raise DomainError("point dimension does not match order vector")
     # the compositions of M into n parts, in lexicographic order
     comps = [c for c in itertools.product(range(int(big_m) + 1), repeat=nu.n) if sum(c) == big_m]
     # factors[j][M_j] = delta^{k_j} L^{M_j} p^{nu_j} on axis j, every power
@@ -605,15 +602,12 @@ def delta_dt_heat_nd_arrays(nu, k, big_m: int, t, x, y):
         monomials = {mj: _monomials(e.terms, x[j], y[j]) for mj, e in words.items()}
         ladder = _p1d_shifts(nu.nu[j], shifts, t, x[j], y[j])
         factors.append({mj: _combine(mono, t, ladder) for mj, mono in monomials.items()})
-    total = 0.0
+    total = None
     for comp in comps:
-        weight = math.factorial(big_m)
-        for mj in comp:
-            weight //= math.factorial(mj)
-        prod = float(weight)
+        prod = float(math.factorial(big_m) // math.prod(map(math.factorial, comp)))
         for j in range(nu.n):
             prod = prod * factors[j][comp[j]]
-        total = total + prod
+        total = prod if total is None else total + prod
     return total
 
 

@@ -48,7 +48,8 @@ function is written by Schlafli's integral, which leaves a smooth angular
 integral (``_schlafli_kernel``).  The Calderon-Zygmund sweeps
 (``cz_bound_check`` and the thm1_5_size and thm1_5_smooth campaigns,
 through ``_cz_sides``) use it for n = 1; their subordination plan governs
-only n >= 2.
+only n >= 2.  Both kernel evaluators check their arguments in
+``_kernel_args``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .grids import (
     Grid,
     GridFunction,
     _check_semigroup,
+    _contract,
     _one_grid,
     _pairs_touching,
     _semigroup_values,
@@ -126,6 +128,24 @@ class SubordinationPlan:
 DEFAULT_PLAN = SubordinationPlan()
 
 
+def _kernel_args(nu, k, x, y):
+    """(nu, k, x, y) of a kernel evaluation: the n orders, a multi-index
+    with |k| >= 1 and (n, count) arrays of coordinates in (0, inf) with no
+    pair on the diagonal; anything else is refused (``DomainError``)."""
+    nu = as_nu_vector(nu)
+    k = _multi(k, nu.n)
+    if sum(k) < 1:
+        raise DomainError("Riesz kernels need |k| >= 1")
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    if x.shape[0] != nu.n or y.shape[0] != nu.n:
+        raise DomainError("point dimension does not match order vector")
+    _check_positive("coordinates", x, y)
+    if np.any(np.all(x == y, axis=0)):
+        raise DomainError("diagonal evaluation x == y is not defined")
+    return nu.nu, k, x, y
+
+
 def _riesz_quadrature(
     nu, k, x, y, plan: SubordinationPlan, both: bool, difference_axis=None
 ) -> np.ndarray:
@@ -138,22 +158,14 @@ def _riesz_quadrature(
     absolutely accumulated integral (the signed total may cancel to zero,
     legitimately, e.g. the order-2 kernel on the x < y side in 1-D).
     """
-    nu = as_nu_vector(nu)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    k = _multi(k, nu.n)
-    order = sum(k)
-    if order < 1:
-        raise DomainError("Riesz kernels need |k| >= 1")
+    nu, k, x, y = _kernel_args(nu, k, x, y)
     words = [_pair_word(delta_expansion(0.0, k_j), x_j, y_j, both) for k_j, x_j, y_j in zip(k, x, y)]
-    if np.any(np.all(x == y, axis=0)):
-        raise DomainError("diagonal evaluation x == y is not defined")
     t_nodes, w = plan.nodes()
-    half = order / 2.0
+    half = sum(k) / 2.0
     total = np.zeros((2 if both else 1, x.shape[1]))
     abs_total = np.zeros_like(total)
     first = last = None
-    products = _word_products(nu.nu, words, t_nodes, difference_axis)
+    products = _word_products(nu, words, t_nodes, difference_axis)
     for t, wi, contrib in zip(t_nodes, w, products):
         contrib *= wi * t**half
         total += contrib
@@ -180,7 +192,6 @@ def riesz_kernel_batch(nu, k, x, y, plan: SubordinationPlan = DEFAULT_PLAN):
 
 def riesz_kernel(nu, k, x, y, plan: SubordinationPlan = DEFAULT_PLAN) -> float:
     """Off-diagonal Riesz kernel value at a single pair of points."""
-    nu = as_nu_vector(nu)
     x = np.asarray(np.atleast_1d(x), dtype=float)[:, None]
     y = np.asarray(np.atleast_1d(y), dtype=float)[:, None]
     return float(riesz_kernel_batch(nu, k, x, y, plan)[0])
@@ -282,17 +293,9 @@ def riesz_kernel_1d(nu, k, x, y, both: bool = False) -> np.ndarray:
     Arrays x, y of shape (count,) or (1, count); the result has shape
     (rows, count).
     """
-    nu = as_nu_vector(nu)
-    if nu.n != 1:
+    if as_nu_vector(nu).n != 1:
         raise DomainError("the exact kernel is one-dimensional")
-    nu, k = nu.nu[0], _multi(k, 1)[0]
-    if k < 1:
-        raise DomainError("Riesz kernels need |k| >= 1")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    _check_positive("coordinates", x, y)
-    if np.any(x == y):
-        raise DomainError("diagonal evaluation x == y is not defined")
+    (nu,), (k,), (x,), (y,) = _kernel_args(nu, k, x, y)
     if k != 2:
         return _schlafli_kernel(nu, k, x, y, both)
     pairs = ((x, y), (y, x)) if both else ((x, y),)
@@ -530,7 +533,7 @@ def riesz_apply(nu, k, f, plan: SubordinationPlan = DEFAULT_PLAN):
 def _nd_apply(nu: NuVector, k, grid: Grid, functions, plan: SubordinationPlan):
     """The n-D transforms of ``functions``: per time node, each axis matrix
     is written once, into that axis's one buffer (``grids._weighted_matrices``),
-    and contracted with each function's values."""
+    and contracted with each function's values on its own (``grids._contract``)."""
     axes = grid.axes
     t_nodes, w = plan.nodes()
     streams = [
@@ -543,10 +546,7 @@ def _nd_apply(nu: NuVector, k, grid: Grid, functions, plan: SubordinationPlan):
     for t, wi, *axis_rows in zip(t_nodes, w, *streams):
         mats = [write(rows) for write, rows in zip(writers, axis_rows)]
         for g, acc in zip(functions, accs):
-            vals = g.values
-            for j, mat in enumerate(mats):
-                vals = np.moveaxis(np.tensordot(mat, vals, axes=(1, j)), 0, j)
-            acc += wi * t**half * vals
+            acc += wi * t**half * _contract(mats, g.values)
     return [acc / math.gamma(half) for acc in accs]
 
 

@@ -11,11 +11,11 @@ warns when it clips one).
 The (p, rho)-atom rule lives here, one copy of each part: ``_moment_order``,
 ``_check_p_range``, the construction ``_atom`` and the centred moment check
 ``_ball_moments``.  Below the critical radius one fit serves both the
-oscillation norm and the moment cancellation of atoms: ``_moment_fit``
+oscillation norm and the moment cancellation of atoms: ``_moment_solve``
 solves the moment equations of each function in the ball's scaled basis,
-on the Gram matrix that ``_moment_gram`` checks for node count and
-conditioning (as for each annulus of ``atom_dual_decompose``), and
-evaluates the fit in that basis.
+on the Gram matrix that ``_moment_gram`` checks (as for each annulus of
+``atom_dual_decompose``); ``_moment_fit`` evaluates the fit in that basis,
+``minimizing_polynomial`` expands it in raw monomials.
 ``bmo_norm`` also takes a stack of functions on one grid: the part of each
 ball that does not depend on the function (its mask, volume and branch,
 and below the critical radius its moment basis and Gram matrix) is formed
@@ -308,10 +308,6 @@ class PolyND:
     coeffs: dict[tuple[int, ...], float]
     residual: float = 0.0
 
-    @property
-    def degree(self) -> int:
-        return max((sum(a) for a in self.coeffs), default=0)
-
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         out = np.zeros(points.shape[1:])
         for alpha, c in self.coeffs.items():
@@ -397,22 +393,22 @@ def minimizing_polynomial(g: GridFunction, ball: Ball, max_degree: int) -> PolyN
     if _clipped_to_box(grid, ball):
         warnings.warn("ball clipped to the grid box", RuntimeWarning, stacklevel=2)
     indices = multi_indices(n, max_degree)
-    w = grid.weight_array[mask]
-    cols, gram, _ = _moment_gram(nodes[:, mask], w, ball, indices)
-    rhs = np.array([float(np.sum(w * ca * g.values[mask])) for ca in cols])
-    sol = np.linalg.solve(gram, rhs)
+    w, vals = grid.weight_array[mask], g.values[mask]
+    _, gram, rhs, sol = _moment_solve(vals[None], nodes[:, mask], w, ball, indices)
+    rhs, sol = rhs[0], sol[:, 0]
     resid = gram @ sol - rhs
-    scale = np.maximum(np.abs(rhs), float(np.sum(w * np.abs(g.values[mask]))) + 1e-300)
+    scale = np.maximum(np.abs(rhs), float(np.sum(w * np.abs(vals))) + 1e-300)
     return PolyND(
         _expand_scaled_coeffs(sol, ball.center, ball.radius, indices, n),
         residual=float(np.max(np.abs(resid) / scale)),
     )
 
 
-def _moment_fit(vals, pts, w, ball: Ball, indices) -> np.ndarray:
-    """The minimizing polynomial of each row of ``vals`` (functions x the
-    ball's nodes ``pts``, weights ``w``) evaluated on those nodes, in the
-    ball's scaled basis; ``UnderResolvedError`` as ``_moment_gram``.
+def _moment_solve(vals, pts, w, ball: Ball, indices):
+    """(basis columns, Gram matrix, moments, coefficients) of the moment
+    equations of each row of ``vals`` (functions x the ball's nodes ``pts``,
+    weights ``w``) in the ball's scaled basis, as functions x basis and basis
+    x functions; ``UnderResolvedError`` as ``_moment_gram``.
 
     Each moment is the row sum of ``w * col * vals``, the pairwise sum the
     one-function ``np.sum`` takes; each function is solved on its own, since
@@ -421,6 +417,13 @@ def _moment_fit(vals, pts, w, ball: Ball, indices) -> np.ndarray:
     cols, gram, _ = _moment_gram(pts, w, ball, indices)
     rhs = np.stack([np.sum(w * ca * vals, axis=1) for ca in cols], axis=1)
     sol = np.stack([np.linalg.solve(gram, row) for row in rhs], axis=1)
+    return cols, gram, rhs, sol
+
+
+def _moment_fit(vals, pts, w, ball: Ball, indices) -> np.ndarray:
+    """The minimizing polynomial of each row of ``vals`` (``_moment_solve``)
+    evaluated on the ball's nodes."""
+    cols, _, _, sol = _moment_solve(vals, pts, w, ball, indices)
     out = np.zeros(vals.shape)
     for c, col in zip(sol, cols):
         out += c[:, None] * col

@@ -105,10 +105,8 @@ class TestDeterminism:
     def test_grid_campaigns_repeat_in_one_process(self, ineq):
         # The grid streams own their matrix buffers: no state may carry
         # from one run into the next.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            first, _ = run_campaign(default_config(ineq))
-            second, _ = run_campaign(default_config(ineq))
+        first, _ = run_campaign(default_config(ineq))
+        second, _ = run_campaign(default_config(ineq))
         assert first.canonical_json() == second.canonical_json()
 
     def test_seed_changes_samples(self):
@@ -398,12 +396,22 @@ class TestOperatorCampaigns:
 
     def test_thm1_6ii_runs(self):
         cfg = small(default_config("thm1_6ii"), k=(1,), corpus_size=3, seed=4, grid_nodes=192)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep, _ = run_campaign(cfg)
+        rep, _ = run_campaign(cfg)
         assert rep.notes[0].startswith("advisory only")
         assert len(rep.worst_sample["ratios"]) >= 1
         assert all(np.isfinite(v) for v in rep.worst_sample["ratios"])
+
+    def test_thm1_6ii_passes_warnings_on(self, monkeypatch):
+        # The runner hides no warning: one raised inside its norm passes
+        # reaches its caller.
+        def warning_norm(*args):
+            warnings.warn("probe", RuntimeWarning)
+            return bmo_norm(*args)
+
+        monkeypatch.setattr(campaigns, "bmo_norm", warning_norm)
+        cfg = small(default_config("thm1_6ii"), corpus_size=3, grid_nodes=64)
+        with pytest.warns(RuntimeWarning, match="probe"):
+            run_campaign(cfg)
 
     def test_thm4_1_smoke(self):
         cfg = small(default_config("thm4_1"), corpus_size=6, grid_nodes=192)
@@ -546,31 +554,29 @@ class TestBmoSpotCheck:
 
         monkeypatch.setattr(campaigns, "_random_corpus", with_zero)
         cfg = small(default_config("thm1_6ii"), k=k, s=s, corpus_size=6, seed=3, grid_nodes=160)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ref = per_function_bmo(cfg)
-            norm_calls = []
-            transforms = []
-            riesz_builds = []
+        ref = per_function_bmo(cfg)
+        norm_calls = []
+        transforms = []
+        riesz_builds = []
 
-            def counted_norm(f, *rest):
-                norm_calls.append(f)
-                return bmo_norm(f, *rest)
+        def counted_norm(f, *rest):
+            norm_calls.append(f)
+            return bmo_norm(f, *rest)
 
-            def counted_apply(*a):
-                transforms.append(a)
-                return riesz_apply(*a)
+        def counted_apply(*a):
+            transforms.append(a)
+            return riesz_apply(*a)
 
-            grid_matrix = riesz._grid_matrix
+        grid_matrix = riesz._grid_matrix
 
-            def counted_matrix(*a, **kw):
-                riesz_builds.append(a)
-                return grid_matrix(*a, **kw)
+        def counted_matrix(*a, **kw):
+            riesz_builds.append(a)
+            return grid_matrix(*a, **kw)
 
-            monkeypatch.setattr(campaigns, "bmo_norm", counted_norm)
-            monkeypatch.setattr(campaigns, "riesz_apply", counted_apply)
-            monkeypatch.setattr(riesz, "_grid_matrix", counted_matrix)
-            got, _ = run_campaign(cfg)
+        monkeypatch.setattr(campaigns, "bmo_norm", counted_norm)
+        monkeypatch.setattr(campaigns, "riesz_apply", counted_apply)
+        monkeypatch.setattr(riesz, "_grid_matrix", counted_matrix)
+        got, _ = run_campaign(cfg)
         assert got.worst_sample == {"ratios": ref["ratios"]}
         assert got.per_refinement_C == [ref["max_ratio"], ref["sampler_refined_max"]]
         assert got.C_hat == ref["max_ratio"]

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from besselops import campaigns
+from besselops import campaigns, cli
 from besselops.campaigns import CampaignConfig, bundled_config_path
 from besselops.cli import _plan_from_args, build_parser, main
 from besselops.grids import GridFunction, default_grid, gridfunction_to_csv
 from besselops.riesz import DEFAULT_PLAN
+from besselops.sampling import make_rng
 
 from atom_fixtures import bundled_ball_atoms, bundled_line_atoms
 
@@ -249,6 +250,21 @@ class TestGlobalFlags:
         _, five = self.run(capsys, ["--seed", "5", "kernel", "verify"])
         assert zero == default
         assert five["worst"] != default["worst"]
+
+    def test_kernel_verify_draws_from_make_rng(self, monkeypatch, capsys):
+        # All randomness flows through sampling.make_rng (Philox).
+        drawn = []
+
+        def recorded(seed):
+            drawn.append((seed, make_rng(seed)))
+            return drawn[-1][1]
+
+        monkeypatch.setattr(cli, "make_rng", recorded)
+        self.run(capsys, ["--seed", "5", "kernel", "verify"])
+        [(seed, rng)] = drawn
+        assert seed == 5
+        # The verify loop drew from it: its stream has moved on.
+        assert not np.array_equal(rng.random(4), make_rng(5).random(4))
 
     @pytest.mark.parametrize("ineq, k", [("cor2_11", [1]), ("cor2_11", [1, 1, 5]), ("prop2_10", [1])])
     def test_per_axis_mismatch_is_a_configuration_error(self, tmp_path, capsys, ineq, k):

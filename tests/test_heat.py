@@ -190,9 +190,12 @@ class TestKernelND:
         ids=["point_longer", "point_shorter"],
     )
     def test_point_dimension_must_match(self, nu, q):
+        x, y = np.array(q.x)[:, None], np.array(q.y)[:, None]
         for k in ((0,) * nu.n, (1,) * nu.n):
             with pytest.raises(DomainError, match="point dimension"):
                 delta_heat_kernel_nd(nu, k, q)
+            with pytest.raises(DomainError, match="point dimension"):
+                delta_dt_heat_nd_arrays(nu, k, 1, q.t, x, y)
 
     @pytest.mark.parametrize("k", [1, (1,), (1, 0, 0), (1, -1)], ids=str)
     def test_multi_index_must_match_and_be_nonnegative(self, k):
@@ -263,16 +266,29 @@ class TestDeltaExpansion:
 
 class TestMultiDimDelta:
     @pytest.mark.parametrize(
-        "nu, q",
+        "nu, k, q",
         [
-            (NuVector((0.4, 1.2)), KernelPoint(0.6, (1.0, 0.8), (2.0, 1.1))),
-            (NuVector((1.1,)), KernelPoint(0.8, (1.2,), (0.9,))),
-            (NuVector((-0.3, 0.5, 2.5)), KernelPoint(3e-3, (0.2, 4.0, 9.0), (0.25, 3.9, 9.1))),
+            (NuVector((0.4, 1.2)), (0, 0), KernelPoint(0.6, (1.0, 0.8), (2.0, 1.1))),
+            (NuVector((1.1,)), (0,), KernelPoint(0.8, (1.2,), (0.9,))),
+            (NuVector((-0.3, 0.5, 2.5)), (0, 0, 0), KernelPoint(3e-3, (0.2, 4.0, 9.0), (0.25, 3.9, 9.1))),
+            (NuVector((1.1,)), (2,), KernelPoint(0.8, (1.2,), (0.9,))),
+            (NuVector((-0.3, 0.5, 2.5)), (1, 0, 2), KernelPoint(3e-3, (0.2, 4.0, 9.0), (0.25, 3.9, 9.1))),
+            # Axis 0's kernel underflows to +0 and axis 1's factor is
+            # negative, so the product is -0.0.
+            (NuVector((0.5, 0.7)), (0, 1), KernelPoint(0.01, (1.0, 1.0), (30.0, 0.5))),
         ],
     )
-    def test_k_zero_is_kernel(self, nu, q):
-        # Bit for bit: the k = 0 word is 1.0 * t^0 * p on each axis.
-        assert delta_heat_kernel_nd(nu, (0,) * nu.n, q) == product_of_1d_kernels(nu, q)
+    def test_is_the_product_at_m_zero(self, nu, k, q):
+        # Bit for bit, the sign of a zero included: the point is a batch of
+        # one pair of delta_dt_heat_nd_arrays at M = 0, and at k = 0 the
+        # product of the 1-D kernels (the k = 0 word is 1.0 * t^0 * p on
+        # each axis).
+        value = delta_heat_kernel_nd(nu, k, q)
+        x, y = np.array(q.x)[:, None], np.array(q.y)[:, None]
+        batch = delta_dt_heat_nd_arrays(nu, k, 0, q.t, x, y)[0]
+        assert value == batch and np.signbit(value) == np.signbit(batch)
+        if not any(k):
+            assert value == product_of_1d_kernels(nu, q)
 
     def test_tensor_finite_difference(self):
         nu = NuVector((0.5, 1.0))

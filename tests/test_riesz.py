@@ -156,6 +156,19 @@ class TestRieszKernel:
             with pytest.raises(DomainError, match="strictly positive"):
                 call()
 
+    def test_points_of_another_dimension_refused(self):
+        # One row per axis of nu: a point with fewer or more coordinates
+        # would drop an axis of the product or a coordinate of the point.
+        calls = (
+            lambda: riesz_kernel_batch((0.5, 0.7), (1, 1), [[1.0, 2.0]], [[1.5, 2.5]]),
+            lambda: riesz_difference_batch((0.5, 0.7), (1, 1), 0, [[1.0, 2.0]], [[1.5, 2.5]]),
+            lambda: riesz_kernel_batch(0.5, 1, [[1.0], [2.0]], [[1.5], [2.5]]),
+            lambda: riesz_kernel_1d(0.5, 1, [[1.0], [2.0]], [[1.5], [2.5]]),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="dimension"):
+                call()
+
 
 # 30-digit reference for the exact 1-D kernel: the time integral
 # (1/Gamma(k/2)) int t^{k/2} delta^k p_t dt/t by the trapezoid rule in log t
