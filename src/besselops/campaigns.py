@@ -458,12 +458,9 @@ def _thm1_6i_campaign(config: CampaignConfig, collect: bool):
     refuses n >= 2.  All atoms are drawn first and stacked as the columns
     of one array, so the transform and each semigroup kernel act on every
     atom in one matrix product; each kernel is built once per call.  The
-    Riesz matrix is built only on the node pairs an atom touches
-    (``support``): the entries left out would multiply exact zeros.  It is
-    dropped after its product; over 8 path lengths that gave the lower
-    peak RSS (about 55 MB) at 4, and keeping it to the end at 1.  A p at or
-    below the paper's range (``spaces._check_p_range``) is refused with
-    ``ConfigError`` before any atom is drawn.
+    Riesz matrix (a Mellin convolution, no time plan) is dropped after its
+    product.  A p at or below the paper's range (``spaces._check_p_range``)
+    is refused with ``ConfigError`` before any atom is drawn.
     """
     nu = config.nu_vector
     k = grid_multi_index(config.k, 1)
@@ -475,8 +472,7 @@ def _thm1_6i_campaign(config: CampaignConfig, collect: bool):
     atoms = [_random_atom(rng, grid, p) for _ in range(atom_count * 2 ** (levels - 1))]
     stack = np.stack([atom.f.values for atom in atoms], axis=-1)
     if sum(k):
-        support = np.any(stack != 0.0, axis=1)
-        stack = riesz_matrix(nu, k, grid, config.plan, support=support) @ stack
+        stack = riesz_matrix(nu, k, grid) @ stack
     maxed = _maximal_values(nu_shifted, T_GRID_DEFAULT, grid, stack)
     norms = np.array([lp_norm(GridFunction(grid, col), p) for col in maxed.T])
     worst = int(np.argmax(norms))
@@ -566,7 +562,7 @@ def _thm1_6ii_campaign(config: CampaignConfig, collect: bool):
 def _thm4_1_campaign(config: CampaignConfig, collect: bool):
     nu = config.nu_vector
     grid = default_grid(1, nodes_per_axis=config.grid_nodes, box=config.box)
-    mat = riesz_difference_matrix(nu, config.k, 0, grid, config.plan)
+    mat = riesz_difference_matrix(nu, config.k, 0, grid)
     rng = make_rng(config.seed)
     total = config.corpus_size * 2 ** (config.refine_levels - 1)
     corpus = _random_corpus(rng, grid, total)

@@ -371,7 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
         rk.add_argument(name, required=True)
     plan_flags(rk)
     rk.set_defaults(func=cmd_riesz_kernel)
-    ra = rsub.add_parser("apply")
+    ra = rsub.add_parser(
+        "apply",
+        help="Riesz transform of a grid function CSV",
+        description="Riesz transform of a grid function CSV.  On a 1-D grid the transform "
+        "is a Mellin convolution on the log-uniform axis (any other axis exits with 2) and "
+        "the --plan-* flags are unused; they govern the subordination quadrature for n >= 2.",
+    )
     ra.add_argument("--nu", required=True)
     ra.add_argument("--k", required=True)
     ra.add_argument("--input", required=True, help="grid function CSV")

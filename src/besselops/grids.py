@@ -127,8 +127,9 @@ class Axis:
         pairs whose Gaussian factor exp(-d2/4t) is not exactly 0 are a
         prefix of this order, the classes they use are a prefix of
         ``distinct``, and a grid ladder works on those prefixes only
-        (``heat._ladders``).  Every grid matrix reads its pairs here; kept as
-        long as the axis."""
+        (``heat._ladders``).  Every ladder-built grid matrix (the semigroup
+        kernels and the n-D Riesz axes) reads its pairs here; kept as long
+        as the axis."""
         i, j = np.triu_indices(self.size)
         x = self.nodes
         d2 = (x[i] - x[j]) ** 2
@@ -280,36 +281,10 @@ def _one_grid(functions) -> Grid:
 # Semigroup application and the maximal function
 
 
-def _pairs_touching(axis: Axis, support) -> tuple[np.ndarray, ...]:
-    """``Axis.pairs`` restricted to the pairs (i, j) with node i or node j in
-    ``support``, a boolean mask over the axis's nodes; None keeps every pair.
-
-    The kept pairs stay in distance order, so at each time the live ones
-    are again a prefix.  ``distinct`` and the class numbers in ``inverse``
-    are the axis's own, so each kept pair reads the same representative.
-    They need no renumbering: the ladder's prefix rule (``heat._grid_nodes``)
-    evaluates every class up to the running maximum of ``inverse`` over the
-    live prefix, which holds each class the prefix's kept pairs use, and
-    possibly classes they skip.  Refuses (``GridError``) a mask that is not
-    a boolean array of the axis's length.
-    """
-    if support is None:
-        return axis.pairs
-    support = np.asarray(support)
-    if support.dtype != bool or support.shape != (axis.size,):
-        raise GridError(
-            f"support must be a boolean mask of shape ({axis.size},), "
-            f"got {support.dtype} of shape {support.shape}"
-        )
-    xy, d2, distinct, inverse, i, j = axis.pairs
-    keep = np.flatnonzero(support[i] | support[j])
-    return xy[keep], d2[keep], distinct, inverse[keep], i[keep], j[keep]
-
-
-def _weighted_matrices(axis: Axis, pairs, sides: int):
+def _weighted_matrices(axis: Axis, sides: int):
     """``write(rows)`` puts rows[0] on the first cut = rows.shape[-1] pairs
-    (i, j) of ``pairs`` (``Axis.pairs`` or ``_pairs_touching``), rows[-1] on
-    their mirror images (j, i) and +0 elsewhere, and scales column j by w_j.
+    (i, j) of ``Axis.pairs``, rows[-1] on their mirror images (j, i) and +0
+    elsewhere, and scales column j by w_j.
     ``rows`` has ``sides`` rows, 1 for a symmetric matrix.
 
     A write is one gather, through an int32 map of each entry's place in the
@@ -318,7 +293,7 @@ def _weighted_matrices(axis: Axis, pairs, sides: int):
     (the mirror is mapped second, so the diagonal takes rows[-1]), at a third
     of its time at n = 512; into a fresh matrix, page faults cost as much.
     """
-    i, j = pairs[4:]
+    i, j = axis.pairs[4:]
     size, n = i.size, axis.size
     where = np.full((n, n), size, dtype=np.int32)
     where[i, j] = np.arange(size, dtype=np.int32)
@@ -355,7 +330,7 @@ def _kernel_matrices(nu_j: float, times, axis: Axis):
     """
     xy, d2, distinct, inverse, _, _ = axis.pairs
     ladders = _ladders(nu_j, (0,), times, xy, d2, (distinct, inverse))
-    write = _weighted_matrices(axis, axis.pairs, 1)
+    write = _weighted_matrices(axis, 1)
     for _ in times:
         yield write(next(ladders)[0])
 

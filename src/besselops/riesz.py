@@ -23,19 +23,21 @@ Bessel functions of consecutive nodes in one call per block
 (``heat._word_products``, ``heat._ladders``).  The terms cancel near the
 diagonal, so they are combined per time node, before the time sum.  This
 module keeps only the time sums: ``_riesz_quadrature`` (batches and the
-n >= 2 sweeps, with the tail indicator), ``_grid_matrix`` (the 1-D grid
-matrices, one ladder per time node on the node pairs i <= j for both
-triangles) and the n-D ``riesz_apply``.  The grid words take their ladder
-geometry from the axis (``grids.Axis.pairs``, the node pairs sorted by
-distance), so at each time node the ladder, the word and the time sum
-cover only the prefix of pairs whose Gaussian factor is not exactly 0,
-with the Bessel functions run once per product class of that prefix;
-the matrices hold +0 past it.  A caller whose functions vanish off a few
-nodes passes them as ``riesz_matrix``'s ``support``, and the build runs on
-the pairs that touch them only (``grids._pairs_touching``).  The public
-grid transforms refuse any k_j >= 2, whose diagonal the grid does not
-resolve, and in n-D a k_j = 0 axis beside a k_j > 0 one
-(``grid_multi_index``).
+n >= 2 sweeps, with the tail indicator) and the n-D ``riesz_apply``.  Its
+grid words take their ladder geometry from the axis (``grids.Axis.pairs``,
+the node pairs sorted by distance), so at each time node the ladder, the
+word and the time sum cover only the prefix of pairs whose Gaussian factor
+is not exactly 0, with the Bessel functions run once per product class of
+that prefix; the matrices hold +0 past it.
+
+The 1-D grid matrices need no time sum and no Bessel call
+(``_mellin_matrix``).  On a log-uniform axis a 1-D Riesz transform is a
+convolution in u = log x with an exact Mellin symbol, so
+``riesz_matrix`` and ``riesz_difference_matrix`` are the exact transforms
+of the piecewise-linear interpolant in log x, read at the nodes: a
+Toeplitz matrix of weights from one FFT.  The public grid transforms
+refuse any k_j >= 2 and in n-D a k_j = 0 axis beside a k_j > 0 one
+(``grid_multi_index``), and in 1-D an axis that is not log-uniform.
 No matrix is kept between calls: ``riesz_matrix`` builds on every call, and
 a caller with many functions builds it once and applies it to each of them
 (``riesz_apply`` on a sequence) or to their stack.
@@ -62,6 +64,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, GridError
 from .grids import (
@@ -70,7 +73,6 @@ from .grids import (
     _check_semigroup,
     _contract,
     _one_grid,
-    _pairs_touching,
     _semigroup_values,
     _weighted_matrices,
 )
@@ -391,56 +393,24 @@ def _schlafli_kernel(nu: float, k: int, x, y, both: bool) -> np.ndarray:
     return total * (np.sqrt(xy) / (2.0 * math.gamma(0.5 * k)))
 
 
-def _axis_word(k_j: int, axis, pairs):
-    """The pair word on the node pairs i <= j of ``pairs`` (one axis's
-    ``grids.Axis.pairs``, sorted by distance, or a restriction of them), for
-    both triangles: row 0 is (x, y) = (x_i, x_j), row 1 is (x_j, x_i).  The
-    ladder geometry is the axis's own, so each time node works on the prefix
-    of pairs its Gaussian factor reaches, and the Bessel functions run on
-    the product classes of that prefix."""
-    i, j = pairs[4:]
+def _axis_word(k_j: int, axis):
+    """The pair word on the node pairs i <= j of one axis (``grids.Axis.pairs``,
+    sorted by distance), for both triangles: row 0 is (x, y) = (x_i, x_j),
+    row 1 is (x_j, x_i).  The ladder geometry is the axis's own, so each time
+    node works on the prefix of pairs its Gaussian factor reaches, and the
+    Bessel functions run on the product classes of that prefix."""
+    i, j = axis.pairs[4:]
     x = axis.nodes
-    return _pair_word(delta_expansion(0.0, k_j), x[i], x[j], both=True, pairs=pairs)
+    return _pair_word(delta_expansion(0.0, k_j), x[i], x[j], both=True, pairs=axis.pairs)
 
 
-def _grid_matrix(
-    nu: float, k: int, axis, plan: SubordinationPlan, difference: bool, support=None
-):
-    """A[i, j] ~ R_nu(x_i, x_j) w_j on a 1-D axis, or the kernel of
-    R_nu - R_{nu+1} when ``difference``.
-
-    Per time node one ladder on the triangle i <= j serves both triangles,
-    and only its prefix of pairs with a nonzero Gaussian factor is summed;
-    the dense matrix is written once, after the loop.  Given a boolean node
-    mask ``support``, only the pairs with i or j in it are built
-    (``grids._pairs_touching``): the rows and columns of the masked nodes
-    are bit for bit those of the whole matrix, and every other entry is +0.
-    """
-    pairs = _pairs_touching(axis, support)
-    word = _axis_word(k, axis, pairs)
-    t_nodes, w = plan.nodes()
-    half = k / 2.0
-    total = np.zeros((2, pairs[0].size))
-    products = _word_products((nu,), (word,), t_nodes, 0 if difference else None)
-    for t, wi, rows in zip(t_nodes, w, products):
-        rows *= wi * t**half
-        total[:, : rows.shape[-1]] += rows
-    # The loop sets the peak memory: its stream (which zip leaves
-    # suspended), word and last rows go before the gather builds its map.
-    del products, word, rows
-    out = _weighted_matrices(axis, pairs, 2)(total)
-    out /= math.gamma(half)
-    return out
-
-
-# On a grid the diagonal i = j is evaluated too, and for k_j >= 3 the terms
-# of delta^k cancel there to rounding noise: at n = 128 it reaches 0.13 of
-# the matrix's largest entry.  k_j = 2 is refused too: the time nodes below
-# the grid's resolution leave unresolved spikes on the diagonal, and on a
-# decaying function with an exact transform (nu = 0.6) the 1-D k = 2 error
-# is 30, 14 and 6.1 times the exact maximum at n = 192, 384 and 768.
-# k_j = 1 is what every bundled campaign uses; the private assembly
-# ``_grid_matrix`` takes any k.
+# On an n-D grid the diagonal i = j is evaluated too, and for k_j >= 3 the
+# terms of delta^k cancel there to rounding noise: at n = 128 it reaches 0.13
+# of the matrix's largest entry.  k_j = 2 is refused too: the time nodes
+# below the grid's resolution leave unresolved spikes on the diagonal.  The
+# 1-D Mellin matrices (``_mellin_matrix``) resolve every k, but the public
+# 1-D transforms keep the same refusal, so one rule covers every grid
+# transform; k_j = 1 is what every bundled campaign uses.
 _GRID_K_MAX = 1
 
 
@@ -465,39 +435,197 @@ def grid_multi_index(k, n: int) -> tuple[int, ...]:
     return k
 
 
-def _one_axis(nu, k, grid: Grid):
+# ---------------------------------------------------------------------------
+# 1-D grid transforms: a discrete Mellin convolution on the log grid
+
+# Stirling's series for log Gamma: B_{2j} / (2j (2j - 1)), j = 1..7; past
+# Re z = 10 the first omitted term is below 1e-17.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+# The Euler-Maclaurin formula for the Hurwitz zeta: B_{2j} / (2j)!, j = 1..5.
+_EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
+# Whole alias blocks of the folded multiplier evaluated before the tail
+# sum takes over; against 96 blocks, the tail's first-order form leaves at
+# most 2e-8 of the largest entry at n = 512 and 2e-6 at n = 64 (k = 1 to 5
+# on the default box).
+_ALIASES = 3
+# The weights decay like exp(-(nu + 1) |m| h) on the side x > y, the slower
+# one, and nu + 1 > 1/2, so a period P >= n + 2 _WRAP / h leaves the
+# wrapped-around weights below exp(-_WRAP), about 2e-16 of the largest, at
+# every order; with one period for every nu, the weights are linear in the
+# symbol, and the matrix of R_nu - R_{nu+1} is the difference of theirs to
+# rounding.
+_WRAP = 36.0
+# A 1-D grid transform needs log steps equal to within this fraction: a
+# grid written to CSV and read back keeps its nodes to the last bit, and a
+# geometric axis rounds its log steps to about 1e-13 of them.
+_LOG_STEP_RTOL = 1e-9
+
+
+def _log_gamma(z):
+    """log Gamma(z) for complex z with Re z > 0, up to a multiple of 2 pi i:
+    the recurrence Gamma(z) = Gamma(z + J) / (z (z + 1) ... (z + J - 1)) up to
+    Re z >= 10, then Stirling's series."""
+    z = np.asarray(z, dtype=complex)
+    shift = max(0, math.ceil(10.0 - float(np.min(z.real))))
+    prod = np.ones_like(z)
+    for j in range(shift):
+        prod *= z + j
+    w = z + shift
+    inv2 = 1.0 / (w * w)
+    series = np.zeros_like(w)
+    for coeff in reversed(_STIRLING):
+        series = series * inv2 + coeff
+    return (w - 0.5) * np.log(w) - w + 0.5 * math.log(2.0 * math.pi) + series / w - np.log(prod)
+
+
+def _hurwitz_zeta(s: int, x):
+    """sum_{j >= 0} (x + j)^{-s} for s >= 2 and real x > 0: the recurrence up
+    to x >= 10, then the Euler-Maclaurin formula."""
+    x = np.asarray(x, dtype=float)
+    shift = max(0, math.ceil(10.0 - float(np.min(x))))
+    total = np.zeros_like(x)
+    for j in range(shift):
+        total += (x + j) ** -s
+    w = x + shift
+    total += w ** (1 - s) / (s - 1) + 0.5 * w**-s
+    rising, power = float(s), w ** (-s - 1)
+    for i, coeff in enumerate(_EULER_MACLAURIN):
+        total += coeff * rising * power
+        rising *= (s + 2 * i + 1) * (s + 2 * i + 2)
+        power = power / (w * w)
+    return total
+
+
+def _mellin_symbol(nu: float, k: int, tau):
+    """m_k(1/2 + i tau), the Mellin symbol of the 1-D R^k_nu:
+    R^k x^{-s} = m_k(s) x^{-s} on the line s = 1/2 + i tau.
+
+    From L_nu x^{-s} = (nu - s - 1/2)(nu + s + 1/2) x^{-s-2} and
+    delta_nu x^{-p} = -(p + nu + 1/2) x^{-p-1},
+    m_k(s) = prod_{j=1}^{k} (j - s - nu - 1/2) 2^{-k}
+    Gamma(A - k/2) / Gamma(A) Gamma(B) / Gamma(B + k/2), with
+    A = (nu + s + 1/2)/2 and B = (nu - s + 3/2)/2.  Each factor of the product
+    cancels against one of the Gamma ratio's in closed form, so with
+    k = 2q + e, e in {0, 1},
+    m_k = (-1)^{q+e} prod_{i<q} (2i + e - nu - i tau) / (2i + e + nu + 1 - i tau)
+    times, for odd k, Gamma(A + 1/2) Gamma(B) / (Gamma(A) Gamma(B + 1/2)).
+    On the line B is the conjugate of A, so that factor is rho / conj(rho),
+    rho = Gamma(A + 1/2) / Gamma(A): a phase, |m_1| = 1.  Nothing is evaluated
+    at a pole (at nu = 1, k = 2, tau = 0 the uncancelled form is 0 times a
+    pole of Gamma(A - 1)), and at k = 2 this is (nu + i tau)/(nu + 1 - i tau).
+    """
+    tau = np.asarray(tau, dtype=float)
+    q, odd = divmod(k, 2)
+    out = np.full(tau.shape, (-1.0) ** (q + odd), dtype=complex)
+    for i in range(q):
+        out *= (2 * i + odd - nu - 1j * tau) / (2 * i + odd + nu + 1.0 - 1j * tau)
+    if odd:
+        a = 0.5 * (nu + 1.0 + 1j * tau)
+        out *= np.exp(2j * (_log_gamma(a + 0.5) - _log_gamma(a)).imag)
+    return out
+
+
+def _mellin_weights(symbol, limit: complex, h: float, n: int) -> np.ndarray:
+    """The weights c_m, read as c[m] for |m| < n, of a dilation-invariant
+    operator on the P1 hat functions of a log grid of step h.
+
+    With g(u) = e^{u/2} f(e^u), the operator is the convolution whose Fourier
+    multiplier is symbol(-omega), and its exact value at node i on the
+    piecewise-linear g_h = sum_j g_j hat_j is sum_j c_{i-j} g_j, with
+    c_m = (1/2 pi) int symbol(-theta/h) sinc^2(theta/2) e^{i m theta} d theta.
+    Folded onto [-pi, pi] that is the P-point inverse DFT of
+    S(theta) = sum_l F(theta + 2 pi l), F(theta) = symbol(-theta/h) sinc^2(theta/2),
+    for P large enough that c_{m +- P} is negligible (``_WRAP``).  The blocks
+    |l| <= _ALIASES are evaluated, and the rest is summed in closed form
+    (``_hurwitz_zeta``) with the multiplier written limit + d / theta past
+    them, where ``limit`` is its value at theta -> +inf (the conjugate at
+    -inf) and d is read off the last block.
+    The whole multiplier is folded: split into a sign function and a
+    remainder, each part's weights would decay only like 1/m.  ``symbol``
+    takes real tau and satisfies symbol(-tau) = conj(symbol(tau)), so the
+    weights are real and only theta >= 0 is evaluated.
+    """
+    period = 2 * math.ceil(0.5 * max(2 * n, n + 2.0 * _WRAP / h))
+    q = np.arange(_ALIASES * period + period // 2 + 1)
+    values = symbol(-2.0 * math.pi * q / (period * h))
+    folded = values * np.sinc(q / period) ** 2
+    p = np.arange(period // 2 + 1)
+    total = folded[p]
+    for l in range(1, _ALIASES + 1):
+        total += folded[p + l * period] + np.conj(folded[l * period - p])
+    t = p / period
+    above, below = _ALIASES + 1 + t, _ALIASES + 1 - t
+    d_above = (values[p + _ALIASES * period] - limit) * (2.0 * math.pi * (_ALIASES + t))
+    d_below = np.conj(values[_ALIASES * period - p] - limit) * (2.0 * math.pi * (_ALIASES - t))
+    tail = (
+        limit * _hurwitz_zeta(2, above)
+        + np.conj(limit) * _hurwitz_zeta(2, below)
+        + (d_above * _hurwitz_zeta(3, above) + d_below * _hurwitz_zeta(3, below)) / (2.0 * math.pi)
+    )
+    total += (np.sin(math.pi * t) / math.pi) ** 2 * tail
+    return np.fft.irfft(total, period)
+
+
+def _mellin_matrix(nu: float, k: int, h: float, n: int, difference: bool = False) -> np.ndarray:
+    """The n x n matrix of R^k_nu (of R_nu - R_{nu+1} when ``difference``) on
+    a log grid of step h: A[i, j] = x_i^{-1/2} c_{i-j} x_j^{1/2} with the
+    weights of ``_mellin_weights``, so A @ f is the exact transform of the
+    piecewise-linear interpolant of x^{1/2} f in log x, times x^{-1/2}, at
+    the nodes.  x_j / x_i = e^{(j-i)h}, so every diagonal is one number and A
+    is Toeplitz, bit for bit: one copy of a strided view of its 2n - 1
+    diagonals.  Any k >= 1; no plan, ladder or Bessel call."""
+    q, odd = divmod(k, 2)
+    # m_k tends to (-1)^q i^odd as omega = -tau -> +inf; the difference to 0.
+    limit = 0.0 if difference else (-1.0) ** q * (1j if odd else 1.0)
+
+    def symbol(tau):
+        m = _mellin_symbol(nu, k, tau)
+        return m - _mellin_symbol(nu + 1.0, k, tau) if difference else m
+
+    c = _mellin_weights(symbol, limit, h, n)
+    m = np.arange(1 - n, n)
+    diagonals = c[m] * np.exp(-0.5 * h * m)
+    return sliding_window_view(diagonals, n)[:, ::-1].copy()
+
+
+def _log_grid_args(nu, k, grid: Grid) -> tuple[float, int, float]:
+    """(nu, k, h) of a 1-D grid matrix: refuses (``GridError``) a grid of more
+    than one axis, an order vector of another dimension and an axis whose
+    log steps differ by more than ``_LOG_STEP_RTOL``; refuses
+    (``DomainError``) the orders ``grid_multi_index`` refuses and k = 0.
+    h is the mean log step."""
     nu = as_nu_vector(nu)
     if grid.ndim != 1:
         raise GridError("assembled matrices are for 1-D grids")
+    if nu.n != grid.ndim:
+        raise GridError("order vector dimension does not match grid")
     k_0 = grid_multi_index(k, 1)[0]
     if k_0 < 1:
         raise DomainError("Riesz kernels need |k| >= 1")
-    return nu.nu[0], k_0
+    u = np.log(grid.axes[0].nodes)
+    h = float(u[-1] - u[0]) / (u.size - 1)
+    if np.max(np.abs(np.diff(u) - h)) > _LOG_STEP_RTOL * h:
+        raise GridError("1-D grid transforms need a log-uniform axis (equal steps in log x)")
+    return nu.nu[0], k_0, h
 
 
-def riesz_matrix(
-    nu, k, grid: Grid, plan: SubordinationPlan = DEFAULT_PLAN, *, support=None
-) -> np.ndarray:
-    """Assembled 1-D transform matrix A[i, j] ~ R(x_i, x_j) w_j, built on
-    every call.
-
-    ``support`` is a boolean mask over the grid's nodes (default: every
-    node).  With a mask, only the entries in a row or column of a masked
-    node are built, each bit for bit its value in the whole matrix, and the
-    others are +0; so ``A @ F`` is the whole matrix's product, bit for bit,
-    for any F that vanishes off the mask.  A mask that is not a boolean
-    array of the grid's length is refused (``GridError``).
-    """
-    nu_0, k_0 = _one_axis(nu, k, grid)
-    return _grid_matrix(nu_0, k_0, grid.axes[0], plan, difference=False, support=support)
+def riesz_matrix(nu, k, grid: Grid) -> np.ndarray:
+    """Assembled 1-D transform matrix A, A @ f ~ R^k f at the nodes, built on
+    every call: the Mellin convolution of ``_mellin_matrix`` on the grid's
+    log-uniform axis (anything else is refused, see ``_log_grid_args``)."""
+    nu_0, k_0, h = _log_grid_args(nu, k, grid)
+    return _mellin_matrix(nu_0, k_0, h, grid.shape[0])
 
 
 def riesz_apply(nu, k, f, plan: SubordinationPlan = DEFAULT_PLAN):
-    """Riesz transform of a grid function by subordination quadrature.
+    """Riesz transform of a grid function: in 1-D by ``riesz_matrix`` (the
+    Mellin convolution on a log-uniform axis; ``plan`` unused), in n-D by
+    subordination quadrature on ``plan``.
 
     |k| = 0 is the identity (useful as the degenerate case in spot checks);
     any k_j >= 2, and in n-D a k_j = 0 axis beside a k_j > 0 one, is
-    refused (``grid_multi_index``).
+    refused (``grid_multi_index``), and so is a 1-D axis that is not
+    log-uniform (``GridError``).
 
     ``f`` may also be a sequence of grid functions on one grid; the result
     is then a list with one transform per function, each bit for bit its
@@ -506,7 +634,7 @@ def riesz_apply(nu, k, f, plan: SubordinationPlan = DEFAULT_PLAN):
     (one matrix-vector product per function: a product with their stack
     would sum in another order).
 
-    Time nodes with sqrt(t) below the local node spacing contribute
+    In n-D, time nodes with sqrt(t) below the local node spacing contribute
     unresolved near-diagonal spikes; for smooth inputs those contributions
     largely cancel, but accuracy-sensitive callers should choose
     plan.t_min around the square of the coarsest relevant spacing.
@@ -523,7 +651,7 @@ def riesz_apply(nu, k, f, plan: SubordinationPlan = DEFAULT_PLAN):
     if sum(k) == 0:
         out = functions
     elif grid.ndim == 1:
-        mat = riesz_matrix(nu, k, grid, plan)
+        mat = riesz_matrix(nu, k, grid)
         out = [GridFunction(grid, mat @ g.values) for g in functions]
     else:
         out = [GridFunction(grid, acc) for acc in _nd_apply(nu, k, grid, functions, plan)]
@@ -537,11 +665,11 @@ def _nd_apply(nu: NuVector, k, grid: Grid, functions, plan: SubordinationPlan):
     axes = grid.axes
     t_nodes, w = plan.nodes()
     streams = [
-        _word_products((nu_j,), (_axis_word(k_j, axis, axis.pairs),), t_nodes)
+        _word_products((nu_j,), (_axis_word(k_j, axis),), t_nodes)
         for nu_j, k_j, axis in zip(nu.nu, k, axes)
     ]
     half = sum(k) / 2.0
-    writers = [_weighted_matrices(axis, axis.pairs, 2) for axis in axes]
+    writers = [_weighted_matrices(axis, 2) for axis in axes]
     accs = [np.zeros(grid.shape) for _ in functions]
     for t, wi, *axis_rows in zip(t_nodes, w, *streams):
         mats = [write(rows) for write, rows in zip(writers, axis_rows)]
@@ -588,18 +716,15 @@ def riesz_difference_batch(
     return _riesz_quadrature(nu, k, x, y, plan, both=False, difference_axis=j)[0]
 
 
-def riesz_difference_matrix(
-    nu, k, axis_index: int, grid: Grid, plan: SubordinationPlan = DEFAULT_PLAN
-) -> np.ndarray:
-    """Assembled 1-D matrix A[i, j] ~ (R_nu - R_{nu+1})(x_i, x_j) w_j.
-
-    One Bessel ladder per time node on the triangle i <= j serves both
-    orders and both triangles.
+def riesz_difference_matrix(nu, k, axis_index: int, grid: Grid) -> np.ndarray:
+    """Assembled 1-D matrix of R_nu - R_{nu+1}, built on every call: the
+    Mellin convolution of ``_mellin_matrix`` with the symbol m_nu - m_{nu+1},
+    refused as ``riesz_matrix`` refuses, and for an axis index other than 0.
     """
-    nu_0, k_0 = _one_axis(nu, k, grid)
+    nu_0, k_0, h = _log_grid_args(nu, k, grid)
     if int(axis_index) != 0:
         raise DomainError("axis index out of range")
-    return _grid_matrix(nu_0, k_0, grid.axes[0], plan, difference=True)
+    return _mellin_matrix(nu_0, k_0, h, grid.shape[0], difference=True)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,19 @@ class TestExitCodes:
         assert rc == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    def test_riesz_apply_on_a_uniform_axis_is_2(self, tmp_path, capsys):
+        # The 1-D grid transform is a Mellin convolution: it needs a
+        # log-uniform axis, and the axis read from the CSV is not one.
+        from besselops.grids import Grid, uniform_axis
+
+        g = Grid((uniform_axis(0.05, 10.0, 64),))
+        path = tmp_path / "f.csv"
+        gridfunction_to_csv(GridFunction(g, np.exp(-((g.axes[0].nodes - 3.0) ** 2))), path)
+        rc = main(["--out", str(tmp_path), "riesz", "apply", "--nu", "0.8", "--k", "1", "--input", str(path)])
+        assert rc == 2
+        assert "log-uniform" in capsys.readouterr().err
+        assert not (tmp_path / "riesz_apply.csv").exists()
+
     def test_float_overflow_is_2(self, monkeypatch, capsys):
         import besselops.cli as cli
 
@@ -389,7 +402,7 @@ class TestMiscCommands:
 
     def test_riesz_apply_command(self, tmp_path, capsys):
         from besselops.grids import GridFunction, default_grid, gridfunction_from_csv
-        from besselops.riesz import SubordinationPlan, riesz_matrix
+        from besselops.riesz import riesz_matrix
 
         g = default_grid(1, nodes_per_axis=64)
         x = g.axes[0].nodes
@@ -405,8 +418,7 @@ class TestMiscCommands:
         assert rc == 0
         # Floats are written with repr, so the CSV holds the transform exactly.
         out = gridfunction_from_csv(tmp_path / "riesz_apply.csv")
-        plan = SubordinationPlan(1e-6, 1e4, 8)
-        assert np.array_equal(out.values, riesz_matrix(0.8, (1,), g, plan) @ f.values)
+        assert np.array_equal(out.values, riesz_matrix(0.8, (1,), g) @ f.values)
 
     def test_riesz_apply_does_not_import_numpy_ma(self, tmp_path):
         # The plain np.unique imports numpy.ma (numpy 2.x), at 9-15 ms a

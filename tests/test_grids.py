@@ -66,10 +66,11 @@ def all_pairs_kernel_matrix(nu, t, axis, own_products=False):
     return out * axis.weights[None, :]
 
 
-def scatter_matrix(axis, pairs, upper, lower):
-    """upper on the first len(upper) pairs (i, j), then lower on their
-    mirror images (j, i), scattered into a zeroed matrix, columns weighted."""
-    i, j = pairs[4:]
+def scatter_matrix(axis, upper, lower):
+    """upper on the first len(upper) pairs (i, j) of ``Axis.pairs``, then
+    lower on their mirror images (j, i), scattered into a zeroed matrix,
+    columns weighted."""
+    i, j = axis.pairs[4:]
     cut = upper.size
     out = np.zeros((axis.size, axis.size))
     out[i[:cut], j[:cut]] = upper
@@ -219,39 +220,11 @@ class TestProductClasses:
         rep = distinct[inverse]
         assert np.all(np.abs(xy - rep) <= eps * rep)
 
-
-class TestPairsTouching:
-    MASKS = {
-        "empty": np.zeros(64, dtype=bool),
-        "one": np.arange(64) == 21,
-        "random": np.random.default_rng(0).random(64) < 0.3,
-        "all": np.ones(64, dtype=bool),
-    }
-
-    @pytest.mark.parametrize("mask", list(MASKS))
-    @pytest.mark.parametrize(
-        "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 64)], ids=["log", "uniform"]
-    )
-    def test_kept_pairs_are_the_axis_pairs_that_touch_the_mask(self, axis, mask):
-        support = self.MASKS[mask]
-        full = axis.pairs
-        kept = grids._pairs_touching(axis, support)
-        i, j = full[4:]
-        keep = [p for p in range(i.size) if support[i[p]] or support[j[p]]]
-        # xy, d2, inverse, i and j at the kept positions, in order; the one
-        # distinct array, so every kept pair reads the same representative.
-        for n in (0, 1, 3, 4, 5):
-            assert kept[n].dtype == full[n].dtype
-            assert np.array_equal(kept[n], full[n][keep])
-        assert kept[2] is full[2]
-        assert grids._pairs_touching(axis, None) is full
-
-    @pytest.mark.parametrize("mask", list(MASKS))
-    def test_every_prefix_evaluates_the_classes_it_uses(self, mask):
-        # For each cut the ladder's prefix rule can make, the classes of the
-        # first cut kept pairs are among those ``heat._grid_nodes`` evaluates.
-        axis = log_axis(1e-2, 20.0, 64)
-        xy, d2, distinct, inverse, _, _ = grids._pairs_touching(axis, self.MASKS[mask])
+    def test_every_prefix_evaluates_exactly_the_classes_it_uses(self):
+        # Classes are numbered by first use along the pairs, so for each cut
+        # the ladder's prefix rule can make, ``heat._grid_nodes`` evaluates
+        # the classes of the first cut pairs and no other.
+        xy, d2, distinct, inverse, _, _ = log_axis(1e-2, 20.0, 64).pairs
         node = heat._grid_nodes(xy, d2, distinct, inverse)
         # Just below and just above each distance, every cut a time can make.
         levels = np.unique(d2[d2 > 0.0]) / (4.0 * 746.0)
@@ -262,32 +235,29 @@ class TestPairsTouching:
             cuts.add(cut)
             z, finish = node(t)
             assert np.array_equal(z, distinct[: z.size] / (2.0 * t))
-            if cut:
-                assert int(np.max(inverse[:cut])) < z.size
+            assert z.size == np.unique(inverse[:cut]).size
             assert finish(np.ones((1, z.size))).shape == (1, cut)
         reachable = {int(np.searchsorted(d2, v, side)) for v in d2 for side in ("left", "right")}
-        assert cuts == reachable - {0} if d2.size else cuts == {0}
+        assert cuts == reachable - {0}
 
 
 class TestWeightedMatrices:
-    @pytest.mark.parametrize("mask", [None, *TestPairsTouching.MASKS])
     @pytest.mark.parametrize(
         "axis", [log_axis(1e-2, 20.0, 64), uniform_axis(0.05, 10.0, 64)], ids=["log", "uniform"]
     )
-    def test_gather_matches_a_scatter(self, axis, mask):
+    def test_gather_matches_a_scatter(self, axis):
         # Each writer, bit for bit the scatter on every write: the whole
         # prefix, a dead tail (cut < P) after it and before it again, with
         # lower different from upper and equal to it.
-        pairs = grids._pairs_touching(axis, None if mask is None else TestPairsTouching.MASKS[mask])
-        size = pairs[0].size
+        size = axis.pairs[0].size
         rng = np.random.default_rng(5)
-        one_side = grids._weighted_matrices(axis, pairs, 1)
-        two_sides = grids._weighted_matrices(axis, pairs, 2)
+        one_side = grids._weighted_matrices(axis, 1)
+        two_sides = grids._weighted_matrices(axis, 2)
         for cut in (size, size // 3, 0, size // 2, size):
             upper, lower = rng.standard_normal((2, cut))
-            want = scatter_matrix(axis, pairs, upper, lower)
+            want = scatter_matrix(axis, upper, lower)
             assert two_sides(np.stack([upper, lower])).tobytes() == want.tobytes(), cut
-            want = scatter_matrix(axis, pairs, upper, upper)
+            want = scatter_matrix(axis, upper, upper)
             assert two_sides(np.stack([upper, upper])).tobytes() == want.tobytes(), cut
             assert one_side(upper).tobytes() == want.tobytes(), cut
 
